@@ -18,10 +18,9 @@ from math import comb
 
 from .hmm import Hmm
 from .linalg import SpMat
+from .patterns import HASH
 from .rational import Rat, ZERO, ONE
 from .wa import NAlphabetWA, NAlphabetDFA, dfa_to_wa, add, scale
-
-HASH = "#"
 
 
 def hash_alphabet(alphabet):

@@ -3,8 +3,9 @@
 Subcommands:
 
   shap     compute one SHAP value (local/global x baseline/interventional/
-           conditional); the conditional variant is answered by the
-           enumeration oracle under the guard
+           conditional); a WA model under an HMM goes to the polynomial
+           engine for baseline and interventional SHAP, every other query
+           to the enumeration oracle under the guard
   convert  compile a tabular model or distribution to a WA / HMM file
   gadget   emit a hardness-reduction instance as a JSON bundle, with an
            oracle certificate when the instance is small enough
@@ -22,19 +23,23 @@ import sys
 
 from . import engine, oracle
 from .frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
-                        hmmvec_to_hmm, identity_order, ind_to_hmmvec,
-                        linear_to_wa, markov_to_hmm, nb_to_hmmvec)
+                        hmmvec_to_hmm, ind_to_hmmvec, linear_to_wa,
+                        markov_to_hmm, nb_to_hmmvec)
 from .gadgets import csp_to_rnn, sat_to_ensemble, wmg_to_rnnrelu, wmg_to_sigmoid
 from .hmm import Hmm, hmm_from_json, hmm_to_json
-from .models import (dataset_from_json, dt_from_json, ensemble_from_json,
-                     hmmvec_from_json, hmmvec_to_json, ind_from_json,
-                     linear_from_json, markov_from_json, nb_from_json)
+from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
+                     MarkovDist, NaiveBayes, TreeEnsemble, dataset_from_json,
+                     dataset_to_json, dt_from_json, dt_to_json,
+                     ensemble_from_json, ensemble_to_json, hmmvec_from_json,
+                     hmmvec_to_json, ind_from_json, ind_to_json,
+                     linear_from_json, linear_to_json, markov_from_json,
+                     markov_to_json, nb_from_json, nb_to_json)
 from .oracle import (CnfFormula, CspInstance, GuardExceeded, RnnRelu,
                      SigmoidNet, Wmg, ZeroProbabilityEvent, csp_brute,
                      dummy_check, empty_brute, shap_oracle_local)
 from .randgen import (rand_cnf, rand_csp, rand_hmm, rand_wa, rand_wmg,
                       rand_word, rng_for)
-from .rational import Rat, format_rat, parse_rat
+from .rational import format_rat, parse_rat
 from .wa import NAlphabetWA, wa_from_json, wa_to_json
 
 EXIT_PARSE = 2
@@ -56,7 +61,7 @@ def _read_json(path):
     try:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as e:
+    except (OSError, ValueError) as e:  # ValueError: not JSON, not UTF-8
         raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
 
 
@@ -67,6 +72,13 @@ def _dump_json(obj, path=None):
     else:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
+
+
+def _parse_int_list(text, flag):
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise CliError(EXIT_PARSE, f"malformed {flag} {text!r}")
 
 
 def rnn_to_json(m):
@@ -101,58 +113,86 @@ def sigmoid_from_json(obj):
                       domain=tuple(obj["domain"]))
 
 
-_MODEL_DECODERS = {
-    "wa": wa_from_json,
-    "dt": dt_from_json,
-    "ensemble": ensemble_from_json,
-    "linear": linear_from_json,
-    "rnn": rnn_from_json,
-    "sigmoid": sigmoid_from_json,
+# The file formats: type tag -> (class, encoder, decoder).  A file is
+# {"type": tag, "payload": ...}; the payload may also stand inline.
+CODECS = {
+    "wa": (NAlphabetWA, wa_to_json, wa_from_json),
+    "dt": (DecisionTree, dt_to_json, dt_from_json),
+    "ensemble": (TreeEnsemble, ensemble_to_json, ensemble_from_json),
+    "linear": (LinearModel, linear_to_json, linear_from_json),
+    "rnn": (RnnRelu, rnn_to_json, rnn_from_json),
+    "sigmoid": (SigmoidNet, sigmoid_to_json, sigmoid_from_json),
+    "hmm": (Hmm, hmm_to_json, hmm_from_json),
+    "hmmvec": (HmmVec, hmmvec_to_json, hmmvec_from_json),
+    "emp": (Dataset, dataset_to_json, dataset_from_json),
+    "ind": (IndDist, ind_to_json, ind_from_json),
+    "markov": (MarkovDist, markov_to_json, markov_from_json),
+    "nb": (NaiveBayes, nb_to_json, nb_from_json),
 }
 
-_DIST_DECODERS = {
-    "hmm": hmm_from_json,
-    "hmmvec": hmmvec_from_json,
-    "emp": dataset_from_json,
-    "ind": ind_from_json,
-    "markov": markov_from_json,
-    "nb": nb_from_json,
-}
+
+def encode(obj, **extra):
+    """The tagged JSON document of a model or distribution."""
+    tag = next(t for t, (cls, _, _) in CODECS.items() if isinstance(obj, cls))
+    return {"type": tag, **extra, "payload": CODECS[tag][1](obj)}
 
 
 def _payload(obj):
     return obj.get("payload", obj) if isinstance(obj, dict) else obj
 
 
-def load_model(path):
+def _load(path, role, tags):
+    # an untagged file has the first of the allowed tags
     obj = _read_json(path)
-    kind = obj.get("type", "wa") if isinstance(obj, dict) else None
-    decoder = _MODEL_DECODERS.get(kind)
-    if decoder is None:
-        raise CliError(EXIT_PARSE, f"{path}: unknown model type {kind!r}")
+    kind = obj.get("type", tags[0]) if isinstance(obj, dict) else None
+    if kind not in tags:
+        raise CliError(EXIT_PARSE, f"{path}: unknown {role} type {kind!r}")
     try:
-        return decoder(_payload(obj))
+        return CODECS[kind][2](_payload(obj))
     except (KeyError, ValueError, TypeError) as e:
-        raise CliError(EXIT_PARSE, f"{path}: malformed {kind} model: {e}")
+        raise CliError(EXIT_PARSE, f"{path}: malformed {kind} {role}: {e}")
+
+
+def load_model(path):
+    return _load(path, "model",
+                 ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid"))
 
 
 def load_dist(path):
-    obj = _read_json(path)
-    kind = obj.get("type", "hmm") if isinstance(obj, dict) else None
-    decoder = _DIST_DECODERS.get(kind)
-    if decoder is None:
-        raise CliError(EXIT_PARSE, f"{path}: unknown distribution type {kind!r}")
-    try:
-        return decoder(_payload(obj))
-    except (KeyError, ValueError, TypeError) as e:
-        raise CliError(EXIT_PARSE, f"{path}: malformed {kind} distribution: {e}")
+    return _load(path, "distribution",
+                 ("hmm", "hmmvec", "emp", "ind", "markov", "nb"))
 
 
 # ---------------------------------------------------------------------------
 # shap
 
 
-def _value_record(cfg, value):
+# (scope, variant) -> the polynomial pipeline; it answers a WA model under
+# an Hmm distribution (or none, for local baseline SHAP)
+ENGINE = {
+    ("local", "baseline"):
+        lambda f, dist, q: engine.loc_b_shap(f, q.input, q.feature,
+                                             q.reference),
+    ("local", "interventional"):
+        lambda f, dist, q: engine.loc_i_shap(f, q.input, q.feature, dist),
+    ("global", "baseline"):
+        lambda f, dist, q: engine.glo_b_shap(f, q.feature, q.length,
+                                             q.reference, dist),
+    ("global", "interventional"):
+        lambda f, dist, q: engine.glo_i_shap(f, q.feature, q.length, dist),
+}
+
+
+def _oracle(q, model, dist):
+    variant = q.variant[0]  # b / i / c
+    ctx = q.reference if variant == "b" else dist
+    if q.scope == "local":
+        return shap_oracle_local(variant, model, q.input, q.feature, ctx)
+    return oracle.shap_oracle_global(variant, model, q.feature, q.length,
+                                     ctx, dist)
+
+
+def _value_record(cfg, value, route):
     # rationals expose numerator/denominator; sigmoid outputs are floats
     exact = hasattr(value, "denominator")
     record = {
@@ -163,18 +203,9 @@ def _value_record(cfg, value):
         "decimal": float(value),
     }
     if cfg.format == "tsv":
-        line = "\t".join(str(record[k]) for k in
-                         ("feature", "variant", "scope", "value", "decimal"))
-        print(line)
+        print("\t".join(str(v) for v in record.values()))
     else:
-        _dump_json(record)
-
-
-def _as_hmm(dist):
-    """Engine distributions must be stationary HMMs."""
-    if isinstance(dist, Hmm):
-        return dist
-    return None
+        _dump_json({**record, "route": route})
 
 
 def cmd_shap(cfg):
@@ -183,157 +214,102 @@ def cmd_shap(cfg):
         raise CliError(EXIT_INCOMPATIBLE,
                        "sigmoid models evaluate in binary-64; "
                        "use --mode float")
-    variant = cfg.variant[0]  # b / i / c
+    local = cfg.scope == "local"
+    if local and cfg.input is None:
+        raise CliError(EXIT_PARSE, "--input is required for local scope")
+    if not local and cfg.length is None:
+        raise CliError(EXIT_PARSE, "--length is required for global scope")
+    n = len(cfg.input) if local else cfg.length
+    if not (1 <= cfg.feature <= n):
+        raise CliError(EXIT_INCOMPATIBLE,
+                       f"feature {cfg.feature} out of range for n={n}")
+    baseline = cfg.variant == "baseline"
+    if baseline and cfg.reference is None:
+        raise CliError(EXIT_PARSE,
+                       "--reference is required for the baseline variant")
+    if baseline and len(cfg.reference) != n:
+        raise CliError(EXIT_INCOMPATIBLE, f"--reference must have length {n}")
+    needs_dist = not (local and baseline)
+    if needs_dist and cfg.dist is None:
+        raise CliError(EXIT_PARSE, f"--dist is required for {cfg.scope} "
+                                   f"{cfg.variant} SHAP")
     try:
-        if cfg.scope == "local":
-            if cfg.input is None:
-                raise CliError(EXIT_PARSE, "--input is required for local scope")
-            w = cfg.input
-            if not (1 <= cfg.feature <= len(w)):
-                raise CliError(EXIT_INCOMPATIBLE,
-                               f"feature {cfg.feature} out of range for "
-                               f"|input|={len(w)}")
-            if variant == "b":
-                if cfg.reference is None:
-                    raise CliError(EXIT_PARSE, "--reference is required for "
-                                   "the baseline variant")
-                if len(cfg.reference) != len(w):
-                    raise CliError(EXIT_INCOMPATIBLE,
-                                   "input and reference lengths differ")
-                if isinstance(model, NAlphabetWA):
-                    value = engine.loc_b_shap(model, w, cfg.feature,
-                                              cfg.reference)
-                else:
-                    value = shap_oracle_local("b", model, w, cfg.feature,
-                                              cfg.reference)
-            else:
-                if cfg.dist is None:
-                    raise CliError(EXIT_PARSE, "--dist is required for the "
-                                   f"{cfg.variant} variant")
-                dist = load_dist(cfg.dist)
-                hmm = _as_hmm(dist)
-                if variant == "i" and isinstance(model, NAlphabetWA) and hmm:
-                    value = engine.loc_i_shap(model, w, cfg.feature, hmm)
-                else:
-                    value = shap_oracle_local(variant, model, w, cfg.feature,
-                                              dist)
+        dist = load_dist(cfg.dist) if needs_dist else None
+        pipeline = ENGINE.get((cfg.scope, cfg.variant))
+        if (pipeline and isinstance(model, NAlphabetWA)
+                and (dist is None or isinstance(dist, Hmm))):
+            route, value = "engine", pipeline(model, dist, cfg)
         else:
-            if cfg.length is None:
-                raise CliError(EXIT_PARSE, "--length is required for global "
-                               "scope")
-            n = cfg.length
-            if not (1 <= cfg.feature <= n):
-                raise CliError(EXIT_INCOMPATIBLE,
-                               f"feature {cfg.feature} out of range for n={n}")
-            if cfg.dist is None:
-                raise CliError(EXIT_PARSE, "--dist is required for global "
-                               "scope")
-            dist = load_dist(cfg.dist)
-            hmm = _as_hmm(dist)
-            if variant == "b":
-                if cfg.reference is None or len(cfg.reference) != n:
-                    raise CliError(EXIT_INCOMPATIBLE,
-                                   "--reference of length n is required")
-                if isinstance(model, NAlphabetWA) and hmm:
-                    value = engine.glo_b_shap(model, cfg.feature, n,
-                                              cfg.reference, hmm)
-                else:
-                    value = oracle.shap_oracle_global(
-                        "b", model, cfg.feature, n, cfg.reference, dist)
-            elif variant == "i" and isinstance(model, NAlphabetWA) and hmm:
-                value = engine.glo_i_shap(model, cfg.feature, n, hmm)
-            else:
-                value = oracle.shap_oracle_global(variant, model, cfg.feature,
-                                                  n, dist, dist)
+            route, value = "oracle", _oracle(cfg, model, dist)
     except GuardExceeded as e:
         raise CliError(EXIT_GUARD, str(e))
     except ZeroProbabilityEvent as e:
         raise CliError(EXIT_INCOMPATIBLE, str(e))
     except (ValueError, IndexError, KeyError) as e:
         raise CliError(EXIT_INCOMPATIBLE, str(e))
-    _value_record(cfg, value)
+    _value_record(cfg, value, route)
 
 
 # ---------------------------------------------------------------------------
 # convert
 
 
-_MODEL_CONVERTERS = {
-    "dt": (dt_from_json, dt_to_wa, "wa"),
-    "ens-r": (ensemble_from_json, ensemble_reg_to_wa, "wa"),
-    "lin": (linear_from_json, linear_to_wa, "wa"),
+# --from -> (input file type, compiler(obj, order) or None, --to targets
+# with the default first)
+COMPILERS = {
+    "dt": ("dt", dt_to_wa, ("wa",)),
+    "ens-r": ("ensemble", ensemble_reg_to_wa, ("wa",)),
+    "lin": ("linear", linear_to_wa, ("wa",)),
+    "emp": ("emp", emp_to_hmmvec, ("hmm", "hmmvec")),
+    "ind": ("ind", ind_to_hmmvec, ("hmm", "hmmvec")),
+    "markov": ("markov", markov_to_hmm, ("hmm",)),
+    "nb": ("nb", nb_to_hmmvec, ("hmm", "hmmvec")),
+    "hmmvec": ("hmmvec", None, ("hmm",)),
 }
-
-_DIST_CONVERTERS = {
-    "emp": (dataset_from_json, emp_to_hmmvec),
-    "ind": (ind_from_json, ind_to_hmmvec),
-    "nb": (nb_from_json, nb_to_hmmvec),
-}
+# sources that are sequences already: there is no feature order to apply
+_SEQUENTIAL = ("markov", "hmmvec")
 
 
 def cmd_convert(cfg):
+    tag, compile_, targets = COMPILERS[cfg.source]
+    target = cfg.target or targets[0]
+    if target not in targets:
+        raise CliError(EXIT_PARSE, f"--from {cfg.source} compiles to "
+                                   f"{' or '.join(targets)}, not {target}")
+    order = None
+    if cfg.order:
+        if cfg.source in _SEQUENTIAL:
+            raise CliError(EXIT_PARSE,
+                           f"--order does not apply to --from {cfg.source}")
+        order = tuple(_parse_int_list(cfg.order, "--order"))
     try:
         with open(cfg.input, "rb") as fh:
             raw = fh.read()
-    except OSError as e:
+        doc = json.loads(raw)
+    except (OSError, ValueError) as e:
         raise CliError(EXIT_PARSE, f"cannot read {cfg.input}: {e}")
-    obj = _read_json(cfg.input)
-    order = None
-    if cfg.order:
-        try:
-            order = tuple(int(x) for x in cfg.order.split(","))
-        except ValueError:
-            raise CliError(EXIT_PARSE, f"malformed --order {cfg.order!r}")
     provenance = {
         "source_sha256": hashlib.sha256(raw).hexdigest(),
         "source_format": cfg.source,
         "order": list(order) if order else None,
     }
-
     try:
-        if cfg.source in _MODEL_CONVERTERS:
-            decode, compile_, out_type = _MODEL_CONVERTERS[cfg.source]
-            wa = compile_(decode(_payload(obj)), order)
-            bundle = {"type": out_type, "provenance": provenance,
-                      "payload": wa_to_json(wa)}
-        elif cfg.source in _DIST_CONVERTERS:
-            decode, compile_ = _DIST_CONVERTERS[cfg.source]
-            vec = compile_(decode(_payload(obj)), order)
-            if cfg.target == "hmm":
-                bundle = {"type": "hmm", "provenance": provenance,
-                          "payload": hmm_to_json(hmmvec_to_hmm(vec))}
-            else:
-                bundle = {"type": "hmmvec", "provenance": provenance,
-                          "payload": hmmvec_to_json(vec)}
-        elif cfg.source == "markov":
-            dist = markov_from_json(_payload(obj))
-            bundle = {"type": "hmm", "provenance": provenance,
-                      "payload": hmm_to_json(markov_to_hmm(dist))}
-        elif cfg.source == "hmmvec":
-            vec = hmmvec_from_json(_payload(obj))
-            bundle = {"type": "hmm", "provenance": provenance,
-                      "payload": hmm_to_json(hmmvec_to_hmm(vec))}
-        else:
-            raise CliError(EXIT_PARSE, f"unknown source format {cfg.source!r}")
-    except CliError:
-        raise
+        obj = CODECS[tag][2](_payload(doc))
+        if compile_ is not None:
+            obj = (compile_(obj) if cfg.source in _SEQUENTIAL
+                   else compile_(obj, order))
+        if target == "hmm" and isinstance(obj, HmmVec):
+            obj = hmmvec_to_hmm(obj)
     except (KeyError, TypeError) as e:
         raise CliError(EXIT_PARSE, f"{cfg.input}: malformed {cfg.source}: {e}")
     except ValueError as e:
         # notably: vote-classification ensembles are refused
         raise CliError(EXIT_INCOMPATIBLE, str(e))
-    _dump_json(bundle, cfg.output)
+    _dump_json(encode(obj, provenance=provenance), cfg.output)
 
 
 # ---------------------------------------------------------------------------
 # gadget
-
-
-def _parse_int_list(text, flag):
-    try:
-        return [int(x) for x in text.split(",")]
-    except ValueError:
-        raise CliError(EXIT_PARSE, f"malformed {flag} {text!r}")
 
 
 def _sigmoid_certificate(game, inst):
@@ -361,8 +337,7 @@ def cmd_gadget(cfg):
             if cfg.kind == "sigmoid":
                 inst = wmg_to_sigmoid(game, feature)
                 bundle = {"type": "gadget", "kind": "sigmoid",
-                          "model": {"type": "sigmoid",
-                                    "payload": sigmoid_to_json(inst.model)},
+                          "model": encode(inst.model),
                           "feature": inst.feature, "x": inst.x,
                           "x_ref": inst.x_ref,
                           "epsilon": format_rat(inst.epsilon),
@@ -371,8 +346,7 @@ def cmd_gadget(cfg):
             else:
                 rnn = wmg_to_rnnrelu(game)
                 bundle = {"type": "gadget", "kind": "rnn",
-                          "model": {"type": "rnn",
-                                    "payload": rnn_to_json(rnn)},
+                          "model": encode(rnn),
                           "feature": feature, "x": "1" * game.n,
                           "x_ref": "0" * game.n,
                           "metadata": {"powers": game.powers,
@@ -390,10 +364,8 @@ def cmd_gadget(cfg):
                        for c in cfg.clauses.split(";") if c]
             formula = CnfFormula(cfg.vars, clauses)
             inst = sat_to_ensemble(formula)
-            from .models import ensemble_to_json
             bundle = {"type": "gadget", "kind": "sat",
-                      "model": {"type": "ensemble",
-                                "payload": ensemble_to_json(inst.model)},
+                      "model": encode(inst.model),
                       "feature": inst.feature, "x": inst.x,
                       "x_ref": inst.x_ref, "metadata": inst.metadata}
             phi = shap_oracle_local("b", inst.model, inst.x, inst.feature,
@@ -413,7 +385,7 @@ def cmd_gadget(cfg):
                 raise CliError(EXIT_INCOMPATIBLE, str(e))
             rnn = csp_to_rnn(inst)
             bundle = {"type": "gadget", "kind": "csp",
-                      "model": {"type": "rnn", "payload": rnn_to_json(rnn)},
+                      "model": encode(rnn),
                       "metadata": {"strings": strings, "radius": cfg.radius}}
             witness = csp_brute(inst)
             empty = empty_brute(rnn, inst.n, inst.domain)
@@ -553,8 +525,7 @@ def build_parser():
 
     p = sub.add_parser("convert", help="compile a model/distribution")
     p.add_argument("--from", dest="source", required=True,
-                   choices=("dt", "ens-r", "lin", "emp", "ind", "markov",
-                            "nb", "hmmvec"))
+                   choices=tuple(COMPILERS))
     p.add_argument("--to", dest="target", choices=("wa", "hmm", "hmmvec"),
                    default=None)
     p.add_argument("--input", required=True)
@@ -586,12 +557,17 @@ def build_parser():
     return parser
 
 
-def main(argv=None):
-    parser = build_parser()
-    cfg = parser.parse_args(argv)
-    if cfg.subcommand == "convert" and cfg.target is None:
-        cfg.target = "wa" if cfg.source in _MODEL_CONVERTERS else "hmm"
+def _check_guard_setting():
     try:
+        oracle.guard_bits()
+    except ValueError as e:
+        raise CliError(EXIT_PARSE, str(e))
+
+
+def main(argv=None):
+    cfg = build_parser().parse_args(argv)
+    try:
+        _check_guard_setting()
         return cfg.func(cfg) or 0
     except CliError as e:
         print(f"error: {e}", file=sys.stderr)

@@ -15,7 +15,6 @@ projected product automaton is never materialized.
 
 from .builders import (build_A_in, build_A_wi, build_point_hmm, build_T,
                        build_T_i, build_T_w, build_T_wi)
-from .hmm import Hmm
 from .wa import contract, kron, pi1, project, sub
 
 

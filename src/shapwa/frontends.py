@@ -8,12 +8,9 @@ x_{order(1)} ... x_{order(n)}; the same order must be applied to the
 model and the distribution (identity by default).
 """
 
-from itertools import product
-
 from .hmm import Hmm
 from .linalg import SpMat
-from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
-                     MarkovDist, NaiveBayes, TreeEnsemble)
+from .models import HmmVec
 from .rational import Rat, ZERO, ONE
 from .wa import NAlphabetWA, NAlphabetDFA, add, dfa_to_wa, scale
 

@@ -14,9 +14,8 @@ import math
 from dataclasses import dataclass, field
 from math import comb
 
-from .linalg import SpMat
 from .models import DecisionTree, DTNode, TreeEnsemble
-from .oracle import CnfFormula, CspInstance, RnnRelu, SigmoidNet, Wmg
+from .oracle import RnnRelu, SigmoidNet
 from .rational import Rat, ZERO, ONE, format_rat
 
 BINARY = ("0", "1")

@@ -8,7 +8,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat
+from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
 from .wa import NAlphabetWA, eval_wa
 
 
@@ -42,23 +42,16 @@ class Hmm:
             mat = SpMat(n)
             for i in range(n):
                 for j in range(n):
-                    v = Rat(transition[i][j]) * Rat(emission[j][s])
+                    v = rat(transition[i][j]) * rat(emission[j][s])
                     if v != 0:
                         mat.set(i, j, v)
             if mat.rows:
                 trans[(sigma,)] = mat
-        wa = NAlphabetWA([alphabet], [Rat(x) for x in alpha], trans, [ONE] * n)
+        wa = NAlphabetWA([alphabet], alpha, trans, [ONE] * n)
         return cls(wa)
 
     def prefix_prob(self, w):
         return eval_wa(self.wa, (w,))
-
-    def enumerate_probs(self, length):
-        """All (word, probability) pairs over Sigma^length, in lexical order."""
-        from itertools import product
-        for tup in product(self.alphabet, repeat=length):
-            w = "".join(tup)
-            yield w, self.prefix_prob(w)
 
 
 def _check_stochastic(wa):

@@ -7,7 +7,7 @@ use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 """
 
-from .rational import Rat, ZERO
+from .rational import ZERO, rat
 
 
 class SpMat:
@@ -18,18 +18,15 @@ class SpMat:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n, entries=None):
+    def __init__(self, n):
         self.n = n
         self.rows = {}
-        if entries:
-            for (i, j), v in entries:
-                self.add_to(i, j, v)
 
     def set(self, i, j, v):
         if v == 0:
             self.rows.get(i, {}).pop(j, None)
         else:
-            self.rows.setdefault(i, {})[j] = Rat(v)
+            self.rows.setdefault(i, {})[j] = rat(v)
 
     def add_to(self, i, j, v):
         row = self.rows.setdefault(i, {})
@@ -58,13 +55,6 @@ class SpMat:
     def copy(self):
         out = SpMat(self.n)
         out.rows = {i: dict(row) for i, row in self.rows.items()}
-        return out
-
-    def scaled(self, c):
-        out = SpMat(self.n)
-        if c != 0:
-            out.rows = {i: {j: c * v for j, v in row.items()}
-                        for i, row in self.rows.items()}
         return out
 
     def kron(self, other):
@@ -117,7 +107,7 @@ class SpMat:
                 raise ValueError("matrix is not square")
             for j, v in enumerate(row):
                 if v != 0:
-                    out.rows.setdefault(i, {})[j] = Rat(v)
+                    out.rows.setdefault(i, {})[j] = rat(v)
         return out
 
     def __eq__(self, other):
@@ -131,10 +121,3 @@ class SpMat:
 
 def vec_to_sparse(v):
     return {i: x for i, x in enumerate(v) if x != 0}
-
-
-def vec_dot(sparse_v, dense_w):
-    total = ZERO
-    for i, x in sparse_v.items():
-        total += x * dense_w[i]
-    return total

@@ -8,8 +8,7 @@ Bayes.  Feature indices are 1-based; feature values are single-character
 symbols so that inputs double as sequences.
 """
 
-from dataclasses import dataclass, field
-from itertools import product
+from dataclasses import dataclass
 
 from .rational import Rat, ZERO, ONE, format_rat, parse_rat
 

@@ -17,7 +17,7 @@ from math import factorial
 from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, TreeEnsemble, step)
-from .rational import Rat, ZERO, ONE
+from .rational import Rat, ZERO
 from .wa import NAlphabetWA
 
 DEFAULT_GUARD_BITS = 24
@@ -39,14 +39,29 @@ class ZeroProbabilityEvent(Exception):
 
 
 def guard_bits():
-    return int(os.environ.get("SHAPWA_GUARD_BITS", DEFAULT_GUARD_BITS))
+    """log2 of the largest job the oracle accepts (SHAPWA_GUARD_BITS)."""
+    text = os.environ.get("SHAPWA_GUARD_BITS")
+    if text is None:
+        return DEFAULT_GUARD_BITS
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"SHAPWA_GUARD_BITS must be an integer, "
+                         f"not {text!r}") from None
+
+
+def _word_bits(alphabet_size, n):
+    return n * math.log2(alphabet_size) if alphabet_size > 1 else 0
+
+
+def _check_bits(bits, what):
+    limit = guard_bits()
+    if bits > limit:
+        raise GuardExceeded(f"{what} needs {bits:.0f} bits > guard {limit}")
 
 
 def check_enumerable(alphabet_size, n):
-    bits = n * math.log2(alphabet_size) if alphabet_size > 1 else 0
-    if bits > guard_bits():
-        raise GuardExceeded(
-            f"|Sigma|^n needs {bits:.0f} bits > guard {guard_bits()}")
+    _check_bits(_word_bits(alphabet_size, n), "|Sigma|^n")
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +196,8 @@ def _wa_value(A, w):
 
 def dist_prob(dist, w):
     if isinstance(dist, Hmm):
-        return _hmm_prob(dist, w)
+        # an Hmm's final vector is all-ones: prefix probability = WA value
+        return _wa_value(dist.wa, w)
     if isinstance(dist, (HmmVec, Dataset, IndDist, MarkovDist, NaiveBayes)):
         return dist.prob(w)
     raise TypeError(f"unsupported distribution {type(dist).__name__}")
@@ -193,22 +209,6 @@ def dist_alphabet(dist):
     if isinstance(dist, Dataset):
         return dist.domain()
     return dist.domain
-
-
-def _hmm_prob(dist, w):
-    v = list(dist.wa.alpha)
-    n = dist.wa.dim
-    for sym in w:
-        mat = dist.wa.transitions.get((sym,))
-        nv = [ZERO] * n
-        if mat is not None:
-            for i in range(n):
-                if v[i] == 0:
-                    continue
-                for j, a in mat.rows.get(i, {}).items():
-                    nv[j] += v[i] * a
-        v = nv
-    return sum(v, ZERO)
 
 
 def enumerate_words(alphabet, n):
@@ -260,6 +260,15 @@ def value_fn(variant, f, x, coalition, ctx):
     raise ValueError(f"unknown variant {variant!r}")
 
 
+def _local_job_bits(variant, n, ctx):
+    # 2^(n-1) coalitions, two value functions each; the interventional and
+    # conditional ones enumerate |Sigma|^n support words apiece
+    bits = n
+    if variant in ("i", "c"):
+        bits += _word_bits(len(dist_alphabet(ctx)), n)
+    return bits
+
+
 def shap_oracle_local(variant, f, x, i, ctx):
     """Exact subset-sum Shapley value of feature i."""
     n = len(x)
@@ -267,6 +276,7 @@ def shap_oracle_local(variant, f, x, i, ctx):
         raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range")
+    _check_bits(_local_job_bits(variant, n, ctx), "the oracle's job")
     others = [j for j in range(1, n + 1) if j != i]
     total = ZERO
     for size in range(n):
@@ -280,6 +290,8 @@ def shap_oracle_local(variant, f, x, i, ctx):
 def shap_oracle_global(variant, f, i, n, ctx, dist):
     """Expectation of the local value over inputs drawn from dist."""
     alphabet = dist_alphabet(dist)
+    _check_bits(_word_bits(len(alphabet), n)
+                + _local_job_bits(variant, n, ctx), "the oracle's job")
     total = ZERO
     for x in enumerate_words(alphabet, n):
         p = dist_prob(dist, x)

@@ -12,7 +12,7 @@ from .linalg import SpMat
 from .models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                      LinearModel, MarkovDist, NaiveBayes, TreeEnsemble)
 from .oracle import CnfFormula, CspInstance, Wmg
-from .rational import Rat, ZERO, ONE
+from .rational import Rat
 from .wa import NAlphabetWA, NAlphabetDFA, dfa_to_wa
 
 BINARY = ("0", "1")

@@ -14,9 +14,7 @@ the Kronecker-product matrix is never materialized.
 """
 
 from .linalg import SpMat, vec_to_sparse
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat
-
-HASH = "#"
+from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
 
 
 class NAlphabetWA:
@@ -33,8 +31,8 @@ class NAlphabetWA:
                 raise ValueError("empty alphabet")
             if len(set(ab)) != len(ab):
                 raise ValueError("duplicate symbols in alphabet")
-        self.alpha = tuple(Rat(x) for x in alpha)
-        self.beta = tuple(Rat(x) for x in beta)
+        self.alpha = tuple(rat(x) for x in alpha)
+        self.beta = tuple(rat(x) for x in beta)
         n = len(self.alpha)
         if len(self.beta) != n:
             raise ValueError("alpha/beta length mismatch")
@@ -116,7 +114,7 @@ def add(A, B):
 
 def scale(c, A):
     """Scalar multiple: only alpha is scaled, f_{cA} = c f_A."""
-    c = Rat(c)
+    c = rat(c)
     return NAlphabetWA(A.alphabets, tuple(c * x for x in A.alpha),
                        dict(A.transitions), A.beta)
 

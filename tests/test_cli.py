@@ -3,11 +3,18 @@ import json
 import pytest
 
 from shapwa import cli
+from shapwa.gadgets import wmg_to_rnnrelu
+from shapwa.hmm import hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import (DecisionTree, DTNode, TreeEnsemble, dt_to_json,
-                           ensemble_to_json)
+from shapwa.models import (DecisionTree, DTNode, IndDist, TreeEnsemble,
+                           dt_to_json, ensemble_to_json, hmmvec_to_json,
+                           ind_to_json, markov_to_json)
+from shapwa.oracle import Wmg
+from shapwa.randgen import rand_hmmvec, rand_markov, rng_for
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA, wa_from_json, wa_to_json, eval_wa
+
+B = ("0", "1")
 
 
 def write_json(path, obj):
@@ -70,14 +77,85 @@ def test_shap_guard_exceeded(capsys, and_model, tmp_path):
     assert code == 4
 
 
+@pytest.fixture
+def inputs(tmp_path, and_model):
+    tree = DecisionTree(DTNode(feature=1, children={
+        "0": DTNode(leaf=ZERO), "1": DTNode(leaf=ONE)}), 2, B)
+    half = {"0": Rat(1, 2), "1": Rat(1, 2)}
+    docs = {
+        "dt": {"type": "dt", "payload": dt_to_json(tree)},
+        "rnn": {"type": "rnn",
+                "payload": cli.rnn_to_json(wmg_to_rnnrelu(Wmg([1, 1], 2)))},
+        "hmm": {"type": "hmm", "payload": hmm_to_json(uniform_hmm(B))},
+        "ind": {"type": "ind",
+                "payload": ind_to_json(IndDist([half, half], B))},
+        "emp": {"type": "emp", "payload": {"rows": ["01", "11"]}},
+        "markov": {"type": "markov",
+                   "payload": markov_to_json(rand_markov(rng_for(1)))},
+        "hmmvec": {"type": "hmmvec", "payload": hmmvec_to_json(
+            rand_hmmvec(rng_for(2), 2, 2, B))},
+    }
+    paths = {k: write_json(tmp_path / f"{k}.json", v) for k, v in docs.items()}
+    return {"wa": and_model, **paths}
+
+
+@pytest.mark.parametrize("model, dist, scope, variant, route", [
+    ("wa", "hmm", "local", "baseline", "engine"),
+    ("wa", "hmm", "local", "interventional", "engine"),
+    ("wa", "hmm", "global", "baseline", "engine"),
+    ("wa", "hmm", "global", "interventional", "engine"),
+    ("wa", "hmm", "local", "conditional", "oracle"),
+    ("wa", "hmm", "global", "conditional", "oracle"),
+    ("wa", "ind", "local", "interventional", "oracle"),
+    ("wa", "emp", "global", "interventional", "oracle"),
+    ("wa", "emp", "global", "baseline", "oracle"),
+    ("dt", "hmm", "local", "interventional", "oracle"),
+    ("dt", None, "local", "baseline", "oracle"),
+    ("rnn", None, "local", "baseline", "oracle"),
+])
+def test_shap_route(capsys, inputs, model, dist, scope, variant, route):
+    argv = ["shap", "--scope", scope, "--variant", variant,
+            "--model", inputs[model], "--feature", "1"]
+    argv += ["--input", "11"] if scope == "local" else ["--length", "2"]
+    if variant == "baseline":
+        argv += ["--reference", "00"]
+    if dist:
+        argv += ["--dist", inputs[dist]]
+    code, out = run(capsys, argv)
+    assert code == 0
+    assert json.loads(out)["route"] == route
+
+
+@pytest.mark.parametrize("scope", ["local", "global"])
+def test_shap_reference_errors(capsys, inputs, scope):
+    argv = ["shap", "--scope", scope, "--variant", "baseline",
+            "--model", inputs["wa"], "--feature", "1", "--dist", inputs["hmm"]]
+    argv += ["--input", "11"] if scope == "local" else ["--length", "2"]
+    assert run(capsys, argv)[0] == 2                          # missing
+    assert run(capsys, argv + ["--reference", "000"])[0] == 3  # wrong length
+
+
+@pytest.mark.parametrize("argv", [
+    ["shap", "--scope", "local", "--variant", "baseline", "--feature", "1",
+     "--input", "11", "--reference", "00"],
+    ["verify", "--count", "1"],
+])
+def test_malformed_guard_setting(capsys, monkeypatch, and_model, argv):
+    monkeypatch.setenv("SHAPWA_GUARD_BITS", "abc")
+    if argv[0] == "shap":
+        argv = argv + ["--model", and_model]
+    assert run(capsys, argv)[0] == 2
+
+
 def test_shap_malformed_model(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    code, _ = run(capsys, [
-        "shap", "--scope", "local", "--variant", "baseline",
-        "--model", str(bad), "--input", "1", "--reference", "0",
-        "--feature", "1"])
-    assert code == 2
+    for content in (b"{not json", b"\xff\xfe{"):
+        bad.write_bytes(content)
+        code, _ = run(capsys, [
+            "shap", "--scope", "local", "--variant", "baseline",
+            "--model", str(bad), "--input", "1", "--reference", "0",
+            "--feature", "1"])
+        assert code == 2
 
 
 def test_convert_dt_roundtrip(capsys, tmp_path):
@@ -120,6 +198,22 @@ def test_convert_vote_ensemble_refused(capsys, tmp_path):
                            "--output", str(tmp_path / "e.wa.json")])
     assert code == 3
     assert not (tmp_path / "e.wa.json").exists()  # no partial output
+
+
+@pytest.mark.parametrize("source, flags", [
+    ("emp", ["--to", "wa"]),
+    ("dt", ["--to", "hmm"]),
+    ("markov", ["--to", "hmmvec"]),
+    ("markov", ["--order", "2,1"]),
+    ("hmmvec", ["--order", "2,1"]),
+])
+def test_convert_refuses_flags_it_cannot_honour(capsys, inputs, tmp_path,
+                                                source, flags):
+    out_path = tmp_path / "out.json"
+    code, _ = run(capsys, ["convert", "--from", source, "--input",
+                           inputs[source], "--output", str(out_path), *flags])
+    assert code == 2
+    assert not out_path.exists()
 
 
 def test_convert_determinism(capsys, tmp_path):

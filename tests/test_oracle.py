@@ -1,3 +1,4 @@
+import time
 from itertools import product
 
 import pytest
@@ -101,6 +102,15 @@ def test_guards():
         value_fn("i", f, "1" * 30, {1}, uniform_hmm(B))
     with pytest.raises(GuardExceeded):
         dummy_check(Wmg([1] * 25, 3), 1)
+
+
+def test_guard_bounds_the_whole_job():
+    # each enumeration is 2^10 words, but the job is 2^30 evaluations
+    D = uniform_hmm(B)
+    start = time.perf_counter()
+    with pytest.raises(GuardExceeded):
+        shap_oracle_global("i", and_wa(), 1, 10, D, D)
+    assert time.perf_counter() - start < 1
 
 
 def test_dummy_check():

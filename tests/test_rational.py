@@ -1,6 +1,9 @@
 import pytest
 
-from shapwa.rational import Rat, format_rat, parse_rat, rat
+from shapwa.hmm import Hmm
+from shapwa.linalg import SpMat
+from shapwa.rational import ONE, Rat, format_rat, parse_rat, rat
+from shapwa.wa import NAlphabetWA
 
 
 def test_arithmetic_closure():
@@ -28,3 +31,16 @@ def test_floats_rejected():
         parse_rat(0.5)
     with pytest.raises((TypeError, ValueError)):
         parse_rat(True)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: NAlphabetWA([("0",)], [0.5], {}, [ONE]),
+    lambda: NAlphabetWA([("0",)], [ONE], {}, [0.5]),
+    lambda: SpMat(1).set(0, 0, 0.1),
+    lambda: SpMat.from_dense([[0.1]]),
+    lambda: Hmm.from_matrices([ONE], [[1.0]], [[ONE]], ("0",)),
+], ids=["wa-alpha", "wa-beta", "spmat-set", "spmat-from-dense",
+        "hmm-from-matrices"])
+def test_exact_entry_points_refuse_floats(build):
+    with pytest.raises(TypeError):
+        build()
