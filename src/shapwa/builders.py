@@ -1,6 +1,8 @@
-"""The seven automaton builders behind the SHAP pipelines.
+"""The seven automaton builders of the paper's SHAP pipelines.
 
-All of them are small layered/chain machines:
+The engine composes A_{i,n}, T, T_i and the point distribution; A_{w,i},
+T_w and T_{w,i} are the paper's local construction, kept to cross-check
+the engine.  All of them are small layered/chain machines:
 
 - A_{w,i}: the coalition-weight distribution over patterns (weighted);
 - A_{i,n}: its two-tape, w-independent analogue (membership DFA (x)
@@ -20,7 +22,7 @@ from .hmm import Hmm
 from .linalg import SpMat
 from .patterns import HASH
 from .rational import Rat, ZERO, ONE
-from .wa import NAlphabetWA, NAlphabetDFA, dfa_to_wa, add, scale
+from .wa import NAlphabetWA, NAlphabetDFA, dfa_to_wa, kron
 
 
 def hash_alphabet(alphabet):
@@ -51,13 +53,11 @@ def _awi_weights(n):
     return {k: Rat(1, n * comb(n - 1, k - 1)) for k in range(1, n + 1)}
 
 
-def build_A_wi(w, i, alphabet=None, per_layer=False):
+def build_A_wi(w, i, alphabet=None):
     """The coalition-weight automaton: f = P_i^w over patterns in Sigma_#^|w|.
 
-    Default: one layered automaton over states (position, #-count) whose
-    final weights are indexed by the #-count, size (|w|+1)^2.  With
-    per_layer=True, one 0/1 acceptor per #-count is normalized and summed
-    instead (size O(|w|^3)); both compute the same function.
+    One layered automaton over states (position, #-count) whose final
+    weights are indexed by the #-count, size (|w|+1)^2.
     """
     n = len(w)
     if not (1 <= i <= n):
@@ -71,41 +71,23 @@ def build_A_wi(w, i, alphabet=None, per_layer=False):
         return (l - 1) * (n + 1) + e
 
     dim = (n + 1) * (n + 1)
-
-    def layer_transitions():
-        trans = {}
-        for sigma in sig_h:
-            mat = SpMat(dim)
-            for l in range(1, n + 1):
-                for e in range(0, l):
-                    if sigma == HASH:
-                        mat.set(state(l, e), state(l + 1, e + 1), ONE)
-                    elif l != i and w[l - 1] == sigma:
-                        mat.set(state(l, e), state(l + 1, e), ONE)
-            if mat.rows:
-                trans[(sigma,)] = mat
-        return trans
-
-    if not per_layer:
-        alpha = [ZERO] * dim
-        alpha[state(1, 0)] = ONE
-        beta = [ZERO] * dim
-        for k in range(1, n + 1):
-            beta[state(n + 1, k)] = weights[k]
-        return NAlphabetWA([sig_h], alpha, layer_transitions(), beta)
-
-    # the sum-of-acceptors variant: for each k, the acceptor of patterns with
-    # exactly k placeholders, scaled by 1/(|w| * |L_{i,k}|)
-    total = None
-    trans = layer_transitions()
+    trans = {}
+    for sigma in sig_h:
+        mat = SpMat(dim)
+        for l in range(1, n + 1):
+            for e in range(0, l):
+                if sigma == HASH:
+                    mat.set(state(l, e), state(l + 1, e + 1), ONE)
+                elif l != i and w[l - 1] == sigma:
+                    mat.set(state(l, e), state(l + 1, e), ONE)
+        if mat.rows:
+            trans[(sigma,)] = mat
+    alpha = [ZERO] * dim
+    alpha[state(1, 0)] = ONE
+    beta = [ZERO] * dim
     for k in range(1, n + 1):
-        alpha = [ZERO] * dim
-        alpha[state(1, 0)] = ONE
-        beta = [ZERO] * dim
-        beta[state(n + 1, k)] = ONE
-        piece = scale(weights[k], NAlphabetWA([sig_h], alpha, trans, beta))
-        total = piece if total is None else add(total, piece)
-    return total
+        beta[state(n + 1, k)] = weights[k]
+    return NAlphabetWA([sig_h], alpha, trans, beta)
 
 
 def build_A_in(i, n, alphabet):
@@ -149,7 +131,6 @@ def build_A_in(i, n, alphabet):
         beta[k] = wt
     counter = NAlphabetWA([sig_h, alphabet], alpha, trans, beta)
 
-    from .wa import kron
     return kron(membership, counter)
 
 

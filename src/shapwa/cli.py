@@ -25,7 +25,8 @@ from . import engine, oracle
 from .frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
                         hmmvec_to_hmm, ind_to_hmmvec, linear_to_wa,
                         markov_to_hmm, nb_to_hmmvec)
-from .gadgets import csp_to_rnn, sat_to_ensemble, wmg_to_rnnrelu, wmg_to_sigmoid
+from .gadgets import (csp_to_rnn, sat_to_ensemble, sigmoid_dummy_verdict,
+                      wmg_to_rnnrelu, wmg_to_sigmoid)
 from .hmm import Hmm, hmm_from_json, hmm_to_json
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, TreeEnsemble, dataset_from_json,
@@ -235,6 +236,10 @@ def cmd_shap(cfg):
                                    f"{cfg.variant} SHAP")
     try:
         dist = load_dist(cfg.dist) if needs_dist else None
+        for obj, role in ((model, "model"), (dist, "distribution")):
+            if getattr(obj, "n", n) != n:
+                raise CliError(EXIT_INCOMPATIBLE,
+                               f"the {role} has n={obj.n}, the query n={n}")
         pipeline = ENGINE.get((cfg.scope, cfg.variant))
         if (pipeline and isinstance(model, NAlphabetWA)
                 and (dist is None or isinstance(dist, Hmm))):
@@ -295,6 +300,9 @@ def cmd_convert(cfg):
     }
     try:
         obj = CODECS[tag][2](_payload(doc))
+        if cfg.source == "hmmvec":
+            # the HMM reads the features in pi order; the model must too
+            provenance["order"] = list(obj.pi)
         if compile_ is not None:
             obj = (compile_(obj) if cfg.source in _SEQUENTIAL
                    else compile_(obj, order))
@@ -316,7 +324,7 @@ def _sigmoid_certificate(game, inst):
     phi = float(shap_oracle_local("b", inst.model, inst.x, inst.feature,
                                   inst.x_ref))
     dummy = dummy_check(game, inst.feature)
-    relation = "<=" if phi <= float(inst.epsilon) else ">"
+    relation = "<=" if sigmoid_dummy_verdict(phi, inst) else ">"
     return {"dummy": dummy,
             "phi_b": phi,
             "epsilon": format_rat(inst.epsilon),
@@ -427,21 +435,17 @@ def _verify_engine(report, rng, count):
         w = rand_word(rng, alphabet, n)
         w_ref = rand_word(rng, alphabet, n)
         i = rng.randint(1, n)
-        pairs = [
-            ("loc_b", engine.loc_b_shap(f, w, i, w_ref),
-             shap_oracle_local("b", f, w, i, w_ref)),
-            ("loc_i", engine.loc_i_shap(f, w, i, dist),
-             shap_oracle_local("i", f, w, i, dist)),
-            ("glo_i", engine.glo_i_shap(f, i, n, dist),
-             oracle.shap_oracle_global("i", f, i, n, dist, dist)),
-            ("glo_b", engine.glo_b_shap(f, i, n, w_ref, dist),
-             oracle.shap_oracle_global("b", f, i, n, w_ref, dist)),
-        ]
-        bad = [(name, got, want) for name, got, want in pairs if got != want]
+        bad = []
+        for (scope, variant), pipeline in ENGINE.items():
+            q = argparse.Namespace(scope=scope, variant=variant, input=w,
+                                   reference=w_ref, feature=i, length=n)
+            got, want = pipeline(f, dist, q), _oracle(q, f, dist)
+            if got != want:
+                bad.append(f"{scope} {variant} engine={format_rat(got)} "
+                           f"oracle={format_rat(want)}")
         report.check(f"engine-vs-oracle instance {idx}", not bad,
-                     bad and f"n={n} w={w} w_ref={w_ref} i={i}: " + "; ".join(
-                         f"{name} engine={format_rat(g)} oracle={format_rat(o)}"
-                         for name, g, o in bad))
+                     bad and f"n={n} w={w} w_ref={w_ref} i={i}: "
+                     + "; ".join(bad))
 
 
 def _verify_gadgets(report, rng, count):
@@ -451,7 +455,7 @@ def _verify_gadgets(report, rng, count):
         dummy = dummy_check(game, i)
         inst = wmg_to_sigmoid(game, i)
         phi = shap_oracle_local("b", inst.model, inst.x, i, inst.x_ref)
-        ok = (phi <= float(inst.epsilon) + 1e-9) == dummy
+        ok = sigmoid_dummy_verdict(phi, inst) == dummy
         report.check(f"sigmoid gadget instance {idx}", ok,
                      None if ok else f"G={game} i={i} phi_b={phi} "
                                      f"eps={format_rat(inst.epsilon)} "

@@ -1,21 +1,26 @@
 """Polynomial-time local/global SHAP for weighted automata under HMMs.
 
-The four pipelines compose the builders with projection and the scalar
-contractions:
+One pipeline answers all four queries.  With inputs x drawn from an outer
+distribution and the replaced features drawn from an inner one,
 
-  loc_i:  Pi1(A_{w,i}, Pi2(D, Pi3(f, T_{w,i}) - Pi3(f, T_w)))
-  loc_b:  the same with D = the point distribution on w_ref
-  glo_i:  Pi0(Pi2(D, A_{i,n} (x) Pi2(D, Pi3(f, T_i) - Pi3(f, T))))
-  glo_b:  the same with the inner D replaced by the point distribution
+  phi_i = Pi0(Pi2(outer, A_{i,n} (x) Pi2(inner, Pi3(f, T_i) - Pi3(f, T))))
 
-The outermost Pi0 . Pi2 is evaluated as a single fused contraction with
-factored matrix-vector products (same scalar by linearity) so the
-projected product automaton is never materialized.
+and the four variants pick (inner, outer):
+
+  glo_i:  (D, D)
+  glo_b:  (point(w_ref), D)
+  loc_i:  (D, point(w))
+  loc_b:  (point(w_ref), point(w))
+
+where point(w) is the point distribution on w: local SHAP at w is global
+SHAP with inputs drawn from point(w).  The outer Pi0 . Pi2 and the product
+with A_{i,n} are one factored contraction, so no product automaton is
+materialized.  The paper's local construction from A_{w,i}, T_w and
+T_{w,i} stays in `builders` as the cross-check.
 """
 
-from .builders import (build_A_in, build_A_wi, build_point_hmm, build_T,
-                       build_T_i, build_T_w, build_T_wi)
-from .wa import contract, kron, pi1, project, sub
+from .builders import build_A_in, build_point_hmm, build_T, build_T_i
+from .wa import contract, project, sub
 
 
 def _check_model(f, dist=None):
@@ -34,16 +39,23 @@ def _check_word(w, sig, name="input"):
             raise ValueError(f"{name} symbol {s!r} not in the model alphabet")
 
 
+def _shap(f, i, n, inner, outer):
+    """phi_i at length n: inputs ~ outer, replaced features ~ inner."""
+    if not (1 <= i <= n):
+        raise IndexError(f"feature {i} out of range for n={n}")
+    sig = f.alphabets[0]
+    diff = sub(project(3, f, build_T_i(i, sig)),
+               project(3, f, build_T(sig)))
+    marg = project(2, inner.wa, diff)
+    return contract(marg, [(build_A_in(i, n, sig), (1, 2)),
+                           (outer.wa, (2,))], n)
+
+
 def loc_i_shap(f, w, i, dist):
     """Local interventional SHAP of feature i for input w under dist."""
     sig = _check_model(f, dist)
     _check_word(w, sig)
-    if not (1 <= i <= len(w)):
-        raise IndexError(f"feature {i} out of range for |w|={len(w)}")
-    diff = sub(project(3, f, build_T_wi(w, i, sig)),
-               project(3, f, build_T_w(w, sig)))
-    marg = project(2, dist.wa, diff)
-    return pi1(build_A_wi(w, i, sig), marg, len(w))
+    return _shap(f, i, len(w), dist, build_point_hmm(w, sig))
 
 
 def loc_b_shap(f, w, i, w_ref):
@@ -53,25 +65,14 @@ def loc_b_shap(f, w, i, w_ref):
         raise ValueError("input and reference lengths differ")
     _check_word(w, sig)
     _check_word(w_ref, sig, "reference")
-    return loc_i_shap(f, w, i, build_point_hmm(w_ref, sig))
-
-
-def _glo(f, i, n, inner, outer):
-    sig = _check_model(f, outer)
-    if not (1 <= i <= n):
-        raise IndexError(f"feature {i} out of range for n={n}")
-    diff = sub(project(3, f, build_T_i(i, sig)),
-               project(3, f, build_T(sig)))
-    marg = project(2, inner.wa, diff)
-    prod = kron(build_A_in(i, n, sig), marg)
-    # Pi0(Pi2(outer, prod), n), fused
-    return contract(prod, [None, outer.wa], n)
+    return _shap(f, i, len(w), build_point_hmm(w_ref, sig),
+                 build_point_hmm(w, sig))
 
 
 def glo_i_shap(f, i, n, dist):
     """Global interventional SHAP of feature i at length n under dist."""
     _check_model(f, dist)
-    return _glo(f, i, n, dist, dist)
+    return _shap(f, i, n, dist, dist)
 
 
 def glo_b_shap(f, i, n, w_ref, dist):
@@ -80,4 +81,4 @@ def glo_b_shap(f, i, n, w_ref, dist):
     if len(w_ref) != n:
         raise ValueError("reference length must equal n")
     _check_word(w_ref, sig, "reference")
-    return _glo(f, i, n, build_point_hmm(w_ref, sig), dist)
+    return _shap(f, i, n, build_point_hmm(w_ref, sig), dist)

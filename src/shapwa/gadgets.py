@@ -69,6 +69,12 @@ def wmg_to_sigmoid(game, i):
         })
 
 
+def sigmoid_dummy_verdict(phi, inst):
+    """The sigmoid gadget's answer: a dummy player iff phi_b <= eps, with
+    1e-9 slack for the binary-64 network (the margin is eps, see above)."""
+    return phi <= float(inst.epsilon) + 1e-9
+
+
 def wmg_to_rnnrelu(game):
     """Exact ReLU-RNN simulation of the game: f(x) = v(supp(x)).
 

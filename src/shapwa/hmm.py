@@ -15,13 +15,12 @@ from .wa import NAlphabetWA, eval_wa
 class Hmm:
     """A stationary sequential distribution with prefix-probability semantics."""
 
-    def __init__(self, wa, check=True):
+    def __init__(self, wa):
         if wa.arity != 1:
             raise ValueError("an HMM is a 1-alphabet automaton")
         if any(b != 1 for b in wa.beta):
             raise ValueError("HMM final vector must be all-ones")
-        if check:
-            _check_stochastic(wa)
+        _check_stochastic(wa)
         self.wa = wa
 
     @property

@@ -85,7 +85,14 @@ class TreeEnsemble:
             raise ValueError("one weight per tree required")
         if self.mode not in ("regression", "vote"):
             raise ValueError(f"unknown ensemble mode {self.mode!r}")
+        if len({(t.n, t.domain) for t in self.trees}) != 1:
+            raise ValueError("an ensemble needs trees that share one n and "
+                             "one domain")
         self.weights = [Rat(w) for w in self.weights]
+
+    @property
+    def n(self):
+        return self.trees[0].n
 
     def evaluate(self, x):
         votes = [t.evaluate(x) for t in self.trees]

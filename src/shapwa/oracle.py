@@ -101,6 +101,10 @@ class SigmoidNet:
     gain: float
     domain: tuple = ("0", "1")
 
+    @property
+    def n(self):
+        return len(self.weights)
+
     def evaluate(self, x):
         z = sum(float(w) for w, sym in zip(self.weights, x) if sym == "1")
         z += float(self.bias)

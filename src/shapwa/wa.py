@@ -8,9 +8,10 @@ t in Sigma_1 x ... x Sigma_N; it computes
 
 for equal-length tapes (empty input gives alpha^T beta).  The algebra
 below (add, scale, kron, project) realizes pointwise sum, scaling,
-product and tape marginalization; pi1/pi0 are the fully contracted
-scalar forms, computed with factored sparse matrix-vector products so
-the Kronecker-product matrix is never materialized.
+product and tape marginalization; contract (and its forms pi1/pi0)
+sums an automaton times weight automata on its tapes down to a scalar,
+with factored sparse matrix-vector products so the Kronecker-product
+matrix is never materialized.
 """
 
 from .linalg import SpMat, vec_to_sparse
@@ -168,77 +169,59 @@ def project(i, A, T):
                        _kron_vec(A.beta, T.beta))
 
 
-def contract(T, weights, length):
-    """Fully contract T against per-tape 1-alphabet weight automata.
+def contract(T, factors, length):
+    """Fully contract T against weight automata that read its tapes.
 
-    Returns sum over all tape assignments (w_1..w_N) in Sigma_1^length x ...
-    of f_T(w_1..w_N) * prod_j f_{weights[j]}(w_j), where a None weight means
-    the tape is summed with weight 1.  The product automaton is applied in
-    factored form: the state is (T state, weight states), never a dense
-    Kronecker matrix.
+    factors is a list of (W, tapes) pairs: tape k of W reads tape tapes[k]
+    (1-based) of T.  A factor may read several tapes and several factors
+    may read one tape; a tape no factor reads is summed with weight 1.
+    Returns the sum over all tape assignments (w_1..w_N) in
+    Sigma_1^length x ... x Sigma_N^length of
+    f_T(w_1..w_N) * prod over (W, tapes) of f_W(w_t for t in tapes).
+    The product automaton is applied in factored form: the state is
+    (factor states, T state), never a dense Kronecker matrix.
     """
-    if len(weights) != T.arity:
-        raise ValueError("one weight (or None) per tape required")
-    slots = []
-    for j, W in enumerate(weights):
-        if W is None:
-            continue
-        if W.arity != 1 or W.alphabets[0] != T.alphabets[j]:
-            raise ValueError(f"weight alphabet mismatch on tape {j + 1}")
-        slots.append(j)
+    for W, tapes in factors:
+        if not all(1 <= t <= T.arity for t in tapes):
+            raise ValueError(f"tape index out of range in {tuple(tapes)}")
+        if W.alphabets != tuple(T.alphabets[t - 1] for t in tapes):
+            raise ValueError(f"alphabet mismatch on tapes {tuple(tapes)}")
+    # per tuple of T, the factor matrices it selects, T's own last; a tuple
+    # some factor has no matrix for contributes nothing
+    steps = []
+    for key, mt in T.transitions.items():
+        mats = [W.transitions.get(tuple(key[t - 1] for t in tapes))
+                for W, tapes in factors]
+        if all(m is not None for m in mats):
+            steps.append((*mats, mt))
+    vectors = [W.alpha for W, _ in factors] + [T.alpha]
+    finals = [W.beta for W, _ in factors] + [T.beta]
 
-    v = {}
-    for it, xt in enumerate(T.alpha):
-        if xt == 0:
-            continue
-        combos = [((it,), xt)]
-        for j in slots:
-            W = weights[j]
-            combos = [(pref + (iw,), y * xw)
-                      for pref, y in combos
-                      for iw, xw in enumerate(W.alpha) if xw != 0]
-        for state, y in combos:
-            v[state] = v.get(state, ZERO) + y
-
+    v = {(): ONE}
+    for vec in vectors:
+        v = {state + (j,): x * y for state, x in v.items()
+             for j, y in enumerate(vec) if y != 0}
     for _ in range(length):
         nv = {}
-        for key, mt in T.transitions.items():
-            wmats = []
-            skip = False
-            for j in slots:
-                m = weights[j].transitions.get((key[j],))
-                if m is None:
-                    skip = True
-                    break
-                wmats.append(m)
-            if skip:
-                continue
-            for state, x in v.items():
-                trow = mt.rows.get(state[0])
-                if not trow:
-                    continue
+        for state, x in v.items():
+            for mats in steps:
                 combos = [((), x)]
-                for slot, m in enumerate(wmats):
-                    row = m.rows.get(state[1 + slot])
+                for m, s in zip(mats, state):
+                    row = m.rows.get(s)
                     if not row:
-                        combos = []
                         break
-                    combos = [(pref + (j2,), y * b)
-                              for pref, y in combos for j2, b in row.items()]
-                if not combos:
-                    continue
-                for t2, a in trow.items():
-                    for pref, y in combos:
-                        k2 = (t2, *pref)
-                        nv[k2] = nv.get(k2, ZERO) + a * y
+                    combos = [(pref + (j,), y * b)
+                              for pref, y in combos for j, b in row.items()]
+                else:
+                    for k2, y in combos:
+                        nv[k2] = nv.get(k2, ZERO) + y
         v = {k: x for k, x in nv.items() if x != 0}
 
     total = ZERO
     for state, x in v.items():
-        term = x * T.beta[state[0]]
-        for slot, j in enumerate(slots):
-            term *= weights[j].beta[state[1 + slot]]
-        total += term
+        for vec, s in zip(finals, state):
+            x *= vec[s]
+        total += x
     return total
 
 
@@ -248,14 +231,14 @@ def pi1(A, B, length):
         raise ValueError("pi1 takes 1-alphabet automata")
     if A.alphabets != B.alphabets:
         raise ValueError("alphabet mismatch")
-    return contract(B, [A], length)
+    return contract(B, [(A, (1,))], length)
 
 
 def pi0(A, length):
     """sum over w in Sigma^length of f_A(w)."""
     if A.arity != 1:
         raise ValueError("pi0 takes a 1-alphabet automaton")
-    return contract(A, [None], length)
+    return contract(A, [], length)
 
 
 class NAlphabetDFA:

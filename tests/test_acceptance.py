@@ -249,14 +249,13 @@ def _timed(fn, *args):
 
 def test_10_builder_size_bounds():
     """Constructed dimensions stay within a factor 2 of the documented
-    output sizes for n <= 12: A_{w,i} O(n^2) compact / O(n^3) layered,
-    A_{i,n} O(n^4), T_w and T_{w,i} O(n), T_i O(n), T O(1), point O(n)."""
+    output sizes for n <= 12: A_{w,i} O(n^2), A_{i,n} O(n^4), T_w and
+    T_{w,i} O(n), T_i O(n), T O(1), point O(n)."""
     rng = rng_for(110)
     for n in range(1, 13):
         w = rand_word(rng, B, n)
         i = rng.randint(1, n)
         assert build_A_wi(w, i, B).dim <= 2 * (n + 1) ** 2
-        assert build_A_wi(w, i, B, per_layer=True).dim <= 2 * (n + 1) ** 3
         assert build_A_in(i, n, B).dim <= 2 * (n + 1) ** 4
         assert build_T_w(w, B).dim <= 2 * (n + 1)
         assert build_T_wi(w, i, B).dim <= 2 * (n + 1)

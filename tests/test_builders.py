@@ -37,12 +37,11 @@ def test_awi_normalizes():
         assert total == 1
 
 
-@pytest.mark.parametrize("per_layer", [False, True])
-def test_awi_equals_coalition_weight(per_layer):
+def test_awi_equals_coalition_weight():
     for w in ("10", "0110"):
         n = len(w)
         for i in range(1, n + 1):
-            A = build_A_wi(w, i, B, per_layer=per_layer)
+            A = build_A_wi(w, i, B)
             for p in words(BH, n):
                 assert eval_wa(A, (p,)) == coalition_weight(p, w, i)
 

@@ -1,16 +1,19 @@
 import json
+from itertools import product
 
 import pytest
 
 from shapwa import cli
 from shapwa.gadgets import wmg_to_rnnrelu
-from shapwa.hmm import hmm_to_json, uniform_hmm
+from shapwa.hmm import hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import (DecisionTree, DTNode, IndDist, TreeEnsemble,
-                           dt_to_json, ensemble_to_json, hmmvec_to_json,
-                           ind_to_json, markov_to_json)
-from shapwa.oracle import Wmg
-from shapwa.randgen import rand_hmmvec, rand_markov, rng_for
+from shapwa.frontends import sequentialize
+from shapwa.models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
+                           LinearModel, TreeEnsemble, dt_to_json,
+                           ensemble_to_json, hmmvec_to_json, ind_to_json,
+                           markov_to_json)
+from shapwa.oracle import SigmoidNet, Wmg
+from shapwa.randgen import rand_hmmvec, rand_markov, rand_nb, rng_for
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA, wa_from_json, wa_to_json, eval_wa
 
@@ -135,6 +138,54 @@ def test_shap_reference_errors(capsys, inputs, scope):
     assert run(capsys, argv + ["--reference", "000"])[0] == 3  # wrong length
 
 
+@pytest.fixture
+def four_features(tmp_path):
+    """One file of each type that fixes n, all with n = 4."""
+    tree = DecisionTree(DTNode(feature=1, children={
+        "0": DTNode(leaf=ZERO), "1": DTNode(leaf=ONE)}), 4, B)
+    half = {"0": Rat(1, 2), "1": Rat(1, 2)}
+    objs = {
+        "dt": tree,
+        "ensemble": TreeEnsemble([tree], [ONE], "regression"),
+        "linear": LinearModel(4, B, {(1, "1"): ONE}),
+        "sigmoid": SigmoidNet([ONE] * 4, ZERO, 1.0),
+        "emp": Dataset(["0110", "1011"]),
+        "ind": IndDist([half] * 4, B),
+        "nb": rand_nb(rng_for(3), 4),
+        "hmmvec": rand_hmmvec(rng_for(4), 4, 2, B),
+    }
+    return {k: write_json(tmp_path / f"{k}4.json", cli.encode(v))
+            for k, v in objs.items()}
+
+
+@pytest.mark.parametrize("kind, scope", [
+    ("dt", "local"), ("ensemble", "local"), ("linear", "local"),
+    ("sigmoid", "local"), ("emp", "local"), ("ind", "local"),
+    ("nb", "local"), ("hmmvec", "local"), ("dt", "global"),
+    ("ind", "global"),
+])
+def test_shap_checks_n_of_tabular_inputs(capsys, inputs, four_features,
+                                         kind, scope):
+    # a 4-feature model is explained by baseline SHAP under an HMM, a
+    # 4-feature distribution by interventional SHAP of a WA
+    is_model = kind in ("dt", "ensemble", "linear", "sigmoid")
+    model = four_features[kind] if is_model else inputs["wa"]
+    dist = inputs["hmm"] if is_model else four_features[kind]
+    variant = "baseline" if is_model else "interventional"
+
+    def argv(n, feature=1):
+        args = ["shap", "--scope", scope, "--variant", variant, "--model",
+                model, "--dist", dist, "--feature", str(feature),
+                "--mode", "float"]
+        args += ["--input", "1" * n] if scope == "local" else \
+            ["--length", str(n)]
+        return args + (["--reference", "0" * n] if is_model else [])
+
+    assert run(capsys, argv(4))[0] == 0
+    assert run(capsys, argv(1))[0] == 3
+    assert run(capsys, argv(5, feature=5))[0] == 3
+
+
 @pytest.mark.parametrize("argv", [
     ["shap", "--scope", "local", "--variant", "baseline", "--feature", "1",
      "--input", "11", "--reference", "00"],
@@ -187,6 +238,21 @@ def test_convert_emp_to_hmm(capsys, tmp_path):
     assert h.prefix_prob("01") == Rat(2, 3)
     assert h.prefix_prob("11") == Rat(1, 3)
     assert h.prefix_prob("10") == 0
+
+
+def test_convert_hmmvec_records_its_order(capsys, tmp_path):
+    m = rand_hmmvec(rng_for(5), 3, 2, B)
+    m = HmmVec((3, 1, 2), m.alpha, m.transitions, m.emissions, B)
+    src = write_json(tmp_path / "m.json", cli.encode(m))
+    out_path = tmp_path / "m.hmm.json"
+    code, _ = run(capsys, ["convert", "--from", "hmmvec", "--input", src,
+                           "--output", str(out_path)])
+    assert code == 0
+    bundle = json.loads(out_path.read_text())
+    assert bundle["provenance"]["order"] == [3, 1, 2]
+    h = hmm_from_json(bundle["payload"])
+    for x in ("".join(t) for t in product(B, repeat=3)):
+        assert h.prefix_prob(sequentialize(x, (3, 1, 2))) == m.prob(x)
 
 
 def test_convert_vote_ensemble_refused(capsys, tmp_path):

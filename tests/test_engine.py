@@ -2,14 +2,15 @@ from itertools import product
 
 import pytest
 
-from shapwa.builders import build_point_hmm
+from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
+                             build_T_wi)
 from shapwa.engine import glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.oracle import shap_oracle_global, shap_oracle_local
 from shapwa.randgen import rand_hmm, rand_wa, rand_word, rng_for
 from shapwa.rational import Rat, ZERO, ONE
-from shapwa.wa import NAlphabetWA, eval_wa
+from shapwa.wa import NAlphabetWA, eval_wa, pi1, project, sub
 
 B = ("0", "1")
 
@@ -96,6 +97,28 @@ def test_engine_matches_oracle_random():
             shap_oracle_global("i", f, i, n, D, D)
         assert glo_b_shap(f, i, n, w_ref, D) == \
             shap_oracle_global("b", f, i, n, w_ref, D)
+
+
+def paper_local(f, w, i, dist):
+    """The paper's local construction:
+    Pi1(A_{w,i}, Pi2(D, Pi3(f, T_{w,i}) - Pi3(f, T_w)))."""
+    sig = f.alphabets[0]
+    diff = sub(project(3, f, build_T_wi(w, i, sig)),
+               project(3, f, build_T_w(w, sig)))
+    return pi1(build_A_wi(w, i, sig), project(2, dist.wa, diff), len(w))
+
+
+def test_engine_matches_paper_local_construction():
+    rng = rng_for(34)
+    for idx in range(50):
+        n = rng.randint(2, 6)
+        f = rand_wa(rng, rng.randint(2, 4), B)
+        D = rand_hmm(rng, rng.randint(1, 3), B)
+        w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        i = rng.randint(1, n)
+        assert loc_i_shap(f, w, i, D) == paper_local(f, w, i, D), idx
+        assert loc_b_shap(f, w, i, w_ref) == \
+            paper_local(f, w, i, build_point_hmm(w_ref, B)), idx
 
 
 def test_errors():

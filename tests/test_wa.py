@@ -7,9 +7,9 @@ from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.randgen import rand_wa, rng_for
 from shapwa.rational import Rat, ZERO, ONE
-from shapwa.wa import (NAlphabetWA, NAlphabetDFA, add, dfa_to_wa, eval_wa,
-                       kron, pi0, pi1, project, scale, sub, wa_from_json,
-                       wa_to_json)
+from shapwa.wa import (NAlphabetWA, NAlphabetDFA, add, contract, dfa_to_wa,
+                       eval_wa, kron, pi0, pi1, project, scale, sub,
+                       wa_from_json, wa_to_json)
 
 B = ("0", "1")
 
@@ -135,10 +135,10 @@ def test_kron_pointwise_exhaustive():
             assert eval_wa(K, (w,)) == eval_wa(A, (w,)) * eval_wa(Bwa, (w,))
 
 
-def two_tape_wa(seed, dim=2):
+def tape_wa(seed, alphabets=(B, B), dim=2):
     rng = rng_for(seed)
     trans = {}
-    for key in product(B, B):
+    for key in product(*alphabets):
         mat = SpMat(dim)
         for i in range(dim):
             for j in range(dim):
@@ -146,12 +146,12 @@ def two_tape_wa(seed, dim=2):
         trans[key] = mat
     alpha = [Rat(rng.randint(-2, 2)) for _ in range(dim)]
     beta = [Rat(rng.randint(-2, 2)) for _ in range(dim)]
-    return NAlphabetWA([B, B], alpha, trans, beta)
+    return NAlphabetWA(alphabets, alpha, trans, beta)
 
 
 def test_project_defining_sum():
     A = seeded_wa(10)
-    T = two_tape_wa(11)
+    T = tape_wa(11)
     G = project(1, A, T)
     assert G.dim == A.dim * T.dim
     for n in range(4):
@@ -162,7 +162,7 @@ def test_project_defining_sum():
 
 
 def test_project_dirac_sifting():
-    T = two_tape_wa(12)
+    T = tape_wa(12)
     for w0 in words(B, 2):
         G = project(1, point_mass(w0), T)
         for u in words(B, 2):
@@ -186,7 +186,7 @@ def test_project_marginalizes_ignored_slot():
 
 def test_project_errors():
     A = seeded_wa(14)
-    T = two_tape_wa(15)
+    T = tape_wa(15)
     with pytest.raises(ValueError):
         project(3, A, T)
     with pytest.raises(ValueError):
@@ -217,6 +217,51 @@ def test_pi0_examples():
         assert pi0(constant(Rat(5, 3)), n) == Rat(5, 3) * 2 ** n
     A = seeded_wa(19)
     assert pi0(A, 3) == sum((eval_wa(A, (w,)) for w in words(B, 3)), ZERO)
+
+
+# ---------------------------------------------------------------------------
+# contract
+
+AB = ("a", "b")
+
+
+def contract_by_enumeration(T, factors, n):
+    total = ZERO
+    for ws in product(*(list(words(ab, n)) for ab in T.alphabets)):
+        term = eval_wa(T, ws)
+        for W, tapes in factors:
+            term *= eval_wa(W, tuple(ws[t - 1] for t in tapes))
+        total += term
+    return total
+
+
+def test_contract_factor_on_two_tapes():
+    # the factor reads tape 3 and then tape 2; tape 1 is summed with weight 1
+    T = tape_wa(40, (B, AB, B))
+    factors = [(tape_wa(41, (B, AB), dim=3), (3, 2))]
+    for n in range(4):
+        assert contract(T, factors, n) == \
+            contract_by_enumeration(T, factors, n)
+
+
+def test_contract_two_factors_on_one_tape():
+    T = tape_wa(42, (B, AB))
+    factors = [(seeded_wa(43), (1,)), (seeded_wa(44, dim=3), (1,)),
+               (tape_wa(45, (AB,)), (2,))]
+    for n in range(4):
+        assert contract(T, factors, n) == \
+            contract_by_enumeration(T, factors, n)
+
+
+def test_contract_errors():
+    T = tape_wa(46)
+    for tapes in ((0,), (3,)):  # tapes are 1-based
+        with pytest.raises(ValueError):
+            contract(T, [(seeded_wa(47), tapes)], 2)
+    with pytest.raises(ValueError):  # alphabet mismatch
+        contract(T, [(seeded_wa(48, alphabet=AB), (1,))], 2)
+    with pytest.raises(ValueError):  # a 2-tape factor on one tape
+        contract(T, [(tape_wa(49), (1,))], 2)
 
 
 # ---------------------------------------------------------------------------
