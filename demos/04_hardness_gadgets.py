@@ -7,49 +7,29 @@ Each gadget turns a decision problem into one baseline-SHAP query:
   3-CNF formula -> voting tree ensemble:   satisfiable iff phi_b > 0
   closest-string instance -> ReLU RNN:     no witness iff f is empty
 
-The script builds one instance of each and verifies the equivalence with
-the brute-force oracle.
+The script reduces one instance of each problem through the table that
+`shapwa gadget` and `shapwa verify` use, and checks that the verdict read
+from the gadget agrees with the brute-force answer.
 """
 
-from shapwa import (CnfFormula, CspInstance, Wmg, csp_brute, csp_to_rnn,
-                    dummy_check, empty_brute, sat_to_ensemble,
-                    shap_oracle_local, wmg_to_rnnrelu, wmg_to_sigmoid)
+from shapwa import CnfFormula, CspInstance, Wmg
+from shapwa.cli import GADGETS
 
 
 def main():
     game = Wmg(powers=[3, 2, 2, 0], quota=5)
-    print("game: powers", game.powers, "quota", game.quota)
-    for i in (1, 4):
-        inst = wmg_to_sigmoid(game, i)
-        phi = float(shap_oracle_local("b", inst.model, inst.x, i, inst.x_ref))
-        dummy = dummy_check(game, i)
-        print(f"  sigmoid gadget, player {i}: phi_b = {phi:.6f}, "
-              f"eps = {float(inst.epsilon):.6f} -> "
-              f"{'dummy' if dummy else 'not dummy'}")
-        assert (phi <= float(inst.epsilon)) == dummy
-
-        rnn = wmg_to_rnnrelu(game)
-        phi_exact = shap_oracle_local("b", rnn, "1" * game.n, i, "0" * game.n)
-        print(f"  rnn gadget,     player {i}: phi_b = {phi_exact} (exact)")
-        assert (phi_exact == 0) == dummy
-
-    formula = CnfFormula(3, [[1, -2, 3], [-1, 2], [-3]])
-    inst = sat_to_ensemble(formula)
-    phi = shap_oracle_local("b", inst.model, inst.x, inst.feature, inst.x_ref)
-    print(f"\n3-CNF {formula.clauses}: phi_b(feature {inst.feature}) = {phi}")
-    print("  satisfiable:", formula.satisfiable(), " (phi_b > 0:", phi > 0,
-          ")")
-    assert (phi > 0) == formula.satisfiable()
-
-    csp = CspInstance(["0011", "1001", "0001"], 1, ("0", "1"))
-    f = csp_to_rnn(csp)
-    witness = csp_brute(csp)
-    print(f"\nclosest string for {csp.strings} within radius {csp.radius}:",
-          witness)
-    assert empty_brute(f, csp.n, csp.domain) == (witness is None)
-    if witness:
-        assert f.evaluate(witness) == 1
-        print("  the compiled RNN accepts the witness.")
+    problems = [
+        ("sigmoid", (game, 1)), ("rnn", (game, 1)),
+        ("sigmoid", (game, 4)), ("rnn", (game, 4)),
+        ("sat", CnfFormula(3, [[1, -2, 3], [-1, 2], [-3]])),
+        ("csp", CspInstance(["0011", "1001", "0001"], 1, ("0", "1"))),
+    ]
+    for kind, problem in problems:
+        reduce, certify = GADGETS[kind]
+        agree, record = certify(problem, reduce(problem))
+        print(f"{kind} gadget for {problem}:")
+        print(f"  {record}")
+        assert agree
 
 
 if __name__ == "__main__":

@@ -53,7 +53,7 @@ def _awi_weights(n):
     return {k: Rat(1, n * comb(n - 1, k - 1)) for k in range(1, n + 1)}
 
 
-def build_A_wi(w, i, alphabet=None):
+def build_A_wi(w, i, alphabet):
     """The coalition-weight automaton: f = P_i^w over patterns in Sigma_#^|w|.
 
     One layered automaton over states (position, #-count) whose final
@@ -62,8 +62,6 @@ def build_A_wi(w, i, alphabet=None):
     n = len(w)
     if not (1 <= i <= n):
         raise IndexError(f"position {i} out of range")
-    if alphabet is None:
-        alphabet = tuple(sorted(set(w)))
     sig_h = hash_alphabet(alphabet)
     weights = _awi_weights(n)
 
@@ -147,22 +145,18 @@ def _chain_3tape(w, alphabet, advance):
         [sig_h, alphabet, alphabet], range(1, n + 2), 1, delta, {n + 1}))
 
 
-def build_T_w(w, alphabet=None):
+def build_T_w(w, alphabet):
     """Indicator g_w(p, w', u) = I(do(p, w', w) = u), a |w|+1 state chain."""
-    if alphabet is None:
-        alphabet = tuple(sorted(set(w)))
     return _chain_3tape(
         w, alphabet,
         lambda q, key: _phi(key[0], key[1], key[2], w[q - 1]))
 
 
-def build_T_wi(w, i, alphabet=None):
+def build_T_wi(w, i, alphabet):
     """Indicator g_{w,i}(p, w', u) = I(do(swap(p, w_i, i), w', w) = u)."""
     n = len(w)
     if not (1 <= i <= n):
         raise IndexError(f"position {i} out of range")
-    if alphabet is None:
-        alphabet = tuple(sorted(set(w)))
 
     def advance(q, key):
         if q == i:
@@ -205,11 +199,9 @@ def build_T_i(i, alphabet):
         {i + 1}))
 
 
-def build_point_hmm(w_ref, alphabet=None):
+def build_point_hmm(w_ref, alphabet):
     """The point distribution on w_ref: prefix probability 1 on w_ref,
     uniform after its end."""
-    if alphabet is None:
-        alphabet = tuple(sorted(set(w_ref)))
     alphabet = tuple(alphabet)
     n = len(w_ref)
     dim = n + 1

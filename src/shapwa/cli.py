@@ -25,7 +25,7 @@ from . import engine, oracle
 from .frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
                         hmmvec_to_hmm, ind_to_hmmvec, linear_to_wa,
                         markov_to_hmm, nb_to_hmmvec)
-from .gadgets import (csp_to_rnn, sat_to_ensemble, sigmoid_dummy_verdict,
+from .gadgets import (GadgetInstance, csp_to_rnn, sat_to_ensemble,
                       wmg_to_rnnrelu, wmg_to_sigmoid)
 from .hmm import Hmm, hmm_from_json, hmm_to_json
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
@@ -209,6 +209,21 @@ def _value_record(cfg, value, route):
         _dump_json({**record, "route": route})
 
 
+def _check_symbols(q, model, dist):
+    # a distribution may use fewer symbols than the model, never others
+    sigma = (model.alphabets[0] if isinstance(model, NAlphabetWA)
+             else model.domain)
+    used = {"--input": q.input if q.scope == "local" else "",
+            "--reference": q.reference if q.variant == "baseline" else "",
+            "the distribution": oracle.dist_alphabet(dist) if dist else ()}
+    for role, symbols in used.items():
+        alien = sorted(set(symbols) - set(sigma))
+        if alien:
+            raise CliError(EXIT_INCOMPATIBLE,
+                           f"{role} uses symbols {alien} outside the model's "
+                           f"domain {list(sigma)}")
+
+
 def cmd_shap(cfg):
     model = load_model(cfg.model)
     if isinstance(model, SigmoidNet) and cfg.mode == "exact":
@@ -240,6 +255,7 @@ def cmd_shap(cfg):
             if getattr(obj, "n", n) != n:
                 raise CliError(EXIT_INCOMPATIBLE,
                                f"the {role} has n={obj.n}, the query n={n}")
+        _check_symbols(cfg, model, dist)
         pipeline = ENGINE.get((cfg.scope, cfg.variant))
         if (pipeline and isinstance(model, NAlphabetWA)
                 and (dist is None or isinstance(dist, Hmm))):
@@ -320,91 +336,121 @@ def cmd_convert(cfg):
 # gadget
 
 
-def _sigmoid_certificate(game, inst):
-    phi = float(shap_oracle_local("b", inst.model, inst.x, inst.feature,
-                                  inst.x_ref))
-    dummy = dummy_check(game, inst.feature)
-    relation = "<=" if sigmoid_dummy_verdict(phi, inst) else ">"
-    return {"dummy": dummy,
-            "phi_b": phi,
-            "epsilon": format_rat(inst.epsilon),
-            "verdict": f"{'dummy' if dummy else 'not dummy'}; "
-                       f"phi_b {relation} eps"}
+def _phi_b(g):
+    return shap_oracle_local("b", g.model, g.x, g.feature, g.x_ref)
+
+
+def _certify_sigmoid(problem, g):
+    game, i = problem
+    phi = float(_phi_b(g))
+    dummy = dummy_check(game, i)
+    # 1e-9 slack for the binary-64 network; the gadget's margin is eps
+    below = phi <= float(g.epsilon) + 1e-9
+    return below == dummy, {
+        "dummy": dummy, "phi_b": phi, "epsilon": format_rat(g.epsilon),
+        "verdict": f"{'dummy' if dummy else 'not dummy'}; "
+                   f"phi_b {'<=' if below else '>'} eps"}
+
+
+def _certify_rnn(problem, g):
+    game, i = problem
+    phi = _phi_b(g)
+    dummy = dummy_check(game, i)
+    return (phi == 0) == dummy, {
+        "dummy": dummy, "phi_b": format_rat(phi),
+        "verdict": "dummy iff phi_b = 0; phi_b = " + format_rat(phi)}
+
+
+def _certify_sat(formula, g):
+    phi = _phi_b(g)
+    satisfiable = formula.satisfiable()
+    return (phi > 0) == satisfiable, {
+        "satisfiable": satisfiable, "phi_b": format_rat(phi),
+        "verdict": "satisfiable iff phi_b > 0; phi_b = " + format_rat(phi)}
+
+
+def _certify_csp(inst, g):
+    witness = csp_brute(inst)
+    empty = empty_brute(g.model, inst.n, inst.domain)
+    return empty == (witness is None), {
+        "witness": witness, "empty": empty,
+        "verdict": "no witness iff f empty; witness = " + (witness or "none")}
+
+
+def _rnn_gadget(problem):
+    game, i = problem
+    return GadgetInstance(wmg_to_rnnrelu(game), i, "1" * game.n, "0" * game.n,
+                          metadata={"powers": game.powers,
+                                    "quota": game.quota})
+
+
+def _csp_gadget(inst):
+    return GadgetInstance(csp_to_rnn(inst), metadata={
+        "strings": inst.strings, "radius": inst.radius})
+
+
+# --kind -> (reduction, certificate).  The reduction maps a source problem
+# (a (game, player) pair, a CnfFormula or a CspInstance) to a
+# GadgetInstance; certificate(problem, g) decides the problem by brute
+# force and by the instance's verdict rule, and returns (agree, record).
+GADGETS = {
+    "sigmoid": (lambda problem: wmg_to_sigmoid(*problem), _certify_sigmoid),
+    "rnn": (_rnn_gadget, _certify_rnn),
+    "sat": (sat_to_ensemble, _certify_sat),
+    "csp": (_csp_gadget, _certify_csp),
+}
+
+
+def _flags(cfg, *names):
+    values = [getattr(cfg, name) for name in names]
+    if None in values:
+        raise CliError(EXIT_PARSE, " and ".join("--" + name for name in names)
+                       + " are required")
+    return values
+
+
+def _game_source(cfg):
+    powers, quota = _flags(cfg, "powers", "quota")
+    game = Wmg(_parse_int_list(powers, "--powers"), quota)
+    if not (1 <= cfg.feature <= game.n):
+        raise CliError(EXIT_INCOMPATIBLE, f"player {cfg.feature} out of range")
+    return game, cfg.feature
+
+
+def _cnf_source(cfg):
+    clauses, n = _flags(cfg, "clauses", "vars")
+    return CnfFormula(n, [_parse_int_list(c, "--clauses")
+                          for c in clauses.split(";") if c])
+
+
+def _csp_source(cfg):
+    text, radius = _flags(cfg, "strings", "radius")
+    strings = text.split(",")
+    domain = tuple(sorted(set("".join(strings)) | {"0", "1"}))
+    return CspInstance(strings, radius, domain)
+
+
+# --kind -> the source problem read from its flags
+_SOURCES = {"sigmoid": _game_source, "rnn": _game_source,
+            "sat": _cnf_source, "csp": _csp_source}
 
 
 def cmd_gadget(cfg):
+    reduce, certify = GADGETS[cfg.kind]
     try:
-        if cfg.kind in ("sigmoid", "rnn"):
-            if cfg.powers is None or cfg.quota is None:
-                raise CliError(EXIT_PARSE, "--powers and --quota are required")
-            game = Wmg(_parse_int_list(cfg.powers, "--powers"), cfg.quota)
-            feature = cfg.feature or 1
-            if not (1 <= feature <= game.n):
-                raise CliError(EXIT_INCOMPATIBLE,
-                               f"player {feature} out of range")
-            if cfg.kind == "sigmoid":
-                inst = wmg_to_sigmoid(game, feature)
-                bundle = {"type": "gadget", "kind": "sigmoid",
-                          "model": encode(inst.model),
-                          "feature": inst.feature, "x": inst.x,
-                          "x_ref": inst.x_ref,
-                          "epsilon": format_rat(inst.epsilon),
-                          "metadata": inst.metadata}
-                certificate = _sigmoid_certificate(game, inst)
-            else:
-                rnn = wmg_to_rnnrelu(game)
-                bundle = {"type": "gadget", "kind": "rnn",
-                          "model": encode(rnn),
-                          "feature": feature, "x": "1" * game.n,
-                          "x_ref": "0" * game.n,
-                          "metadata": {"powers": game.powers,
-                                       "quota": game.quota}}
-                phi = shap_oracle_local("b", rnn, "1" * game.n, feature,
-                                        "0" * game.n)
-                certificate = {"dummy": dummy_check(game, feature),
-                               "phi_b": format_rat(phi),
-                               "verdict": "dummy iff phi_b = 0; phi_b = "
-                                          + format_rat(phi)}
-        elif cfg.kind == "sat":
-            if cfg.clauses is None or cfg.vars is None:
-                raise CliError(EXIT_PARSE, "--clauses and --vars are required")
-            clauses = [_parse_int_list(c, "--clauses")
-                       for c in cfg.clauses.split(";") if c]
-            formula = CnfFormula(cfg.vars, clauses)
-            inst = sat_to_ensemble(formula)
-            bundle = {"type": "gadget", "kind": "sat",
-                      "model": encode(inst.model),
-                      "feature": inst.feature, "x": inst.x,
-                      "x_ref": inst.x_ref, "metadata": inst.metadata}
-            phi = shap_oracle_local("b", inst.model, inst.x, inst.feature,
-                                    inst.x_ref)
-            certificate = {"satisfiable": formula.satisfiable(),
-                           "phi_b": format_rat(phi),
-                           "verdict": "satisfiable iff phi_b > 0; phi_b = "
-                                      + format_rat(phi)}
-        elif cfg.kind == "csp":
-            if cfg.strings is None or cfg.radius is None:
-                raise CliError(EXIT_PARSE, "--strings and --radius are required")
-            strings = cfg.strings.split(",")
-            domain = tuple(sorted(set("".join(strings)) | {"0", "1"}))
-            try:
-                inst = CspInstance(strings, cfg.radius, domain)
-            except ValueError as e:
-                raise CliError(EXIT_INCOMPATIBLE, str(e))
-            rnn = csp_to_rnn(inst)
-            bundle = {"type": "gadget", "kind": "csp",
-                      "model": encode(rnn),
-                      "metadata": {"strings": strings, "radius": cfg.radius}}
-            witness = csp_brute(inst)
-            empty = empty_brute(rnn, inst.n, inst.domain)
-            certificate = {"witness": witness, "empty": empty,
-                           "verdict": "no witness iff f empty; witness = "
-                                      + (witness or "none")}
-        else:
-            raise CliError(EXIT_PARSE, f"unknown gadget kind {cfg.kind!r}")
+        problem = _SOURCES[cfg.kind](cfg)
+        g = reduce(problem)
+    except ValueError as e:
+        raise CliError(EXIT_INCOMPATIBLE, str(e))
+    query = {"feature": g.feature, "x": g.x, "x_ref": g.x_ref,
+             "epsilon": None if g.epsilon is None else format_rat(g.epsilon)}
+    bundle = {"type": "gadget", "kind": cfg.kind, "model": encode(g.model),
+              "metadata": g.metadata,
+              **{k: v for k, v in query.items() if v is not None}}
+    try:
+        bundle["certificate"] = certify(problem, g)[1]
     except GuardExceeded:
-        certificate = None  # instance too large to certify; bundle still valid
-    bundle["certificate"] = certificate
+        bundle["certificate"] = None  # too large to certify; still valid
     _dump_json(bundle, cfg.output)
 
 
@@ -448,40 +494,29 @@ def _verify_engine(report, rng, count):
                      + "; ".join(bad))
 
 
+def _rand_game(rng):
+    game = rand_wmg(rng, rng.randint(1, 4))
+    return game, rng.randint(1, game.n)
+
+
 def _verify_gadgets(report, rng, count):
-    for idx in range(count):
-        game = rand_wmg(rng, rng.randint(1, 4))
-        i = rng.randint(1, game.n)
-        dummy = dummy_check(game, i)
-        inst = wmg_to_sigmoid(game, i)
-        phi = shap_oracle_local("b", inst.model, inst.x, i, inst.x_ref)
-        ok = sigmoid_dummy_verdict(phi, inst) == dummy
-        report.check(f"sigmoid gadget instance {idx}", ok,
-                     None if ok else f"G={game} i={i} phi_b={phi} "
-                                     f"eps={format_rat(inst.epsilon)} "
-                                     f"dummy={dummy}")
-        rnn = wmg_to_rnnrelu(game)
-        phi2 = shap_oracle_local("b", rnn, "1" * game.n, i, "0" * game.n)
-        ok2 = (phi2 == 0) == dummy
-        report.check(f"rnn gadget instance {idx}", ok2,
-                     None if ok2 else f"G={game} i={i} "
-                                      f"phi_b={format_rat(phi2)} dummy={dummy}")
-
-    for idx in range(count):
-        formula = rand_cnf(rng, rng.randint(2, 4), rng.randint(1, 4))
-        inst = sat_to_ensemble(formula)
-        phi = shap_oracle_local("b", inst.model, inst.x, inst.feature,
-                                inst.x_ref)
-        ok = (phi > 0) == formula.satisfiable()
-        report.check(f"sat gadget instance {idx}", ok,
-                     None if ok else f"{formula} phi_b={format_rat(phi)}")
-
-    for idx in range(count):
-        inst = rand_csp(rng, rng.randint(1, 3), rng.randint(1, 4))
-        rnn = csp_to_rnn(inst)
-        ok = empty_brute(rnn, inst.n, inst.domain) == (csp_brute(inst) is None)
-        report.check(f"csp gadget instance {idx}", ok,
-                     None if ok else f"{inst}")
+    # (kinds that reduce the problem, its random draw)
+    suites = (
+        (("sigmoid", "rnn"), _rand_game),
+        (("sat",), lambda rng: rand_cnf(rng, rng.randint(2, 4),
+                                        rng.randint(1, 4))),
+        (("csp",), lambda rng: rand_csp(rng, rng.randint(1, 3),
+                                        rng.randint(1, 4))),
+    )
+    for kinds, draw in suites:
+        for idx in range(count):
+            problem = draw(rng)
+            for kind in kinds:
+                reduce, certify = GADGETS[kind]
+                agree, record = certify(problem, reduce(problem))
+                report.check(f"{kind} gadget instance {idx}", agree,
+                             None if agree else f"{problem} certificate="
+                             + json.dumps(record, sort_keys=True))
 
 
 def cmd_verify(cfg):
@@ -538,11 +573,11 @@ def build_parser():
     p.set_defaults(func=cmd_convert)
 
     p = sub.add_parser("gadget", help="emit a hardness-reduction instance")
-    p.add_argument("--kind", choices=("sigmoid", "rnn", "sat", "csp"),
-                   required=True)
+    p.add_argument("--kind", choices=tuple(GADGETS), required=True)
     p.add_argument("--powers", help="comma-separated integer voting powers")
     p.add_argument("--quota", type=int)
-    p.add_argument("--feature", type=int, help="player index (default 1)")
+    p.add_argument("--feature", type=int, default=1,
+                   help="player index (default 1)")
     p.add_argument("--clauses", help="semicolon-separated clauses, "
                                      "e.g. '1,-2,3;-1,2'")
     p.add_argument("--vars", type=int, help="number of CNF variables")

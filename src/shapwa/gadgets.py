@@ -1,13 +1,16 @@
 """Constructive hardness reductions, emitted as runnable instances.
 
-Each constructor returns a concrete model plus the query (feature,
-explained input, reference, threshold) whose baseline-SHAP answer
-decides the source problem:
+Each reduction yields a concrete model, and all but the last a query
+(feature, explained input, reference, threshold), whose baseline-SHAP
+answer or emptiness decides the source problem:
 
 - weighted majority game -> sigmoid network (dummy iff phi_b <= eps);
 - weighted majority game -> ReLU RNN (dummy iff phi_b = 0, exact);
 - CNF formula -> voting tree ensemble (satisfiable iff phi_b(n+1) > 0);
 - closest-string instance -> ReLU RNN (no witness iff f is empty).
+
+`shapwa.cli.GADGETS` wraps each reduction as a `GadgetInstance` and holds
+its verdict rule.
 """
 
 import math
@@ -24,9 +27,9 @@ BINARY = ("0", "1")
 @dataclass
 class GadgetInstance:
     model: object
-    feature: int
-    x: str
-    x_ref: str
+    feature: int = None         # the query point; the csp gadget has none
+    x: str = None
+    x_ref: str = None
     epsilon: object = None      # rational threshold, sigmoid gadget only
     metadata: dict = field(default_factory=dict)
 
@@ -67,12 +70,6 @@ def wmg_to_sigmoid(game, i):
             "C_N_variant_with_factorial": n * math.factorial(
                 comb(n - 1, (n - 1) // 2)),
         })
-
-
-def sigmoid_dummy_verdict(phi, inst):
-    """The sigmoid gadget's answer: a dummy player iff phi_b <= eps, with
-    1e-9 slack for the binary-64 network (the margin is eps, see above)."""
-    return phi <= float(inst.epsilon) + 1e-9
 
 
 def wmg_to_rnnrelu(game):

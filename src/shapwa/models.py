@@ -94,6 +94,10 @@ class TreeEnsemble:
     def n(self):
         return self.trees[0].n
 
+    @property
+    def domain(self):
+        return self.trees[0].domain
+
     def evaluate(self, x):
         votes = [t.evaluate(x) for t in self.trees]
         if self.mode == "regression":

@@ -117,6 +117,10 @@ class Wmg:
     powers: list
     quota: int
 
+    def __post_init__(self):
+        if any(p < 0 for p in self.powers):
+            raise ValueError("voting powers must be non-negative")
+
     @property
     def n(self):
         return len(self.powers)
@@ -129,6 +133,13 @@ class Wmg:
 class CnfFormula:
     n: int
     clauses: list            # clauses of signed 1-based literals
+
+    def __post_init__(self):
+        for clause in self.clauses:
+            for lit in clause:
+                if not 1 <= abs(lit) <= self.n:
+                    raise ValueError(f"literal {lit} out of range for "
+                                     f"{self.n} variables")
 
     def satisfied(self, assignment):
         """assignment: string of '0'/'1' of length n."""
@@ -153,6 +164,10 @@ class CspInstance:
     def __post_init__(self):
         if len({len(s) for s in self.strings}) != 1:
             raise ValueError("strings must share one length")
+        if not self.strings[0]:
+            raise ValueError("strings must be non-empty")
+        if not 0 <= self.radius <= self.n:
+            raise ValueError(f"radius {self.radius} out of range 0..{self.n}")
 
     @property
     def n(self):

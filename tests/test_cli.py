@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 from itertools import product
 
 import pytest
@@ -186,6 +187,30 @@ def test_shap_checks_n_of_tabular_inputs(capsys, inputs, four_features,
     assert run(capsys, argv(5, feature=5))[0] == 3
 
 
+@pytest.mark.parametrize("model, dist, scope, word, code", [
+    ("wa", "ind_ab", "local", "11", 3),       # the distribution's symbols
+    ("wa", "ind_ab", "global", None, 3),
+    ("wa", "ind", "local", "1a", 3),          # the input's symbols
+    ("dt", None, "local", "11", 3),           # the reference's symbols
+    ("wa", "emp_1", "local", "11", 0),        # a subset of the domain is fine
+])
+def test_shap_checks_symbols_against_the_model(capsys, inputs, tmp_path,
+                                               model, dist, scope, word,
+                                               code):
+    half = {"a": Rat(1, 2), "b": Rat(1, 2)}
+    ab = IndDist([half, half], ("a", "b"))
+    files = {**inputs,
+             "ind_ab": write_json(tmp_path / "ab.json", cli.encode(ab)),
+             "emp_1": write_json(tmp_path / "ones.json",
+                                 cli.encode(Dataset(["11", "11"])))}
+    variant = "interventional" if dist else "baseline"
+    argv = ["shap", "--scope", scope, "--variant", variant, "--model",
+            files[model], "--feature", "1"]
+    argv += ["--input", word] if scope == "local" else ["--length", "2"]
+    argv += ["--dist", files[dist]] if dist else ["--reference", "0a"]
+    assert run(capsys, argv)[0] == code
+
+
 @pytest.mark.parametrize("argv", [
     ["shap", "--scope", "local", "--variant", "baseline", "--feature", "1",
      "--input", "11", "--reference", "00"],
@@ -293,35 +318,54 @@ def test_convert_determinism(capsys, tmp_path):
     assert outs[0] == outs[1]
 
 
-def test_gadget_certificate(capsys):
-    code, out = run(capsys, ["gadget", "--kind", "sigmoid",
-                             "--powers", "1,1", "--quota", "2",
-                             "--feature", "1"])
+# --kind -> (flags, a part of the expected certificate)
+GADGET_CASES = {
+    "sigmoid": (["--powers", "1,1", "--quota", "2"],
+                {"dummy": False, "verdict": "not dummy; phi_b > eps"}),
+    "rnn": (["--powers", "3,2,2,0", "--quota", "5", "--feature", "4"],
+            {"dummy": True, "phi_b": "0"}),
+    "sat": (["--clauses", "1,-2;2", "--vars", "2"],
+            {"satisfiable": True, "phi_b": "1/3"}),
+    "csp": (["--strings", "00,11", "--radius", "0"],
+            {"witness": None, "empty": True}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GADGETS))
+def test_gadget_bundle(capsys, kind):
+    flags, certificate = GADGET_CASES[kind]
+    code, out = run(capsys, ["gadget", "--kind", kind, *flags])
     assert code == 0
     bundle = json.loads(out)
-    cert = bundle["certificate"]
-    assert cert["dummy"] is False
-    assert cert["verdict"] == "not dummy; phi_b > eps"
-    assert bundle["metadata"]["C_N"] == 2
+    assert bundle["kind"] == kind
+    assert certificate.items() <= bundle["certificate"].items()
+    # the csp gadget has no query point; the others explain one feature,
+    # player 1 unless --feature says otherwise
+    assert ("feature" in bundle) == (kind != "csp")
+    if kind == "sigmoid":
+        assert bundle["feature"] == 1
+        assert bundle["metadata"]["C_N"] == 2
 
 
-def test_gadget_sat_bundle(capsys):
-    code, out = run(capsys, ["gadget", "--kind", "sat",
-                             "--clauses", "1,-2;2", "--vars", "2"])
-    assert code == 0
-    cert = json.loads(out)["certificate"]
-    assert cert["satisfiable"] is True
-    from shapwa.rational import parse_rat
-    assert parse_rat(cert["phi_b"]) > 0
-
-
-def test_gadget_csp_bundle(capsys):
-    code, out = run(capsys, ["gadget", "--kind", "csp",
-                             "--strings", "00,11", "--radius", "0"])
-    assert code == 0
-    cert = json.loads(out)["certificate"]
-    assert cert["witness"] is None
-    assert cert["empty"] is True
+@pytest.mark.parametrize("flags", [
+    ["--kind", "sigmoid", "--powers", "1,1", "--quota", "1",
+     "--feature", "0"],
+    ["--kind", "sigmoid", "--powers", "1,-1", "--quota", "1",
+     "--feature", "2"],
+    ["--kind", "rnn", "--powers", "1,-1", "--quota", "1"],
+    ["--kind", "sat", "--clauses", "1,-3", "--vars", "2"],
+    ["--kind", "sat", "--clauses", "0", "--vars", "2"],
+    ["--kind", "sat", "--clauses", ";", "--vars", "2"],
+    ["--kind", "csp", "--strings", "00,11", "--radius", "3"],
+    ["--kind", "csp", "--strings", "00,11", "--radius", "-1"],
+    ["--kind", "csp", "--strings", ",", "--radius", "0"],
+    ["--kind", "csp", "--strings", "0,00", "--radius", "0"],
+])
+def test_gadget_refuses_bad_source_problems(capsys, tmp_path, flags):
+    out_path = tmp_path / "bundle.json"
+    code, _ = run(capsys, ["gadget", *flags, "--output", str(out_path)])
+    assert code == 3
+    assert not out_path.exists()
 
 
 def test_verify_passes(capsys):
@@ -349,4 +393,18 @@ def test_verify_reports_corrupted_engine(capsys, monkeypatch):
     code, out = run(capsys, ["verify", "--suite", "engine", "--count", "2"])
     assert code == 1
     assert "FAIL" in out
+    assert "counterexample" in out
+
+
+@pytest.mark.parametrize("kind", sorted(cli.GADGETS))
+def test_verify_reports_corrupted_reduction(capsys, monkeypatch, kind):
+    # a reduction whose model is constantly 0 decides every problem as
+    # "dummy" / "unsatisfiable" / "no witness", which some draw contradicts
+    reduce, certify = cli.GADGETS[kind]
+    zero = DecisionTree(DTNode(leaf=ZERO), 1, B)
+    monkeypatch.setitem(cli.GADGETS, kind, (
+        lambda problem: replace(reduce(problem), model=zero), certify))
+    code, out = run(capsys, ["verify", "--suite", "gadgets", "--count", "3"])
+    assert code == 1
+    assert f"FAIL {kind} gadget instance" in out
     assert "counterexample" in out
