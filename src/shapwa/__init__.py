@@ -16,8 +16,9 @@ from .wa import (NAlphabetWA, NAlphabetDFA, eval_wa, add, scale, sub, kron,
 from .hmm import Hmm, uniform_hmm, hmm_to_json, hmm_from_json
 from .patterns import swap, do_op, matches, coalition_weight
 from .builders import (build_A_wi, build_A_in, build_T_w, build_T_wi,
-                       build_T, build_T_i, build_point_hmm, count_Lik)
-from .engine import loc_i_shap, loc_b_shap, glo_i_shap, glo_b_shap
+                       build_T, build_T_i, build_point_hmm, count_Lik,
+                       pipeline_shap)
+from .engine import shap_all, loc_i_shap, loc_b_shap, glo_i_shap, glo_b_shap
 from .models import (DecisionTree, DTNode, TreeEnsemble, LinearModel,
                      HmmVec, Dataset, IndDist, MarkovDist, NaiveBayes)
 from .frontends import (dt_to_wa, ensemble_reg_to_wa, linear_to_wa,

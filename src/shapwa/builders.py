@@ -1,8 +1,9 @@
 """The seven automaton builders of the paper's SHAP pipelines.
 
-The engine composes A_{i,n}, T, T_i and the point distribution; A_{w,i},
-T_w and T_{w,i} are the paper's local construction, kept to cross-check
-the engine.  All of them are small layered/chain machines:
+`pipeline_shap` composes A_{i,n}, T, T_i and the point distribution into
+the paper's global pipeline; A_{w,i}, T_w and T_{w,i} are its local
+construction.  Both are kept as exact cross-checks of the engine's
+forward-backward kernel.  All builders are small layered/chain machines:
 
 - A_{w,i}: the coalition-weight distribution over patterns (weighted);
 - A_{i,n}: its two-tape, w-independent analogue (membership DFA (x)
@@ -22,7 +23,8 @@ from .hmm import Hmm
 from .linalg import SpMat
 from .patterns import HASH
 from .rational import Rat, ZERO, ONE
-from .wa import NAlphabetWA, NAlphabetDFA, dfa_to_wa, kron
+from .wa import (NAlphabetWA, NAlphabetDFA, contract, dfa_to_wa, kron,
+                 project, sub)
 
 
 def hash_alphabet(alphabet):
@@ -217,3 +219,24 @@ def build_point_hmm(w_ref, alphabet):
             trans[(sigma,)] = mat
     alpha = [ONE] + [ZERO] * n
     return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * dim))
+
+
+def pipeline_shap(f, i, n, inner, outer):
+    """phi_i at length n by the paper's pipeline: inputs ~ outer, replaced
+    features ~ inner, each an Hmm or a word (the point distribution on it).
+
+      phi_i = Pi0(Pi2(outer, A_{i,n} (x) Pi2(inner, Pi3(f, T_i) - Pi3(f, T))))
+
+    The outer Pi0 . Pi2 and the product with A_{i,n} are one factored
+    contraction, so no product automaton is materialized.
+    """
+    if not (1 <= i <= n):
+        raise IndexError(f"feature {i} out of range for n={n}")
+    sig = f.alphabets[0]
+    inner, outer = (build_point_hmm(side, sig) if isinstance(side, str)
+                    else side for side in (inner, outer))
+    diff = sub(project(3, f, build_T_i(i, sig)),
+               project(3, f, build_T(sig)))
+    marg = project(2, inner.wa, diff)
+    return contract(marg, [(build_A_in(i, n, sig), (1, 2)),
+                           (outer.wa, (2,))], n)

@@ -40,7 +40,7 @@ from .oracle import (CnfFormula, CspInstance, GuardExceeded, RnnRelu,
                      dummy_check, empty_brute, shap_oracle_local)
 from .randgen import (rand_cnf, rand_csp, rand_hmm, rand_wa, rand_wmg,
                       rand_word, rng_for)
-from .rational import format_rat, parse_rat
+from .rational import Rat, format_rat, parse_rat
 from .wa import NAlphabetWA, wa_from_json, wa_to_json
 
 EXIT_PARSE = 2
@@ -206,7 +206,7 @@ def _value_record(cfg, value, route):
     if cfg.format == "tsv":
         print("\t".join(str(v) for v in record.values()))
     else:
-        _dump_json({**record, "route": route})
+        _dump_json({**record, "route": route, "backend": Rat.__name__})
 
 
 def _check_symbols(q, model, dist):

@@ -1,34 +1,65 @@
 """Polynomial-time local/global SHAP for weighted automata under HMMs.
 
-One pipeline answers all four queries.  With inputs x drawn from an outer
-distribution and the replaced features drawn from an inner one,
+One forward-backward pass gives the values of all features.  Inputs x are
+drawn from an outer side and the replaced features z from an inner side;
+each side is an `Hmm` or a word, a word standing for the point distribution
+on it.  The four queries pick (inner, outer):
 
-  phi_i = Pi0(Pi2(outer, A_{i,n} (x) Pi2(inner, Pi3(f, T_i) - Pi3(f, T))))
+  glo_i:  (D, D)          loc_i:  (D, w)
+  glo_b:  (w_ref, D)      loc_b:  (w_ref, w)
 
-and the four variants pick (inner, outer):
+so local SHAP at w is global SHAP with inputs drawn from the point on w.
 
-  glo_i:  (D, D)
-  glo_b:  (point(w_ref), D)
-  loc_i:  (D, point(w))
-  loc_b:  (point(w_ref), point(w))
+A side is read per position j as a map from symbol to matrix: an Hmm
+repeats its matrices at every position, a word w is the width-1 layer
+{w_j: [[1]]}, and a symbol the side never emits has no matrix.  The joint
+state is (outer state, inner state, f state).  Position j is either kept,
+so f reads x_j, or replaced, so f reads z_j:
 
-where point(w) is the point distribution on w: local SHAP at w is global
-SHAP with inputs drawn from point(w).  The outer Pi0 . Pi2 and the product
-with A_{i,n} are one factored contraction, so no product automaton is
-materialized.  The paper's local construction from A_{w,i}, T_w and
-T_{w,i} stays in `builders` as the cross-check.
+  P_j = sum_s Out_j[s] (x) (sum_t In_j[t]) (x) f_s
+  Q_j = sum_s (sum_t Out_j[t]) (x) In_j[s] (x) f_s
+
+With alpha and beta the Kronecker products of the three initial and final
+vectors, the forward vectors F_j[k] cover positions 1..j with k of them
+kept, and the backward vectors B_j[k] cover positions j..n:
+
+  F_0[0] = alpha      F_j[k] = F_{j-1}[k] Q_j + F_{j-1}[k-1] P_j
+  B_{n+1}[0] = beta   B_j[k] = Q_j B_{j+1}[k] + P_j B_{j+1}[k-1]
+
+  phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
+  c(k) = k! (n-1-k)! / n!
+
+P and Q are built once per distinct pair of layers and B runs through their
+transposes: O(n^2) sparse vector-matrix products and O(n^3) dot products
+for all n features, every value a Rat.
+
+`shap_all` keeps its last few answers in a functools.lru_cache keyed by
+(f, n, inner, outer) that holds its objects strongly, so the four
+per-feature functions share one pass across consecutive features.  Cached
+answers rely on `NAlphabetWA` and `Hmm` being immutable, as they are
+documented to be.  The paper's builder pipeline is
+`builders.pipeline_shap`, kept as a cross-check.
 """
 
-from .builders import build_A_in, build_point_hmm, build_T, build_T_i
-from .wa import contract, project, sub
+from functools import lru_cache
+from math import factorial
+
+from .hmm import Hmm
+from .linalg import SpMat
+from .rational import Rat, ZERO, ONE
+
+# enough for loc_i and loc_b queries alternating over a few instances
+CACHE_SIZE = 8
+
+_UNIT = SpMat.from_dense([[ONE]])
 
 
 def _check_model(f, dist=None):
     if f.arity != 1:
         raise ValueError("the model must be a 1-alphabet automaton")
     sig = f.alphabets[0]
-    if dist is not None and dist.alphabet != sig:
-        raise ValueError("model and distribution alphabets differ")
+    if dist is not None:
+        _check_word(dist.alphabet, sig, "distribution")
     return sig
 
 
@@ -39,23 +70,129 @@ def _check_word(w, sig, name="input"):
             raise ValueError(f"{name} symbol {s!r} not in the model alphabet")
 
 
-def _shap(f, i, n, inner, outer):
-    """phi_i at length n: inputs ~ outer, replaced features ~ inner."""
+def _side(side, sig, n, name):
+    """(alpha, beta, layer of each position) of an Hmm or a point word;
+    equal layers are one object."""
+    if isinstance(side, Hmm):
+        _check_word(side.alphabet, sig, "distribution")
+        layer = {s: m for (s,), m in side.wa.transitions.items()}
+        return side.wa.alpha, side.wa.beta, [layer] * n
+    if len(side) != n:
+        raise ValueError(f"{name} has length {len(side)}, not n={n}")
+    _check_word(side, sig, name)
+    units = {s: {s: _UNIT} for s in set(side)}
+    return (ONE,), (ONE,), [units[s] for s in side]
+
+
+def _total(layer, dim):
+    out = SpMat(dim)
+    for m in layer.values():
+        out = out + m
+    return out
+
+
+def _steps(out_layer, in_layer, f_mats, dims):
+    """(P, Q, P^T, Q^T) of one position."""
+    d_out, d_in, d_f = dims
+    out_sum, in_sum = _total(out_layer, d_out), _total(in_layer, d_in)
+    P = Q = SpMat(d_out * d_in * d_f)
+    for s, fm in f_mats.items():
+        if s in out_layer:
+            P = P + out_layer[s].kron(in_sum).kron(fm)
+        if s in in_layer:
+            Q = Q + out_sum.kron(in_layer[s]).kron(fm)
+    return P, Q, P.transpose(), Q.transpose()
+
+
+def _kron_vec(*vecs):
+    out = {0: ONE}
+    for vec in vecs:
+        out = {i * len(vec) + j: x * y for i, x in out.items()
+               for j, y in enumerate(vec) if y != 0}
+    return out
+
+
+def _combine(u, v, sign=1):
+    """u + sign * v of sparse vectors."""
+    out = dict(u)
+    for j, y in v.items():
+        s = out.get(j, ZERO) + (y if sign > 0 else -y)
+        if s != 0:
+            out[j] = s
+        else:
+            out.pop(j, None)
+    return out
+
+
+def _dot(u, v):
+    if len(u) > len(v):
+        u, v = v, u
+    return sum((x * v[j] for j, x in u.items() if j in v), ZERO)
+
+
+def _shift_add(dropped, kept):
+    """[dropped[k] + kept[k-1] for k = 0..len]: the next F (or B) vectors."""
+    return [_combine(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def shap_all(f, n, inner, outer):
+    """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
+    ~ inner, each an Hmm or a word (the point distribution on it)."""
+    sig = _check_model(f)
+    o_alpha, o_beta, o_layers = _side(outer, sig, n, "input")
+    i_alpha, i_beta, i_layers = _side(inner, sig, n, "reference")
+    dims = (len(o_alpha), len(i_alpha), f.dim)
+    f_mats = {s: m for (s,), m in f.transitions.items()}
+    built = {}
+    steps = []
+    for lo, li in zip(o_layers, i_layers):
+        key = (id(lo), id(li))
+        if key not in built:
+            built[key] = _steps(lo, li, f_mats, dims)
+        steps.append(built[key])
+
+    # diff[j][a] = F_j[a] (P_{j+1} - Q_{j+1}) for a = 0..j
+    diff = []
+    fwd = [_kron_vec(o_alpha, i_alpha, f.alpha)]
+    for P, Q, _, _ in steps:
+        vp = [P.vecmat(v) for v in fwd]
+        vq = [Q.vecmat(v) for v in fwd]
+        diff.append([_combine(p, q, -1) for p, q in zip(vp, vq)])
+        fwd = _shift_add(vq, vp)
+
+    # bwd[j] = [B_{j+2}[b] for b = 0..n-j-1], filled from position n down
+    bwd = [[_kron_vec(o_beta, i_beta, f.beta)]]
+    for _, _, Pt, Qt in reversed(steps[1:]):
+        nxt = bwd[-1]
+        bwd.append(_shift_add([Qt.vecmat(v) for v in nxt],
+                              [Pt.vecmat(v) for v in nxt]))
+    bwd.reverse()
+
+    c = [Rat(factorial(k) * factorial(n - 1 - k), factorial(n))
+         for k in range(n)]
+    phis = []
+    for i in range(n):
+        by_size = [ZERO] * n
+        for a, g in enumerate(diff[i]):
+            if g:
+                for b, v in enumerate(bwd[i]):
+                    by_size[a + b] += _dot(g, v)
+        phis.append(sum((ck * d for ck, d in zip(c, by_size) if d), ZERO))
+    return tuple(phis)
+
+
+def _phi(f, i, n, inner, outer):
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range for n={n}")
-    sig = f.alphabets[0]
-    diff = sub(project(3, f, build_T_i(i, sig)),
-               project(3, f, build_T(sig)))
-    marg = project(2, inner.wa, diff)
-    return contract(marg, [(build_A_in(i, n, sig), (1, 2)),
-                           (outer.wa, (2,))], n)
+    return shap_all(f, n, inner, outer)[i - 1]
 
 
 def loc_i_shap(f, w, i, dist):
     """Local interventional SHAP of feature i for input w under dist."""
     sig = _check_model(f, dist)
     _check_word(w, sig)
-    return _shap(f, i, len(w), dist, build_point_hmm(w, sig))
+    return _phi(f, i, len(w), dist, w)
 
 
 def loc_b_shap(f, w, i, w_ref):
@@ -65,14 +202,13 @@ def loc_b_shap(f, w, i, w_ref):
         raise ValueError("input and reference lengths differ")
     _check_word(w, sig)
     _check_word(w_ref, sig, "reference")
-    return _shap(f, i, len(w), build_point_hmm(w_ref, sig),
-                 build_point_hmm(w, sig))
+    return _phi(f, i, len(w), w_ref, w)
 
 
 def glo_i_shap(f, i, n, dist):
     """Global interventional SHAP of feature i at length n under dist."""
     _check_model(f, dist)
-    return _shap(f, i, n, dist, dist)
+    return _phi(f, i, n, dist, dist)
 
 
 def glo_b_shap(f, i, n, w_ref, dist):
@@ -81,4 +217,4 @@ def glo_b_shap(f, i, n, w_ref, dist):
     if len(w_ref) != n:
         raise ValueError("reference length must equal n")
     _check_word(w_ref, sig, "reference")
-    return _shap(f, i, n, build_point_hmm(w_ref, sig), dist)
+    return _phi(f, i, n, w_ref, dist)

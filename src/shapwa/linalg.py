@@ -77,6 +77,13 @@ class SpMat:
                 del out.rows[i]
         return out
 
+    def transpose(self):
+        out = SpMat(self.n)
+        for i, row in self.rows.items():
+            for j, v in row.items():
+                out.rows.setdefault(j, {})[i] = v
+        return out
+
     def block_diag(self, other):
         out = SpMat(self.n + other.n)
         out.rows = {i: dict(row) for i, row in self.rows.items()}

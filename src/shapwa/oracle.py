@@ -77,20 +77,28 @@ class RnnRelu:
     out: list
     domain: tuple
 
+    def __post_init__(self):
+        dim = len(self.h_init)
+        if any(len(vec) != dim for vec in
+               (self.W, self.out, *self.W, *self.emb.values())):
+            raise ValueError(f"W, the embeddings and the output must match "
+                             f"the hidden dimension {dim}")
+        # exact sparse rows of W, embeddings and output, built once
+        self._rows = [[(b, Rat(x)) for b, x in enumerate(row) if x != 0]
+                      for row in self.W]
+        self._emb = {s: [Rat(x) for x in v] for s, v in self.emb.items()}
+        self._out = [Rat(o) for o in self.out]
+
     def hidden(self, w):
         h = [Rat(x) for x in self.h_init]
-        dim = len(h)
         for sym in w:
-            v = self.emb[sym]
-            h = [max(ZERO,
-                     sum(Rat(self.W[a][b]) * h[b] for b in range(dim))
-                     + Rat(v[a]))
-                 for a in range(dim)]
+            h = [max(ZERO, sum((x * h[b] for b, x in row), ZERO) + v)
+                 for row, v in zip(self._rows, self._emb[sym])]
         return h
 
     def evaluate(self, w):
         h = self.hidden(w)
-        return Rat(step(sum(Rat(o) * x for o, x in zip(self.out, h))))
+        return Rat(step(sum(o * x for o, x in zip(self._out, h))))
 
 
 @dataclass

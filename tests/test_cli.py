@@ -13,8 +13,10 @@ from shapwa.models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                            LinearModel, TreeEnsemble, dt_to_json,
                            ensemble_to_json, hmmvec_to_json, ind_to_json,
                            markov_to_json)
-from shapwa.oracle import SigmoidNet, Wmg
-from shapwa.randgen import rand_hmmvec, rand_markov, rand_nb, rng_for
+from shapwa.oracle import (SigmoidNet, Wmg, shap_oracle_global,
+                           shap_oracle_local)
+from shapwa.randgen import (rand_hmm, rand_hmmvec, rand_markov, rand_nb,
+                            rand_wa, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA, wa_from_json, wa_to_json, eval_wa
 
@@ -127,7 +129,10 @@ def test_shap_route(capsys, inputs, model, dist, scope, variant, route):
         argv += ["--dist", inputs[dist]]
     code, out = run(capsys, argv)
     assert code == 0
-    assert json.loads(out)["route"] == route
+    record = json.loads(out)
+    assert record["route"] == route
+    assert record["backend"] == Rat.__name__
+    assert record["backend"] in ("mpq", "Fraction")
 
 
 @pytest.mark.parametrize("scope", ["local", "global"])
@@ -211,6 +216,36 @@ def test_shap_checks_symbols_against_the_model(capsys, inputs, tmp_path,
     assert run(capsys, argv)[0] == code
 
 
+@pytest.mark.parametrize("scope, variant", [
+    ("local", "interventional"), ("global", "interventional"),
+    ("global", "baseline")])
+def test_shap_engine_takes_a_sub_alphabet_hmm(capsys, tmp_path, and_model,
+                                              scope, variant):
+    # a WA over {0,1} under an hmm over {1}: the engine answers as the
+    # oracle does, instead of refusing the smaller alphabet
+    dist = rand_hmm(rng_for(42), 2, ("1",))
+    dist_path = write_json(tmp_path / "ones.json", cli.encode(dist))
+    rand_path = write_json(tmp_path / "f.json",
+                           cli.encode(rand_wa(rng_for(41), 3, B)))
+    for path in (and_model, rand_path):
+        argv = ["shap", "--scope", scope, "--variant", variant, "--model",
+                path, "--feature", "1", "--dist", dist_path]
+        argv += ["--input", "11"] if scope == "local" else ["--length", "2"]
+        if variant == "baseline":
+            argv += ["--reference", "01"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        record = json.loads(out)
+        assert record["route"] == "engine"
+        f = cli.load_model(path)
+        if scope == "local":
+            want = shap_oracle_local("i", f, "11", 1, dist)
+        else:
+            ctx = "01" if variant == "baseline" else dist
+            want = shap_oracle_global(variant[0], f, 1, 2, ctx, dist)
+        assert Rat(record["value"]) == want
+
+
 @pytest.mark.parametrize("argv", [
     ["shap", "--scope", "local", "--variant", "baseline", "--feature", "1",
      "--input", "11", "--reference", "00"],
@@ -225,7 +260,11 @@ def test_malformed_guard_setting(capsys, monkeypatch, and_model, argv):
 
 def test_shap_malformed_model(capsys, tmp_path):
     bad = tmp_path / "bad.json"
-    for content in (b"{not json", b"\xff\xfe{"):
+    ragged_rnn = {"type": "rnn", "payload": {
+        "h_init": ["1", "0"], "W": [["1", "0"]], "out": ["1", "0"],
+        "emb": {"0": ["0", "0"], "1": ["1", "0"]}, "domain": ["0", "1"]}}
+    for content in (b"{not json", b"\xff\xfe{",
+                    json.dumps(ragged_rnn).encode()):
         bad.write_bytes(content)
         code, _ = run(capsys, [
             "shap", "--scope", "local", "--variant", "baseline",

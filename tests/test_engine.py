@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
-                             build_T_wi)
-from shapwa.engine import glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap
+                             build_T_wi, pipeline_shap)
+from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
+                           shap_all)
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.oracle import shap_oracle_global, shap_oracle_local
@@ -99,6 +100,86 @@ def test_engine_matches_oracle_random():
             shap_oracle_global("b", f, i, n, w_ref, D)
 
 
+def sides(D, w, w_ref):
+    """(inner, outer) of loc_i, loc_b, glo_i and glo_b."""
+    return ((D, w), (w_ref, w), (D, D), (w_ref, D))
+
+
+def test_shap_all_matches_builder_pipeline():
+    rng = rng_for(35)
+    for idx, (n, density) in enumerate(product(range(1, 7), (0.5, 1.0))):
+        f = rand_wa(rng, 1 + idx % 4, B, density=density)
+        D = rand_hmm(rng, 1 + idx % 3, B)
+        w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        for inner, outer in sides(D, w, w_ref):
+            phis = shap_all(f, n, inner, outer)
+            assert isinstance(phis, tuple)
+            assert phis == tuple(pipeline_shap(f, i, n, inner, outer)
+                                 for i in range(1, n + 1)), (idx, inner)
+
+
+def test_engine_takes_sub_alphabet_hmm():
+    # the distribution may leave out model symbols, in any order
+    sig = ("a", "b", "c")
+    rng = rng_for(36)
+    for idx in range(12):
+        used = rng.sample(sig, rng.randint(1, 3))
+        f = rand_wa(rng, rng.randint(1, 3), sig)
+        D = rand_hmm(rng, rng.randint(1, 3), used)
+        n = rng.randint(1, 3)
+        w, w_ref = rand_word(rng, sig, n), rand_word(rng, sig, n)
+        i = rng.randint(1, n)
+        assert loc_i_shap(f, w, i, D) == \
+            shap_oracle_local("i", f, w, i, D), idx
+        assert glo_i_shap(f, i, n, D) == \
+            shap_oracle_global("i", f, i, n, D, D), idx
+        assert glo_b_shap(f, i, n, w_ref, D) == \
+            shap_oracle_global("b", f, i, n, w_ref, D), idx
+        assert loc_b_shap(f, w, i, w_ref) == \
+            shap_oracle_local("b", f, w, i, w_ref), idx
+
+
+def test_cached_answers_equal_cold_calls():
+    # two models with the same words and HMM, every variant interleaved
+    # (8 keys), then a third instance of the same shape that evicts some
+    rng = rng_for(37)
+    n = 4
+    f1, f2, f3 = (rand_wa(rng, 3, B) for _ in range(3))
+    D, E = rand_hmm(rng, 2, B), rand_hmm(rng, 2, B)
+    w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+
+    def variants(f, dist, i):
+        return ((loc_i_shap, (f, w, i, dist)), (loc_b_shap, (f, w, i, w_ref)),
+                (glo_i_shap, (f, i, n, dist)),
+                (glo_b_shap, (f, i, n, w_ref, dist)))
+
+    queries = [q for i in range(1, n + 1)
+               for f in (f1, f2) for q in variants(f, D, i)]
+    queries += [q for i in range(1, n + 1)
+                for f, dist in ((f3, E), (f1, D)) for q in variants(f, dist, i)]
+    shap_all.cache_clear()
+    warm = [fn(*args) for fn, args in queries]
+    assert shap_all.cache_info().hits > 0
+    cold = []
+    for fn, args in queries:
+        shap_all.cache_clear()
+        cold.append(fn(*args))
+    assert warm == cold
+
+
+def test_cache_survives_dropped_models():
+    # the cache holds its keys, so a new model never takes an old one's id
+    D = rand_hmm(rng_for(38), 2, B)
+    want = []
+    for seed in range(20):
+        shap_all.cache_clear()
+        want.append(loc_i_shap(rand_wa(rng_for(seed), 2, B), "0110", 2, D))
+    shap_all.cache_clear()
+    got = [loc_i_shap(rand_wa(rng_for(seed), 2, B), "0110", 2, D)
+           for seed in range(20)]
+    assert got == want
+
+
 def paper_local(f, w, i, dist):
     """The paper's local construction:
     Pi1(A_{w,i}, Pi2(D, Pi3(f, T_{w,i}) - Pi3(f, T_w)))."""
@@ -126,6 +207,12 @@ def test_errors():
     D = uniform_hmm(("a", "b"))
     with pytest.raises(ValueError):
         loc_i_shap(f, "11", 1, D)  # alphabet mismatch
+    with pytest.raises(ValueError):
+        glo_i_shap(f, 1, 2, uniform_hmm(("1", "a")))  # one alien symbol
+    with pytest.raises(ValueError):
+        shap_all(f, 2, "11", "111")  # word length != n
+    with pytest.raises(ValueError):
+        shap_all(f, 2, "1a", "11")  # alien word symbol
     with pytest.raises(IndexError):
         loc_i_shap(f, "11", 3, uniform_hmm(B))
     with pytest.raises(ValueError):

@@ -10,7 +10,10 @@ from shapwa.oracle import (CspInstance, GuardExceeded, RnnRelu, Wmg,
                            ZeroProbabilityEvent, csp_brute, dummy_check,
                            empty_brute, eval_model, hamming,
                            shap_oracle_global, shap_oracle_local, value_fn)
-from shapwa.randgen import rand_ind, rand_wa, rand_word, rng_for
+from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
+from shapwa.models import step
+from shapwa.randgen import (rand_csp, rand_ind, rand_wa, rand_wmg, rand_word,
+                            rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA
 
@@ -33,6 +36,41 @@ def test_rnn_empty_sequence():
     m2 = RnnRelu(h_init=[ZERO], W=[[ONE]], emb={"0": [ZERO], "1": [ONE]},
                  out=[Rat(-1)], domain=B)
     assert m2.evaluate("") == 1  # threshold at exactly 0
+
+
+def _dense_hidden(m, w):
+    # the recurrence read straight off the dense fields
+    h = [Rat(x) for x in m.h_init]
+    for sym in w:
+        h = [max(ZERO, sum(Rat(m.W[a][b]) * h[b] for b in range(len(h)))
+                 + Rat(m.emb[sym][a]))
+             for a in range(len(h))]
+    return h
+
+
+def test_rnn_matches_dense_reference():
+    rng = rng_for(40)
+    models = [wmg_to_rnnrelu(rand_wmg(rng, rng.randint(1, 5)))
+              for _ in range(6)]
+    models += [csp_to_rnn(rand_csp(rng, rng.randint(1, 3), rng.randint(1, 4)))
+               for _ in range(6)]
+    for m in models:
+        for _ in range(8):
+            w = rand_word(rng, m.domain, rng.randint(0, 6))
+            h = _dense_hidden(m, w)
+            assert m.hidden(w) == h, (m, w)
+            assert m.evaluate(w) == step(sum(Rat(o) * x
+                                             for o, x in zip(m.out, h)))
+
+
+def test_rnn_refuses_mismatched_shapes():
+    ok = dict(h_init=[ONE], W=[[ONE]], emb={"0": [ZERO]}, out=[ONE],
+              domain=("0",))
+    RnnRelu(**ok)
+    for bad in ({"W": [[ONE, ONE]]}, {"W": []}, {"out": [ONE, ONE]},
+                {"emb": {"0": []}}):
+        with pytest.raises(ValueError):
+            RnnRelu(**{**ok, **bad})
 
 
 def test_hamming():
