@@ -34,10 +34,12 @@ transposes: O(n^2) sparse vector-matrix products and O(n^3) dot products
 for all n features, every value a Rat.
 
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
-(f, n, inner, outer) that holds its objects strongly, so the four
-per-feature functions share one pass across consecutive features.  Cached
-answers rely on `NAlphabetWA` and `Hmm` being immutable, as they are
-documented to be.  The paper's builder pipeline is
+(f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
+share one pass across consecutive features of one input.  Cached answers
+rely on `NAlphabetWA` and `Hmm` being immutable, as they are documented
+to be.  glo_i and glo_b run one uncached pass per call, so a global
+value costs the same whichever features were asked before it; callers
+that want every global value call `shap_all` once.  The paper's builder pipeline is
 `builders.pipeline_shap`, kept as a cross-check.
 """
 
@@ -182,10 +184,11 @@ def shap_all(f, n, inner, outer):
     return tuple(phis)
 
 
-def _phi(f, i, n, inner, outer):
+def _phi(f, i, n, inner, outer, cached=True):
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range for n={n}")
-    return shap_all(f, n, inner, outer)[i - 1]
+    run = shap_all if cached else shap_all.__wrapped__
+    return run(f, n, inner, outer)[i - 1]
 
 
 def loc_i_shap(f, w, i, dist):
@@ -208,7 +211,7 @@ def loc_b_shap(f, w, i, w_ref):
 def glo_i_shap(f, i, n, dist):
     """Global interventional SHAP of feature i at length n under dist."""
     _check_model(f, dist)
-    return _phi(f, i, n, dist, dist)
+    return _phi(f, i, n, dist, dist, cached=False)
 
 
 def glo_b_shap(f, i, n, w_ref, dist):
@@ -217,4 +220,4 @@ def glo_b_shap(f, i, n, w_ref, dist):
     if len(w_ref) != n:
         raise ValueError("reference length must equal n")
     _check_word(w_ref, sig, "reference")
-    return _phi(f, i, n, w_ref, dist)
+    return _phi(f, i, n, w_ref, dist, cached=False)

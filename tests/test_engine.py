@@ -167,6 +167,20 @@ def test_cached_answers_equal_cold_calls():
     assert warm == cold
 
 
+def test_global_queries_run_their_own_pass():
+    # glo_* neither read nor fill the cache; their values equal shap_all's
+    rng = rng_for(39)
+    n = 4
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    w_ref = rand_word(rng, B, n)
+    shap_all.cache_clear()
+    got_i = tuple(glo_i_shap(f, i, n, D) for i in range(1, n + 1))
+    got_b = tuple(glo_b_shap(f, i, n, w_ref, D) for i in range(1, n + 1))
+    assert shap_all.cache_info().currsize == 0
+    assert got_i == shap_all(f, n, D, D)
+    assert got_b == shap_all(f, n, w_ref, D)
+
+
 def test_cache_survives_dropped_models():
     # the cache holds its keys, so a new model never takes an old one's id
     D = rand_hmm(rng_for(38), 2, B)
