@@ -39,8 +39,8 @@ share one pass across consecutive features of one input.  Cached answers
 rely on `NAlphabetWA` and `Hmm` being immutable, as they are documented
 to be.  glo_i and glo_b run one uncached pass per call, so a global
 value costs the same whichever features were asked before it; callers
-that want every global value call `shap_all` once.  The paper's builder pipeline is
-`builders.pipeline_shap`, kept as a cross-check.
+that want every global value call `shap_all` once.  The paper's builder
+pipeline is `builders.pipeline_shap`, kept as a cross-check.
 """
 
 from functools import lru_cache
