@@ -58,14 +58,6 @@ class CliError(Exception):
 # file I/O
 
 
-def _read_json(path):
-    try:
-        with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, ValueError) as e:  # ValueError: not JSON, not UTF-8
-        raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
-
-
 def _dump_json(obj, path=None):
     text = json.dumps(obj, indent=2, sort_keys=True) + "\n"
     if path is None:
@@ -138,30 +130,33 @@ def encode(obj, **extra):
     return {"type": tag, **extra, "payload": CODECS[tag][1](obj)}
 
 
-def _payload(obj):
-    return obj.get("payload", obj) if isinstance(obj, dict) else obj
-
-
-def _load(path, role, tags):
-    # an untagged file has the first of the allowed tags
-    obj = _read_json(path)
-    kind = obj.get("type", tags[0]) if isinstance(obj, dict) else None
+def _read(path, role, tags):
+    """(object, file bytes) of a UTF-8 JSON file of one of the type tags;
+    an untagged file has the first.  Every failure exits 2."""
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        doc = json.loads(raw.decode("utf-8"))
+    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON
+        raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
+    kind = doc.get("type", tags[0]) if isinstance(doc, dict) else None
     if kind not in tags:
         raise CliError(EXIT_PARSE, f"{path}: unknown {role} type {kind!r}")
     try:
-        return CODECS[kind][2](_payload(obj))
-    except (KeyError, ValueError, TypeError) as e:
+        return CODECS[kind][2](doc.get("payload", doc)), raw
+    except (KeyError, ValueError, TypeError, AttributeError, IndexError) as e:
+        # also a wrong shape, such as a list where the format has an object
         raise CliError(EXIT_PARSE, f"{path}: malformed {kind} {role}: {e}")
 
 
 def load_model(path):
-    return _load(path, "model",
-                 ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid"))
+    return _read(path, "model",
+                 ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid"))[0]
 
 
 def load_dist(path):
-    return _load(path, "distribution",
-                 ("hmm", "hmmvec", "emp", "ind", "markov", "nb"))
+    return _read(path, "distribution",
+                 ("hmm", "hmmvec", "emp", "ind", "markov", "nb"))[0]
 
 
 # ---------------------------------------------------------------------------
@@ -303,31 +298,25 @@ def cmd_convert(cfg):
             raise CliError(EXIT_PARSE,
                            f"--order does not apply to --from {cfg.source}")
         order = tuple(_parse_int_list(cfg.order, "--order"))
-    try:
-        with open(cfg.input, "rb") as fh:
-            raw = fh.read()
-        doc = json.loads(raw)
-    except (OSError, ValueError) as e:
-        raise CliError(EXIT_PARSE, f"cannot read {cfg.input}: {e}")
+    role = "model" if target == "wa" else "distribution"
+    obj, raw = _read(cfg.input, role, (tag,))
     provenance = {
         "source_sha256": hashlib.sha256(raw).hexdigest(),
         "source_format": cfg.source,
         "order": list(order) if order else None,
     }
+    if cfg.source == "hmmvec":
+        # the HMM reads the features in pi order; the model must too
+        provenance["order"] = list(obj.pi)
     try:
-        obj = CODECS[tag][2](_payload(doc))
-        if cfg.source == "hmmvec":
-            # the HMM reads the features in pi order; the model must too
-            provenance["order"] = list(obj.pi)
         if compile_ is not None:
             obj = (compile_(obj) if cfg.source in _SEQUENTIAL
                    else compile_(obj, order))
         if target == "hmm" and isinstance(obj, HmmVec):
             obj = hmmvec_to_hmm(obj)
-    except (KeyError, TypeError) as e:
-        raise CliError(EXIT_PARSE, f"{cfg.input}: malformed {cfg.source}: {e}")
     except ValueError as e:
-        # notably: vote-classification ensembles are refused
+        # notably: vote-classification ensembles, an order that is not a
+        # permutation of the source's features
         raise CliError(EXIT_INCOMPATIBLE, str(e))
     _dump_json(encode(obj, provenance=provenance), cfg.output)
 

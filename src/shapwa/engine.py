@@ -3,7 +3,8 @@
 One forward-backward pass gives the values of all features.  Inputs x are
 drawn from an outer side and the replaced features z from an inner side;
 each side is an `Hmm` or a word, a word standing for the point distribution
-on it.  The four queries pick (inner, outer):
+on it.  `shap_all` checks a query; the four queries only pick its sides
+(inner, outer) and the feature i:
 
   glo_i:  (D, D)          loc_i:  (D, w)
   glo_b:  (w_ref, D)      loc_b:  (w_ref, w)
@@ -35,12 +36,13 @@ for all n features, every value a Rat.
 
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
 (f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
-share one pass across consecutive features of one input.  Cached answers
-rely on `NAlphabetWA` and `Hmm` being immutable, as they are documented
-to be.  glo_i and glo_b run one uncached pass per call, so a global
-value costs the same whichever features were asked before it; callers
-that want every global value call `shap_all` once.  The paper's builder
-pipeline is `builders.pipeline_shap`, kept as a cross-check.
+share one pass across consecutive features of one input; a hit repeats
+arguments that already passed the checks.  Cached answers rely on
+`NAlphabetWA` and `Hmm` being immutable, as they are documented to be.
+glo_i and glo_b run one uncached pass per call, so a global value costs
+the same whichever features were asked before it; callers that want
+every global value call `shap_all` once.  The paper's builder pipeline
+is `builders.pipeline_shap`, kept as a cross-check.
 """
 
 from functools import lru_cache
@@ -56,16 +58,7 @@ CACHE_SIZE = 8
 _UNIT = SpMat.from_dense([[ONE]])
 
 
-def _check_model(f, dist=None):
-    if f.arity != 1:
-        raise ValueError("the model must be a 1-alphabet automaton")
-    sig = f.alphabets[0]
-    if dist is not None:
-        _check_word(dist.alphabet, sig, "distribution")
-    return sig
-
-
-def _check_word(w, sig, name="input"):
+def _check_word(w, sig, name):
     allowed = set(sig)
     for s in w:
         if s not in allowed:
@@ -140,8 +133,12 @@ def _shift_add(dropped, kept):
 @lru_cache(maxsize=CACHE_SIZE)
 def shap_all(f, n, inner, outer):
     """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
-    ~ inner, each an Hmm or a word (the point distribution on it)."""
-    sig = _check_model(f)
+    ~ inner, each an Hmm or a word (the point distribution on it).
+    ValueError unless f reads one tape, each word has length n and every
+    symbol of a side is in f's alphabet."""
+    if f.arity != 1:
+        raise ValueError("the model must be a 1-alphabet automaton")
+    sig = f.alphabets[0]
     o_alpha, o_beta, o_layers = _side(outer, sig, n, "input")
     i_alpha, i_beta, i_layers = _side(inner, sig, n, "reference")
     dims = (len(o_alpha), len(i_alpha), f.dim)
@@ -193,31 +190,19 @@ def _phi(f, i, n, inner, outer, cached=True):
 
 def loc_i_shap(f, w, i, dist):
     """Local interventional SHAP of feature i for input w under dist."""
-    sig = _check_model(f, dist)
-    _check_word(w, sig)
     return _phi(f, i, len(w), dist, w)
 
 
 def loc_b_shap(f, w, i, w_ref):
     """Local baseline SHAP of feature i for input w with reference w_ref."""
-    sig = _check_model(f)
-    if len(w) != len(w_ref):
-        raise ValueError("input and reference lengths differ")
-    _check_word(w, sig)
-    _check_word(w_ref, sig, "reference")
     return _phi(f, i, len(w), w_ref, w)
 
 
 def glo_i_shap(f, i, n, dist):
     """Global interventional SHAP of feature i at length n under dist."""
-    _check_model(f, dist)
     return _phi(f, i, n, dist, dist, cached=False)
 
 
 def glo_b_shap(f, i, n, w_ref, dist):
     """Global baseline SHAP of feature i with reference w_ref, inputs ~ dist."""
-    sig = _check_model(f, dist)
-    if len(w_ref) != n:
-        raise ValueError("reference length must equal n")
-    _check_word(w_ref, sig, "reference")
     return _phi(f, i, n, w_ref, dist, cached=False)

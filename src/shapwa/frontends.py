@@ -15,8 +15,13 @@ from .rational import Rat, ZERO, ONE
 from .wa import NAlphabetWA, NAlphabetDFA, add, dfa_to_wa, scale
 
 
-def identity_order(n):
-    return tuple(range(1, n + 1))
+def feature_order(order, n):
+    """order as a tuple (the identity 1..n when empty); ValueError unless
+    it is a permutation of the n features."""
+    order = tuple(order) if order else tuple(range(1, n + 1))
+    if sorted(order) != list(range(1, n + 1)):
+        raise ValueError(f"order {list(order)} is not a permutation of 1..{n}")
+    return order
 
 
 def sequentialize(x, order):
@@ -46,9 +51,7 @@ def _leaf_chain(constraints, n, order, alphabet):
 
 def dt_to_wa(tree, order=None):
     """Sum of value-scaled per-leaf chain acceptors; size O(#leaves * n)."""
-    order = tuple(order) if order else identity_order(tree.n)
-    if sorted(order) != list(range(1, tree.n + 1)):
-        raise ValueError("order must be a permutation of the features")
+    order = feature_order(order, tree.n)
     total = None
     for constraints, value in tree.leaves():
         piece = scale(value, _leaf_chain(constraints, tree.n, order,
@@ -78,9 +81,7 @@ def linear_to_wa(model, order=None):
     sum_i w_{i, x_i}, to which the single-state constant automaton adds b.
     """
     n = model.n
-    order = tuple(order) if order else identity_order(n)
-    if sorted(order) != list(range(1, n + 1)):
-        raise ValueError("order must be a permutation of the features")
+    order = feature_order(order, n)
     dim = 2 * (n + 1)
 
     def carry(j):   # j in 0..n
@@ -115,7 +116,7 @@ def linear_to_wa(model, order=None):
 def emp_to_hmmvec(dataset, order=None, domain=None):
     """Prefix-tree automaton of the sequentialized rows; exactly empirical."""
     n = dataset.n
-    order = tuple(order) if order else identity_order(n)
+    order = feature_order(order, n)
     domain = tuple(domain) if domain else dataset.domain()
     rows = [sequentialize(r, order) for r in dataset.rows]
     total = len(rows)
@@ -192,7 +193,7 @@ def hmmvec_to_hmm(m):
 def ind_to_hmmvec(dist, order=None):
     """Independent product as a single-state HmmVec."""
     n = dist.n
-    order = tuple(order) if order else identity_order(n)
+    order = feature_order(order, n)
     domain = dist.domain
     transitions = [[[ONE]] for _ in range(n)]
     emissions = [[[dist.marginals[order[j] - 1].get(d, ZERO) for d in domain]]
@@ -224,7 +225,7 @@ def markov_to_hmm(dist):
 def nb_to_hmmvec(dist, order=None):
     """Naive Bayes as an HmmVec whose hidden state is the frozen class."""
     n = dist.n
-    order = tuple(order) if order else identity_order(n)
+    order = feature_order(order, n)
     classes = sorted(dist.prior)
     domain = dist.domain
     dim = len(classes)

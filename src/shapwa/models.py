@@ -18,6 +18,30 @@ def step(x):
     return 1 if x >= 0 else 0
 
 
+def _domain(domain):
+    """The domain as a tuple; ValueError unless its symbols are strings."""
+    domain = tuple(domain)
+    if not all(isinstance(s, str) for s in domain):
+        raise ValueError(f"domain symbols must be strings: {list(domain)}")
+    return domain
+
+
+def _check_n(n):
+    if not isinstance(n, int) or n < 0:
+        raise ValueError(f"n must be a non-negative integer, not {n!r}")
+
+
+def _check_law(probs, what, domain):
+    """ValueError unless probs ({symbol: prob}) is a distribution over
+    symbols of domain."""
+    alien = set(probs) - set(domain)
+    if alien:
+        raise ValueError(f"{what} has symbols {sorted(alien, key=str)} "
+                         f"outside the domain {list(domain)}")
+    if sum(probs.values(), ZERO) != 1 or any(p < 0 for p in probs.values()):
+        raise ValueError(f"{what} is not a distribution")
+
+
 # ---------------------------------------------------------------------------
 # decision trees and ensembles
 
@@ -39,7 +63,8 @@ class DecisionTree:
     domain: tuple
 
     def __post_init__(self):
-        self.domain = tuple(self.domain)
+        _check_n(self.n)
+        self.domain = _domain(self.domain)
         self._check(self.root, set())
 
     def _check(self, node, seen):
@@ -47,7 +72,7 @@ class DecisionTree:
             if node.leaf is None:
                 raise ValueError("leaf without a label")
             return
-        if not (1 <= node.feature <= self.n):
+        if not (isinstance(node.feature, int) and 1 <= node.feature <= self.n):
             raise ValueError(f"feature {node.feature} out of range")
         if node.feature in seen:
             raise ValueError(f"feature {node.feature} repeats on a path")
@@ -117,7 +142,8 @@ class LinearModel:
     intercept: object = ZERO
 
     def __post_init__(self):
-        self.domain = tuple(self.domain)
+        _check_n(self.n)
+        self.domain = _domain(self.domain)
         self.intercept = Rat(self.intercept)
         self.weights = {(i, d): Rat(v) for (i, d), v in self.weights.items()}
 
@@ -151,14 +177,20 @@ class HmmVec:
             raise ValueError("pi must be a permutation of 1..n")
         if not (len(self.transitions) == len(self.emissions) == n):
             raise ValueError("one transition/emission matrix per position")
-        self.domain = tuple(self.domain)
+        self.domain = _domain(self.domain)
         self.alpha = [Rat(x) for x in self.alpha]
         self.transitions = [[[Rat(v) for v in row] for row in m]
                             for m in self.transitions]
         self.emissions = [[[Rat(v) for v in row] for row in m]
                           for m in self.emissions]
-        if sum(self.alpha) != 1:
+        if sum(self.alpha) != 1 or any(x < 0 for x in self.alpha):
             raise ValueError("alpha is not a distribution")
+        dim, k = len(self.alpha), len(self.domain)
+        for T, O in zip(self.transitions, self.emissions):
+            if len(T) != dim or any(len(row) != dim for row in T):
+                raise ValueError(f"a transition matrix is not {dim} x {dim}")
+            if len(O) != dim or any(len(row) != k for row in O):
+                raise ValueError(f"an emission matrix is not {dim} x {k}")
         for m in self.transitions + self.emissions:
             for row in m:
                 if sum(row) != 1 or any(v < 0 for v in row):
@@ -188,6 +220,8 @@ class Dataset:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("empty dataset")
+        if not all(isinstance(r, str) for r in self.rows):
+            raise ValueError("rows must be strings")
         if len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged rows")
         self.rows = list(self.rows)
@@ -210,12 +244,11 @@ class IndDist:
     domain: tuple
 
     def __post_init__(self):
-        self.domain = tuple(self.domain)
+        self.domain = _domain(self.domain)
         self.marginals = [{d: Rat(p) for d, p in m.items()}
                           for m in self.marginals]
         for m in self.marginals:
-            if sum(m.values(), ZERO) != 1 or any(p < 0 for p in m.values()):
-                raise ValueError("marginal is not a distribution")
+            _check_law(m, "marginal", self.domain)
 
     @property
     def n(self):
@@ -236,15 +269,17 @@ class MarkovDist:
     domain: tuple
 
     def __post_init__(self):
-        self.domain = tuple(self.domain)
+        self.domain = _domain(self.domain)
         self.init = {d: Rat(p) for d, p in self.init.items()}
         self.trans = {a: {b: Rat(p) for b, p in row.items()}
                       for a, row in self.trans.items()}
-        if sum(self.init.values(), ZERO) != 1:
-            raise ValueError("initial law is not a distribution")
+        _check_law(self.init, "initial law", self.domain)
+        for a in self.trans:
+            if a not in self.domain:
+                raise ValueError(f"row for {a!r} outside the domain "
+                                 f"{list(self.domain)}")
         for a in self.domain:
-            if sum(self.trans.get(a, {}).values(), ZERO) != 1:
-                raise ValueError(f"non-stochastic row for {a!r}")
+            _check_law(self.trans.get(a, {}), f"row for {a!r}", self.domain)
 
     def prob(self, w):
         if not w:
@@ -263,16 +298,18 @@ class NaiveBayes:
     domain: tuple
 
     def __post_init__(self):
-        self.domain = tuple(self.domain)
+        self.domain = _domain(self.domain)
         self.prior = {y: Rat(p) for y, p in self.prior.items()}
         self.tables = [{y: {d: Rat(p) for d, p in row.items()}
                         for y, row in t.items()} for t in self.tables]
-        if sum(self.prior.values(), ZERO) != 1:
+        if (sum(self.prior.values(), ZERO) != 1
+                or any(p < 0 for p in self.prior.values())):
             raise ValueError("prior is not a distribution")
         for t in self.tables:
-            for y, row in t.items():
-                if sum(row.values(), ZERO) != 1:
-                    raise ValueError("non-stochastic class-conditional row")
+            if set(t) != set(self.prior):
+                raise ValueError("each table needs one row per class")
+            for row in t.values():
+                _check_law(row, "class-conditional row", self.domain)
 
     @property
     def n(self):

@@ -273,6 +273,87 @@ def test_shap_malformed_model(capsys, tmp_path):
         assert code == 2
 
 
+HALF = {"0": "1/2", "1": "1/2"}
+ALIEN = {"0": "1/2", "x": "1/2"}
+IND = {"marginals": [HALF, HALF], "domain": B}
+# case -> (type tag, payload), or raw file bytes under the tag
+MALFORMED = {
+    # a list where the format has an object
+    "ind-marginals-list": ("ind", {**IND, "marginals": [["1/2", "1/2"]] * 2}),
+    "nb-prior-list": ("nb", {"prior": ["1"], "tables": [{"c": HALF}] * 2,
+                             "domain": B}),
+    "nb-row-list": ("nb", {"prior": {"c": "1"},
+                           "tables": [{"c": ["1/2", "1/2"]}] * 2,
+                           "domain": B}),
+    "markov-init-list": ("markov", {"init": ["1/2", "1/2"],
+                                    "trans": {"0": HALF, "1": HALF},
+                                    "domain": B}),
+    "wa-transitions-list": ("wa", {"alphabets": [B], "alpha": ["1"],
+                                   "beta": ["1"], "transitions": [[["1"]]]}),
+    "rnn-emb-list": ("rnn", {"h_init": ["1"], "W": [["1"]],
+                             "emb": [["1"], ["0"]], "out": ["1"],
+                             "domain": B}),
+    "ind-not-stochastic": ("ind", {**IND, "marginals": [
+        {"0": "1/2", "1": "1/3"}, HALF]}),
+    "float-rational": ("ind", {**IND, "marginals": [
+        {"0": 0.5, "1": "1/2"}, HALF]}),
+    "dt-feature-out-of-range": ("dt", {"n": 2, "domain": B, "root": {
+        "feature": 3, "children": {"0": {"leaf": "0"}, "1": {"leaf": "1"}}}}),
+    "utf-16": ("ind", json.dumps({"type": "ind", "payload": IND})
+               .encode("utf-16")),
+    # hmmvec shapes: emission rows shorter than the domain, 2 states over
+    # 1x1 transitions, 2 emission rows for 1 state
+    "hmmvec-short-emission-rows": ("hmmvec", {
+        "pi": [1, 2], "alpha": ["1"], "transitions": [[["1"]]] * 2,
+        "emissions": [[["1"]]] * 2, "domain": B}),
+    "hmmvec-alpha-too-long": ("hmmvec", {
+        "pi": [1, 2], "alpha": ["1/2", "1/2"], "transitions": [[["1"]]] * 2,
+        "emissions": [[["1/2", "1/2"]]] * 2, "domain": B}),
+    "hmmvec-emission-rows": ("hmmvec", {
+        "pi": [1, 2], "alpha": ["1"], "transitions": [[["1"]]] * 2,
+        "emissions": [[["1/2", "1/2"]] * 2] * 2, "domain": B}),
+    # probability keys outside the domain
+    "ind-alien-symbol": ("ind", {**IND, "marginals": [ALIEN, HALF]}),
+    "nb-alien-symbol": ("nb", {"prior": {"c": "1"},
+                               "tables": [{"c": ALIEN}, {"c": HALF}],
+                               "domain": B}),
+    "markov-alien-init": ("markov", {"init": ALIEN,
+                                     "trans": {"0": HALF, "1": HALF},
+                                     "domain": B}),
+}
+MODEL_TAGS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
+
+
+@pytest.mark.parametrize("tag, content", MALFORMED.values(),
+                         ids=list(MALFORMED))
+def test_malformed_file_exits_2_from_shap_and_convert(capsys, tmp_path,
+                                                      and_model, tag,
+                                                      content):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content if isinstance(content, bytes) else
+                     json.dumps({"type": tag, "payload": content}).encode())
+    if tag in MODEL_TAGS:
+        shap = ["--model", str(path), "--variant", "baseline",
+                "--reference", "00"]
+    else:
+        shap = ["--model", and_model, "--variant", "interventional",
+                "--dist", str(path)]
+    runs = [["shap", "--scope", "local", "--input", "11", "--feature", "1",
+             *shap]]
+    out_path = tmp_path / "out.json"
+    for source, (source_tag, _, _) in cli.COMPILERS.items():
+        if source_tag == tag:
+            runs.append(["convert", "--from", source, "--input", str(path),
+                         "--output", str(out_path)])
+    for argv in runs:
+        code = cli.main(argv)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err.startswith("error:")
+        assert "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_convert_dt_roundtrip(capsys, tmp_path):
     t = DecisionTree(DTNode(feature=1, children={
         "0": DTNode(leaf=ZERO), "1": DTNode(leaf=Rat(2, 3))}), 2, ("0", "1"))
@@ -343,6 +424,19 @@ def test_convert_refuses_flags_it_cannot_honour(capsys, inputs, tmp_path,
     code, _ = run(capsys, ["convert", "--from", source, "--input",
                            inputs[source], "--output", str(out_path), *flags])
     assert code == 2
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("order", ["1,2", "1,2,3,4,5", "1,1,3,4"])
+@pytest.mark.parametrize("source", ["dt", "ens-r", "lin", "emp", "ind",
+                                    "nb"])
+def test_convert_refuses_an_order_that_is_not_a_permutation(
+        capsys, four_features, tmp_path, source, order):
+    out_path = tmp_path / "out.json"
+    code, _ = run(capsys, ["convert", "--from", source, "--input",
+                           four_features[cli.COMPILERS[source][0]],
+                           "--order", order, "--output", str(out_path)])
+    assert code == 3
     assert not out_path.exists()
 
 

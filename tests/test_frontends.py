@@ -3,8 +3,9 @@ from itertools import product
 import pytest
 
 from shapwa.frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
-                              hmmvec_to_hmm, ind_to_hmmvec, linear_to_wa,
-                              markov_to_hmm, nb_to_hmmvec, sequentialize)
+                              feature_order, hmmvec_to_hmm, ind_to_hmmvec,
+                              linear_to_wa, markov_to_hmm, nb_to_hmmvec,
+                              sequentialize)
 from shapwa.models import (Dataset, DecisionTree, DTNode, IndDist,
                            LinearModel, MarkovDist, NaiveBayes)
 from shapwa.randgen import (rand_dataset, rand_dt, rand_ensemble,
@@ -58,6 +59,22 @@ def test_dt_with_order():
         assert eval_wa(A, (sequentialize(x, order),)) == t.evaluate(x)
     with pytest.raises(ValueError):
         dt_to_wa(t, (1, 1))
+
+
+def test_every_ordered_compiler_checks_its_order():
+    rng = rng_for(59)
+    sources = ((dt_to_wa, rand_dt(rng, 3)),
+               (ensemble_reg_to_wa, rand_ensemble(rng, 3)),
+               (linear_to_wa, rand_linear(rng, 3)),
+               (emp_to_hmmvec, rand_dataset(rng, 3, 4)),
+               (ind_to_hmmvec, rand_ind(rng, 3)),
+               (nb_to_hmmvec, rand_nb(rng, 3)))
+    for compile_, source in sources:
+        for order in ((1, 2), (1, 2, 3, 4), (1, 1, 2), (0, 1, 2)):
+            with pytest.raises(ValueError, match="not a permutation"):
+                compile_(source, order)
+    assert feature_order(None, 3) == (1, 2, 3)
+    assert feature_order([3, 1, 2], 3) == (3, 1, 2)
 
 
 def test_ensemble_regression():

@@ -124,6 +124,58 @@ def test_distribution_normalization():
         MarkovDist({"0": ONE, "1": ZERO}, {"0": {"0": Rat(1, 2)}}, B)
 
 
+@pytest.mark.parametrize("alpha, transitions, emissions", [
+    ([ONE], [[[ONE]]] * 2, [[[ONE]]] * 2),            # rows shorter than B
+    ([Rat(1, 2)] * 2, [[[ONE]]] * 2,                 # 2 states, 1x1 matrices
+     [[[Rat(1, 2)] * 2]] * 2),
+    ([ONE], [[[ONE]]] * 2, [[[ONE, ZERO]] * 2] * 2),  # 2 emission rows
+    ([ONE], [[[ONE, ZERO]]] * 2, [[[ONE, ZERO]]] * 2),  # a 1x2 transition
+])
+def test_hmmvec_checks_its_shapes(alpha, transitions, emissions):
+    with pytest.raises(ValueError, match="matrix is not"):
+        HmmVec((1, 2), alpha, transitions, emissions, B)
+
+
+def test_distributions_refuse_symbols_outside_the_domain():
+    half, alien = {"0": Rat(1, 2), "1": Rat(1, 2)}, {"0": Rat(1, 2),
+                                                     "x": Rat(1, 2)}
+    with pytest.raises(ValueError, match="outside the domain"):
+        IndDist([alien, half], B)
+    with pytest.raises(ValueError, match="outside the domain"):
+        MarkovDist(alien, {"0": half, "1": half}, B)
+    with pytest.raises(ValueError, match="outside the domain"):
+        MarkovDist(half, {"0": alien, "1": half}, B)
+    with pytest.raises(ValueError, match="outside the domain"):
+        MarkovDist(half, {"0": half, "1": half, "x": half}, B)
+    with pytest.raises(ValueError, match="outside the domain"):
+        NaiveBayes({"c": ONE}, [{"c": half}, {"c": alien}], B)
+
+
+def test_tabular_inputs_refuse_other_malformed_fields():
+    half = {"0": Rat(1, 2), "1": Rat(1, 2)}
+    signed = {"0": Rat(2), "1": Rat(-1)}
+    with pytest.raises(ValueError):  # a negative probability
+        MarkovDist(signed, {"0": half, "1": half}, B)
+    with pytest.raises(ValueError):
+        NaiveBayes({"c": Rat(2), "d": Rat(-1)}, [{"c": half, "d": half}], B)
+    with pytest.raises(ValueError):
+        HmmVec((1,), [Rat(2), Rat(-1)], [[[ONE, ZERO], [ZERO, ONE]]],
+               [[[ONE, ZERO], [ONE, ZERO]]], B)
+    with pytest.raises(ValueError, match="one row per class"):
+        NaiveBayes({"c": Rat(1, 2), "d": Rat(1, 2)}, [{"c": half}], B)
+    with pytest.raises(ValueError, match="strings"):
+        Dataset([["0", "1"]])
+    with pytest.raises(ValueError, match="strings"):
+        IndDist([half], ("0", 1))
+    with pytest.raises(ValueError, match="non-negative integer"):
+        LinearModel("2", B, {})
+    with pytest.raises(ValueError, match="non-negative integer"):
+        DecisionTree(DTNode(leaf=ONE), Rat(3, 2), B)
+    with pytest.raises(ValueError, match="out of range"):
+        DecisionTree(DTNode(feature=Rat(3, 2), children={
+            "0": DTNode(leaf=ZERO), "1": DTNode(leaf=ONE)}), 2, B)
+
+
 def test_hmm_stochastic_check():
     h = uniform_hmm(B)
     assert sum((h.prefix_prob(x) for x in words(4)), ZERO) == 1
