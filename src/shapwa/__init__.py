@@ -9,7 +9,7 @@ reductions for the intractable variants are provided as runnable
 gadget instances.
 """
 
-from .rational import Rat, rat, format_rat, parse_rat
+from .rational import Rat, rat, format_rat
 from .wa import (NAlphabetWA, NAlphabetDFA, eval_wa, add, scale, sub, kron,
                  project, contract, pi1, pi0, dfa_to_wa,
                  wa_to_json, wa_from_json)
@@ -20,12 +20,13 @@ from .builders import (build_A_wi, build_A_in, build_T_w, build_T_wi,
                        pipeline_shap)
 from .engine import shap_all, loc_i_shap, loc_b_shap, glo_i_shap, glo_b_shap
 from .models import (DecisionTree, DTNode, TreeEnsemble, LinearModel,
-                     HmmVec, Dataset, IndDist, MarkovDist, NaiveBayes)
+                     RnnRelu, SigmoidNet, HmmVec, Dataset, IndDist,
+                     MarkovDist, NaiveBayes)
 from .frontends import (dt_to_wa, ensemble_reg_to_wa, linear_to_wa,
                         emp_to_hmmvec, hmmvec_to_hmm, ind_to_hmmvec,
                         markov_to_hmm, nb_to_hmmvec, sequentialize)
 from .oracle import (GuardExceeded, ZeroProbabilityEvent, Wmg, CnfFormula,
-                     CspInstance, RnnRelu, SigmoidNet, eval_model, value_fn,
+                     CspInstance, eval_model, value_fn,
                      shap_oracle_local, shap_oracle_global, dummy_check,
                      csp_brute, empty_brute)
 from .gadgets import (wmg_to_sigmoid, wmg_to_rnnrelu, sat_to_ensemble,

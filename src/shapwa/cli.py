@@ -20,6 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 
 from . import engine, oracle
 from .frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
@@ -29,18 +30,16 @@ from .gadgets import (GadgetInstance, csp_to_rnn, sat_to_ensemble,
                       wmg_to_rnnrelu, wmg_to_sigmoid)
 from .hmm import Hmm, hmm_from_json, hmm_to_json
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
-                     MarkovDist, NaiveBayes, TreeEnsemble, dataset_from_json,
-                     dataset_to_json, dt_from_json, dt_to_json,
-                     ensemble_from_json, ensemble_to_json, hmmvec_from_json,
-                     hmmvec_to_json, ind_from_json, ind_to_json,
-                     linear_from_json, linear_to_json, markov_from_json,
-                     markov_to_json, nb_from_json, nb_to_json)
-from .oracle import (CnfFormula, CspInstance, GuardExceeded, RnnRelu,
-                     SigmoidNet, Wmg, ZeroProbabilityEvent, csp_brute,
-                     dummy_check, empty_brute, shap_oracle_local)
+                     MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
+                     TreeEnsemble, dt_from_json, dt_to_json,
+                     ensemble_from_json, ensemble_to_json, from_json,
+                     linear_from_json, linear_to_json, to_json)
+from .oracle import (CnfFormula, CspInstance, GuardExceeded, Wmg,
+                     ZeroProbabilityEvent, csp_brute, dummy_check,
+                     empty_brute, shap_oracle_local)
 from .randgen import (rand_cnf, rand_csp, rand_hmm, rand_wa, rand_wmg,
                       rand_word, rng_for)
-from .rational import Rat, format_rat, parse_rat
+from .rational import Rat, format_rat
 from .wa import NAlphabetWA, wa_from_json, wa_to_json
 
 EXIT_PARSE = 2
@@ -74,53 +73,22 @@ def _parse_int_list(text, flag):
         raise CliError(EXIT_PARSE, f"malformed {flag} {text!r}")
 
 
-def rnn_to_json(m):
-    return {"h_init": [format_rat(x) for x in m.h_init],
-            "W": [[format_rat(v) for v in row] for row in m.W],
-            "emb": {s: [format_rat(v) for v in vec]
-                    for s, vec in m.emb.items()},
-            "out": [format_rat(v) for v in m.out],
-            "domain": list(m.domain)}
-
-
-def rnn_from_json(obj):
-    return RnnRelu(h_init=[parse_rat(x) for x in obj["h_init"]],
-                   W=[[parse_rat(v) for v in row] for row in obj["W"]],
-                   emb={s: [parse_rat(v) for v in vec]
-                        for s, vec in obj["emb"].items()},
-                   out=[parse_rat(v) for v in obj["out"]],
-                   domain=tuple(obj["domain"]))
-
-
-def sigmoid_to_json(m):
-    return {"weights": [format_rat(w) for w in m.weights],
-            "bias": format_rat(m.bias),
-            "gain": m.gain,
-            "domain": list(m.domain)}
-
-
-def sigmoid_from_json(obj):
-    return SigmoidNet(weights=[parse_rat(w) for w in obj["weights"]],
-                      bias=parse_rat(obj["bias"]),
-                      gain=float(obj["gain"]),
-                      domain=tuple(obj["domain"]))
-
-
 # The file formats: type tag -> (class, encoder, decoder).  A file is
-# {"type": tag, "payload": ...}; the payload may also stand inline.
+# {"type": tag, "payload": ...}; the payload may also stand inline.  A
+# payload that models.to_json writes holds exactly its class's fields.
 CODECS = {
     "wa": (NAlphabetWA, wa_to_json, wa_from_json),
     "dt": (DecisionTree, dt_to_json, dt_from_json),
     "ensemble": (TreeEnsemble, ensemble_to_json, ensemble_from_json),
     "linear": (LinearModel, linear_to_json, linear_from_json),
-    "rnn": (RnnRelu, rnn_to_json, rnn_from_json),
-    "sigmoid": (SigmoidNet, sigmoid_to_json, sigmoid_from_json),
+    "rnn": (RnnRelu, to_json, partial(from_json, RnnRelu)),
+    "sigmoid": (SigmoidNet, to_json, partial(from_json, SigmoidNet)),
     "hmm": (Hmm, hmm_to_json, hmm_from_json),
-    "hmmvec": (HmmVec, hmmvec_to_json, hmmvec_from_json),
-    "emp": (Dataset, dataset_to_json, dataset_from_json),
-    "ind": (IndDist, ind_to_json, ind_from_json),
-    "markov": (MarkovDist, markov_to_json, markov_from_json),
-    "nb": (NaiveBayes, nb_to_json, nb_from_json),
+    "hmmvec": (HmmVec, to_json, partial(from_json, HmmVec)),
+    "emp": (Dataset, to_json, partial(from_json, Dataset)),
+    "ind": (IndDist, to_json, partial(from_json, IndDist)),
+    "markov": (MarkovDist, to_json, partial(from_json, MarkovDist)),
+    "nb": (NaiveBayes, to_json, partial(from_json, NaiveBayes)),
 }
 
 

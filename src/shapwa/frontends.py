@@ -33,7 +33,7 @@ def constant_wa(c, alphabet):
     """Single-state automaton outputting c on every word."""
     alphabet = tuple(alphabet)
     trans = {(s,): SpMat.from_dense([[ONE]]) for s in alphabet}
-    return NAlphabetWA([alphabet], [Rat(c)], trans, [ONE])
+    return NAlphabetWA([alphabet], [c], trans, [ONE])
 
 
 def _leaf_chain(constraints, n, order, alphabet):

@@ -17,8 +17,8 @@ import math
 from dataclasses import dataclass, field
 from math import comb
 
-from .models import DecisionTree, DTNode, TreeEnsemble
-from .oracle import RnnRelu, SigmoidNet
+from .models import (DecisionTree, DTNode, RnnRelu, SigmoidNet,
+                     TreeEnsemble)
 from .rational import Rat, ZERO, ONE, format_rat
 
 BINARY = ("0", "1")
@@ -53,8 +53,7 @@ def wmg_to_sigmoid(game, i):
     # dummies give phi_b < eps, non-dummies phi_b >= 2*eps.
     eps = Rat(1, 2 * (1 + c_n))
     gain = 2.0 * math.log((1.0 - float(eps)) / float(eps))
-    net = SigmoidNet(weights=[Rat(p) for p in game.powers],
-                     bias=Rat(1, 2) - Rat(game.quota),
+    net = SigmoidNet(weights=game.powers, bias=Rat(1, 2) - game.quota,
                      gain=gain)
     return GadgetInstance(
         model=net, feature=i, x="1" * n, x_ref="0" * n, epsilon=eps,

@@ -8,7 +8,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
+from .rational import Rat, ZERO, ONE, format_rat, rat
 from .wa import NAlphabetWA, eval_wa
 
 
@@ -97,17 +97,13 @@ def hmm_to_json(m):
 def hmm_from_json(obj):
     """Accepts either per-symbol matrices or a <transition, emission> pair."""
     alphabet = tuple(obj["alphabet"])
-    alpha = [parse_rat(x) for x in obj["alpha"]]
+    alpha = obj["alpha"]
     if "matrices" in obj:
-        n = len(alpha)
         trans = {}
         for sym in alphabet:
-            rows = obj["matrices"][sym]
-            mat = SpMat.from_dense([[parse_rat(v) for v in row]
-                                    for row in rows])
+            mat = SpMat.from_dense(obj["matrices"][sym])
             if mat.rows:
                 trans[(sym,)] = mat
-        return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * n))
-    transition = [[parse_rat(v) for v in row] for row in obj["transition"]]
-    emission = [[parse_rat(v) for v in row] for row in obj["emission"]]
-    return Hmm.from_matrices(alpha, transition, emission, alphabet)
+        return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * len(alpha)))
+    return Hmm.from_matrices(alpha, obj["transition"], obj["emission"],
+                             alphabet)

@@ -112,9 +112,9 @@ class SpMat:
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            for j, v in enumerate(row):
+            for j, v in enumerate(map(rat, row)):
                 if v != 0:
-                    out.rows.setdefault(i, {})[j] = rat(v)
+                    out.rows.setdefault(i, {})[j] = v
         return out
 
     def __eq__(self, other):

@@ -4,13 +4,17 @@ These are the "source" objects the frontends compile into weighted
 automata / HMMs: decision trees, tree ensembles, linear models with
 categorical features, non-stationary per-position HMMs (HmmVec),
 empirical datasets, independent products, Markov chains and Naive
-Bayes.  Feature indices are 1-based; feature values are single-character
-symbols so that inputs double as sequences.
+Bayes.  ReLU RNNs and sigmoid networks, the gadgets' models, are
+evaluated by the oracle only.  Feature indices are 1-based; feature
+values are single-character symbols so that inputs double as sequences.
+Each constructor coerces its rational fields with `rat` and checks them.
 """
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, fields, is_dataclass
 
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat
+from .rational import Rat, ZERO, ONE, format_rat, rat
 
 
 def step(x):
@@ -71,6 +75,7 @@ class DecisionTree:
         if node.is_leaf():
             if node.leaf is None:
                 raise ValueError("leaf without a label")
+            node.leaf = rat(node.leaf)
             return
         if not (isinstance(node.feature, int) and 1 <= node.feature <= self.n):
             raise ValueError(f"feature {node.feature} out of range")
@@ -85,7 +90,7 @@ class DecisionTree:
         node = self.root
         while not node.is_leaf():
             node = node.children[x[node.feature - 1]]
-        return Rat(node.leaf)
+        return node.leaf
 
     def leaves(self):
         """Yield (constraints, value) with constraints a {feature: symbol} dict."""
@@ -93,7 +98,7 @@ class DecisionTree:
         while stack:
             node, constraints = stack.pop()
             if node.is_leaf():
-                yield constraints, Rat(node.leaf)
+                yield constraints, node.leaf
             else:
                 for sym, child in node.children.items():
                     stack.append((child, {**constraints, node.feature: sym}))
@@ -113,7 +118,7 @@ class TreeEnsemble:
         if len({(t.n, t.domain) for t in self.trees}) != 1:
             raise ValueError("an ensemble needs trees that share one n and "
                              "one domain")
-        self.weights = [Rat(w) for w in self.weights]
+        self.weights = [rat(w) for w in self.weights]
 
     @property
     def n(self):
@@ -144,8 +149,8 @@ class LinearModel:
     def __post_init__(self):
         _check_n(self.n)
         self.domain = _domain(self.domain)
-        self.intercept = Rat(self.intercept)
-        self.weights = {(i, d): Rat(v) for (i, d), v in self.weights.items()}
+        self.intercept = rat(self.intercept)
+        self.weights = {(i, d): rat(v) for (i, d), v in self.weights.items()}
 
     def weight(self, i, d):
         return self.weights.get((i, d), ZERO)
@@ -178,10 +183,10 @@ class HmmVec:
         if not (len(self.transitions) == len(self.emissions) == n):
             raise ValueError("one transition/emission matrix per position")
         self.domain = _domain(self.domain)
-        self.alpha = [Rat(x) for x in self.alpha]
-        self.transitions = [[[Rat(v) for v in row] for row in m]
+        self.alpha = [rat(x) for x in self.alpha]
+        self.transitions = [[[rat(v) for v in row] for row in m]
                             for m in self.transitions]
-        self.emissions = [[[Rat(v) for v in row] for row in m]
+        self.emissions = [[[rat(v) for v in row] for row in m]
                           for m in self.emissions]
         if sum(self.alpha) != 1 or any(x < 0 for x in self.alpha):
             raise ValueError("alpha is not a distribution")
@@ -220,8 +225,9 @@ class Dataset:
     def __post_init__(self):
         if not self.rows:
             raise ValueError("empty dataset")
-        if not all(isinstance(r, str) for r in self.rows):
-            raise ValueError("rows must be strings")
+        if not (isinstance(self.rows, (list, tuple))
+                and all(isinstance(r, str) for r in self.rows)):
+            raise ValueError("rows must be a list of strings")
         if len({len(r) for r in self.rows}) != 1:
             raise ValueError("ragged rows")
         self.rows = list(self.rows)
@@ -245,7 +251,7 @@ class IndDist:
 
     def __post_init__(self):
         self.domain = _domain(self.domain)
-        self.marginals = [{d: Rat(p) for d, p in m.items()}
+        self.marginals = [{d: rat(p) for d, p in m.items()}
                           for m in self.marginals]
         for m in self.marginals:
             _check_law(m, "marginal", self.domain)
@@ -270,8 +276,8 @@ class MarkovDist:
 
     def __post_init__(self):
         self.domain = _domain(self.domain)
-        self.init = {d: Rat(p) for d, p in self.init.items()}
-        self.trans = {a: {b: Rat(p) for b, p in row.items()}
+        self.init = {d: rat(p) for d, p in self.init.items()}
+        self.trans = {a: {b: rat(p) for b, p in row.items()}
                       for a, row in self.trans.items()}
         _check_law(self.init, "initial law", self.domain)
         for a in self.trans:
@@ -299,8 +305,8 @@ class NaiveBayes:
 
     def __post_init__(self):
         self.domain = _domain(self.domain)
-        self.prior = {y: Rat(p) for y, p in self.prior.items()}
-        self.tables = [{y: {d: Rat(p) for d, p in row.items()}
+        self.prior = {y: rat(p) for y, p in self.prior.items()}
+        self.tables = [{y: {d: rat(p) for d, p in row.items()}
                         for y, row in t.items()} for t in self.tables]
         if (sum(self.prior.values(), ZERO) != 1
                 or any(p < 0 for p in self.prior.values())):
@@ -326,6 +332,75 @@ class NaiveBayes:
 
 
 # ---------------------------------------------------------------------------
+# the hardness gadgets' models
+
+
+@dataclass
+class RnnRelu:
+    """h_{w sigma} = ReLU(W h_w + v_sigma); f(w) = I(O . h_w >= 0)."""
+    h_init: list
+    W: list
+    emb: dict                # symbol -> vector
+    out: list
+    domain: tuple
+
+    def __post_init__(self):
+        self.domain = _domain(self.domain)
+        self.h_init = [rat(x) for x in self.h_init]
+        self.W = [[rat(x) for x in row] for row in self.W]
+        self.emb = {s: [rat(x) for x in v] for s, v in self.emb.items()}
+        self.out = [rat(x) for x in self.out]
+        dim = len(self.h_init)
+        if any(len(vec) != dim for vec in
+               (self.W, self.out, *self.W, *self.emb.values())):
+            raise ValueError(f"W, the embeddings and the output must match "
+                             f"the hidden dimension {dim}")
+        # the sparse rows of W, built once
+        self._rows = [[(b, x) for b, x in enumerate(row) if x != 0]
+                      for row in self.W]
+
+    def hidden(self, w):
+        h = list(self.h_init)
+        for sym in w:
+            h = [max(ZERO, sum((x * h[b] for b, x in row), ZERO) + v)
+                 for row, v in zip(self._rows, self.emb[sym])]
+        return h
+
+    def evaluate(self, w):
+        h = self.hidden(w)
+        return Rat(step(sum(o * x for o, x in zip(self.out, h))))
+
+
+@dataclass
+class SigmoidNet:
+    """f(x) = sigmoid(gain * (sum_j w_j x_j + bias)); binary-64 output."""
+    weights: list
+    bias: object
+    gain: float
+    domain: tuple = ("0", "1")
+
+    def __post_init__(self):
+        self.domain = _domain(self.domain)
+        self.weights = [rat(w) for w in self.weights]
+        self.bias = rat(self.bias)
+        if (isinstance(self.gain, bool)
+                or not isinstance(self.gain, (int, float))
+                or not abs(self.gain) <= sys.float_info.max):
+            raise ValueError(f"gain must be a finite number, not "
+                             f"{self.gain!r}")
+        self.gain = float(self.gain)
+
+    @property
+    def n(self):
+        return len(self.weights)
+
+    def evaluate(self, x):
+        z = sum(float(w) for w, sym in zip(self.weights, x) if sym == "1")
+        z += float(self.bias)
+        return 1.0 / (1.0 + math.exp(-self.gain * z))
+
+
+# ---------------------------------------------------------------------------
 # JSON codecs
 
 
@@ -338,7 +413,7 @@ def _node_to_json(node):
 
 def _node_from_json(obj):
     if "leaf" in obj:
-        return DTNode(leaf=parse_rat(obj["leaf"]))
+        return DTNode(leaf=obj["leaf"])
     return DTNode(feature=obj["feature"],
                   children={d: _node_from_json(c)
                             for d, c in obj["children"].items()})
@@ -349,8 +424,7 @@ def dt_to_json(t):
 
 
 def dt_from_json(obj):
-    return DecisionTree(_node_from_json(obj["root"]), obj["n"],
-                        tuple(obj["domain"]))
+    return DecisionTree(_node_from_json(obj["root"]), obj["n"], obj["domain"])
 
 
 def ensemble_to_json(e):
@@ -361,8 +435,7 @@ def ensemble_to_json(e):
 
 def ensemble_from_json(obj):
     return TreeEnsemble([dt_from_json(t) for t in obj["trees"]],
-                        [parse_rat(w) for w in obj["weights"]],
-                        obj["mode"])
+                        obj["weights"], obj["mode"])
 
 
 def linear_to_json(m):
@@ -376,74 +449,35 @@ def linear_from_json(obj):
     weights = {}
     for key, v in obj["weights"].items():
         i, d = key.split(",")
-        weights[(int(i), d)] = parse_rat(v)
-    return LinearModel(obj["n"], tuple(obj["domain"]), weights,
-                       parse_rat(obj.get("intercept", 0)))
+        weights[(int(i), d)] = v
+    return LinearModel(obj["n"], obj["domain"], weights,
+                       obj.get("intercept", 0))
 
 
-def dataset_to_json(d):
-    return {"rows": list(d.rows)}
+# The other file formats are their classes' fields: rationals are written
+# as "p/q" strings, tuples as lists, and the constructor reads them back.
 
 
-def dataset_from_json(obj):
-    rows = obj["rows"] if isinstance(obj, dict) else obj
-    return Dataset(list(rows))
+def to_json(obj):
+    """The JSON form of a dataclass whose file keys are its fields."""
+    if isinstance(obj, Rat):
+        return format_rat(obj)
+    if isinstance(obj, dict):
+        return {k: to_json(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [to_json(v) for v in obj]
+    if is_dataclass(obj):
+        return {f.name: to_json(getattr(obj, f.name)) for f in fields(obj)}
+    return obj
 
 
-def hmmvec_to_json(m):
-    return {"pi": list(m.pi),
-            "alpha": [format_rat(x) for x in m.alpha],
-            "transitions": [[[format_rat(v) for v in row] for row in t]
-                            for t in m.transitions],
-            "emissions": [[[format_rat(v) for v in row] for row in o]
-                          for o in m.emissions],
-            "domain": list(m.domain)}
+def from_json(cls, obj):
+    """The instance of dataclass cls whose fields the JSON object holds."""
+    names = [f.name for f in fields(cls)]
+    if not isinstance(obj, dict):
+        raise ValueError(f"not an object with the keys {names}")
+    return cls(**{name: obj[name] for name in names})
 
 
-def hmmvec_from_json(obj):
-    return HmmVec(tuple(obj["pi"]),
-                  [parse_rat(x) for x in obj["alpha"]],
-                  [[[parse_rat(v) for v in row] for row in t]
-                   for t in obj["transitions"]],
-                  [[[parse_rat(v) for v in row] for row in o]
-                   for o in obj["emissions"]],
-                  tuple(obj["domain"]))
-
-
-def ind_from_json(obj):
-    return IndDist([{d: parse_rat(p) for d, p in m.items()}
-                    for m in obj["marginals"]], tuple(obj["domain"]))
-
-
-def ind_to_json(m):
-    return {"marginals": [{d: format_rat(p) for d, p in marg.items()}
-                          for marg in m.marginals],
-            "domain": list(m.domain)}
-
-
-def markov_from_json(obj):
-    return MarkovDist({d: parse_rat(p) for d, p in obj["init"].items()},
-                      {a: {b: parse_rat(p) for b, p in row.items()}
-                       for a, row in obj["trans"].items()},
-                      tuple(obj["domain"]))
-
-
-def markov_to_json(m):
-    return {"init": {d: format_rat(p) for d, p in m.init.items()},
-            "trans": {a: {b: format_rat(p) for b, p in row.items()}
-                      for a, row in m.trans.items()},
-            "domain": list(m.domain)}
-
-
-def nb_from_json(obj):
-    return NaiveBayes({y: parse_rat(p) for y, p in obj["prior"].items()},
-                      [{y: {d: parse_rat(p) for d, p in row.items()}
-                        for y, row in t.items()} for t in obj["tables"]],
-                      tuple(obj["domain"]))
-
-
-def nb_to_json(m):
-    return {"prior": {y: format_rat(p) for y, p in m.prior.items()},
-            "tables": [{y: {d: format_rat(p) for d, p in row.items()}
-                        for y, row in t.items()} for t in m.tables],
-            "domain": list(m.domain)}
+# names the benchmark's workloads call
+nb_to_json = ind_to_json = dataset_to_json = to_json

@@ -16,7 +16,8 @@ from math import factorial
 
 from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
-                     MarkovDist, NaiveBayes, TreeEnsemble, step)
+                     MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
+                     TreeEnsemble)
 from .rational import Rat, ZERO
 from .wa import NAlphabetWA
 
@@ -65,58 +66,7 @@ def check_enumerable(alphabet_size, n):
 
 
 # ---------------------------------------------------------------------------
-# sequential models evaluated from first principles
-
-
-@dataclass
-class RnnRelu:
-    """h_{w sigma} = ReLU(W h_w + v_sigma); f(w) = I(O . h_w >= 0)."""
-    h_init: list
-    W: list
-    emb: dict                # symbol -> vector
-    out: list
-    domain: tuple
-
-    def __post_init__(self):
-        dim = len(self.h_init)
-        if any(len(vec) != dim for vec in
-               (self.W, self.out, *self.W, *self.emb.values())):
-            raise ValueError(f"W, the embeddings and the output must match "
-                             f"the hidden dimension {dim}")
-        # exact sparse rows of W, embeddings and output, built once
-        self._rows = [[(b, Rat(x)) for b, x in enumerate(row) if x != 0]
-                      for row in self.W]
-        self._emb = {s: [Rat(x) for x in v] for s, v in self.emb.items()}
-        self._out = [Rat(o) for o in self.out]
-
-    def hidden(self, w):
-        h = [Rat(x) for x in self.h_init]
-        for sym in w:
-            h = [max(ZERO, sum((x * h[b] for b, x in row), ZERO) + v)
-                 for row, v in zip(self._rows, self._emb[sym])]
-        return h
-
-    def evaluate(self, w):
-        h = self.hidden(w)
-        return Rat(step(sum(o * x for o, x in zip(self._out, h))))
-
-
-@dataclass
-class SigmoidNet:
-    """f(x) = sigmoid(gain * (sum_j w_j x_j + bias)); binary-64 output."""
-    weights: list
-    bias: object
-    gain: float
-    domain: tuple = ("0", "1")
-
-    @property
-    def n(self):
-        return len(self.weights)
-
-    def evaluate(self, x):
-        z = sum(float(w) for w, sym in zip(self.weights, x) if sym == "1")
-        z += float(self.bias)
-        return 1.0 / (1.0 + math.exp(-self.gain * z))
+# the gadgets' source problems
 
 
 @dataclass
@@ -186,6 +136,10 @@ def hamming(w, w2):
     if len(w) != len(w2):
         raise ValueError("length mismatch")
     return sum(1 for a, b in zip(w, w2) if a != b)
+
+
+# ---------------------------------------------------------------------------
+# models evaluated from first principles
 
 
 def eval_model(model, x):

@@ -16,9 +16,10 @@ ONE = Rat(1)
 
 
 def rat(x) -> "Rat":
-    """Coerce an int, string ("p/q" or "p") or rational to Rat."""
-    if isinstance(x, float):
-        raise TypeError("refusing to coerce a float to an exact rational")
+    """Coerce an int, string ("p/q" or "p") or rational to Rat; a float or
+    a bool is refused with TypeError."""
+    if isinstance(x, (float, bool)):
+        raise TypeError(f"not an exact rational: {x!r}")
     return Rat(x)
 
 
@@ -26,13 +27,3 @@ def format_rat(x) -> str:
     """Serialize a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(Rat(x))
 
-
-def parse_rat(s) -> "Rat":
-    """Parse a JSON rational: an int or a "p/q" string."""
-    if isinstance(s, bool) or isinstance(s, float):
-        raise ValueError(f"not an exact rational: {s!r}")
-    if isinstance(s, int):
-        return Rat(s)
-    if isinstance(s, str):
-        return Rat(s)
-    raise ValueError(f"not an exact rational: {s!r}")

@@ -15,7 +15,7 @@ matrix is never materialized.
 """
 
 from .linalg import SpMat, vec_to_sparse
-from .rational import Rat, ZERO, ONE, format_rat, parse_rat, rat
+from .rational import Rat, ZERO, ONE, format_rat, rat
 
 
 class NAlphabetWA:
@@ -312,10 +312,6 @@ def wa_from_json(obj):
         for s in ab:
             if "," in s:
                 raise ValueError("symbols may not contain ','")
-    alpha = [parse_rat(x) for x in obj["alpha"]]
-    beta = [parse_rat(x) for x in obj["beta"]]
-    trans = {}
-    for key, rows in obj.get("transitions", {}).items():
-        sym = tuple(key.split(","))
-        trans[sym] = SpMat.from_dense([[parse_rat(x) for x in row] for row in rows])
-    return NAlphabetWA(alphabets, alpha, trans, beta)
+    trans = {tuple(key.split(",")): SpMat.from_dense(rows)
+             for key, rows in obj.get("transitions", {}).items()}
+    return NAlphabetWA(alphabets, obj["alpha"], trans, obj["beta"])

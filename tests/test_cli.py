@@ -5,18 +5,17 @@ from itertools import product
 import pytest
 
 from shapwa import cli
-from shapwa.gadgets import wmg_to_rnnrelu
+from shapwa.gadgets import wmg_to_rnnrelu, wmg_to_sigmoid
 from shapwa.hmm import hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.frontends import sequentialize
 from shapwa.models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
-                           LinearModel, TreeEnsemble, dt_to_json,
-                           ensemble_to_json, hmmvec_to_json, ind_to_json,
-                           markov_to_json)
-from shapwa.oracle import (SigmoidNet, Wmg, shap_oracle_global,
-                           shap_oracle_local)
-from shapwa.randgen import (rand_hmm, rand_hmmvec, rand_markov, rand_nb,
-                            rand_wa, rng_for)
+                           LinearModel, SigmoidNet, TreeEnsemble, dt_to_json,
+                           ensemble_to_json, to_json)
+from shapwa.oracle import Wmg, shap_oracle_global, shap_oracle_local
+from shapwa.randgen import (rand_dataset, rand_dt, rand_ensemble, rand_hmm,
+                            rand_hmmvec, rand_ind, rand_linear, rand_markov,
+                            rand_nb, rand_wa, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA, wa_from_json, wa_to_json, eval_wa
 
@@ -91,14 +90,14 @@ def inputs(tmp_path, and_model):
     docs = {
         "dt": {"type": "dt", "payload": dt_to_json(tree)},
         "rnn": {"type": "rnn",
-                "payload": cli.rnn_to_json(wmg_to_rnnrelu(Wmg([1, 1], 2)))},
+                "payload": to_json(wmg_to_rnnrelu(Wmg([1, 1], 2)))},
         "hmm": {"type": "hmm", "payload": hmm_to_json(uniform_hmm(B))},
         "ind": {"type": "ind",
-                "payload": ind_to_json(IndDist([half, half], B))},
+                "payload": to_json(IndDist([half, half], B))},
         "emp": {"type": "emp", "payload": {"rows": ["01", "11"]}},
         "markov": {"type": "markov",
-                   "payload": markov_to_json(rand_markov(rng_for(1)))},
-        "hmmvec": {"type": "hmmvec", "payload": hmmvec_to_json(
+                   "payload": to_json(rand_markov(rng_for(1)))},
+        "hmmvec": {"type": "hmmvec", "payload": to_json(
             rand_hmmvec(rng_for(2), 2, 2, B))},
     }
     paths = {k: write_json(tmp_path / f"{k}.json", v) for k, v in docs.items()}
@@ -276,6 +275,9 @@ def test_shap_malformed_model(capsys, tmp_path):
 HALF = {"0": "1/2", "1": "1/2"}
 ALIEN = {"0": "1/2", "x": "1/2"}
 IND = {"marginals": [HALF, HALF], "domain": B}
+RNN = {"h_init": ["1"], "W": [["1"]], "emb": {"0": ["0"], "1": ["1"]},
+       "out": ["1"], "domain": B}
+SIGMOID = {"weights": ["1", "1"], "bias": "-1/2", "gain": 1.0, "domain": B}
 # case -> (type tag, payload), or raw file bytes under the tag
 MALFORMED = {
     # a list where the format has an object
@@ -320,6 +322,25 @@ MALFORMED = {
     "markov-alien-init": ("markov", {"init": ALIEN,
                                      "trans": {"0": HALF, "1": HALF},
                                      "domain": B}),
+    # domain symbols that are not strings
+    "rnn-domain-list": ("rnn", {**RNN, "domain": ["0", ["1"]]}),
+    "sigmoid-domain-object": ("sigmoid", {**SIGMOID,
+                                          "domain": ["0", {"1": 1}]}),
+    # an emp payload is an object with "rows"
+    "emp-payload-string": ("emp", "x"),
+    "emp-payload-list": ("emp", ["01", "11"]),
+    "emp-rows-string": ("emp", {"rows": "0101"}),
+    # a sigmoid gain is a finite number
+    "sigmoid-gain-nan": ("sigmoid", {**SIGMOID, "gain": "nan"}),
+    "sigmoid-gain-bool": ("sigmoid", {**SIGMOID, "gain": True}),
+    "sigmoid-gain-huge": ("sigmoid", {**SIGMOID, "gain": 10 ** 400}),
+    # a float or a bool where a rational belongs, in each kind of file
+    "dt-bool-leaf": ("dt", {"n": 2, "domain": B, "root": {
+        "feature": 1, "children": {"0": {"leaf": "0"}, "1": {"leaf": True}}}}),
+    "linear-float-weight": ("linear", {"n": 2, "domain": B,
+                                       "weights": {"1,0": 0.1}}),
+    "rnn-float-rational": ("rnn", {**RNN, "out": [0.5]}),
+    "sigmoid-bool-weight": ("sigmoid", {**SIGMOID, "weights": [True, "1"]}),
 }
 MODEL_TAGS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
 
@@ -352,6 +373,31 @@ def test_malformed_file_exits_2_from_shap_and_convert(capsys, tmp_path,
         assert err.startswith("error:")
         assert "Traceback" not in err
     assert not out_path.exists()
+
+
+# type tag -> a sample object of that type
+SAMPLES = {
+    "wa": lambda rng: rand_wa(rng, 3, B),
+    "dt": lambda rng: rand_dt(rng, 3),
+    "ensemble": lambda rng: rand_ensemble(rng, 3),
+    "linear": lambda rng: rand_linear(rng, 3),
+    "rnn": lambda rng: wmg_to_rnnrelu(Wmg([2, 1, 1], 3)),
+    "sigmoid": lambda rng: wmg_to_sigmoid(Wmg([2, 1, 1], 3), 1).model,
+    "hmm": lambda rng: rand_hmm(rng, 2, B),
+    "hmmvec": lambda rng: rand_hmmvec(rng, 3, 2, B, permute=True),
+    "emp": lambda rng: rand_dataset(rng, 3, 4),
+    "ind": lambda rng: rand_ind(rng, 3),
+    "markov": lambda rng: rand_markov(rng),
+    "nb": lambda rng: rand_nb(rng, 3),
+}
+
+
+@pytest.mark.parametrize("tag", sorted(cli.CODECS))
+def test_codec_roundtrip(tmp_path, tag):
+    doc = cli.encode(SAMPLES[tag](rng_for(46)))
+    assert doc["type"] == tag
+    path = write_json(tmp_path / f"{tag}.json", doc)
+    assert cli.encode(cli._read(path, "file", (tag,))[0]) == doc
 
 
 def test_convert_dt_roundtrip(capsys, tmp_path):

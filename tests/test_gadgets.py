@@ -46,7 +46,7 @@ def test_sigmoid_near_threshold_game():
     # with that eps (and its matching gain) phi_b dips below it, so the
     # working construction must use a strictly smaller threshold
     import math
-    from shapwa.oracle import SigmoidNet
+    from shapwa.models import SigmoidNet
 
     g = Wmg([4, 5], 1)
     assert not dummy_check(g, 1)

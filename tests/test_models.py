@@ -5,12 +5,9 @@ import pytest
 from shapwa.hmm import Hmm, hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                            LinearModel, MarkovDist, NaiveBayes, TreeEnsemble,
-                           dataset_from_json, dataset_to_json, dt_from_json,
-                           dt_to_json, ensemble_from_json, ensemble_to_json,
-                           hmmvec_from_json, hmmvec_to_json, ind_from_json,
-                           ind_to_json, linear_from_json, linear_to_json,
-                           markov_from_json, markov_to_json, nb_from_json,
-                           nb_to_json, step)
+                           dt_from_json, dt_to_json, ensemble_from_json,
+                           ensemble_to_json, from_json, linear_from_json,
+                           linear_to_json, step, to_json)
 from shapwa.randgen import (rand_dt, rand_ensemble, rand_hmmvec, rand_ind,
                             rand_linear, rand_markov, rand_nb, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
@@ -202,13 +199,13 @@ def test_json_roundtrips():
         assert lin2.evaluate(x) == lin.evaluate(x)
 
     v = rand_hmmvec(rng, 3, 2, B)
-    v2 = hmmvec_from_json(hmmvec_to_json(v))
+    v2 = from_json(HmmVec, to_json(v))
     ind = rand_ind(rng, 3)
-    ind2 = ind_from_json(ind_to_json(ind))
+    ind2 = from_json(IndDist, to_json(ind))
     mk = rand_markov(rng)
-    mk2 = markov_from_json(markov_to_json(mk))
+    mk2 = from_json(MarkovDist, to_json(mk))
     nb = rand_nb(rng, 3)
-    nb2 = nb_from_json(nb_to_json(nb))
+    nb2 = from_json(NaiveBayes, to_json(nb))
     for x in words(3):
         assert v2.prob(x) == v.prob(x)
         assert ind2.prob(x) == ind.prob(x)
@@ -216,7 +213,7 @@ def test_json_roundtrips():
         assert nb2.prob(x) == nb.prob(x)
 
     d = Dataset(["01", "11"])
-    assert dataset_from_json(dataset_to_json(d)).rows == d.rows
+    assert from_json(Dataset, to_json(d)).rows == d.rows
 
 
 def test_hmm_json_both_forms():

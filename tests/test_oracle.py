@@ -5,13 +5,12 @@ import pytest
 
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import Dataset, IndDist
-from shapwa.oracle import (CspInstance, GuardExceeded, RnnRelu, Wmg,
+from shapwa.models import Dataset, IndDist, RnnRelu, step
+from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
                            ZeroProbabilityEvent, csp_brute, dummy_check,
                            empty_brute, eval_model, hamming,
                            shap_oracle_global, shap_oracle_local, value_fn)
 from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
-from shapwa.models import step
 from shapwa.randgen import (rand_csp, rand_ind, rand_wa, rand_wmg, rand_word,
                             rng_for)
 from shapwa.rational import Rat, ZERO, ONE

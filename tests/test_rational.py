@@ -2,7 +2,10 @@ import pytest
 
 from shapwa.hmm import Hmm
 from shapwa.linalg import SpMat
-from shapwa.rational import ONE, Rat, format_rat, parse_rat, rat
+from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
+                           MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
+                           TreeEnsemble)
+from shapwa.rational import ONE, Rat, ZERO, format_rat, rat
 from shapwa.wa import NAlphabetWA
 
 
@@ -15,32 +18,72 @@ def test_arithmetic_closure():
 
 def test_format_parse_roundtrip():
     for x in (Rat(0), Rat(5), Rat(-3, 7), Rat(22, 4)):
-        assert parse_rat(format_rat(x)) == x
+        assert rat(format_rat(x)) == x
 
 
 def test_parse_integer_strings():
-    assert parse_rat("4") == 4
-    assert parse_rat("-4") == -4
-    assert parse_rat("3/6") == Rat(1, 2)
+    assert rat("4") == 4
+    assert rat("-4") == -4
+    assert rat("3/6") == Rat(1, 2)
 
 
 def test_floats_rejected():
     with pytest.raises((TypeError, ValueError)):
         rat(0.5)
     with pytest.raises((TypeError, ValueError)):
-        parse_rat(0.5)
-    with pytest.raises((TypeError, ValueError)):
-        parse_rat(True)
+        rat(True)
 
 
-@pytest.mark.parametrize("build", [
+def test_from_dense_drops_zero_strings():
+    assert SpMat.from_dense([["0", "1/2"], ["0", "0"]]).nnz == 1
+
+
+B = ("0", "1")
+HALF = Rat(1, 2)
+
+
+def _tree(leaf):
+    return DecisionTree(DTNode(feature=1, children={
+        "0": DTNode(leaf=ZERO), "1": DTNode(leaf=leaf)}), 1, B)
+
+
+# name -> a constructor call with one rational field set to x
+CONTAINERS = {
+    "tree-leaf": _tree,
+    "ensemble-weight": lambda x: TreeEnsemble([_tree(ONE)], [x],
+                                              "regression"),
+    "linear-weight": lambda x: LinearModel(1, B, {(1, "0"): x}),
+    "linear-intercept": lambda x: LinearModel(1, B, {}, x),
+    "hmmvec": lambda x: HmmVec((1,), [ONE], [[[ONE]]], [[[x, HALF]]], B),
+    "ind": lambda x: IndDist([{"0": x, "1": HALF}], B),
+    "markov": lambda x: MarkovDist({"0": x, "1": HALF},
+                                   {"0": {"0": ONE}, "1": {"1": ONE}}, B),
+    "nb": lambda x: NaiveBayes({"c": x, "d": HALF},
+                               [{"c": {"0": ONE}, "d": {"0": ONE}}], B),
+    "rnn": lambda x: RnnRelu(h_init=[x], W=[[ONE]], emb={"0": [ZERO]},
+                             out=[ONE], domain=("0",)),
+    "sigmoid": lambda x: SigmoidNet([x], ZERO, 1.0),
+}
+BUILDS = [
     lambda: NAlphabetWA([("0",)], [0.5], {}, [ONE]),
     lambda: NAlphabetWA([("0",)], [ONE], {}, [0.5]),
     lambda: SpMat(1).set(0, 0, 0.1),
     lambda: SpMat.from_dense([[0.1]]),
     lambda: Hmm.from_matrices([ONE], [[1.0]], [[ONE]], ("0",)),
-], ids=["wa-alpha", "wa-beta", "spmat-set", "spmat-from-dense",
-        "hmm-from-matrices"])
+    *(lambda build=build, x=x: build(x)
+      for build in CONTAINERS.values() for x in (0.5, True)),
+]
+IDS = ["wa-alpha", "wa-beta", "spmat-set", "spmat-from-dense",
+       "hmm-from-matrices",
+       *(f"{name}-{kind}" for name in CONTAINERS for kind in ("float", "bool"))]
+
+
+@pytest.mark.parametrize("build", BUILDS, ids=IDS)
 def test_exact_entry_points_refuse_floats(build):
     with pytest.raises(TypeError):
         build()
+
+
+@pytest.mark.parametrize("name", CONTAINERS)
+def test_containers_accept_the_exact_value(name):
+    CONTAINERS[name](HALF)
