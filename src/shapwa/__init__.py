@@ -10,14 +10,13 @@ gadget instances.
 """
 
 from .rational import Rat, rat, format_rat
-from .wa import (NAlphabetWA, NAlphabetDFA, eval_wa, add, scale, sub, kron,
-                 project, contract, pi1, pi0, dfa_to_wa,
-                 wa_to_json, wa_from_json)
+from .wa import (NAlphabetWA, eval_wa, add, scale, sub, kron, project,
+                 contract, pi1, pi0, dfa_to_wa, chain_wa, wa_to_json,
+                 wa_from_json)
 from .hmm import Hmm, uniform_hmm, hmm_to_json, hmm_from_json
 from .patterns import swap, do_op, matches, coalition_weight
 from .builders import (build_A_wi, build_A_in, build_T_w, build_T_wi,
-                       build_T, build_T_i, build_point_hmm, count_Lik,
-                       pipeline_shap)
+                       build_T, build_T_i, build_point_hmm, pipeline_shap)
 from .engine import shap_all, loc_i_shap, loc_b_shap, glo_i_shap, glo_b_shap
 from .models import (DecisionTree, DTNode, TreeEnsemble, LinearModel,
                      RnnRelu, SigmoidNet, HmmVec, Dataset, IndDist,

@@ -23,8 +23,8 @@ from .hmm import Hmm
 from .linalg import SpMat
 from .patterns import HASH
 from .rational import Rat, ZERO, ONE
-from .wa import (NAlphabetWA, NAlphabetDFA, contract, dfa_to_wa, kron,
-                 project, sub)
+from .wa import (NAlphabetWA, chain_wa, contract, dfa_to_wa, kron, project,
+                 sub)
 
 
 def hash_alphabet(alphabet):
@@ -38,16 +38,6 @@ def hash_alphabet(alphabet):
 def _phi(s1, s2, s3, s4):
     # position predicate of the do-operator: copy w' under '#', copy w otherwise
     return (s1 == HASH and s3 == s2) or (s1 != HASH and s3 == s4)
-
-
-def count_Lik(w, i, k):
-    """Number of patterns p with w in L_p, p_i = '#', |p|_# = k."""
-    n = len(w)
-    if not (1 <= k <= n):
-        raise ValueError(f"k={k} out of range for |w|={n}")
-    if not (1 <= i <= n):
-        raise IndexError(f"position {i} out of range")
-    return comb(n - 1, k - 1)
 
 
 def _awi_weights(n):
@@ -80,8 +70,7 @@ def build_A_wi(w, i, alphabet):
                     mat.set(state(l, e), state(l + 1, e + 1), ONE)
                 elif l != i and w[l - 1] == sigma:
                     mat.set(state(l, e), state(l + 1, e), ONE)
-        if mat.rows:
-            trans[(sigma,)] = mat
+        trans[(sigma,)] = mat
     alpha = [ZERO] * dim
     alpha[state(1, 0)] = ONE
     beta = [ZERO] * dim
@@ -101,17 +90,9 @@ def build_A_in(i, n, alphabet):
     alphabet = tuple(alphabet)
     sig_h = hash_alphabet(alphabet)
 
-    delta = {}
-    for q in range(1, n + 1):
-        for s1, s2 in product(sig_h, alphabet):
-            if q == i:
-                ok = s1 == HASH
-            else:
-                ok = s1 == HASH or s1 == s2
-            if ok:
-                delta[(q, (s1, s2))] = q + 1
-    membership = dfa_to_wa(NAlphabetDFA(
-        [sig_h, alphabet], range(1, n + 2), 1, delta, {n + 1}))
+    membership = chain_wa(
+        [sig_h, alphabet], n,
+        lambda q, key: key[0] == HASH or (q != i and key[0] == key[1]))
 
     dim = n + 1  # #-count 0..n
     weights = _awi_weights(n)
@@ -134,24 +115,11 @@ def build_A_in(i, n, alphabet):
     return kron(membership, counter)
 
 
-def _chain_3tape(w, alphabet, advance):
-    n = len(w)
-    sig_h = hash_alphabet(alphabet)
-    alphabet = tuple(alphabet)
-    delta = {}
-    for q in range(1, n + 1):
-        for key in product(sig_h, alphabet, alphabet):
-            if advance(q, key):
-                delta[(q, key)] = q + 1
-    return dfa_to_wa(NAlphabetDFA(
-        [sig_h, alphabet, alphabet], range(1, n + 2), 1, delta, {n + 1}))
-
-
 def build_T_w(w, alphabet):
     """Indicator g_w(p, w', u) = I(do(p, w', w) = u), a |w|+1 state chain."""
-    return _chain_3tape(
-        w, alphabet,
-        lambda q, key: _phi(key[0], key[1], key[2], w[q - 1]))
+    alphabet = tuple(alphabet)
+    return chain_wa([hash_alphabet(alphabet), alphabet, alphabet], len(w),
+                    lambda q, key: _phi(*key, w[q - 1]))
 
 
 def build_T_wi(w, i, alphabet):
@@ -159,13 +127,14 @@ def build_T_wi(w, i, alphabet):
     n = len(w)
     if not (1 <= i <= n):
         raise IndexError(f"position {i} out of range")
+    alphabet = tuple(alphabet)
 
-    def advance(q, key):
+    def step(q, key):
         if q == i:
             return key[2] == w[q - 1]
-        return _phi(key[0], key[1], key[2], w[q - 1])
+        return _phi(*key, w[q - 1])
 
-    return _chain_3tape(w, alphabet, advance)
+    return chain_wa([hash_alphabet(alphabet), alphabet, alphabet], n, step)
 
 
 def build_T(alphabet):
@@ -176,8 +145,8 @@ def build_T(alphabet):
     for key in product(sig_h, alphabet, alphabet, alphabet):
         if _phi(*key):
             delta[(1, key)] = 1
-    return dfa_to_wa(NAlphabetDFA(
-        [sig_h, alphabet, alphabet, alphabet], [1], 1, delta, {1}))
+    return dfa_to_wa([sig_h, alphabet, alphabet, alphabet], [1], 1, delta,
+                     {1})
 
 
 def build_T_i(i, alphabet):
@@ -196,9 +165,8 @@ def build_T_i(i, alphabet):
             delta[(i, key)] = i + 1
         if phi:
             delta[(i + 1, key)] = i + 1
-    return dfa_to_wa(NAlphabetDFA(
-        [sig_h, alphabet, alphabet, alphabet], range(1, i + 2), 1, delta,
-        {i + 1}))
+    return dfa_to_wa([sig_h, alphabet, alphabet, alphabet], range(1, i + 2),
+                     1, delta, {i + 1})
 
 
 def build_point_hmm(w_ref, alphabet):
@@ -215,8 +183,7 @@ def build_point_hmm(w_ref, alphabet):
             if w_ref[q] == sigma:
                 mat.set(q, q + 1, ONE)
         mat.set(n, n, u)
-        if mat.rows:
-            trans[(sigma,)] = mat
+        trans[(sigma,)] = mat
     alpha = [ONE] + [ZERO] * n
     return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * dim))
 

@@ -12,7 +12,7 @@ from .hmm import Hmm
 from .linalg import SpMat
 from .models import HmmVec
 from .rational import Rat, ZERO, ONE
-from .wa import NAlphabetWA, NAlphabetDFA, add, dfa_to_wa, scale
+from .wa import NAlphabetWA, add, chain_wa, scale
 
 
 def feature_order(order, n):
@@ -37,27 +37,20 @@ def constant_wa(c, alphabet):
 
 
 def _leaf_chain(constraints, n, order, alphabet):
-    # chain DFA accepting exactly the inputs routed to this leaf
-    delta = {}
-    for pos in range(1, n + 1):
-        feature = order[pos - 1]
-        required = constraints.get(feature)
-        for s in alphabet:
-            if required is None or s == required:
-                delta[(pos, (s,))] = pos + 1
-    return dfa_to_wa(NAlphabetDFA([alphabet], range(1, n + 2), 1, delta,
-                                  {n + 1}))
+    # chain acceptor of exactly the inputs routed to this leaf
+    def step(q, key):
+        required = constraints.get(order[q - 1])
+        return required is None or key == (required,)
+
+    return chain_wa([alphabet], n, step)
 
 
 def dt_to_wa(tree, order=None):
     """Sum of value-scaled per-leaf chain acceptors; size O(#leaves * n)."""
     order = feature_order(order, tree.n)
-    total = None
-    for constraints, value in tree.leaves():
-        piece = scale(value, _leaf_chain(constraints, tree.n, order,
-                                         tree.domain))
-        total = piece if total is None else add(total, piece)
-    return total
+    return add(*(scale(value, _leaf_chain(constraints, tree.n, order,
+                                          tree.domain))
+                 for constraints, value in tree.leaves()))
 
 
 def ensemble_reg_to_wa(ensemble, order=None):
@@ -65,11 +58,8 @@ def ensemble_reg_to_wa(ensemble, order=None):
         raise ValueError(
             "vote-classification ensembles cannot be compiled to a WA; "
             "their SHAP values are intractable in general")
-    total = None
-    for tree, w in zip(ensemble.trees, ensemble.weights):
-        piece = scale(w, dt_to_wa(tree, order))
-        total = piece if total is None else add(total, piece)
-    return total
+    return add(*(scale(w, dt_to_wa(tree, order))
+                 for tree, w in zip(ensemble.trees, ensemble.weights)))
 
 
 def linear_to_wa(model, order=None):
@@ -216,8 +206,7 @@ def markov_to_hmm(dist):
             p = dist.trans.get(a, {}).get(sym, ZERO)
             if p != 0:
                 mat.set(1 + ai, 1 + si, p)
-        if mat.rows:
-            trans[(sym,)] = mat
+        trans[(sym,)] = mat
     alpha = [ONE] + [ZERO] * k
     return Hmm(NAlphabetWA([domain], alpha, trans, [ONE] * dim))
 

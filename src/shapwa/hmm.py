@@ -8,7 +8,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ZERO, ONE, format_rat, rat
+from .rational import Rat, ZERO, ONE, format_rat, rats
 from .wa import NAlphabetWA, eval_wa
 
 
@@ -36,16 +36,15 @@ class Hmm:
         """Build from <alpha, T, O>: A_sigma = T * Diag(O[:, sigma])."""
         n = len(alpha)
         alphabet = tuple(alphabet)
+        transition = [rats(row) for row in transition]
+        emission = [rats(row) for row in emission]
         trans = {}
         for s, sigma in enumerate(alphabet):
             mat = SpMat(n)
             for i in range(n):
                 for j in range(n):
-                    v = rat(transition[i][j]) * rat(emission[j][s])
-                    if v != 0:
-                        mat.set(i, j, v)
-            if mat.rows:
-                trans[(sigma,)] = mat
+                    mat.set(i, j, transition[i][j] * emission[j][s])
+            trans[(sigma,)] = mat
         wa = NAlphabetWA([alphabet], alpha, trans, [ONE] * n)
         return cls(wa)
 
@@ -99,11 +98,8 @@ def hmm_from_json(obj):
     alphabet = tuple(obj["alphabet"])
     alpha = obj["alpha"]
     if "matrices" in obj:
-        trans = {}
-        for sym in alphabet:
-            mat = SpMat.from_dense(obj["matrices"][sym])
-            if mat.rows:
-                trans[(sym,)] = mat
+        trans = {(sym,): SpMat.from_dense(obj["matrices"][sym])
+                 for sym in alphabet}
         return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * len(alpha)))
     return Hmm.from_matrices(alpha, obj["transition"], obj["emission"],
                              alphabet)

@@ -7,7 +7,7 @@ use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 """
 
-from .rational import ZERO, rat
+from .rational import ZERO, rat, rats
 
 
 class SpMat:
@@ -84,13 +84,6 @@ class SpMat:
                 out.rows.setdefault(j, {})[i] = v
         return out
 
-    def block_diag(self, other):
-        out = SpMat(self.n + other.n)
-        out.rows = {i: dict(row) for i, row in self.rows.items()}
-        for i, row in other.rows.items():
-            out.rows[i + self.n] = {j + self.n: v for j, v in row.items()}
-        return out
-
     def vecmat(self, v):
         """Row-vector times matrix: v is a sparse dict, result likewise."""
         out = {}
@@ -107,12 +100,13 @@ class SpMat:
 
     @classmethod
     def from_dense(cls, rows):
+        rows = [rats(row) for row in rows]
         n = len(rows)
         out = cls(n)
         for i, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError("matrix is not square")
-            for j, v in enumerate(map(rat, row)):
+            for j, v in enumerate(row):
                 if v != 0:
                     out.rows.setdefault(i, {})[j] = v
         return out

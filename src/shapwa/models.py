@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 
-from .rational import Rat, ZERO, ONE, format_rat, rat
+from .rational import Rat, ZERO, ONE, format_rat, rat, rats
 
 
 def step(x):
@@ -118,7 +118,7 @@ class TreeEnsemble:
         if len({(t.n, t.domain) for t in self.trees}) != 1:
             raise ValueError("an ensemble needs trees that share one n and "
                              "one domain")
-        self.weights = [rat(w) for w in self.weights]
+        self.weights = rats(self.weights)
 
     @property
     def n(self):
@@ -183,11 +183,10 @@ class HmmVec:
         if not (len(self.transitions) == len(self.emissions) == n):
             raise ValueError("one transition/emission matrix per position")
         self.domain = _domain(self.domain)
-        self.alpha = [rat(x) for x in self.alpha]
-        self.transitions = [[[rat(v) for v in row] for row in m]
+        self.alpha = rats(self.alpha)
+        self.transitions = [[rats(row) for row in m]
                             for m in self.transitions]
-        self.emissions = [[[rat(v) for v in row] for row in m]
-                          for m in self.emissions]
+        self.emissions = [[rats(row) for row in m] for m in self.emissions]
         if sum(self.alpha) != 1 or any(x < 0 for x in self.alpha):
             raise ValueError("alpha is not a distribution")
         dim, k = len(self.alpha), len(self.domain)
@@ -346,10 +345,10 @@ class RnnRelu:
 
     def __post_init__(self):
         self.domain = _domain(self.domain)
-        self.h_init = [rat(x) for x in self.h_init]
-        self.W = [[rat(x) for x in row] for row in self.W]
-        self.emb = {s: [rat(x) for x in v] for s, v in self.emb.items()}
-        self.out = [rat(x) for x in self.out]
+        self.h_init = rats(self.h_init)
+        self.W = [rats(row) for row in self.W]
+        self.emb = {s: rats(v) for s, v in self.emb.items()}
+        self.out = rats(self.out)
         dim = len(self.h_init)
         if any(len(vec) != dim for vec in
                (self.W, self.out, *self.W, *self.emb.values())):
@@ -381,7 +380,7 @@ class SigmoidNet:
 
     def __post_init__(self):
         self.domain = _domain(self.domain)
-        self.weights = [rat(w) for w in self.weights]
+        self.weights = rats(self.weights)
         self.bias = rat(self.bias)
         if (isinstance(self.gain, bool)
                 or not isinstance(self.gain, (int, float))

@@ -287,8 +287,8 @@ def shap_oracle_global(variant, f, i, n, ctx, dist):
 
 def dummy_check(game, i):
     """True iff player i never changes any coalition's value."""
-    if game.n > SHAP_GUARD_N:
-        raise GuardExceeded(f"N={game.n} exceeds the guard {SHAP_GUARD_N}")
+    # 2^(N-1) coalitions, two values each
+    _check_bits(game.n, "the dummy check")
     others = [j for j in range(1, game.n + 1) if j != i]
     for size in range(len(others) + 1):
         for S in combinations(others, size):

@@ -13,7 +13,7 @@ from .models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                      LinearModel, MarkovDist, NaiveBayes, TreeEnsemble)
 from .oracle import CnfFormula, CspInstance, Wmg
 from .rational import Rat
-from .wa import NAlphabetWA, NAlphabetDFA, dfa_to_wa
+from .wa import NAlphabetWA, dfa_to_wa
 
 BINARY = ("0", "1")
 
@@ -63,7 +63,7 @@ def rand_01_wa(rng, n_states, alphabet):
     delta = {(q, (s,)): rng.randrange(n_states)
              for q in states for s in alphabet}
     finals = {q for q in states if rng.random() < 0.5}
-    return dfa_to_wa(NAlphabetDFA([alphabet], states, 0, delta, finals))
+    return dfa_to_wa([alphabet], states, 0, delta, finals)
 
 
 def rand_hmm(rng, dim, alphabet):

@@ -23,6 +23,14 @@ def rat(x) -> "Rat":
     return Rat(x)
 
 
+def rats(values) -> list:
+    """rat of each element of a list or tuple; anything else, a string
+    included, is refused with TypeError."""
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"not a list of rationals: {values!r}")
+    return [rat(x) for x in values]
+
+
 def format_rat(x) -> str:
     """Serialize a rational as "p/q" (or "p" when the denominator is 1)."""
     return str(Rat(x))

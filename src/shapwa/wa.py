@@ -11,11 +11,15 @@ below (add, scale, kron, project) realizes pointwise sum, scaling,
 product and tape marginalization; contract (and its forms pi1/pi0)
 sums an automaton times weight automata on its tapes down to a scalar,
 with factored sparse matrix-vector products so the Kronecker-product
-matrix is never materialized.
+matrix is never materialized.  Every 0/1 automaton is the indicator of a
+deterministic acceptor, built by dfa_to_wa or, for a chain that steps
+one position per symbol, by chain_wa.
 """
 
+from itertools import product
+
 from .linalg import SpMat, vec_to_sparse
-from .rational import Rat, ZERO, ONE, format_rat, rat
+from .rational import Rat, ZERO, ONE, format_rat, rat, rats
 
 
 class NAlphabetWA:
@@ -32,8 +36,8 @@ class NAlphabetWA:
                 raise ValueError("empty alphabet")
             if len(set(ab)) != len(ab):
                 raise ValueError("duplicate symbols in alphabet")
-        self.alpha = tuple(rat(x) for x in alpha)
-        self.beta = tuple(rat(x) for x in beta)
+        self.alpha = tuple(rats(alpha))
+        self.beta = tuple(rats(beta))
         n = len(self.alpha)
         if len(self.beta) != n:
             raise ValueError("alpha/beta length mismatch")
@@ -102,15 +106,22 @@ def _check_same_shape(A, B):
         raise ValueError("alphabet/arity mismatch")
 
 
-def add(A, B):
-    """Block-diagonal sum: f_{A+B} = f_A + f_B, dim adds."""
-    _check_same_shape(A, B)
+def add(A, *rest):
+    """Block-diagonal sum: f_{A+B+...} = f_A + f_B + ..., dims add."""
+    parts = (A, *rest)
+    for B in rest:
+        _check_same_shape(A, B)
+    dim = sum(B.dim for B in parts)
     trans = {}
-    for key in set(A.transitions) | set(B.transitions):
-        ma = A.transitions.get(key, SpMat(A.dim))
-        mb = B.transitions.get(key, SpMat(B.dim))
-        trans[key] = ma.block_diag(mb)
-    return NAlphabetWA(A.alphabets, A.alpha + B.alpha, trans, A.beta + B.beta)
+    offset = 0
+    for B in parts:
+        for key, mat in B.transitions.items():
+            rows = trans.setdefault(key, SpMat(dim)).rows
+            for i, row in mat.rows.items():
+                rows[i + offset] = {j + offset: v for j, v in row.items()}
+        offset += B.dim
+    return NAlphabetWA(A.alphabets, [x for B in parts for x in B.alpha],
+                       trans, [x for B in parts for x in B.beta])
 
 
 def scale(c, A):
@@ -241,53 +252,39 @@ def pi0(A, length):
     return contract(A, [], length)
 
 
-class NAlphabetDFA:
-    """Deterministic acceptor over N synchronized tapes.
+def dfa_to_wa(alphabets, states, initial, delta, finals):
+    """0/1 indicator automaton of a deterministic acceptor over N tapes.
 
     states are arbitrary hashables; delta maps (state, symbol tuple) to a
     state and is partial (missing key = reject).
     """
-
-    def __init__(self, alphabets, states, initial, delta, finals):
-        self.alphabets = tuple(tuple(a) for a in alphabets)
-        self.states = list(states)
-        if initial not in set(self.states):
-            raise ValueError("initial state unknown")
-        self.initial = initial
-        state_set = set(self.states)
-        for (q, key), q2 in delta.items():
-            if q not in state_set or q2 not in state_set:
-                raise ValueError("transition over unknown state")
-            if len(key) != len(self.alphabets):
-                raise ValueError("tuple arity mismatch")
-        self.delta = dict(delta)
-        self.finals = set(finals)
-        if not self.finals <= state_set:
-            raise ValueError("final state unknown")
-
-    def accepts(self, words):
-        q = self.initial
-        length = len(words[0]) if words else 0
-        for j in range(length):
-            key = tuple(w[j] for w in words)
-            q = self.delta.get((q, key))
-            if q is None:
-                return False
-        return q in self.finals
-
-
-def dfa_to_wa(D):
-    """0/1 indicator automaton of a DFA's language."""
-    index = {q: i for i, q in enumerate(D.states)}
-    n = len(D.states)
-    alpha = [ZERO] * n
-    alpha[index[D.initial]] = ONE
-    beta = [ONE if q in D.finals else ZERO for q in D.states]
+    states = list(states)
+    index = {q: k for k, q in enumerate(states)}
+    if initial not in index:
+        raise ValueError("initial state unknown")
+    finals = set(finals)
+    if not finals <= index.keys():
+        raise ValueError("final state unknown")
+    n = len(states)
     trans = {}
-    for (q, key), q2 in D.delta.items():
-        mat = trans.setdefault(key, SpMat(n))
-        mat.set(index[q], index[q2], ONE)
-    return NAlphabetWA(D.alphabets, alpha, trans, beta)
+    for (q, key), q2 in delta.items():
+        if q not in index or q2 not in index:
+            raise ValueError("transition over unknown state")
+        trans.setdefault(key, SpMat(n)).set(index[q], index[q2], ONE)
+    alpha = [ZERO] * n
+    alpha[index[initial]] = ONE
+    beta = [ONE if q in finals else ZERO for q in states]
+    return NAlphabetWA(alphabets, alpha, trans, beta)
+
+
+def chain_wa(alphabets, length, step):
+    """0/1 acceptor of the length-`length` tapes whose symbol tuple at each
+    position q (1-based) satisfies step(q, key): states 1..length+1, where
+    q steps to q+1."""
+    keys = list(product(*alphabets))
+    delta = {(q, key): q + 1 for q in range(1, length + 1) for key in keys
+             if step(q, key)}
+    return dfa_to_wa(alphabets, range(1, length + 2), 1, delta, {length + 1})
 
 
 # ---------------------------------------------------------------------------

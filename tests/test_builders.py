@@ -1,12 +1,10 @@
 from itertools import product
-from math import comb
 
 import pytest
 
 from shapwa.builders import (build_A_in, build_A_wi, build_point_hmm, build_T,
-                             build_T_i, build_T_w, build_T_wi, count_Lik,
-                             hash_alphabet)
-from shapwa.patterns import coalition_weight, do_op, hash_count, matches, swap
+                             build_T_i, build_T_w, build_T_wi, hash_alphabet)
+from shapwa.patterns import coalition_weight, do_op, swap
 from shapwa.rational import Rat, ZERO
 from shapwa.wa import eval_wa, pi0
 
@@ -52,22 +50,6 @@ def test_awi_size_and_errors():
         build_A_wi("01", 3, B)
     with pytest.raises(ValueError):
         hash_alphabet(("0", "#"))
-
-
-def test_count_lik():
-    assert count_Lik("010", 2, 1) == 1
-    assert count_Lik("010", 1, 2) == 2
-    assert count_Lik("01010", 3, 3) == 6  # C(4,2)
-    # against direct enumeration
-    for w in ("0110",):
-        for i in (1, 3):
-            for k in range(1, 5):
-                count = sum(1 for p in words(BH, 4)
-                            if matches(w, p) and p[i - 1] == "#"
-                            and hash_count(p) == k)
-                assert count_Lik(w, i, k) == count == comb(3, k - 1)
-    with pytest.raises(ValueError):
-        count_Lik("010", 1, 4)
 
 
 # ---------------------------------------------------------------------------

@@ -278,6 +278,8 @@ IND = {"marginals": [HALF, HALF], "domain": B}
 RNN = {"h_init": ["1"], "W": [["1"]], "emb": {"0": ["0"], "1": ["1"]},
        "out": ["1"], "domain": B}
 SIGMOID = {"weights": ["1", "1"], "bias": "-1/2", "gain": 1.0, "domain": B}
+TREE = {"n": 2, "domain": B, "root": {
+    "feature": 1, "children": {"0": {"leaf": "0"}, "1": {"leaf": "1"}}}}
 # case -> (type tag, payload), or raw file bytes under the tag
 MALFORMED = {
     # a list where the format has an object
@@ -341,6 +343,24 @@ MALFORMED = {
                                        "weights": {"1,0": 0.1}}),
     "rnn-float-rational": ("rnn", {**RNN, "out": [0.5]}),
     "sigmoid-bool-weight": ("sigmoid", {**SIGMOID, "weights": [True, "1"]}),
+    # a string where a list of rationals belongs
+    "rnn-W-strings": ("rnn", {"h_init": ["1", "0"], "W": ["12", "01"],
+                              "emb": {"0": ["0", "0"], "1": ["1", "1"]},
+                              "out": ["1", "1"], "domain": B}),
+    "wa-alpha-string": ("wa", {"alphabets": [B], "alpha": "1", "beta": ["1"],
+                               "transitions": {"1": [["1"]]}}),
+    "wa-row-string": ("wa", {"alphabets": [B], "alpha": ["1"], "beta": ["1"],
+                             "transitions": {"1": ["1"]}}),
+    "sigmoid-weights-string": ("sigmoid", {**SIGMOID, "weights": "12"}),
+    "ensemble-weights-string": ("ensemble", {"trees": [TREE, TREE],
+                                             "weights": "12",
+                                             "mode": "regression"}),
+    "hmm-transition-strings": ("hmm", {"alphabet": B, "alpha": ["1"],
+                                       "transition": ["1"],
+                                       "emission": [["1/2", "1/2"]]}),
+    "hmmvec-alpha-string": ("hmmvec", {
+        "pi": [1, 2], "alpha": "1", "transitions": [[["1"]]] * 2,
+        "emissions": [[["1/2", "1/2"]]] * 2, "domain": B}),
 }
 MODEL_TAGS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
 

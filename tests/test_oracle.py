@@ -150,6 +150,14 @@ def test_guard_bounds_the_whole_job():
     assert time.perf_counter() - start < 1
 
 
+def test_dummy_check_honours_the_guard_setting(monkeypatch):
+    # 2^11 coalitions, two values each: 12 bits
+    monkeypatch.setenv("SHAPWA_GUARD_BITS", "4")
+    with pytest.raises(GuardExceeded):
+        dummy_check(Wmg([1] * 12, 3), 1)
+    assert dummy_check(Wmg([0, 1, 1, 1], 1), 1)  # 4 bits: allowed
+
+
 def test_dummy_check():
     assert dummy_check(Wmg([0, 1], 1), 1)       # zero power
     assert not dummy_check(Wmg([1, 1], 2), 1)   # S={2} flips

@@ -5,7 +5,7 @@ from shapwa.linalg import SpMat
 from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
-from shapwa.rational import ONE, Rat, ZERO, format_rat, rat
+from shapwa.rational import ONE, Rat, ZERO, format_rat, rat, rats
 from shapwa.wa import NAlphabetWA
 
 
@@ -87,3 +87,36 @@ def test_exact_entry_points_refuse_floats(build):
 @pytest.mark.parametrize("name", CONTAINERS)
 def test_containers_accept_the_exact_value(name):
     CONTAINERS[name](HALF)
+
+
+def test_rats_coerces_lists_and_tuples():
+    assert rats(["1/2", 3]) == rats(("1/2", 3)) == [HALF, Rat(3)]
+
+
+# name -> a constructor call with a string where a list of rationals belongs;
+# it must not be read as the list of its characters
+STRING_LISTS = {
+    "rats": lambda: rats("12"),
+    "wa-alpha": lambda: NAlphabetWA([("0",)], "1", {}, [ONE]),
+    "wa-beta": lambda: NAlphabetWA([("0",)], [ONE], {}, "1"),
+    "spmat-row": lambda: SpMat.from_dense(["1"]),
+    "spmat-row-list": lambda: SpMat.from_dense("1"),
+    "hmm-from-matrices": lambda: Hmm.from_matrices([ONE], ["1"], [[ONE]],
+                                                   ("0",)),
+    "hmmvec-alpha": lambda: HmmVec((1,), "1", [[[ONE]]], [[[HALF, HALF]]], B),
+    "hmmvec-row": lambda: HmmVec((1,), [ONE], [["1"]], [[[HALF, HALF]]], B),
+    "rnn-W": lambda: RnnRelu(h_init=[ONE, ZERO], W=["12", "01"],
+                             emb={"0": [ZERO, ZERO]}, out=[ONE, ONE],
+                             domain=("0",)),
+    "rnn-emb": lambda: RnnRelu(h_init=[ONE], W=[[ONE]], emb={"0": "0"},
+                               out=[ONE], domain=("0",)),
+    "sigmoid-weights": lambda: SigmoidNet("12", ZERO, 1.0),
+    "ensemble-weights": lambda: TreeEnsemble([_tree(ONE)] * 2, "12",
+                                             "regression"),
+}
+
+
+@pytest.mark.parametrize("name", STRING_LISTS)
+def test_lists_of_rationals_refuse_strings(name):
+    with pytest.raises(TypeError):
+        STRING_LISTS[name]()

@@ -7,7 +7,7 @@ from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.randgen import rand_wa, rng_for
 from shapwa.rational import Rat, ZERO, ONE
-from shapwa.wa import (NAlphabetWA, NAlphabetDFA, add, contract, dfa_to_wa,
+from shapwa.wa import (NAlphabetWA, add, chain_wa, contract, dfa_to_wa,
                        eval_wa, kron, pi0, pi1, project, scale, sub,
                        wa_from_json, wa_to_json)
 
@@ -23,7 +23,7 @@ def point_mass(w0, alphabet=B):
     """1-alphabet acceptor of exactly {w0}, weight 1."""
     n = len(w0)
     delta = {(j, (w0[j],)): j + 1 for j in range(n)}
-    return dfa_to_wa(NAlphabetDFA([alphabet], range(n + 2), 0, delta, {n}))
+    return dfa_to_wa([alphabet], range(n + 2), 0, delta, {n})
 
 
 def uniform_wa(alphabet=B):
@@ -102,6 +102,12 @@ def test_add_pointwise():
     S = add(A, Bwa)
     assert eval_wa(S, ("01",)) == eval_wa(A, ("01",)) + eval_wa(Bwa, ("01",))
     assert S.dim == A.dim + Bwa.dim
+    parts = [seeded_wa(4), seeded_wa(5, dim=3), constant(Rat(1, 3))]
+    S3 = add(*parts)
+    for n in range(4):
+        for w in words(B, n):
+            assert eval_wa(S3, (w,)) == sum(eval_wa(P, (w,)) for P in parts)
+    assert S3.dim == sum(P.dim for P in parts)
 
 
 def test_scale_examples():
@@ -270,17 +276,15 @@ def test_contract_errors():
 
 def test_dfa_single_word():
     AB = ("a", "b")
-    D = NAlphabetDFA([AB], [0, 1, 2, 3], 0,
-                     {(0, ("a",)): 1, (1, ("b",)): 2}, {2})
-    A = dfa_to_wa(D)
+    A = dfa_to_wa([AB], [0, 1, 2, 3], 0,
+                  {(0, ("a",)): 1, (1, ("b",)): 2}, {2})
     for n in range(3):
         for w in words(AB, n):
             assert eval_wa(A, (w,)) == (1 if w == "ab" else 0)
 
 
 def test_dfa_no_finals():
-    D = NAlphabetDFA([B], [0], 0, {(0, (s,)): 0 for s in B}, set())
-    A = dfa_to_wa(D)
+    A = dfa_to_wa([B], [0], 0, {(0, (s,)): 0 for s in B}, set())
     for w in ("", "0", "11"):
         assert eval_wa(A, (w,)) == 0
 
@@ -288,12 +292,31 @@ def test_dfa_no_finals():
 def test_two_alphabet_dfa():
     # accepts exactly the synchronized pair ("b", "1")
     AB = ("a", "b")
-    D = NAlphabetDFA([AB, B], [0, 1], 0, {(0, ("b", "1")): 1}, {1})
-    assert D.accepts(("b", "1"))
-    assert not D.accepts(("a", "0"))
-    A = dfa_to_wa(D)
+    A = dfa_to_wa([AB, B], [0, 1], 0, {(0, ("b", "1")): 1}, {1})
     assert eval_wa(A, ("b", "1")) == 1
     assert eval_wa(A, ("a", "0")) == 0
+
+
+@pytest.mark.parametrize("states, initial, delta, finals", [
+    ([0, 1], 2, {(0, ("0",)): 1}, {1}),       # unknown initial state
+    ([0, 1], 0, {(0, ("0",)): 1}, {2}),       # unknown final state
+    ([0, 1], 0, {(0, ("0",)): 2}, {1}),       # transition to an unknown state
+    ([0, 1], 0, {(2, ("0",)): 1}, {1}),       # transition from one
+    ([0, 1], 0, {(0, ("0", "1")): 1}, {1}),   # a key of the wrong arity
+], ids=["initial", "final", "target", "source", "arity"])
+def test_dfa_refusals(states, initial, delta, finals):
+    with pytest.raises(ValueError):
+        dfa_to_wa([B], states, initial, delta, finals)
+
+
+def test_chain_steps_where_step_allows():
+    # position q accepts only the symbol "1" at even q
+    A = chain_wa([B], 4, lambda q, key: q % 2 or key == ("1",))
+    assert A.dim == 5
+    for n in range(6):
+        for w in words(B, n):
+            expect = n == 4 and w[1] == w[3] == "1"
+            assert eval_wa(A, (w,)) == expect
 
 
 # ---------------------------------------------------------------------------
