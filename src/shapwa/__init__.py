@@ -11,8 +11,8 @@ gadget instances.
 
 from .rational import Rat, rat, format_rat
 from .wa import (NAlphabetWA, eval_wa, add, scale, sub, kron, project,
-                 contract, pi1, pi0, dfa_to_wa, chain_wa, wa_to_json,
-                 wa_from_json)
+                 contract, pi1, pi0, wa_from_parts, dfa_to_wa, chain_wa,
+                 wa_to_json, wa_from_json)
 from .hmm import Hmm, uniform_hmm, hmm_to_json, hmm_from_json
 from .patterns import swap, do_op, matches, coalition_weight
 from .builders import (build_A_wi, build_A_in, build_T_w, build_T_wi,

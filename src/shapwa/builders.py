@@ -20,11 +20,10 @@ from itertools import product
 from math import comb
 
 from .hmm import Hmm
-from .linalg import SpMat
 from .patterns import HASH
-from .rational import Rat, ZERO, ONE
-from .wa import (NAlphabetWA, chain_wa, contract, dfa_to_wa, kron, project,
-                 sub)
+from .rational import Rat, ONE
+from .wa import (chain_wa, contract, dfa_to_wa, kron, project, sub,
+                 wa_from_parts)
 
 
 def hash_alphabet(alphabet):
@@ -55,28 +54,13 @@ def build_A_wi(w, i, alphabet):
     if not (1 <= i <= n):
         raise IndexError(f"position {i} out of range")
     sig_h = hash_alphabet(alphabet)
-    weights = _awi_weights(n)
-
-    def state(l, e):  # l in 1..n+1, e in 0..n
-        return (l - 1) * (n + 1) + e
-
-    dim = (n + 1) * (n + 1)
-    trans = {}
-    for sigma in sig_h:
-        mat = SpMat(dim)
-        for l in range(1, n + 1):
-            for e in range(0, l):
-                if sigma == HASH:
-                    mat.set(state(l, e), state(l + 1, e + 1), ONE)
-                elif l != i and w[l - 1] == sigma:
-                    mat.set(state(l, e), state(l + 1, e), ONE)
-        trans[(sigma,)] = mat
-    alpha = [ZERO] * dim
-    alpha[state(1, 0)] = ONE
-    beta = [ZERO] * dim
-    for k in range(1, n + 1):
-        beta[state(n + 1, k)] = weights[k]
-    return NAlphabetWA([sig_h], alpha, trans, beta)
+    # '#' counts; any other symbol must be w's, and never at position i
+    edges = {((l, e), (sigma,), (l + 1, e + 1 if sigma == HASH else e)): ONE
+             for sigma in sig_h for l in range(1, n + 1) for e in range(l)
+             if sigma == HASH or (l != i and w[l - 1] == sigma)}
+    final = {(n + 1, k): wt for k, wt in _awi_weights(n).items()}
+    return wa_from_parts([sig_h], product(range(1, n + 2), range(n + 1)),
+                         {(1, 0): ONE}, edges, final)
 
 
 def build_A_in(i, n, alphabet):
@@ -94,23 +78,13 @@ def build_A_in(i, n, alphabet):
         [sig_h, alphabet], n,
         lambda q, key: key[0] == HASH or (q != i and key[0] == key[1]))
 
-    dim = n + 1  # #-count 0..n
-    weights = _awi_weights(n)
-    trans = {}
-    for s1, s2 in product(sig_h, alphabet):
-        mat = SpMat(dim)
-        for e in range(0, n + 1):
-            if s1 == HASH:
-                if e < n:
-                    mat.set(e, e + 1, ONE)
-            else:
-                mat.set(e, e, ONE)
-        trans[(s1, s2)] = mat
-    alpha = [ONE] + [ZERO] * n
-    beta = [ZERO] * dim
-    for k, wt in weights.items():
-        beta[k] = wt
-    counter = NAlphabetWA([sig_h, alphabet], alpha, trans, beta)
+    # #-counter over states 0..n, lifted to ignore the second tape
+    counter = wa_from_parts(
+        [sig_h, alphabet], range(n + 1), {0: ONE},
+        {(e, (s1, s2), e + 1 if s1 == HASH else e): ONE
+         for s1, s2 in product(sig_h, alphabet) for e in range(n + 1)
+         if s1 != HASH or e < n},
+        _awi_weights(n))
 
     return kron(membership, counter)
 
@@ -174,18 +148,15 @@ def build_point_hmm(w_ref, alphabet):
     uniform after its end."""
     alphabet = tuple(alphabet)
     n = len(w_ref)
-    dim = n + 1
     u = Rat(1, len(alphabet))
-    trans = {}
+    edges = {}
     for sigma in alphabet:
-        mat = SpMat(dim)
         for q in range(n):
             if w_ref[q] == sigma:
-                mat.set(q, q + 1, ONE)
-        mat.set(n, n, u)
-        trans[(sigma,)] = mat
-    alpha = [ONE] + [ZERO] * n
-    return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * dim))
+                edges[q, (sigma,), q + 1] = ONE
+        edges[n, (sigma,), n] = u
+    return Hmm(wa_from_parts([alphabet], range(n + 1), {0: ONE}, edges,
+                             dict.fromkeys(range(n + 1), ONE)))
 
 
 def pipeline_shap(f, i, n, inner, outer):

@@ -477,6 +477,8 @@ def _verify_gadgets(report, rng, count):
 
 
 def cmd_verify(cfg):
+    if cfg.count < 1:
+        raise CliError(EXIT_PARSE, f"--count {cfg.count} is below 1")
     report = _Report()
     rng = rng_for(cfg.seed)
     try:

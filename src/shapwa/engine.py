@@ -79,23 +79,16 @@ def _side(side, sig, n, name):
     return (ONE,), (ONE,), [units[s] for s in side]
 
 
-def _total(layer, dim):
-    out = SpMat(dim)
-    for m in layer.values():
-        out = out + m
-    return out
-
-
 def _steps(out_layer, in_layer, f_mats, dims):
     """(P, Q, P^T, Q^T) of one position."""
     d_out, d_in, d_f = dims
-    out_sum, in_sum = _total(out_layer, d_out), _total(in_layer, d_in)
-    P = Q = SpMat(d_out * d_in * d_f)
-    for s, fm in f_mats.items():
-        if s in out_layer:
-            P = P + out_layer[s].kron(in_sum).kron(fm)
-        if s in in_layer:
-            Q = Q + out_sum.kron(in_layer[s]).kron(fm)
+    out_sum = SpMat.sum(d_out, out_layer.values())
+    in_sum = SpMat.sum(d_in, in_layer.values())
+    dim = d_out * d_in * d_f
+    P = SpMat.sum(dim, [out_layer[s].kron(in_sum).kron(fm)
+                        for s, fm in f_mats.items() if s in out_layer])
+    Q = SpMat.sum(dim, [out_sum.kron(in_layer[s]).kron(fm)
+                        for s, fm in f_mats.items() if s in in_layer])
     return P, Q, P.transpose(), Q.transpose()
 
 

@@ -8,11 +8,12 @@ x_{order(1)} ... x_{order(n)}; the same order must be applied to the
 model and the distribution (identity by default).
 """
 
+from itertools import product
+
 from .hmm import Hmm
-from .linalg import SpMat
 from .models import HmmVec
 from .rational import Rat, ZERO, ONE
-from .wa import NAlphabetWA, add, chain_wa, scale
+from .wa import add, chain_wa, scale, wa_from_parts
 
 
 def feature_order(order, n):
@@ -27,13 +28,6 @@ def feature_order(order, n):
 def sequentialize(x, order):
     """x_{order(1)} ... x_{order(n)}."""
     return "".join(x[j - 1] for j in order)
-
-
-def constant_wa(c, alphabet):
-    """Single-state automaton outputting c on every word."""
-    alphabet = tuple(alphabet)
-    trans = {(s,): SpMat.from_dense([[ONE]]) for s in alphabet}
-    return NAlphabetWA([alphabet], [c], trans, [ONE])
 
 
 def _leaf_chain(constraints, n, order, alphabet):
@@ -67,36 +61,25 @@ def linear_to_wa(model, order=None):
 
     The carry rail threads position; each step either stays on the carry
     rail (weight 1) or drops onto the sum rail picking up w_{feature, symbol};
-    the sum rail then carries weight 1 to the end.  The resulting function is
-    sum_i w_{i, x_i}, to which the single-state constant automaton adds b.
+    the sum rail then carries weight 1 to the end.  The rails compute
+    sum_i w_{i, x_i}; the intercept state reads every word with weight 1
+    and adds b.
     """
     n = model.n
     order = feature_order(order, n)
-    dim = 2 * (n + 1)
-
-    def carry(j):   # j in 0..n
-        return j
-
-    def summed(j):  # j in 0..n
-        return n + 1 + j
-
-    trans = {}
+    edges = {}
     for s in model.domain:
-        mat = SpMat(dim)
+        key = (s,)
         for j in range(1, n + 1):
-            feature = order[j - 1]
-            mat.set(carry(j - 1), carry(j), ONE)
-            w = model.weight(feature, s)
-            if w != 0:
-                mat.set(carry(j - 1), summed(j), w)
-            mat.set(summed(j - 1), summed(j), ONE)
-        trans[(s,)] = mat
-    alpha = [ZERO] * dim
-    alpha[carry(0)] = ONE
-    beta = [ZERO] * dim
-    beta[summed(n)] = ONE
-    rails = NAlphabetWA([model.domain], alpha, trans, beta)
-    return add(rails, constant_wa(model.intercept, model.domain))
+            edges[("carry", j - 1), key, ("carry", j)] = ONE
+            edges[("carry", j - 1), key, ("sum", j)] = model.weight(
+                order[j - 1], s)
+            edges[("sum", j - 1), key, ("sum", j)] = ONE
+        edges["intercept", key, "intercept"] = ONE
+    states = [*product(("carry", "sum"), range(n + 1)), "intercept"]
+    return wa_from_parts([model.domain], states,
+                         {("carry", 0): ONE, "intercept": model.intercept},
+                         edges, {("sum", n): ONE, "intercept": ONE})
 
 
 # ---------------------------------------------------------------------------
@@ -149,35 +132,26 @@ def hmmvec_to_hmm(m):
     The HMM distributes over sequentialized words; the prefix probability at
     length n equals m.prob on the corresponding tabular input.
     """
-    dim = len(m.alpha)
-    n = m.n
-    domain = m.domain
+    n, domain = m.n, m.domain
+    width = range(len(m.alpha))
     u = Rat(1, len(domain))
-
-    def state(j, s):
-        return j * dim + s
-
-    dummy = (n + 1) * dim
-    total = dummy + 1
-    trans = {}
+    edges = {}
     for si, sym in enumerate(domain):
-        mat = SpMat(total)
+        key = (sym,)
         for j in range(n):
             T, O = m.transitions[j], m.emissions[j]
-            for s in range(dim):
-                for t in range(dim):
+            for s in width:
+                for t in width:
                     v = T[s][t] * O[t][si]
                     if v != 0:
-                        mat.set(state(j, s), state(j + 1, t), v)
-        for s in range(dim):
-            mat.set(state(n, s), dummy, u)
-        mat.set(dummy, dummy, u)
-        trans[(sym,)] = mat
-    alpha = [ZERO] * total
-    for s, x in enumerate(m.alpha):
-        if x != 0:
-            alpha[state(0, s)] = x
-    return Hmm(NAlphabetWA([domain], alpha, trans, [ONE] * total))
+                        edges[(j, s), key, (j + 1, t)] = v
+        for s in width:
+            edges[(n, s), key, "end"] = u
+        edges["end", key, "end"] = u
+    states = [*product(range(n + 1), width), "end"]
+    return Hmm(wa_from_parts([domain], states,
+                             {(0, s): x for s, x in enumerate(m.alpha)},
+                             edges, dict.fromkeys(states, ONE)))
 
 
 def ind_to_hmmvec(dist, order=None):
@@ -194,21 +168,15 @@ def ind_to_hmmvec(dist, order=None):
 def markov_to_hmm(dist):
     """Markov chain as an HMM: hidden state = last emitted symbol."""
     domain = dist.domain
-    k = len(domain)
-    dim = k + 1  # state 0 is the pre-start state
-    trans = {}
-    for si, sym in enumerate(domain):
-        mat = SpMat(dim)
-        p0 = dist.init.get(sym, ZERO)
-        if p0 != 0:
-            mat.set(0, 1 + si, p0)
-        for ai, a in enumerate(domain):
-            p = dist.trans.get(a, {}).get(sym, ZERO)
-            if p != 0:
-                mat.set(1 + ai, 1 + si, p)
-        trans[(sym,)] = mat
-    alpha = [ONE] + [ZERO] * k
-    return Hmm(NAlphabetWA([domain], alpha, trans, [ONE] * dim))
+    states = [None, *domain]  # None is the pre-start state
+    edges = {}
+    for sym in domain:
+        key = (sym,)
+        edges[None, key, sym] = dist.init.get(sym, ZERO)
+        for a in domain:
+            edges[a, key, sym] = dist.trans.get(a, {}).get(sym, ZERO)
+    return Hmm(wa_from_parts([domain], states, {None: ONE}, edges,
+                             dict.fromkeys(states, ONE)))
 
 
 def nb_to_hmmvec(dist, order=None):

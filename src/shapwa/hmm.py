@@ -9,7 +9,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 
 from .linalg import SpMat
 from .rational import Rat, ZERO, ONE, format_rat, rats
-from .wa import NAlphabetWA, eval_wa
+from .wa import NAlphabetWA, eval_wa, wa_from_parts
 
 
 class Hmm:
@@ -34,19 +34,16 @@ class Hmm:
     @classmethod
     def from_matrices(cls, alpha, transition, emission, alphabet):
         """Build from <alpha, T, O>: A_sigma = T * Diag(O[:, sigma])."""
-        n = len(alpha)
         alphabet = tuple(alphabet)
+        alpha = rats(alpha)
         transition = [rats(row) for row in transition]
         emission = [rats(row) for row in emission]
-        trans = {}
-        for s, sigma in enumerate(alphabet):
-            mat = SpMat(n)
-            for i in range(n):
-                for j in range(n):
-                    mat.set(i, j, transition[i][j] * emission[j][s])
-            trans[(sigma,)] = mat
-        wa = NAlphabetWA([alphabet], alpha, trans, [ONE] * n)
-        return cls(wa)
+        states = range(len(alpha))
+        edges = {(i, (sigma,), j): transition[i][j] * emission[j][s]
+                 for s, sigma in enumerate(alphabet)
+                 for i in states for j in states}
+        return cls(wa_from_parts([alphabet], states, dict(enumerate(alpha)),
+                                 edges, dict.fromkeys(states, ONE)))
 
     def prefix_prob(self, w):
         return eval_wa(self.wa, (w,))
@@ -71,8 +68,8 @@ def uniform_hmm(alphabet):
     """The memoryless uniform distribution over Sigma^n for every n."""
     alphabet = tuple(alphabet)
     p = Rat(1, len(alphabet))
-    trans = {(s,): SpMat.from_dense([[p]]) for s in alphabet}
-    return Hmm(NAlphabetWA([alphabet], [ONE], trans, [ONE]))
+    return Hmm(wa_from_parts([alphabet], [0], {0: ONE},
+                             {(0, (s,), 0): p for s in alphabet}, {0: ONE}))
 
 
 # ---------------------------------------------------------------------------
@@ -84,10 +81,8 @@ def hmm_to_json(m):
         "alphabet": list(m.alphabet),
         "alpha": [format_rat(x) for x in m.wa.alpha],
         "matrices": {
-            sym: [[format_rat(v) for v in row]
-                  for row in m.wa.transitions[(sym,)].to_dense()]
-            if (sym,) in m.wa.transitions
-            else [[format_rat(ZERO)] * m.dim for _ in range(m.dim)]
+            sym: [[format_rat(v) for v in row] for row in
+                  m.wa.transitions.get((sym,), SpMat(m.dim)).to_dense()]
             for sym in m.alphabet
         },
     }
@@ -98,6 +93,8 @@ def hmm_from_json(obj):
     alphabet = tuple(obj["alphabet"])
     alpha = obj["alpha"]
     if "matrices" in obj:
+        if not set(obj["matrices"]) <= set(alphabet):
+            raise ValueError("a matrices key is outside the alphabet")
         trans = {(sym,): SpMat.from_dense(obj["matrices"][sym])
                  for sym in alphabet}
         return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * len(alpha)))

@@ -18,23 +18,15 @@ class SpMat:
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, n):
+    def __init__(self, n, rows=None):
         self.n = n
-        self.rows = {}
+        self.rows = {} if rows is None else rows
 
     def set(self, i, j, v):
         if v == 0:
             self.rows.get(i, {}).pop(j, None)
         else:
             self.rows.setdefault(i, {})[j] = rat(v)
-
-    def add_to(self, i, j, v):
-        row = self.rows.setdefault(i, {})
-        new = row.get(j, ZERO) + v
-        if new == 0:
-            row.pop(j, None)
-        else:
-            row[j] = new
 
     def get(self, i, j):
         return self.rows.get(i, {}).get(j, ZERO)
@@ -43,18 +35,25 @@ class SpMat:
     def nnz(self):
         return sum(len(r) for r in self.rows.values())
 
-    def __add__(self, other):
-        if self.n != other.n:
-            raise ValueError("dimension mismatch")
-        out = self.copy()
-        for i, row in other.rows.items():
-            for j, v in row.items():
-                out.add_to(i, j, v)
-        return out
-
-    def copy(self):
-        out = SpMat(self.n)
-        out.rows = {i: dict(row) for i, row in self.rows.items()}
+    @classmethod
+    def sum(cls, n, mats):
+        """The sum of n x n matrices in one pass; exact cancellations are
+        pruned once, at the end, in the rows that took more than one."""
+        out = cls(n)
+        rows = out.rows
+        mixed = set()
+        for m in mats:
+            if m.n != n:
+                raise ValueError("dimension mismatch")
+            for i, row in m.rows.items():
+                target = rows.get(i)
+                if target is None:
+                    rows[i] = dict(row)
+                    continue
+                mixed.add(i)
+                for j, v in row.items():
+                    target[j] = target[j] + v if j in target else v
+        out._prune(mixed)
         return out
 
     def kron(self, other):
@@ -68,14 +67,17 @@ class SpMat:
                     target = out.rows.setdefault(base_r, {})
                     for l, b in orow.items():
                         target[j * m + l] = target.get(j * m + l, ZERO) + a * b
-        # prune exact cancellations
-        for i in list(out.rows):
-            row = {j: v for j, v in out.rows[i].items() if v != 0}
-            if row:
-                out.rows[i] = row
-            else:
-                del out.rows[i]
+        out._prune(list(out.rows))
         return out
+
+    def _prune(self, indices):
+        # drop exact cancellations in these rows, and rows left empty
+        for i in indices:
+            row = {j: v for j, v in self.rows[i].items() if v != 0}
+            if row:
+                self.rows[i] = row
+            else:
+                del self.rows[i]
 
     def transpose(self):
         out = SpMat(self.n)

@@ -119,6 +119,9 @@ class TreeEnsemble:
             raise ValueError("an ensemble needs trees that share one n and "
                              "one domain")
         self.weights = rats(self.weights)
+        if self.mode == "vote" and any(v not in (0, 1) for t in self.trees
+                                       for _, v in t.leaves()):
+            raise ValueError("a vote ensemble needs 0/1 leaves")
 
     @property
     def n(self):
@@ -151,6 +154,9 @@ class LinearModel:
         self.domain = _domain(self.domain)
         self.intercept = rat(self.intercept)
         self.weights = {(i, d): rat(v) for (i, d), v in self.weights.items()}
+        for i, d in self.weights:
+            if not (1 <= i <= self.n and d in self.domain):
+                raise ValueError(f"weight key {i},{d} outside 1..n x domain")
 
     def weight(self, i, d):
         return self.weights.get((i, d), ZERO)

@@ -8,12 +8,11 @@ numerators/denominators; distributions are normalized integer draws.
 import random
 
 from .hmm import Hmm
-from .linalg import SpMat
 from .models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                      LinearModel, MarkovDist, NaiveBayes, TreeEnsemble)
 from .oracle import CnfFormula, CspInstance, Wmg
 from .rational import Rat
-from .wa import NAlphabetWA, dfa_to_wa
+from .wa import dfa_to_wa, wa_from_parts
 
 BINARY = ("0", "1")
 
@@ -41,19 +40,13 @@ def rand_stochastic(rng, k):
 def rand_wa(rng, dim, alphabet, density=0.5):
     """Dense-ish random rational 1-alphabet WA."""
     alphabet = tuple(alphabet)
-    trans = {}
-    for s in alphabet:
-        mat = SpMat(dim)
-        for i in range(dim):
-            for j in range(dim):
-                if rng.random() < density:
-                    v = rand_rat(rng)
-                    if v != 0:
-                        mat.set(i, j, v)
-        trans[(s,)] = mat
-    alpha = [rand_rat(rng) for _ in range(dim)]
-    beta = [rand_rat(rng) for _ in range(dim)]
-    return NAlphabetWA([alphabet], alpha, trans, beta)
+    states = range(dim)
+    # per entry the density draw comes first, then the weight's
+    edges = {(i, (s,), j): rand_rat(rng) for s in alphabet
+             for i in states for j in states if rng.random() < density}
+    alpha = {i: rand_rat(rng) for i in states}
+    beta = {i: rand_rat(rng) for i in states}
+    return wa_from_parts([alphabet], states, alpha, edges, beta)
 
 
 def rand_01_wa(rng, n_states, alphabet):

@@ -13,7 +13,8 @@ sums an automaton times weight automata on its tapes down to a scalar,
 with factored sparse matrix-vector products so the Kronecker-product
 matrix is never materialized.  Every 0/1 automaton is the indicator of a
 deterministic acceptor, built by dfa_to_wa or, for a chain that steps
-one position per symbol, by chain_wa.
+one position per symbol, by chain_wa; every other automaton is built
+from its parts by wa_from_parts, the one place that numbers states.
 """
 
 from itertools import product
@@ -165,18 +166,15 @@ def project(i, A, T):
         raise ValueError("alphabet mismatch between A and tape i of T")
     idx = i - 1
     out_alphabets = T.alphabets[:idx] + T.alphabets[idx + 1:]
-    acc = {}
+    pieces = {}
     for key, mt in T.transitions.items():
         ma = A.transitions.get((key[idx],))
-        if ma is None:
-            continue
-        rest = key[:idx] + key[idx + 1:]
-        piece = ma.kron(mt)
-        if rest in acc:
-            acc[rest] = acc[rest] + piece
-        else:
-            acc[rest] = piece
-    return NAlphabetWA(out_alphabets, _kron_vec(A.alpha, T.alpha), acc,
+        if ma is not None:
+            pieces.setdefault(key[:idx] + key[idx + 1:], []).append(ma.kron(mt))
+    dim = A.dim * T.dim
+    return NAlphabetWA(out_alphabets, _kron_vec(A.alpha, T.alpha),
+                       {rest: SpMat.sum(dim, mats)
+                        for rest, mats in pieces.items()},
                        _kron_vec(A.beta, T.beta))
 
 
@@ -252,29 +250,44 @@ def pi0(A, length):
     return contract(A, [], length)
 
 
+def wa_from_parts(alphabets, states, alpha, edges, beta):
+    """The weighted automaton with the given parts over N tapes.
+
+    states are arbitrary hashables, numbered in the order given; alpha and
+    beta map a state to its initial and final weight, and edges maps
+    (state, symbol tuple, state) to a weight.  Absent means 0, and a zero
+    weight leaves no matrix entry.  ValueError on an unknown or a repeated
+    state.
+    """
+    states = list(states)
+    index = {q: k for k, q in enumerate(states)}
+    n = len(states)
+    if len(index) != n:
+        raise ValueError("duplicate state")
+
+    if not (alpha.keys() | beta.keys()) <= index.keys():
+        raise ValueError("initial or final weight on an unknown state")
+    rows = {}
+    for (q, key, q2), x in edges.items():
+        i, j = index.get(q), index.get(q2)
+        if i is None or j is None:
+            raise ValueError("transition over unknown state")
+        if x != 0:
+            rows.setdefault(key, {}).setdefault(i, {})[j] = rat(x)
+    return NAlphabetWA(alphabets, [alpha.get(q, ZERO) for q in states],
+                       {key: SpMat(n, r) for key, r in rows.items()},
+                       [beta.get(q, ZERO) for q in states])
+
+
 def dfa_to_wa(alphabets, states, initial, delta, finals):
     """0/1 indicator automaton of a deterministic acceptor over N tapes.
 
     states are arbitrary hashables; delta maps (state, symbol tuple) to a
     state and is partial (missing key = reject).
     """
-    states = list(states)
-    index = {q: k for k, q in enumerate(states)}
-    if initial not in index:
-        raise ValueError("initial state unknown")
-    finals = set(finals)
-    if not finals <= index.keys():
-        raise ValueError("final state unknown")
-    n = len(states)
-    trans = {}
-    for (q, key), q2 in delta.items():
-        if q not in index or q2 not in index:
-            raise ValueError("transition over unknown state")
-        trans.setdefault(key, SpMat(n)).set(index[q], index[q2], ONE)
-    alpha = [ZERO] * n
-    alpha[index[initial]] = ONE
-    beta = [ONE if q in finals else ZERO for q in states]
-    return NAlphabetWA(alphabets, alpha, trans, beta)
+    return wa_from_parts(alphabets, states, {initial: ONE},
+                         {(q, key, q2): ONE for (q, key), q2 in delta.items()},
+                         dict.fromkeys(finals, ONE))
 
 
 def chain_wa(alphabets, length, step):

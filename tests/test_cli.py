@@ -361,6 +361,17 @@ MALFORMED = {
     "hmmvec-alpha-string": ("hmmvec", {
         "pi": [1, 2], "alpha": "1", "transitions": [[["1"]]] * 2,
         "emissions": [[["1/2", "1/2"]]] * 2, "domain": B}),
+    # keys that name no feature, symbol or label of the file
+    "linear-feature-out-of-range": ("linear", {
+        "n": 2, "domain": B, "weights": {"1,0": "1", "7,0": "5"}}),
+    "linear-alien-symbol": ("linear", {
+        "n": 2, "domain": B, "weights": {"1,0": "1", "1,z": "5"}}),
+    "hmm-alien-matrix": ("hmm", {"alphabet": B, "alpha": ["1"], "matrices": {
+        "0": [["1/2"]], "1": [["1/2"]], "2": [["7"]]}}),
+    "ensemble-vote-leaf": ("ensemble", {
+        "trees": [TREE, {**TREE, "root": {"feature": 2, "children": {
+            "0": {"leaf": "0"}, "1": {"leaf": "5"}}}}],
+        "weights": ["1", "1"], "mode": "vote"}),
 }
 MODEL_TAGS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
 
@@ -573,6 +584,15 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "all PASS" in out
     assert "FAIL" not in out
+
+
+@pytest.mark.parametrize("count", ["0", "-3"])
+def test_verify_refuses_a_count_below_1(capsys, count):
+    code = cli.main(["verify", "--count", count])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert "PASS" not in captured.out
 
 
 def test_verify_deterministic(capsys):

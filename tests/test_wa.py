@@ -1,4 +1,6 @@
+import ast
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,7 +11,7 @@ from shapwa.randgen import rand_wa, rng_for
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import (NAlphabetWA, add, chain_wa, contract, dfa_to_wa,
                        eval_wa, kron, pi0, pi1, project, scale, sub,
-                       wa_from_json, wa_to_json)
+                       wa_from_json, wa_from_parts, wa_to_json)
 
 B = ("0", "1")
 
@@ -317,6 +319,99 @@ def test_chain_steps_where_step_allows():
         for w in words(B, n):
             expect = n == 4 and w[1] == w[3] == "1"
             assert eval_wa(A, (w,)) == expect
+
+
+# ---------------------------------------------------------------------------
+# wa_from_parts
+
+
+def test_from_parts_equals_the_hand_built_automaton():
+    # states "p", "q", "r" are numbered 0, 1, 2 in the order given
+    A = wa_from_parts(
+        [B], ["p", "q", "r"], {"p": Rat(1, 2), "r": Rat(-1)},
+        {("p", ("0",), "q"): Rat(2), ("q", ("1",), "q"): Rat(1, 3),
+         ("q", ("0",), "r"): Rat(-2), ("r", ("1",), "p"): ONE},
+        {"q": ONE, "r": Rat(3)})
+    hand = NAlphabetWA([B], [Rat(1, 2), ZERO, Rat(-1)], {
+        ("0",): SpMat.from_dense([[0, 2, 0], [0, 0, -2], [0, 0, 0]]),
+        ("1",): SpMat.from_dense([[0, 0, 0], [0, Rat(1, 3), 0], [1, 0, 0]])},
+        [ZERO, ONE, Rat(3)])
+    assert A.alpha == hand.alpha and A.beta == hand.beta
+    assert A.transitions == hand.transitions
+    for n in range(4):
+        for w in words(B, n):
+            assert eval_wa(A, (w,)) == eval_wa(hand, (w,))
+
+
+def test_from_parts_zero_weight_leaves_no_entry():
+    A = wa_from_parts([B], [0, 1], {0: ONE},
+                      {(0, ("0",), 1): ZERO, (0, ("1",), 1): ONE,
+                       (1, ("1",), 1): Rat(0, 5)}, {1: ONE})
+    assert set(A.transitions) == {("1",)}
+    assert A.transitions[("1",)].rows == {0: {1: ONE}}
+
+
+@pytest.mark.parametrize("states, alpha, edges, beta", [
+    ([0, 1], {2: ONE}, {}, {1: ONE}),                    # initial weight
+    ([0, 1], {0: ONE}, {}, {"x": ONE}),                  # final weight
+    ([0, 1], {0: ONE}, {(0, ("0",), 2): ONE}, {1: ONE}),  # edge target
+    ([0, 1], {0: ONE}, {(2, ("0",), 1): ONE}, {1: ONE}),  # edge source
+    ([0, 1, 0], {0: ONE}, {}, {1: ONE}),                 # a state twice
+], ids=["alpha", "beta", "target", "source", "repeated"])
+def test_from_parts_refuses_unknown_states(states, alpha, edges, beta):
+    with pytest.raises(ValueError):
+        wa_from_parts([B], states, alpha, edges, beta)
+
+
+def test_spmat_sum():
+    a = SpMat.from_dense([[1, 2], [0, Rat(1, 2)]])
+    b = SpMat.from_dense([[0, -2], [3, Rat(1, 2)]])
+    c = SpMat.from_dense([[Rat(1, 3), 0], [0, 0]])
+    total = SpMat.sum(2, [a, b, c])
+    assert total == SpMat.from_dense([[Rat(4, 3), 0], [3, 1]])
+    assert total.rows[0] == {0: Rat(4, 3)}  # the cancelled entry is gone
+    neg = SpMat.from_dense([[-1, -2], [0, Rat(-1, 2)]])
+    assert SpMat.sum(2, [a, neg]).rows == {}  # so is a cancelled row
+    assert SpMat.sum(3, []) == SpMat(3)
+    assert SpMat.sum(2, [c]).rows[0] is not c.rows[0]  # rows are copied
+    with pytest.raises(ValueError):
+        SpMat.sum(2, [a, SpMat(3)])
+
+
+def _constructor_calls(tree):
+    """(innermost enclosing function or None, line) of each NAlphabetWA(...)
+    call in a module's syntax tree."""
+    calls = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = where
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = child.name
+            elif isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name == "NAlphabetWA":
+                    calls.append((where, child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return calls
+
+
+def test_only_wa_calls_the_automaton_constructor():
+    # states are numbered in one place: outside `wa`, automata come from
+    # wa_from_parts and the algebra; hmm_from_json decodes dense matrices
+    src = Path(__file__).resolve().parents[1] / "src" / "shapwa"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for where, line in _constructor_calls(tree):
+            found.setdefault((path.stem, where), []).append(line)
+    assert ("wa", "add") in found  # the scan sees calls
+    outside = {key: lines for key, lines in found.items() if key[0] != "wa"}
+    assert set(outside) <= {("hmm", "hmm_from_json")}, outside
 
 
 # ---------------------------------------------------------------------------
