@@ -148,12 +148,10 @@ ENGINE = {
 
 
 def _oracle(q, model, dist):
-    variant = q.variant[0]  # b / i / c
-    ctx = q.reference if variant == "b" else dist
-    if q.scope == "local":
-        return shap_oracle_local(variant, model, q.input, q.feature, ctx)
-    return oracle.shap_oracle_global(variant, model, q.feature, q.length,
-                                     ctx, dist)
+    # a word stands for its point distribution on either side
+    x, n = (q.input, len(q.input)) if q.scope == "local" else (dist, q.length)
+    ctx = q.reference if q.variant == "baseline" else dist
+    return oracle.shap_oracle_global(q.variant[0], model, q.feature, n, ctx, x)
 
 
 def _value_record(cfg, value, route):

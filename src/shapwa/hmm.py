@@ -38,7 +38,12 @@ class Hmm:
         alpha = rats(alpha)
         transition = [rats(row) for row in transition]
         emission = [rats(row) for row in emission]
-        states = range(len(alpha))
+        dim, k = len(alpha), len(alphabet)
+        if len(transition) != dim or any(len(r) != dim for r in transition):
+            raise ValueError(f"the transition matrix is not {dim} x {dim}")
+        if len(emission) != dim or any(len(r) != k for r in emission):
+            raise ValueError(f"the emission matrix is not {dim} x {k}")
+        states = range(dim)
         edges = {(i, (sigma,), j): transition[i][j] * emission[j][s]
                  for s, sigma in enumerate(alphabet)
                  for i in states for j in states}

@@ -65,8 +65,9 @@ class SpMat:
                 for k, orow in other.rows.items():
                     base_r = i * m + k
                     target = out.rows.setdefault(base_r, {})
+                    # (i, k, j, l) is the one source of entry (i*m+k, j*m+l)
                     for l, b in orow.items():
-                        target[j * m + l] = target.get(j * m + l, ZERO) + a * b
+                        target[j * m + l] = a * b
         out._prune(list(out.rows))
         return out
 

@@ -1,16 +1,19 @@
-"""Brute-force ground truth.
+"""Brute-force ground truth, computed by definition.
 
-Everything here is computed by definition: direct model evaluation,
-value functions and Shapley values by full enumeration of coalitions
-and of the distribution's finite support, dummy-player and emptiness
-checks, closest-string search.  Intentionally exponential and guarded;
-deliberately shares no pipeline code with the engine (it is the trust
-anchor), only the scalar type and the model/distribution containers.
+Model evaluation, dummy-player and emptiness checks, closest-string
+search, and one Shapley loop over all coalitions.  A query's two sides,
+the inputs x and the words z that replace the features outside a
+coalition, are each a distribution or a word (its point distribution);
+each support is enumerated once per call, and each distinct word is
+evaluated once when a side is a distribution.  Exponential and guarded;
+shares no pipeline code with the engine (it is the trust anchor), only
+the scalar type and the model/distribution containers.
 """
 
 import math
 import os
 from dataclasses import dataclass
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import factorial
 
@@ -18,7 +21,7 @@ from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                      TreeEnsemble)
-from .rational import Rat, ZERO
+from .rational import Rat, ZERO, ONE
 from .wa import NAlphabetWA
 
 DEFAULT_GUARD_BITS = 24
@@ -202,82 +205,80 @@ def enumerate_words(alphabet, n):
 # value functions and Shapley values by enumeration
 
 
+def _support(side, n):
+    """The (word, p) pairs of a side with p > 0, in enumeration order."""
+    if isinstance(side, str):
+        if len(side) != n:
+            raise ValueError(f"word {side!r} does not have length {n}")
+        return [(side, ONE)]
+    return [(z, p) for z in enumerate_words(dist_alphabet(side), n)
+            if (p := dist_prob(side, z)) != 0]
+
+
 def _compose(x, coalition, z):
     return "".join(x[j] if (j + 1) in coalition else z[j]
                    for j in range(len(x)))
 
 
-def value_fn(variant, f, x, coalition, ctx):
-    """v_c / v_i / v_b of a coalition (set of 1-based features)."""
-    coalition = set(coalition)
-    n = len(x)
-    if variant == "b":
-        ref = ctx
-        if len(ref) != n:
-            raise ValueError("reference length mismatch")
-        return eval_model(f, _compose(x, coalition, ref))
-    alphabet = dist_alphabet(ctx)
-    if variant == "i":
-        total = ZERO
-        for z in enumerate_words(alphabet, n):
-            p = dist_prob(ctx, z)
-            if p != 0:
-                total += p * eval_model(f, _compose(x, coalition, z))
-        return total
+def _value(variant, evaluate, x, coalition, support):
+    # the value of a coalition over the replacing side's support list
     if variant == "c":
-        mass = ZERO
-        total = ZERO
-        for z in enumerate_words(alphabet, n):
-            if any(z[j - 1] != x[j - 1] for j in coalition):
-                continue
-            p = dist_prob(ctx, z)
-            if p != 0:
-                mass += p
-                total += p * eval_model(f, z)
+        support = [(z, p) for z, p in support
+                   if all(z[j - 1] == x[j - 1] for j in coalition)]
+        mass = sum((p for _, p in support), ZERO)
         if mass == 0:
             raise ZeroProbabilityEvent(
                 coalition, "".join(x[j - 1] for j in sorted(coalition)))
-        return total / mass
-    raise ValueError(f"unknown variant {variant!r}")
+    elif variant in ("b", "i"):
+        support = [(_compose(x, coalition, z), p) for z, p in support]
+    else:
+        raise ValueError(f"unknown variant {variant!r}")
+    total = ZERO
+    for z, p in support:
+        total += p * evaluate(z)
+    return total / mass if variant == "c" else total
 
 
-def _local_job_bits(variant, n, ctx):
-    # 2^(n-1) coalitions, two value functions each; the interventional and
-    # conditional ones enumerate |Sigma|^n support words apiece
-    bits = n
-    if variant in ("i", "c"):
-        bits += _word_bits(len(dist_alphabet(ctx)), n)
-    return bits
+def value_fn(variant, f, x, coalition, ctx):
+    """v_c / v_i / v_b of a coalition (set of 1-based features)."""
+    return _value(variant, partial(eval_model, f), x, set(coalition),
+                  _support(ctx, len(x)))
 
 
 def shap_oracle_local(variant, f, x, i, ctx):
-    """Exact subset-sum Shapley value of feature i."""
-    n = len(x)
+    """Exact subset-sum Shapley value of feature i at the input x."""
+    return shap_oracle_global(variant, f, i, len(x), ctx, x)
+
+
+def shap_oracle_global(variant, f, i, n, ctx, dist):
+    """Mean over x ~ dist of feature i's subset-sum Shapley value, the
+    features outside a coalition drawn from ctx; a side may be a word."""
     if n > SHAP_GUARD_N:
         raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range")
-    _check_bits(_local_job_bits(variant, n, ctx), "the oracle's job")
+    # 2^(n-1) coalitions x 2 values x |Sigma|^n per distribution side
+    bits = n
+    for side in (ctx, dist):
+        if not isinstance(side, str):
+            bits += _word_bits(len(dist_alphabet(side)), n)
+    _check_bits(bits, "the oracle's job")
+    inputs, support = _support(dist, n), _support(ctx, n)
+    evaluate = partial(eval_model, f)
+    if not (isinstance(dist, str) and isinstance(ctx, str)):
+        # composed words repeat; at most |Sigma|^n of them are distinct
+        evaluate = lru_cache(maxsize=None)(evaluate)
+    weights = [Rat(factorial(size) * factorial(n - size - 1), factorial(n))
+               for size in range(n)]
     others = [j for j in range(1, n + 1) if j != i]
     total = ZERO
-    for size in range(n):
-        weight = Rat(factorial(size) * factorial(n - size - 1), factorial(n))
-        for S in combinations(others, size):
-            total += weight * (value_fn(variant, f, x, set(S) | {i}, ctx)
-                               - value_fn(variant, f, x, S, ctx))
-    return total
-
-
-def shap_oracle_global(variant, f, i, n, ctx, dist):
-    """Expectation of the local value over inputs drawn from dist."""
-    alphabet = dist_alphabet(dist)
-    _check_bits(_word_bits(len(alphabet), n)
-                + _local_job_bits(variant, n, ctx), "the oracle's job")
-    total = ZERO
-    for x in enumerate_words(alphabet, n):
-        p = dist_prob(dist, x)
-        if p != 0:
-            total += p * shap_oracle_local(variant, f, x, i, ctx)
+    for x, px in inputs:
+        phi = ZERO
+        for size, weight in enumerate(weights):
+            for S in map(set, combinations(others, size)):
+                phi += weight * (_value(variant, evaluate, x, S | {i}, support)
+                                 - _value(variant, evaluate, x, S, support))
+        total += px * phi
     return total
 
 

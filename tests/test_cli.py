@@ -316,6 +316,17 @@ MALFORMED = {
     "hmmvec-emission-rows": ("hmmvec", {
         "pi": [1, 2], "alpha": ["1"], "transitions": [[["1"]]] * 2,
         "emissions": [[["1/2", "1/2"]] * 2] * 2, "domain": B}),
+    # hmm shapes: a transition row longer than alpha, an emission row
+    # longer than the alphabet, more rows than states
+    "hmm-transition-row-long": ("hmm", {"alphabet": B, "alpha": ["1"],
+                                        "transition": [["1", "7"]],
+                                        "emission": [["1/2", "1/2"]]}),
+    "hmm-emission-row-long": ("hmm", {"alphabet": B, "alpha": ["1"],
+                                      "transition": [["1"]],
+                                      "emission": [["1/2", "1/2", "9"]]}),
+    "hmm-extra-rows": ("hmm", {"alphabet": B, "alpha": ["1"],
+                               "transition": [["1"], ["1"]],
+                               "emission": [["1/2", "1/2"]] * 2}),
     # probability keys outside the domain
     "ind-alien-symbol": ("ind", {**IND, "marginals": [ALIEN, HALF]}),
     "nb-alien-symbol": ("nb", {"prior": {"c": "1"},

@@ -1,8 +1,12 @@
+import ast
 import time
+from collections import Counter
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from shapwa import oracle
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, IndDist, RnnRelu, step
@@ -11,8 +15,8 @@ from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
                            empty_brute, eval_model, hamming,
                            shap_oracle_global, shap_oracle_local, value_fn)
 from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
-from shapwa.randgen import (rand_csp, rand_ind, rand_wa, rand_wmg, rand_word,
-                            rng_for)
+from shapwa.randgen import (rand_csp, rand_hmm, rand_ind, rand_wa, rand_wmg,
+                            rand_word, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA
 
@@ -129,6 +133,77 @@ def test_global_is_expectation_of_local():
         expect = sum((Rat(1, 8) * shap_oracle_local("i", f, x, i, D)
                       for x in words(n)), ZERO)
         assert shap_oracle_global("i", f, i, n, D, D) == expect
+
+
+def test_local_is_global_under_a_one_row_dataset():
+    # a one-row dataset is a distribution side with one support word, x
+    rng = rng_for(62)
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        f = rand_wa(rng, rng.randint(1, 3), B)
+        x = rand_word(rng, B, n)
+        contexts = {"b": rand_word(rng, B, n),
+                    "i": rand_hmm(rng, rng.randint(1, 2), B),
+                    "c": rand_ind(rng, n)}
+        for i in range(1, n + 1):
+            for variant, ctx in contexts.items():
+                assert shap_oracle_global(variant, f, i, n, ctx,
+                                          Dataset([x])) == \
+                    shap_oracle_local(variant, f, x, i, ctx), (variant, i)
+
+
+def test_interventional_under_a_one_row_dataset_is_baseline():
+    rng = rng_for(63)
+    for _ in range(6):
+        n = rng.randint(1, 4)
+        f = rand_wa(rng, rng.randint(1, 3), B)
+        x, ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        for i in range(1, n + 1):
+            assert shap_oracle_local("i", f, x, i, Dataset([ref])) == \
+                shap_oracle_local("b", f, x, i, ref)
+
+
+def test_each_distinct_word_is_evaluated_once(monkeypatch):
+    calls = Counter()
+
+    def counting(model, w):
+        calls[w] += 1
+        return eval_model(model, w)
+
+    monkeypatch.setattr(oracle, "eval_model", counting)
+    f = rand_wa(rng_for(64), 3, B)
+    D = uniform_hmm(B)
+    for run in (lambda: shap_oracle_local("i", f, "101", 2, D),
+                lambda: shap_oracle_local("c", f, "101", 2, D),
+                lambda: shap_oracle_global("i", f, 2, 3, D, D),
+                lambda: shap_oracle_global("b", f, 2, 3, "010", D)):
+        calls.clear()
+        run()
+        assert set(calls) == set(words(3))  # every composed word
+        assert set(calls.values()) == {1}
+
+
+def _imports(path):
+    """(module, name) of each import in a file; name "*" for a module."""
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            yield from ((a.name.split(".")[-1], "*") for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            whole = node.module in (None, "shapwa")  # from . import wa
+            yield from ((a.name, "*") if whole
+                        else (node.module.split(".")[-1], a.name)
+                        for a in node.names)
+
+
+def test_oracle_imports_no_pipeline_code():
+    # the trust anchor shares only the scalar type and the containers
+    pipeline = {"engine", "builders", "frontends", "linalg", "patterns"}
+    containers = {"wa": {"NAlphabetWA"}, "hmm": {"Hmm"}}
+    imports = set(_imports(Path(oracle.__file__)))
+    assert {"wa", "hmm", "models", "rational"} <= {m for m, _ in imports}
+    for module, name in imports:
+        assert module not in pipeline, (module, name)
+        assert name in containers.get(module, {name}), (module, name)
 
 
 def test_guards():
