@@ -196,6 +196,11 @@ def cmd_shap(cfg):
         raise CliError(EXIT_PARSE, "--input is required for local scope")
     if not local and cfg.length is None:
         raise CliError(EXIT_PARSE, "--length is required for global scope")
+    if local and cfg.length is not None:
+        raise CliError(EXIT_PARSE, "--length does not apply to local scope: "
+                                   "n is the length of --input")
+    if not local and cfg.input is not None:
+        raise CliError(EXIT_PARSE, "--input does not apply to global scope")
     n = len(cfg.input) if local else cfg.length
     if not (1 <= cfg.feature <= n):
         raise CliError(EXIT_INCOMPATIBLE,
@@ -511,10 +516,11 @@ def build_parser():
                    required=True)
     p.add_argument("--model", required=True, help="model JSON file")
     p.add_argument("--feature", type=int, required=True, help="1-based index")
-    p.add_argument("--input", help="explained input word (local scope)")
+    p.add_argument("--input", help="explained input word (local scope only)")
     p.add_argument("--reference", help="baseline reference word")
     p.add_argument("--dist", help="distribution JSON file")
-    p.add_argument("--length", type=int, help="sequence length (global scope)")
+    p.add_argument("--length", type=int,
+                   help="sequence length (global scope only)")
     p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=cmd_shap)

@@ -30,9 +30,15 @@ kept, and the backward vectors B_j[k] cover positions j..n:
   phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
   c(k) = k! (n-1-k)! / n!
 
-P and Q are built once per distinct pair of layers and B runs through their
-transposes: O(n^2) sparse vector-matrix products and O(n^3) dot products
-for all n features, every value a Rat.
+P and Q are built once per distinct pair of layers: O(n^2) sparse
+matrix-vector products and O(n^3) dot products for all n features, every
+value a Rat.  The backward pass runs over forward-reachable joint states
+only: reach_0 is the support of alpha, reach_j what a stored entry of P_j
+or Q_j reaches from reach_{j-1}, and B_{j+1} is computed on reach_j alone,
+row by row.  F_{j-1} lives in reach_{j-1}, so F_{j-1} (P_j - Q_j) lives in
+reach_j and phi never reads B elsewhere.  The restriction is structural:
+masking by numerical supports could drop a state where the F vectors
+cancel but their difference does not.
 
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
 (f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
@@ -80,7 +86,7 @@ def _side(side, sig, n, name):
 
 
 def _steps(out_layer, in_layer, f_mats, dims):
-    """(P, Q, P^T, Q^T) of one position."""
+    """(P, Q) of one position."""
     d_out, d_in, d_f = dims
     out_sum = SpMat.sum(d_out, out_layer.values())
     in_sum = SpMat.sum(d_in, in_layer.values())
@@ -89,7 +95,21 @@ def _steps(out_layer, in_layer, f_mats, dims):
                         for s, fm in f_mats.items() if s in out_layer])
     Q = SpMat.sum(dim, [out_sum.kron(in_layer[s]).kron(fm)
                         for s, fm in f_mats.items() if s in in_layer])
-    return P, Q, P.transpose(), Q.transpose()
+    return P, Q
+
+
+def _reach(start, steps):
+    """[reach_0, ..., reach_n]: reach_0 is the support of the start vector
+    and reach_j every state that a stored entry of P_j or Q_j reaches from
+    reach_{j-1}.  Structural, so no cancellation can hide a state."""
+    reach = [set(start)]
+    for P, Q in steps:
+        nxt = set()
+        for s in reach[-1]:
+            nxt.update(P.rows.get(s, ()))
+            nxt.update(Q.rows.get(s, ()))
+        reach.append(nxt)
+    return reach
 
 
 def _kron_vec(*vecs):
@@ -147,18 +167,22 @@ def shap_all(f, n, inner, outer):
     # diff[j][a] = F_j[a] (P_{j+1} - Q_{j+1}) for a = 0..j
     diff = []
     fwd = [_kron_vec(o_alpha, i_alpha, f.alpha)]
-    for P, Q, _, _ in steps:
+    reach = _reach(fwd[0], steps)
+    for P, Q in steps:
         vp = [P.vecmat(v) for v in fwd]
         vq = [Q.vecmat(v) for v in fwd]
         diff.append([_combine(p, q, -1) for p, q in zip(vp, vq)])
         fwd = _shift_add(vq, vp)
 
-    # bwd[j] = [B_{j+2}[b] for b = 0..n-j-1], filled from position n down
-    bwd = [[_kron_vec(o_beta, i_beta, f.beta)]]
-    for _, _, Pt, Qt in reversed(steps[1:]):
+    # bwd[j] = [B_{j+2}[b] for b = 0..n-j-1] on reach_{j+1}, where diff[j]
+    # lives and where B_{j+1} on reach_j reads it; filled from position n down
+    end = _kron_vec(o_beta, i_beta, f.beta)
+    bwd = [[{s: x for s, x in end.items() if s in reach[n]}]]
+    for j in range(n - 1, 0, -1):
+        P, Q = steps[j]
         nxt = bwd[-1]
-        bwd.append(_shift_add([Qt.vecmat(v) for v in nxt],
-                              [Pt.vecmat(v) for v in nxt]))
+        bwd.append(_shift_add([Q.matvec(v, reach[j]) for v in nxt],
+                              [P.matvec(v, reach[j]) for v in nxt]))
     bwd.reverse()
 
     c = [Rat(factorial(k) * factorial(n - 1 - k), factorial(n))

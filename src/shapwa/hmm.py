@@ -86,8 +86,7 @@ def hmm_to_json(m):
         "alphabet": list(m.alphabet),
         "alpha": [format_rat(x) for x in m.wa.alpha],
         "matrices": {
-            sym: [[format_rat(v) for v in row] for row in
-                  m.wa.transitions.get((sym,), SpMat(m.dim)).to_dense()]
+            sym: m.wa.transitions.get((sym,), SpMat(m.dim)).to_text()
             for sym in m.alphabet
         },
     }

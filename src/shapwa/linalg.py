@@ -7,7 +7,7 @@ use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 """
 
-from .rational import ZERO, rat, rats
+from .rational import ZERO, format_rat, nonzero_rats, rat
 
 
 class SpMat:
@@ -80,13 +80,6 @@ class SpMat:
             else:
                 del self.rows[i]
 
-    def transpose(self):
-        out = SpMat(self.n)
-        for i, row in self.rows.items():
-            for j, v in row.items():
-                out.rows.setdefault(j, {})[i] = v
-        return out
-
     def vecmat(self, v):
         """Row-vector times matrix: v is a sparse dict, result likewise."""
         out = {}
@@ -98,20 +91,42 @@ class SpMat:
                 out[j] = out.get(j, ZERO) + x * a
         return {j: v for j, v in out.items() if v != 0}
 
-    def to_dense(self):
-        return [[self.get(i, j) for j in range(self.n)] for i in range(self.n)]
+    def matvec(self, v, rows):
+        """Matrix times column vector, at the given rows only: v is a sparse
+        dict, result likewise; one product per stored entry of those rows."""
+        out = {}
+        for i in rows:
+            row = self.rows.get(i)
+            if not row:
+                continue
+            x = sum((a * v[j] for j, a in row.items() if j in v), ZERO)
+            if x != 0:
+                out[i] = x
+        return out
+
+    def to_text(self):
+        """Dense rows of format_rat strings, "0" where no entry is stored:
+        one format_rat per stored entry."""
+        out = [["0"] * self.n for _ in range(self.n)]
+        for i, row in self.rows.items():
+            text = out[i]
+            for j, v in row.items():
+                text[j] = format_rat(v)
+        return out
 
     @classmethod
     def from_dense(cls, rows):
-        rows = [rats(row) for row in rows]
+        """The matrix of dense rows read by nonzero_rats, at one rat per
+        entry that is not the literal "0".  TypeError for a row that is not
+        a list or tuple, ValueError unless the matrix is square."""
+        rows = [(nonzero_rats(row), len(row)) for row in rows]
         n = len(rows)
         out = cls(n)
-        for i, row in enumerate(rows):
-            if len(row) != n:
+        for i, (row, length) in enumerate(rows):
+            if length != n:
                 raise ValueError("matrix is not square")
-            for j, v in enumerate(row):
-                if v != 0:
-                    out.rows.setdefault(i, {})[j] = v
+            if row:
+                out.rows[i] = row
         return out
 
     def __eq__(self, other):

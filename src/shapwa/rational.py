@@ -23,12 +23,31 @@ def rat(x) -> "Rat":
     return Rat(x)
 
 
+def _as_list(values):
+    if not isinstance(values, (list, tuple)):
+        raise TypeError(f"not a list of rationals: {values!r}")
+    return values
+
+
 def rats(values) -> list:
     """rat of each element of a list or tuple; anything else, a string
     included, is refused with TypeError."""
-    if not isinstance(values, (list, tuple)):
-        raise TypeError(f"not a list of rationals: {values!r}")
-    return [rat(x) for x in values]
+    return [rat(x) for x in _as_list(values)]
+
+
+def nonzero_rats(values) -> dict:
+    """{index: rat(x)} of the nonzero elements of what rats accepts.  The
+    literal "0", which format_rat writes for zero, is skipped uncoerced, so
+    a mostly-zero row costs one rat per other element; every other element,
+    a float or bool in a zero's place included, is checked as rats does."""
+    out = {}
+    for j, x in enumerate(_as_list(values)):
+        if isinstance(x, str) and x == "0":
+            continue
+        x = rat(x)
+        if x != 0:
+            out[j] = x
+    return out
 
 
 def format_rat(x) -> str:

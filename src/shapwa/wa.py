@@ -310,7 +310,7 @@ def wa_to_json(A):
         "alpha": [format_rat(x) for x in A.alpha],
         "beta": [format_rat(x) for x in A.beta],
         "transitions": {
-            ",".join(key): [[format_rat(x) for x in row] for row in mat.to_dense()]
+            ",".join(key): mat.to_text()
             for key, mat in sorted(A.transitions.items())
         },
     }

@@ -143,6 +143,22 @@ def test_shap_reference_errors(capsys, inputs, scope):
     assert run(capsys, argv + ["--reference", "000"])[0] == 3  # wrong length
 
 
+@pytest.mark.parametrize("scope, flags", [
+    ("local", ["--input", "11", "--length", "7"]),
+    ("local", ["--input", "11", "--length", "2"]),
+    ("global", ["--length", "2", "--input", "111"]),
+    ("global", ["--length", "2", "--input", "11"]),
+])
+def test_shap_refuses_the_other_scopes_flag(capsys, inputs, scope, flags):
+    code = cli.main(["shap", "--scope", scope, "--variant", "interventional",
+                     "--model", inputs["wa"], "--dist", inputs["hmm"],
+                     "--feature", "1", *flags])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
 @pytest.fixture
 def four_features(tmp_path):
     """One file of each type that fixes n, all with n = 4."""
@@ -384,6 +400,23 @@ MALFORMED = {
             "0": {"leaf": "0"}, "1": {"leaf": "5"}}}}],
         "weights": ["1", "1"], "mode": "vote"}),
 }
+
+
+def zero_slot(tag, zero):
+    """A 2-state wa or hmm file that is valid when zero is "0"."""
+    half = [["1/2", zero], ["0", "1/2"]]
+    if tag == "wa":
+        return {"alphabets": [B], "alpha": ["1", "0"], "beta": ["1", "1"],
+                "transitions": {"1": half}}
+    return {"alphabet": B, "alpha": ["1", "0"],
+            "matrices": {"0": half, "1": [["1/2", "0"], ["0", "1/2"]]}}
+
+
+# a float, a bool, null or a malformed string where a zero belongs
+ZERO_SLOTS = {"float": 0.0, "bool": False, "null": None, "string": "x"}
+MALFORMED.update({f"{tag}-zero-{name}": (tag, zero_slot(tag, zero))
+                  for tag in ("wa", "hmm")
+                  for name, zero in ZERO_SLOTS.items()})
 MODEL_TAGS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
 
 
@@ -415,6 +448,20 @@ def test_malformed_file_exits_2_from_shap_and_convert(capsys, tmp_path,
         assert err.startswith("error:")
         assert "Traceback" not in err
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("tag", ["wa", "hmm"])
+def test_zero_slot_files_are_valid_with_a_zero(capsys, tmp_path, and_model,
+                                               tag):
+    path = write_json(tmp_path / "ok.json",
+                      {"type": tag, "payload": zero_slot(tag, "0")})
+    uniform = write_json(tmp_path / "u.json", hmm_to_json(uniform_hmm(B)))
+    model, dist = (path, uniform) if tag == "wa" else (and_model, path)
+    code, out = run(capsys, [
+        "shap", "--scope", "local", "--variant", "interventional",
+        "--model", model, "--dist", dist, "--input", "11", "--feature", "1"])
+    assert code == 0
+    assert json.loads(out)["route"] == "engine"
 
 
 # type tag -> a sample object of that type

@@ -6,12 +6,14 @@ from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
                              build_T_wi, pipeline_shap)
 from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
                            shap_all)
+from shapwa.frontends import hmmvec_to_hmm
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.oracle import shap_oracle_global, shap_oracle_local
-from shapwa.randgen import rand_hmm, rand_wa, rand_word, rng_for
+from shapwa.randgen import (rand_hmm, rand_hmmvec, rand_wa, rand_word,
+                            rng_for)
 from shapwa.rational import Rat, ZERO, ONE
-from shapwa.wa import NAlphabetWA, eval_wa, pi1, project, sub
+from shapwa.wa import NAlphabetWA, add, eval_wa, pi1, project, sub
 
 B = ("0", "1")
 
@@ -116,6 +118,43 @@ def test_shap_all_matches_builder_pipeline():
             assert isinstance(phis, tuple)
             assert phis == tuple(pipeline_shap(f, i, n, inner, outer)
                                  for i in range(1, n + 1)), (idx, inner)
+
+
+def test_shap_all_matches_builder_pipeline_under_compiled_hmmvecs():
+    # hmmvec_to_hmm's chain reaches one layer of its states per position
+    rng = rng_for(40)
+    for n in range(1, 7):
+        f = rand_wa(rng, 1 + n % 3, B)
+        D = hmmvec_to_hmm(rand_hmmvec(rng, n, 1 + n % 2, B, permute=True))
+        w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        for inner, outer in sides(D, w, w_ref):
+            assert shap_all(f, n, inner, outer) == tuple(
+                pipeline_shap(f, i, n, inner, outer)
+                for i in range(1, n + 1)), (n, inner)
+
+
+def test_unreachable_states_cost_nothing(monkeypatch):
+    # dead: 50 states that alpha never enters but beta weighs
+    rng = rng_for(41)
+    n = 4
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    block = rand_wa(rng, 50, B, density=0.1)
+    dead = NAlphabetWA([B], [ZERO] * 50, block.transitions, block.beta)
+    assert any(dead.beta)
+    w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+    read = []
+    for name in ("vecmat", "matvec"):
+        def counted(self, v, *rest, product=getattr(SpMat, name)):
+            read.append(len(v))
+            return product(self, v, *rest)
+        monkeypatch.setattr(SpMat, name, counted)
+    for inner, outer in sides(D, w, w_ref):
+        del read[:]
+        want = shap_all.__wrapped__(f, n, inner, outer)
+        cost = sum(read)
+        del read[:]
+        assert shap_all.__wrapped__(add(f, dead), n, inner, outer) == want
+        assert sum(read) == cost, inner
 
 
 def test_engine_takes_sub_alphabet_hmm():

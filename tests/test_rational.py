@@ -5,7 +5,8 @@ from shapwa.linalg import SpMat
 from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
-from shapwa.rational import ONE, Rat, ZERO, format_rat, rat, rats
+from shapwa.rational import (ONE, Rat, ZERO, format_rat, nonzero_rats, rat,
+                             rats)
 from shapwa.wa import NAlphabetWA
 
 
@@ -36,6 +37,18 @@ def test_floats_rejected():
 
 def test_from_dense_drops_zero_strings():
     assert SpMat.from_dense([["0", "1/2"], ["0", "0"]]).nnz == 1
+
+
+def test_nonzero_rats_skips_only_the_zero_literal():
+    assert nonzero_rats(["0", "1/2", 0, "0/3", "-0", Rat(2)]) == \
+        {1: Rat(1, 2), 5: Rat(2)}
+    for bad in (0.0, False, None, "x"):
+        with pytest.raises((TypeError, ValueError)):
+            nonzero_rats(["1", bad])
+        with pytest.raises((TypeError, ValueError)):
+            SpMat.from_dense([["1", bad], ["0", "1"]])
+    with pytest.raises(TypeError):
+        nonzero_rats("10")
 
 
 B = ("0", "1")

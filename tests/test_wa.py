@@ -5,10 +5,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from shapwa.hmm import uniform_hmm
+from shapwa import hmm, linalg, rational, wa
+from shapwa.frontends import dt_to_wa, emp_to_hmmvec, hmmvec_to_hmm
+from shapwa.hmm import hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.randgen import rand_wa, rng_for
-from shapwa.rational import Rat, ZERO, ONE
+from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_wa,
+                            rng_for)
+from shapwa.rational import Rat, ZERO, ONE, format_rat
 from shapwa.wa import (NAlphabetWA, add, chain_wa, contract, dfa_to_wa,
                        eval_wa, kron, pi0, pi1, project, scale, sub,
                        wa_from_json, wa_from_parts, wa_to_json)
@@ -431,6 +434,74 @@ def test_json_rejects_comma_symbols():
     obj["alphabets"] = [["a,b", "c"]]
     with pytest.raises(ValueError):
         wa_from_json(obj)
+
+
+# ---------------------------------------------------------------------------
+# the dense codec costs the stored entries
+
+
+def counting(monkeypatch, fn, modules):
+    """Rebind fn's name in each module to a wrapper that counts its calls."""
+    calls = []
+
+    def counted(x):
+        calls.append(x)
+        return fn(x)
+
+    for module in modules:
+        monkeypatch.setattr(module, fn.__name__, counted, raising=False)
+    return calls
+
+
+def test_reading_a_dense_matrix_coerces_its_nonzeros(monkeypatch):
+    n = 40
+    text = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    calls = counting(monkeypatch, rational.rat, (rational, linalg))
+    mat = SpMat.from_dense(text)
+    assert len(calls) <= n
+    assert mat.rows == {i: {i: ONE} for i in range(n)}
+
+
+def sample_automata():
+    """(kind, automaton) of seeded random and compiled WAs and HMMs."""
+    rng = rng_for(60)
+    for seed in range(3):
+        yield "wa", rand_wa(rng, 2 + seed, B, density=0.3 + 0.3 * seed)
+        yield "hmm", rand_hmm(rng, 1 + seed, B)
+        yield "wa", dt_to_wa(rand_dt(rng, 4))
+        yield "hmm", hmmvec_to_hmm(emp_to_hmmvec(rand_dataset(rng, 3, 4)))
+
+
+def old_text(mat):
+    """The dense layout as it was written before, one format_rat per entry."""
+    dense = [[mat.get(i, j) for j in range(mat.n)] for i in range(mat.n)]
+    return [[format_rat(x) for x in row] for row in dense]
+
+
+def test_writing_formats_the_stored_entries_only(monkeypatch):
+    for kind, A in sample_automata():
+        calls = counting(monkeypatch, format_rat, (linalg, wa, hmm))
+        if kind == "wa":
+            wa_to_json(A)
+            want = sum(m.nnz for m in A.transitions.values()) + 2 * A.dim
+        else:
+            hmm_to_json(A)
+            want = sum(m.nnz for m in A.wa.transitions.values()) + A.dim
+        assert len(calls) == want, kind
+        monkeypatch.undo()
+
+
+def test_written_matrices_equal_the_old_dense_layout():
+    for kind, A in sample_automata():
+        if kind == "wa":
+            got = wa_to_json(A)["transitions"]
+            want = {",".join(key): old_text(m)
+                    for key, m in A.transitions.items()}
+        else:
+            got = hmm_to_json(A)["matrices"]
+            want = {s: old_text(A.wa.transitions.get((s,), SpMat(A.dim)))
+                    for s in A.alphabet}
+        assert got == want, kind
 
 
 # ---------------------------------------------------------------------------
