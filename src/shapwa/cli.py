@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from functools import partial
+from functools import lru_cache, partial
 
 from . import engine, oracle
 from .frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
@@ -502,7 +502,10 @@ def cmd_verify(cfg):
 # argument parsing
 
 
+@lru_cache(maxsize=None)
 def build_parser():
+    """The process's one parser, built on the first call: parse_args keeps
+    no state between calls."""
     parser = argparse.ArgumentParser(
         prog="shapwa",
         description="Exact SHAP values for weighted automata under HMM "

@@ -30,15 +30,27 @@ kept, and the backward vectors B_j[k] cover positions j..n:
   phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
   c(k) = k! (n-1-k)! / n!
 
-P and Q are built once per distinct pair of layers: O(n^2) sparse
-matrix-vector products and O(n^3) dot products for all n features, every
-value a Rat.  The backward pass runs over forward-reachable joint states
-only: reach_0 is the support of alpha, reach_j what a stored entry of P_j
-or Q_j reaches from reach_{j-1}, and B_{j+1} is computed on reach_j alone,
-row by row.  F_{j-1} lives in reach_{j-1}, so F_{j-1} (P_j - Q_j) lives in
-reach_j and phi never reads B elsewhere.  The restriction is structural:
-masking by numerical supports could drop a state where the F vectors
-cancel but their difference does not.
+P and Q are never formed whole: their rows are built from the factors
+above, only at reachable joint states.  reach_0 is the support of alpha;
+the forward loop builds the rows of P_j and Q_j at reach_{j-1} and takes
+reach_j from their columns.  With InSum_j = sum_t In_j[t], row (o, i, q)
+of P_j is
+
+  sum_s (Out_j[s] (x) InSum_j).row(o, i) (x) f_s.row(q)
+
+and of Q_j the same with OutSum_j (x) In_j[s].  Rows are kept per distinct
+pair of layers, so positions that share a pair share them, and each
+product of an outer and an inner weight is made once per (o, i, s).  A row
+that sums several symbols drops its exact zeros, so the stored entries,
+and every reach_j, are those of the full Kronecker sums.  A reachable row
+costs one Rat product per term of its sum, a state out of reach nothing.
+The pass then makes O(n^2) sparse matrix-vector products and O(n^3) dot
+products for all n features, each over reachable states only: beta enters
+on reach_n, and B_{j+1} is computed on reach_j alone, row by row, from
+rows the forward loop built.  F_{j-1} lives in reach_{j-1}, so
+F_{j-1} (P_j - Q_j) lives in reach_j and phi never reads B elsewhere.  The
+restriction is structural: masking by numerical supports could drop a
+state where the F vectors cancel but their difference does not.
 
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
 (f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
@@ -85,31 +97,62 @@ def _side(side, sig, n, name):
     return (ONE,), (ONE,), [units[s] for s in side]
 
 
-def _steps(out_layer, in_layer, f_mats, dims):
-    """(P, Q) of one position."""
-    d_out, d_in, d_f = dims
-    out_sum = SpMat.sum(d_out, out_layer.values())
-    in_sum = SpMat.sum(d_in, in_layer.values())
-    dim = d_out * d_in * d_f
-    P = SpMat.sum(dim, [out_layer[s].kron(in_sum).kron(fm)
-                        for s, fm in f_mats.items() if s in out_layer])
-    Q = SpMat.sum(dim, [out_sum.kron(in_layer[s]).kron(fm)
-                        for s, fm in f_mats.items() if s in in_layer])
-    return P, Q
+class _Step:
+    """P and Q of one pair of layers; each row is built from the factors,
+    as the module docstring says, the first time `fill` meets its state."""
 
+    def __init__(self, out_layer, in_layer, f_mats, dims):
+        d_out, d_in, d_f = self.dims = dims
+        out_sum = SpMat.sum(d_out, out_layer.values())
+        in_sum = SpMat.sum(d_in, in_layer.values())
+        self.P, self.Q = SpMat(d_out * d_in * d_f), SpMat(d_out * d_in * d_f)
+        # per matrix, per symbol: (outer factor, inner factor, f_s, rows of
+        # their product by (o, i))
+        self.terms = (
+            (self.P, [(out_layer[s], in_sum, fm, {})
+                      for s, fm in f_mats.items() if s in out_layer]),
+            (self.Q, [(out_sum, in_layer[s], fm, {})
+                      for s, fm in f_mats.items() if s in in_layer]))
+        self.done = set()
 
-def _reach(start, steps):
-    """[reach_0, ..., reach_n]: reach_0 is the support of the start vector
-    and reach_j every state that a stored entry of P_j or Q_j reaches from
-    reach_{j-1}.  Structural, so no cancellation can hide a state."""
-    reach = [set(start)]
-    for P, Q in steps:
+    def fill(self, states):
+        """Build the rows of P and Q at these states; return the states
+        their stored entries reach.  Exact zeros are pruned from a row that
+        sums more than one symbol, so the stored entries, and the states
+        they reach, are those of the summed Kronecker products."""
+        _, d_in, d_f = self.dims
+        for x in states - self.done:
+            oi, q = divmod(x, d_f)
+            o, i = divmod(oi, d_in)
+            for mat, terms in self.terms:
+                row, summed = {}, 0
+                for outer, inner, fm, pairs in terms:
+                    f_row = fm.rows.get(q)
+                    if not f_row:
+                        continue
+                    ab = pairs.get(oi)
+                    if ab is None:
+                        ab = pairs[oi] = [
+                            ((j * d_in + k) * d_f, a * b)
+                            for j, a in outer.rows.get(o, {}).items()
+                            for k, b in inner.rows.get(i, {}).items()]
+                    if not ab:
+                        continue
+                    summed += 1
+                    for base, weight in ab:
+                        for r, c in f_row.items():
+                            y, v = base + r, weight * c
+                            row[y] = row[y] + v if y in row else v
+                if summed > 1:
+                    row = {y: v for y, v in row.items() if v != 0}
+                if row:
+                    mat.rows[x] = row
+        self.done |= states
         nxt = set()
-        for s in reach[-1]:
-            nxt.update(P.rows.get(s, ()))
-            nxt.update(Q.rows.get(s, ()))
-        reach.append(nxt)
-    return reach
+        for x in states:
+            nxt.update(self.P.rows.get(x, ()))
+            nxt.update(self.Q.rows.get(x, ()))
+        return nxt
 
 
 def _kron_vec(*vecs):
@@ -117,6 +160,24 @@ def _kron_vec(*vecs):
     for vec in vecs:
         out = {i * len(vec) + j: x * y for i, x in out.items()
                for j, y in enumerate(vec) if y != 0}
+    return out
+
+
+def _end_vec(betas, dims, states):
+    """beta_out (x) beta_in (x) beta_f at these states only, with one
+    product per (outer, inner) pair and one per state."""
+    b_out, b_in, b_f = betas
+    _, d_in, d_f = dims
+    pairs, out = {}, {}
+    for x in states:
+        oi, q = divmod(x, d_f)
+        if not b_f[q]:
+            continue
+        if oi not in pairs:
+            o, i = divmod(oi, d_in)
+            pairs[oi] = b_out[o] * b_in[i] if b_out[o] and b_in[i] else ZERO
+        if pairs[oi]:
+            out[x] = pairs[oi] * b_f[q]
     return out
 
 
@@ -161,14 +222,17 @@ def shap_all(f, n, inner, outer):
     for lo, li in zip(o_layers, i_layers):
         key = (id(lo), id(li))
         if key not in built:
-            built[key] = _steps(lo, li, f_mats, dims)
+            built[key] = _Step(lo, li, f_mats, dims)
         steps.append(built[key])
 
-    # diff[j][a] = F_j[a] (P_{j+1} - Q_{j+1}) for a = 0..j
+    # diff[j][a] = F_j[a] (P_{j+1} - Q_{j+1}) for a = 0..j; the rows of
+    # P_{j+1} and Q_{j+1} are built on reach_j, where F_j lives
     diff = []
     fwd = [_kron_vec(o_alpha, i_alpha, f.alpha)]
-    reach = _reach(fwd[0], steps)
-    for P, Q in steps:
+    reach = [set(fwd[0])]
+    for step in steps:
+        reach.append(step.fill(reach[-1]))
+        P, Q = step.P, step.Q
         vp = [P.vecmat(v) for v in fwd]
         vq = [Q.vecmat(v) for v in fwd]
         diff.append([_combine(p, q, -1) for p, q in zip(vp, vq)])
@@ -176,10 +240,9 @@ def shap_all(f, n, inner, outer):
 
     # bwd[j] = [B_{j+2}[b] for b = 0..n-j-1] on reach_{j+1}, where diff[j]
     # lives and where B_{j+1} on reach_j reads it; filled from position n down
-    end = _kron_vec(o_beta, i_beta, f.beta)
-    bwd = [[{s: x for s, x in end.items() if s in reach[n]}]]
+    bwd = [[_end_vec((o_beta, i_beta, f.beta), dims, reach[n])]]
     for j in range(n - 1, 0, -1):
-        P, Q = steps[j]
+        P, Q = steps[j].P, steps[j].Q
         nxt = bwd[-1]
         bwd.append(_shift_add([Q.matvec(v, reach[j]) for v in nxt],
                               [P.matvec(v, reach[j]) for v in nxt]))

@@ -8,7 +8,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ZERO, ONE, format_rat, rats
+from .rational import Rat, ZERO, ONE, as_list, format_rat, rats
 from .wa import NAlphabetWA, eval_wa, wa_from_parts
 
 
@@ -94,7 +94,7 @@ def hmm_to_json(m):
 
 def hmm_from_json(obj):
     """Accepts either per-symbol matrices or a <transition, emission> pair."""
-    alphabet = tuple(obj["alphabet"])
+    alphabet = tuple(as_list(obj["alphabet"], "symbols"))
     alpha = obj["alpha"]
     if "matrices" in obj:
         if not set(obj["matrices"]) <= set(alphabet):

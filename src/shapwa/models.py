@@ -14,7 +14,7 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 
-from .rational import Rat, ZERO, ONE, format_rat, rat, rats
+from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
 
 
 def step(x):
@@ -23,8 +23,9 @@ def step(x):
 
 
 def _domain(domain):
-    """The domain as a tuple; ValueError unless its symbols are strings."""
-    domain = tuple(domain)
+    """The domain as a tuple; TypeError unless it is a list or tuple,
+    ValueError unless its symbols are strings."""
+    domain = tuple(as_list(domain, "symbols"))
     if not all(isinstance(s, str) for s in domain):
         raise ValueError(f"domain symbols must be strings: {list(domain)}")
     return domain

@@ -23,16 +23,19 @@ def rat(x) -> "Rat":
     return Rat(x)
 
 
-def _as_list(values):
+def as_list(values, what="rationals"):
+    """values itself if it is a list or tuple; anything else, a string
+    included, is refused with TypeError, so a string never stands for the
+    list of its characters."""
     if not isinstance(values, (list, tuple)):
-        raise TypeError(f"not a list of rationals: {values!r}")
+        raise TypeError(f"not a list of {what}: {values!r}")
     return values
 
 
 def rats(values) -> list:
     """rat of each element of a list or tuple; anything else, a string
     included, is refused with TypeError."""
-    return [rat(x) for x in _as_list(values)]
+    return [rat(x) for x in as_list(values)]
 
 
 def nonzero_rats(values) -> dict:
@@ -41,7 +44,7 @@ def nonzero_rats(values) -> dict:
     a mostly-zero row costs one rat per other element; every other element,
     a float or bool in a zero's place included, is checked as rats does."""
     out = {}
-    for j, x in enumerate(_as_list(values)):
+    for j, x in enumerate(as_list(values)):
         if isinstance(x, str) and x == "0":
             continue
         x = rat(x)

@@ -20,7 +20,7 @@ from its parts by wa_from_parts, the one place that numbers states.
 from itertools import product
 
 from .linalg import SpMat, vec_to_sparse
-from .rational import Rat, ZERO, ONE, format_rat, rat, rats
+from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
 
 
 class NAlphabetWA:
@@ -317,7 +317,8 @@ def wa_to_json(A):
 
 
 def wa_from_json(obj):
-    alphabets = [list(ab) for ab in obj["alphabets"]]
+    alphabets = [list(as_list(ab, "symbols"))
+                 for ab in as_list(obj["alphabets"], "alphabets")]
     for ab in alphabets:
         for s in ab:
             if "," in s:

@@ -1,6 +1,10 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -60,6 +64,28 @@ def test_shap_tsv_format(capsys, and_model):
         "--feature", "1", "--format", "tsv"])
     assert code == 0
     assert out.strip().split("\t")[3] == "1/2"
+
+
+def test_usage_errors_leave_the_parser_as_new(capsys, and_model):
+    # the parser is built once per process; a usage error still exits 2,
+    # and the next call answers as a fresh process does
+    argv = ["shap", "--scope", "local", "--variant", "baseline",
+            "--model", and_model, "--input", "11", "--reference", "00",
+            "--feature", "1"]
+    for bad in (argv + ["--format", "tsv", "--bogus"], argv[:-2],
+                argv[:2] + ["sideways"] + argv[3:]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(bad)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().err.startswith("usage: shapwa")
+    code, out = run(capsys, argv)
+    src = str(Path(cli.__file__).parent.parent)
+    fresh = subprocess.run([sys.executable, "-m", "shapwa", *argv],
+                           capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src})
+    assert (code, out) == (fresh.returncode, fresh.stdout)
+    assert json.loads(out)["value"] == "1/2"
+    assert cli.build_parser() is cli.build_parser()
 
 
 def test_shap_feature_out_of_range(capsys, and_model):
@@ -388,6 +414,15 @@ MALFORMED = {
     "hmmvec-alpha-string": ("hmmvec", {
         "pi": [1, 2], "alpha": "1", "transitions": [[["1"]]] * 2,
         "emissions": [[["1/2", "1/2"]]] * 2, "domain": B}),
+    # a string where a list of symbols belongs
+    "wa-alphabet-string": ("wa", {"alphabets": ["01"], "alpha": ["1"],
+                                  "beta": ["1"],
+                                  "transitions": {"1": [["1"]]}}),
+    "hmm-alphabet-string": ("hmm", {"alphabet": "01", "alpha": ["1"],
+                                    "matrices": {"0": [["1/2"]],
+                                                 "1": [["1/2"]]}}),
+    "ind-domain-string": ("ind", {**IND, "domain": "01"}),
+    "dt-domain-string": ("dt", {**TREE, "domain": "01"}),
     # keys that name no feature, symbol or label of the file
     "linear-feature-out-of-range": ("linear", {
         "n": 2, "domain": B, "weights": {"1,0": "1", "7,0": "5"}}),

@@ -1,16 +1,23 @@
+import ast
+from fractions import Fraction
 from itertools import product
+from pathlib import Path
 
 import pytest
 
+from shapwa import engine
 from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
                              build_T_wi, pipeline_shap)
 from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
                            shap_all)
-from shapwa.frontends import hmmvec_to_hmm
+from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
+                              hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
+from shapwa.models import TreeEnsemble
 from shapwa.oracle import shap_oracle_global, shap_oracle_local
-from shapwa.randgen import (rand_hmm, rand_hmmvec, rand_wa, rand_word,
+from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
+                            rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
                             rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA, add, eval_wa, pi1, project, sub
@@ -133,8 +140,9 @@ def test_shap_all_matches_builder_pipeline_under_compiled_hmmvecs():
                 for i in range(1, n + 1)), (n, inner)
 
 
-def test_unreachable_states_cost_nothing(monkeypatch):
-    # dead: 50 states that alpha never enters but beta weighs
+def dead_block_case():
+    """(f, add(f, dead), n, sides): dead is 50 states that alpha never
+    enters but beta weighs."""
     rng = rng_for(41)
     n = 4
     f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
@@ -142,19 +150,113 @@ def test_unreachable_states_cost_nothing(monkeypatch):
     dead = NAlphabetWA([B], [ZERO] * 50, block.transitions, block.beta)
     assert any(dead.beta)
     w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+    return f, add(f, dead), n, sides(D, w, w_ref)
+
+
+def cost_with_and_without_dead_block(counted):
+    """[(cost of f, cost of add(f, dead))] per side, counted() reading
+    the work done since the last call."""
+    f, with_dead, n, cases = dead_block_case()
+    costs = []
+    for inner, outer in cases:
+        counted()
+        want = shap_all.__wrapped__(f, n, inner, outer)
+        cost = counted()
+        assert shap_all.__wrapped__(with_dead, n, inner, outer) == want
+        costs.append((cost, counted()))
+    return costs
+
+
+def test_unreachable_states_cost_nothing(monkeypatch):
     read = []
     for name in ("vecmat", "matvec"):
         def counted(self, v, *rest, product=getattr(SpMat, name)):
             read.append(len(v))
             return product(self, v, *rest)
         monkeypatch.setattr(SpMat, name, counted)
-    for inner, outer in sides(D, w, w_ref):
-        del read[:]
-        want = shap_all.__wrapped__(f, n, inner, outer)
+
+    def total():
         cost = sum(read)
         del read[:]
-        assert shap_all.__wrapped__(add(f, dead), n, inner, outer) == want
-        assert sum(read) == cost, inner
+        return cost
+
+    for cost, dead_cost in cost_with_and_without_dead_block(total):
+        assert dead_cost == cost
+
+
+@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
+                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
+                    "the calls cannot be counted")
+def test_unreachable_states_make_no_products(monkeypatch):
+    # P and Q are built only at reachable joint states, and so is beta;
+    # built as full Kronecker sums, the first side made 1,154 products
+    # without the dead block and 6,540 with it
+    made = [0]
+
+    def mul(a, b, product=Fraction.__mul__):
+        made[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", mul)
+
+    def total():
+        count, made[0] = made[0], 0
+        return count
+
+    costs = cost_with_and_without_dead_block(total)
+    assert all(dead_cost == cost for cost, dead_cost in costs), costs
+    assert costs[0][0] <= 1154
+
+
+def test_cancelled_entries_reach_no_state(monkeypatch):
+    # f reads 0 as 1 and 1 as -1: under the uniform HMM every entry of P
+    # and Q sums to 0 across the symbols, so nothing is reachable after
+    # position 1 and the backward pass reads no row
+    trans = {("0",): SpMat.from_dense([[ONE]]),
+             ("1",): SpMat.from_dense([[-ONE]])}
+    f, D = NAlphabetWA([B], [ONE], trans, [ONE]), uniform_hmm(B)
+    rows = []
+
+    def matvec(self, v, at, product=SpMat.matvec):
+        rows.append(len(at))
+        return product(self, v, at)
+
+    monkeypatch.setattr(SpMat, "matvec", matvec)
+    assert shap_all.__wrapped__(f, 3, D, D) == tuple(
+        shap_oracle_global("i", f, i, 3, D, D) for i in (1, 2, 3))
+    assert rows and not any(rows)
+
+
+def test_shap_all_matches_builder_pipeline_on_compiled_tabular_pairs():
+    # regression ensembles with negative weighted leaves under compiled
+    # tabular distributions: P sums symbols whose entries can cancel.
+    # Every position's rows enter each phi, and the pipeline costs seconds
+    # per feature, so each of the 12 cases of an n checks one feature, in
+    # turn: every feature is checked
+    rng = rng_for(42)
+    for n in range(1, 7):
+        ensemble = TreeEnsemble(
+            [rand_dt(rng, n, max_depth=2) for _ in range(2)],
+            [rand_rat(rng, -2, 2) for _ in range(2)], "regression")
+        assert any(w * v < 0 for t, w in zip(ensemble.trees, ensemble.weights)
+                   for _, v in t.leaves())
+        f = ensemble_reg_to_wa(ensemble)
+        w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        dists = [hmmvec_to_hmm(m) for m in (
+            emp_to_hmmvec(rand_dataset(rng, n, 2), domain=B),
+            ind_to_hmmvec(rand_ind(rng, n)), nb_to_hmmvec(rand_nb(rng, n)))]
+        cases = [side for D in dists for side in sides(D, w, w_ref)]
+        for k, (inner, outer) in enumerate(cases):
+            i = 1 + k % n
+            assert shap_all.__wrapped__(f, n, inner, outer)[i - 1] == \
+                pipeline_shap(f, i, n, inner, outer), (n, k)
+
+
+def test_engine_builds_no_kronecker_product():
+    # P and Q rows come from their factors at reachable states only
+    tree = ast.parse(Path(engine.__file__).read_text(encoding="utf-8"))
+    assert not [node.lineno for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "kron"]
 
 
 def test_engine_takes_sub_alphabet_hmm():

@@ -69,7 +69,7 @@ def test_ensemble_modes():
         TreeEnsemble([leaf(1)], [1], "average")
     assert reg.n == 1
     for other in (DecisionTree(DTNode(leaf=ONE), 2, B),      # another n
-                  DecisionTree(DTNode(leaf=ONE), 1, "ab")):  # another domain
+                  DecisionTree(DTNode(leaf=ONE), 1, ("a", "b"))):  # domain
         with pytest.raises(ValueError):
             TreeEnsemble([leaf(1), other], [1, 1], "regression")
 
