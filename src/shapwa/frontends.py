@@ -8,10 +8,11 @@ x_{order(1)} ... x_{order(n)}; the same order must be applied to the
 model and the distribution (identity by default).
 """
 
+from collections import Counter
 from itertools import product
 
 from .hmm import Hmm
-from .models import HmmVec
+from .models import HmmVec, NaiveBayes
 from .rational import Rat, ZERO, ONE
 from .wa import add, chain_wa, scale, wa_from_parts
 
@@ -87,42 +88,38 @@ def linear_to_wa(model, order=None):
 
 
 def emp_to_hmmvec(dataset, order=None, domain=None):
-    """Prefix-tree automaton of the sequentialized rows; exactly empirical."""
+    """The empirical distribution of the rows, with one hidden state per
+    distinct sequentialized row, in sorted order.
+
+    State k emits row k's own symbol at every position.  The mass of a
+    prefix p sits on the first row that starts with p; at the next
+    position that row passes count(ps)/count(p) to the first row that
+    starts with ps.  Every other row keeps an identity row and is never
+    reached, so the states live at position j are the distinct prefixes
+    of length j, one each.
+    """
     n = dataset.n
     order = feature_order(order, n)
-    domain = tuple(domain) if domain else dataset.domain()
-    rows = [sequentialize(r, order) for r in dataset.rows]
-    total = len(rows)
-
-    counts = {}
-    for r in rows:
+    domain = tuple(domain) if domain else dataset.domain
+    seq = [sequentialize(r, order) for r in dataset.rows]
+    rows = sorted(set(seq))
+    counts = Counter(r[:j] for r in seq for j in range(n + 1))
+    first = {}
+    for k, r in enumerate(rows):
         for j in range(n + 1):
-            counts[r[:j]] = counts.get(r[:j], 0) + 1
-    prefixes = sorted(counts, key=lambda p: (len(p), p))
-    index = {p: k for k, p in enumerate(prefixes)}
-    dim = len(prefixes)
+            first.setdefault(r[:j], k)
+    dim = len(rows)
 
-    alpha = [ZERO] * dim
-    alpha[index[""]] = ONE
+    alpha = [ONE] + [ZERO] * (dim - 1)
     transitions, emissions = [], []
-    for j in range(1, n + 1):
-        T = [[ZERO] * dim for _ in range(dim)]
-        O = [[ZERO] * len(domain) for _ in range(dim)]
-        for p, k in index.items():
-            if len(p) == j - 1:
-                for s in domain:
-                    child = p + s
-                    if child in index:
-                        T[k][index[child]] = Rat(counts[child], counts[p])
-            else:
-                T[k][k] = ONE
-        for p, k in index.items():
-            if len(p) == j and p:
-                O[k][domain.index(p[-1])] = ONE
-            else:
-                O[k][0] = ONE  # unreachable as an emission source
+    for j in range(n):
+        T = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
+        for p, k in first.items():
+            if len(p) == j + 1:
+                T[first[p[:-1]]][k] = Rat(counts[p], counts[p[:-1]])
         transitions.append(T)
-        emissions.append(O)
+        emissions.append([[ONE if s == r[j] else ZERO for s in domain]
+                          for r in rows])
     return HmmVec(order, alpha, transitions, emissions, domain)
 
 
@@ -155,14 +152,10 @@ def hmmvec_to_hmm(m):
 
 
 def ind_to_hmmvec(dist, order=None):
-    """Independent product as a single-state HmmVec."""
-    n = dist.n
-    order = feature_order(order, n)
-    domain = dist.domain
-    transitions = [[[ONE]] for _ in range(n)]
-    emissions = [[[dist.marginals[order[j] - 1].get(d, ZERO) for d in domain]]
-                 for j in range(n)]
-    return HmmVec(order, [ONE], transitions, emissions, domain)
+    """Independent product as a one-class Naive Bayes: a single-state
+    HmmVec."""
+    return nb_to_hmmvec(NaiveBayes({0: ONE}, [{0: m} for m in dist.marginals],
+                                   dist.domain), order)
 
 
 def markov_to_hmm(dist):

@@ -24,10 +24,13 @@ def step(x):
 
 def _domain(domain):
     """The domain as a tuple; TypeError unless it is a list or tuple,
-    ValueError unless its symbols are strings."""
+    ValueError unless its symbols are distinct one-character strings."""
     domain = tuple(as_list(domain, "symbols"))
-    if not all(isinstance(s, str) for s in domain):
-        raise ValueError(f"domain symbols must be strings: {list(domain)}")
+    if not all(isinstance(s, str) and len(s) == 1 for s in domain):
+        raise ValueError(
+            f"domain symbols must be one-character strings: {list(domain)}")
+    if len(set(domain)) != len(domain):
+        raise ValueError(f"repeated domain symbol: {list(domain)}")
     return domain
 
 
@@ -242,6 +245,7 @@ class Dataset:
     def n(self):
         return len(self.rows[0])
 
+    @property
     def domain(self):
         return tuple(sorted({s for r in self.rows for s in r}))
 

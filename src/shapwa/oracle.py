@@ -190,8 +190,6 @@ def dist_prob(dist, w):
 def dist_alphabet(dist):
     if isinstance(dist, Hmm):
         return dist.alphabet
-    if isinstance(dist, Dataset):
-        return dist.domain()
     return dist.domain
 
 

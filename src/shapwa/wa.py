@@ -24,7 +24,9 @@ from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
 
 
 class NAlphabetWA:
-    """Immutable-by-convention weighted automaton over N tapes."""
+    """Immutable-by-convention weighted automaton over N tapes.  Symbols
+    are one-character strings, so a tape's word is the string of its
+    symbols."""
 
     __slots__ = ("alphabets", "alpha", "transitions", "beta")
 
@@ -35,6 +37,9 @@ class NAlphabetWA:
         for ab in self.alphabets:
             if not ab:
                 raise ValueError("empty alphabet")
+            if not all(isinstance(s, str) and len(s) == 1 for s in ab):
+                raise ValueError(f"symbols must be one-character strings: "
+                                 f"{list(ab)}")
             if len(set(ab)) != len(ab):
                 raise ValueError("duplicate symbols in alphabet")
         self.alpha = tuple(rats(alpha))
@@ -157,12 +162,14 @@ def project(i, A, T):
 
     Realizes g(..) = sum over w in Sigma_i^L of f_A(w) * f_T(.., w at i, ..).
     Per remaining tuple the matrix is sum_sigma A_sigma (x) T_{..sigma..}.
+    A's symbols may be any subset of tape i's; a symbol A lacks has no
+    matrix, so f_A is 0 on every word that holds it.
     """
     if T.arity < 2:
         raise ValueError("projection needs arity >= 2")
     if not (1 <= i <= T.arity):
         raise ValueError("tape index out of range")
-    if A.arity != 1 or A.alphabets[0] != T.alphabets[i - 1]:
+    if A.arity != 1 or not set(A.alphabets[0]) <= set(T.alphabets[i - 1]):
         raise ValueError("alphabet mismatch between A and tape i of T")
     idx = i - 1
     out_alphabets = T.alphabets[:idx] + T.alphabets[idx + 1:]
@@ -187,13 +194,17 @@ def contract(T, factors, length):
     Returns the sum over all tape assignments (w_1..w_N) in
     Sigma_1^length x ... x Sigma_N^length of
     f_T(w_1..w_N) * prod over (W, tapes) of f_W(w_t for t in tapes).
+    Each tape of W reads any subset of its tape's symbols, in any order;
+    a symbol W lacks has no matrix, as in project.
     The product automaton is applied in factored form: the state is
     (factor states, T state), never a dense Kronecker matrix.
     """
     for W, tapes in factors:
         if not all(1 <= t <= T.arity for t in tapes):
             raise ValueError(f"tape index out of range in {tuple(tapes)}")
-        if W.alphabets != tuple(T.alphabets[t - 1] for t in tapes):
+        if len(W.alphabets) != len(tapes) or not all(
+                set(ab) <= set(T.alphabets[t - 1])
+                for ab, t in zip(W.alphabets, tapes)):
             raise ValueError(f"alphabet mismatch on tapes {tuple(tapes)}")
     # per tuple of T, the factor matrices it selects, T's own last; a tuple
     # some factor has no matrix for contributes nothing

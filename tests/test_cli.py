@@ -381,6 +381,33 @@ MALFORMED = {
     "rnn-domain-list": ("rnn", {**RNN, "domain": ["0", ["1"]]}),
     "sigmoid-domain-object": ("sigmoid", {**SIGMOID,
                                           "domain": ["0", {"1": 1}]}),
+    # an input is the string of its symbols: a symbol is one character,
+    # and a domain names each symbol once
+    "ind-repeated-symbol": ("ind", {**IND, "domain": ["0", "0", "1"]}),
+    "dt-repeated-symbol": ("dt", {**TREE, "domain": ["0", "1", "1"]}),
+    "nb-repeated-symbol": ("nb", {"prior": {"c": "1"},
+                                  "tables": [{"c": HALF}] * 2,
+                                  "domain": ["0", "1", "0"]}),
+    "ind-multichar-symbol": ("ind", {
+        "marginals": [{"ab": "1/2", "c": "1/2"}] * 2, "domain": ["ab", "c"]}),
+    "linear-multichar-symbol": ("linear", {
+        "n": 2, "domain": ["ab", "c"], "weights": {"1,ab": "1", "1,c": "3"}}),
+    "hmmvec-multichar-symbol": ("hmmvec", {
+        "pi": [1, 2], "alpha": ["1"], "transitions": [[["1"]]] * 2,
+        "emissions": [[["1/2", "1/2"]]] * 2, "domain": ["0", "11"]}),
+    "rnn-multichar-symbol": ("rnn", {**RNN, "emb": {"0": ["0"], "11": ["1"]},
+                                     "domain": ["0", "11"]}),
+    "wa-multichar-symbol": ("wa", {"alphabets": [["ab", "c"]], "alpha": ["1"],
+                                   "beta": ["1"],
+                                   "transitions": {"ab": [["1"]]}}),
+    "wa-empty-symbol": ("wa", {"alphabets": [["", "1"]], "alpha": ["1"],
+                               "beta": ["1"], "transitions": {"1": [["1"]]}}),
+    "hmm-multichar-symbol": ("hmm", {"alphabet": ["ab", "c"], "alpha": ["1"],
+                                     "matrices": {"ab": [["1/2"]],
+                                                  "c": [["1/2"]]}}),
+    "hmm-multichar-emission": ("hmm", {"alphabet": ["0", "11"],
+                                       "alpha": ["1"], "transition": [["1"]],
+                                       "emission": [["1/2", "1/2"]]}),
     # an emp payload is an object with "rows"
     "emp-payload-string": ("emp", "x"),
     "emp-payload-list": ("emp", ["01", "11"]),

@@ -14,7 +14,7 @@ from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
                               hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import TreeEnsemble
+from shapwa.models import Dataset, TreeEnsemble
 from shapwa.oracle import shap_oracle_global, shap_oracle_local
 from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
                             rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
@@ -208,6 +208,34 @@ def test_unreachable_states_make_no_products(monkeypatch):
     assert costs[0][0] <= 1154
 
 
+@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
+                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
+                    "the calls cannot be counted")
+def test_emp_states_live_at_a_position_are_its_prefixes(monkeypatch):
+    # one state per distinct row is reached at position j only as the first
+    # row of a prefix of length j, so the pass makes the products it made
+    # when the compiler gave each prefix a state of its own (121 HMM states)
+    d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
+                 "11101"])
+    D = hmmvec_to_hmm(emp_to_hmmvec(d))
+    assert D.dim == 6 * 6 + 1
+    f = rand_wa(rng_for(38), 3, B)
+    made = [0]
+
+    def mul(a, b, product=Fraction.__mul__):
+        made[0] += 1
+        return product(a, b)
+
+    counts = []
+    for inner, outer in sides(D, "01101", "10011"):
+        made[0] = 0
+        with monkeypatch.context() as m:
+            m.setattr(Fraction, "__mul__", mul)
+            shap_all.__wrapped__(f, 5, inner, outer)
+        counts.append(made[0])
+    assert counts == [1873, 486, 8068, 1912]
+
+
 def test_cancelled_entries_reach_no_state(monkeypatch):
     # f reads 0 as 1 and 1 as -1: under the uniform HMM every entry of P
     # and Q sums to 0 across the symbols, so nothing is reachable after
@@ -243,7 +271,7 @@ def test_shap_all_matches_builder_pipeline_on_compiled_tabular_pairs():
         f = ensemble_reg_to_wa(ensemble)
         w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
         dists = [hmmvec_to_hmm(m) for m in (
-            emp_to_hmmvec(rand_dataset(rng, n, 2), domain=B),
+            emp_to_hmmvec(rand_dataset(rng, n, 2)),
             ind_to_hmmvec(rand_ind(rng, n)), nb_to_hmmvec(rand_nb(rng, n)))]
         cases = [side for D in dists for side in sides(D, w, w_ref)]
         for k, (inner, outer) in enumerate(cases):
@@ -278,6 +306,18 @@ def test_engine_takes_sub_alphabet_hmm():
             shap_oracle_global("b", f, i, n, w_ref, D), idx
         assert loc_b_shap(f, w, i, w_ref) == \
             shap_oracle_local("b", f, w, i, w_ref), idx
+
+
+def test_pipeline_takes_sub_alphabet_hmm():
+    # the builder cross-check answers what the engine answers when the
+    # distribution leaves out model symbols
+    h = hmmvec_to_hmm(emp_to_hmmvec(Dataset(["11", "11", "11"])))
+    assert h.alphabet == ("1",)
+    f = rand_wa(rng_for(39), 2, B)
+    for inner, outer in sides(h, "10", "01"):
+        want = shap_all.__wrapped__(f, 2, inner, outer)
+        assert tuple(pipeline_shap(f, i, 2, inner, outer)
+                     for i in (1, 2)) == want
 
 
 def test_cached_answers_equal_cold_calls():

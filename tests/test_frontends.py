@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -147,6 +147,31 @@ def test_emp_point_mass_and_normalization():
         assert v2.prob(x) == d.prob(x)
 
 
+# repeated rows, a single row, rows that share long prefixes, and rows that
+# use one symbol of B
+EMP_DATASETS = (["010"], ["110", "110", "011", "110"],
+                ["000", "001", "001", "011", "111", "111", "110"],
+                ["111", "111"])
+
+
+def test_emp_is_exact_with_one_state_per_distinct_row():
+    datasets = [Dataset(rows) for rows in EMP_DATASETS]
+    rng = rng_for(60)
+    datasets += [rand_dataset(rng, 3, rng.randint(1, 9)) for _ in range(4)]
+    for d in datasets:
+        distinct = len(set(d.rows))
+        for order in permutations((1, 2, 3)):
+            for domain in (None, ("0", "1", "2")):
+                v = emp_to_hmmvec(d, order, domain)
+                assert len(v.alpha) == distinct
+                h = hmmvec_to_hmm(v)
+                assert h.dim == (d.n + 1) * distinct + 1
+                for x in words(3, v.domain):
+                    assert v.prob(x) == d.prob(x)
+                    assert h.prefix_prob(sequentialize(x, order)) == \
+                        d.prob(x)
+
+
 def test_hmmvec_to_hmm():
     v = emp_to_hmmvec(Dataset(["01", "11"]))
     h = hmmvec_to_hmm(v)
@@ -170,6 +195,17 @@ def test_ind_uniform():
     v = ind_to_hmmvec(m)
     for x in words(3):
         assert v.prob(x) == m.prob(x)
+
+
+def test_ind_is_a_single_state_hmmvec():
+    m = rand_ind(rng_for(61), 3)
+    for order in permutations((1, 2, 3)):
+        v = ind_to_hmmvec(m, order)
+        assert v.pi == order and v.domain == m.domain
+        assert v.alpha == [ONE]
+        assert v.transitions == [[[ONE]]] * 3
+        assert v.emissions == [[[m.marginals[i - 1].get(s, ZERO)
+                                 for s in m.domain]] for i in order]
 
 
 def test_nb_single_class_is_product():

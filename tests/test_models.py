@@ -103,7 +103,7 @@ def test_dataset():
     d = Dataset(["01", "01", "11"])
     assert d.prob("01") == Rat(2, 3)
     assert d.prob("00") == 0
-    assert d.domain() == B
+    assert d.domain == B
     with pytest.raises(ValueError):
         Dataset([])
     with pytest.raises(ValueError):
@@ -164,6 +164,10 @@ def test_tabular_inputs_refuse_other_malformed_fields():
         Dataset([["0", "1"]])
     with pytest.raises(ValueError, match="strings"):
         IndDist([half], ("0", 1))
+    # an input is the string of its symbols, one character each
+    for domain in (("0", "0", "1"), ("ab", "c"), ("", "1")):
+        with pytest.raises(ValueError, match="repeated|one-character"):
+            LinearModel(1, domain, {})
     with pytest.raises(ValueError, match="non-negative integer"):
         LinearModel("2", B, {})
     with pytest.raises(ValueError, match="non-negative integer"):

@@ -264,6 +264,27 @@ def test_contract_two_factors_on_one_tape():
             contract_by_enumeration(T, factors, n)
 
 
+def test_project_and_contract_take_a_sub_alphabet_factor():
+    # the factor leaves out "b" and lists its symbols in another order: a
+    # word that holds "b" has weight 0 under it
+    T = tape_wa(50, (B, ("a", "b", "c")))
+    A = seeded_wa(51, alphabet=("c", "a"))
+    G = project(2, A, T)
+    for n in range(4):
+        for u in words(B, n):
+            assert eval_wa(G, (u,)) == sum(
+                (eval_wa(A, (w,)) * eval_wa(T, (u, w))
+                 for w in words(A.alphabets[0], n)), ZERO)
+        assert contract(T, [(A, (2,))], n) == sum(
+            (eval_wa(A, (w,)) * eval_wa(T, (u, w))
+             for u in words(B, n) for w in words(A.alphabets[0], n)), ZERO)
+    alien = seeded_wa(52, alphabet=("a", "z"))
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        project(2, alien, T)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        contract(T, [(alien, (2,))], 2)
+
+
 def test_contract_errors():
     T = tape_wa(46)
     for tapes in ((0,), (3,)):  # tapes are 1-based
