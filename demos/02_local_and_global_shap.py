@@ -42,8 +42,10 @@ def main():
         print(f"feature {i}:  global baseline = {gb}   global interventional"
               f" = {gi}")
 
-    print("\nglobal interventional values vanish: the positive contribution"
-          "\non '111' cancels against the negative ones elsewhere.")
+    print("\nglobal interventional values vanish for every model: inputs and"
+          "\nreplacements come independently from one distribution, so a"
+          "\ncoalition S is worth what its complement is worth, and the"
+          "\nterms of S and of the other features outside S cancel.")
 
 
 if __name__ == "__main__":

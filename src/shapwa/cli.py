@@ -19,6 +19,7 @@ deterministic for fixed inputs and seed.
 import argparse
 import hashlib
 import json
+import math
 import sys
 from functools import lru_cache, partial
 
@@ -154,6 +155,16 @@ def _oracle(q, model, dist):
     return oracle.shap_oracle_global(q.variant[0], model, q.feature, n, ctx, x)
 
 
+def _decimal(value):
+    """value as a float, or None when it lies outside binary64's range
+    (Fraction raises OverflowError there; a backend may give inf)."""
+    try:
+        x = float(value)
+    except OverflowError:
+        return None
+    return x if math.isfinite(x) else None
+
+
 def _value_record(cfg, value, route):
     # rationals expose numerator/denominator; sigmoid outputs are floats
     exact = hasattr(value, "denominator")
@@ -162,7 +173,7 @@ def _value_record(cfg, value, route):
         "variant": cfg.variant,
         "scope": cfg.scope,
         "value": format_rat(value) if exact else None,
-        "decimal": float(value),
+        "decimal": _decimal(value),
     }
     if cfg.format == "tsv":
         print("\t".join(str(v) for v in record.values()))

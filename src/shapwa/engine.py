@@ -52,14 +52,27 @@ F_{j-1} (P_j - Q_j) lives in reach_j and phi never reads B elsewhere.  The
 restriction is structural: masking by numerical supports could drop a
 state where the F vectors cancel but their difference does not.
 
+When one object is both sides, every phi_i is 0 and no pass runs.  Inputs
+x and replaced features z are then drawn independently from the same
+distribution, so swapping them gives v(S) = E f(x_S z_{N-S}) = v(N-S).
+In phi_i = sum_S c(|S|) (v(S+i) - v(S)), over S in N-{i}, let
+T = N-{i}-S: then v(S+i) = v(T) and v(S) = v(T+i), and |T| = n-1-|S|
+makes c(|T|) = c(|S|), so the term of S is minus the term of T and the
+sum vanishes.  Identity is an O(1) test that the sides are one
+distribution; equal but distinct objects still run the pass.  glo_i
+passes its distribution as both sides, so global interventional SHAP
+costs only the query checks.  A word passed as both sides is local
+baseline SHAP with the input as reference, also 0 by the same argument.
+
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
 (f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
 share one pass across consecutive features of one input; a hit repeats
 arguments that already passed the checks.  Cached answers rely on
 `NAlphabetWA` and `Hmm` being immutable, as they are documented to be.
-glo_i and glo_b run one uncached pass per call, so a global value costs
-the same whichever features were asked before it; callers that want
-every global value call `shap_all` once.  The paper's builder pipeline
+glo_i and glo_b bypass the cache; glo_b runs one pass per call, so a
+global value costs the same whichever features were asked before it;
+callers that want every global baseline value call
+`shap_all(f, n, w_ref, D)` once.  The paper's builder pipeline
 is `builders.pipeline_shap`, kept as a cross-check.
 """
 
@@ -209,12 +222,16 @@ def shap_all(f, n, inner, outer):
     """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
     ~ inner, each an Hmm or a word (the point distribution on it).
     ValueError unless f reads one tape, each word has length n and every
-    symbol of a side is in f's alphabet."""
+    symbol of a side is in f's alphabet.  A side passed twice as one
+    object answers all zeros once checked, as the module docstring
+    proves."""
     if f.arity != 1:
         raise ValueError("the model must be a 1-alphabet automaton")
     sig = f.alphabets[0]
     o_alpha, o_beta, o_layers = _side(outer, sig, n, "input")
     i_alpha, i_beta, i_layers = _side(inner, sig, n, "reference")
+    if inner is outer:
+        return (ZERO,) * n
     dims = (len(o_alpha), len(i_alpha), f.dim)
     f_mats = {s: m for (s,), m in f.transitions.items()}
     built = {}

@@ -66,6 +66,26 @@ def test_shap_tsv_format(capsys, and_model):
     assert out.strip().split("\t")[3] == "1/2"
 
 
+def test_shap_value_beyond_binary64(capsys, tmp_path):
+    # f("1") = 10^400: the exact value is printed whole and its decimal,
+    # which no float can hold, is null (None in tsv)
+    big = "1" + "0" * 400
+    model = write_json(tmp_path / "big.wa.json", {"type": "wa", "payload": {
+        "alphabets": [["0", "1"]], "alpha": ["1"], "beta": ["1"],
+        "transitions": {"1": [[big]]}}})
+    for w, w_ref, value in (("1", "0", big), ("0", "1", "-" + big)):
+        argv = ["shap", "--scope", "local", "--variant", "baseline",
+                "--model", model, "--input", w, "--reference", w_ref,
+                "--feature", "1"]
+        code, out = run(capsys, argv)
+        assert code == 0
+        record = json.loads(out)
+        assert (record["value"], record["decimal"]) == (value, None)
+        code, out = run(capsys, argv + ["--format", "tsv"])
+        assert code == 0
+        assert out.rstrip("\n").split("\t")[3:] == [value, "None"]
+
+
 def test_usage_errors_leave_the_parser_as_new(capsys, and_model):
     # the parser is built once per process; a usage error still exits 2,
     # and the next call answers as a fresh process does

@@ -12,7 +12,7 @@ from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
                            shap_all)
 from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
                               hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
-from shapwa.hmm import uniform_hmm
+from shapwa.hmm import Hmm, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
 from shapwa.oracle import shap_oracle_global, shap_oracle_local
@@ -110,8 +110,10 @@ def test_engine_matches_oracle_random():
 
 
 def sides(D, w, w_ref):
-    """(inner, outer) of loc_i, loc_b, glo_i and glo_b."""
-    return ((D, w), (w_ref, w), (D, D), (w_ref, D))
+    """(inner, outer) of loc_i, loc_b, glo_i and glo_b.  glo_i's inner side
+    is D's equal but distinct copy, so it runs the two-HMM pass that one
+    object on both sides skips."""
+    return ((D, w), (w_ref, w), (Hmm(D.wa), D), (w_ref, D))
 
 
 def test_shap_all_matches_builder_pipeline():
@@ -125,6 +127,24 @@ def test_shap_all_matches_builder_pipeline():
             assert isinstance(phis, tuple)
             assert phis == tuple(pipeline_shap(f, i, n, inner, outer)
                                  for i in range(1, n + 1)), (idx, inner)
+
+
+def test_two_distribution_global_query():
+    # inputs ~ E, replaced features ~ D: no public wrapper runs this
+    # two-HMM pass any more, so shap_all is checked on it directly
+    rng = rng_for(43)
+    nonzero = 0
+    for idx in range(8):
+        n = rng.randint(1, 4)
+        f = rand_wa(rng, rng.randint(1, 3), B)
+        D, E = (rand_hmm(rng, rng.randint(1, 3), B) for _ in range(2))
+        phis = shap_all.__wrapped__(f, n, D, E)
+        assert phis == tuple(shap_oracle_global("i", f, i, n, D, E)
+                             for i in range(1, n + 1)), idx
+        assert phis == tuple(pipeline_shap(f, i, n, D, E)
+                             for i in range(1, n + 1)), idx
+        nonzero += sum(1 for phi in phis if phi)
+    assert nonzero > 0
 
 
 def test_shap_all_matches_builder_pipeline_under_compiled_hmmvecs():
@@ -236,10 +256,46 @@ def test_emp_states_live_at_a_position_are_its_prefixes(monkeypatch):
     assert counts == [1873, 486, 8068, 1912]
 
 
+@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
+                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
+                    "the calls cannot be counted")
+def test_one_side_twice_is_free_but_checked(monkeypatch):
+    # one object on both sides answers zeros without a product or a matrix
+    # read, after the same query checks as any other call
+    rng = rng_for(44)
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    made, read = [0], []
+
+    def mul(a, b, product=Fraction.__mul__):
+        made[0] += 1
+        return product(a, b)
+
+    with monkeypatch.context() as m:
+        m.setattr(Fraction, "__mul__", mul)
+        for name in ("vecmat", "matvec"):
+            def counted(self, v, *rest, product=getattr(SpMat, name)):
+                read.append(len(v))
+                return product(self, v, *rest)
+            m.setattr(SpMat, name, counted)
+        assert shap_all.__wrapped__(f, 4, D, D) == (ZERO,) * 4
+    assert (made[0], read) == (0, [])
+    alien = uniform_hmm(("1", "a"))
+    with pytest.raises(ValueError):
+        shap_all.__wrapped__(f, 2, alien, alien)
+    w = "011"
+    with pytest.raises(ValueError):
+        shap_all.__wrapped__(f, 2, w, w)  # length != n
+    with pytest.raises(IndexError):
+        glo_i_shap(f, 5, 4, D)
+    for i in (1, 2, 3):
+        assert loc_b_shap(f, w, i, w) == shap_oracle_local("b", f, w, i, w)
+
+
 def test_cancelled_entries_reach_no_state(monkeypatch):
     # f reads 0 as 1 and 1 as -1: under the uniform HMM every entry of P
     # and Q sums to 0 across the symbols, so nothing is reachable after
-    # position 1 and the backward pass reads no row
+    # position 1 and the backward pass reads no row.  The inner side is a
+    # distinct copy of D, so the pass runs
     trans = {("0",): SpMat.from_dense([[ONE]]),
              ("1",): SpMat.from_dense([[-ONE]])}
     f, D = NAlphabetWA([B], [ONE], trans, [ONE]), uniform_hmm(B)
@@ -250,7 +306,7 @@ def test_cancelled_entries_reach_no_state(monkeypatch):
         return product(self, v, at)
 
     monkeypatch.setattr(SpMat, "matvec", matvec)
-    assert shap_all.__wrapped__(f, 3, D, D) == tuple(
+    assert shap_all.__wrapped__(f, 3, Hmm(D.wa), D) == tuple(
         shap_oracle_global("i", f, i, 3, D, D) for i in (1, 2, 3))
     assert rows and not any(rows)
 
