@@ -63,8 +63,21 @@ def _dump_json(obj, path=None):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as e:
+            raise CliError(EXIT_PARSE, f"cannot write {path}: {e}")
+
+
+def _check_flags(cfg, flags, reads, what, optional=()):
+    """Exit 2 unless cfg gives each of the flags that `what` reads, except
+    the optional ones, and none of the others."""
+    for flag in flags:
+        given = getattr(cfg, flag) is not None
+        if given != (flag in reads) and (given or flag not in optional):
+            raise CliError(EXIT_PARSE, f"--{flag} is "
+                           f"{'not read' if given else 'required'} by {what}")
 
 
 def _parse_int_list(text, flag):
@@ -106,7 +119,8 @@ def _read(path, role, tags):
         with open(path, "rb") as fh:
             raw = fh.read()
         doc = json.loads(raw.decode("utf-8"))
-    except (OSError, ValueError) as e:  # ValueError: not UTF-8, not JSON
+    except (OSError, ValueError, RecursionError) as e:
+        # ValueError: not UTF-8, not JSON; RecursionError: nested too deeply
         raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
     kind = doc.get("type", tags[0]) if isinstance(doc, dict) else None
     if kind not in tags:
@@ -132,27 +146,32 @@ def load_dist(path):
 # shap
 
 
-# (scope, variant) -> the polynomial pipeline; it answers a WA model under
-# an Hmm distribution (or none, for local baseline SHAP)
+# A query's two sides, each a word (its point distribution) or a
+# distribution: the inputs x come from OUTER[scope], the words that replace
+# the features outside a coalition from INNER[variant].  A query reads the
+# flags of its two sides, and --length at global scope, and no other.
+OUTER = {"local": "input", "global": "dist"}
+INNER = {"baseline": "reference", "interventional": "dist",
+         "conditional": "dist"}
+
+
+def _sides(scope, variant, given):
+    """(inner, outer) of a query, given the value of each side's flag."""
+    return given[INNER[variant]], given[OUTER[scope]]
+
+
+# (scope, variant) -> the polynomial pipeline; it answers a WA model whose
+# sides are words or Hmm distributions
 ENGINE = {
     ("local", "baseline"):
-        lambda f, dist, q: engine.loc_b_shap(f, q.input, q.feature,
-                                             q.reference),
+        lambda f, i, n, inner, outer: engine.loc_b_shap(f, outer, i, inner),
     ("local", "interventional"):
-        lambda f, dist, q: engine.loc_i_shap(f, q.input, q.feature, dist),
+        lambda f, i, n, inner, outer: engine.loc_i_shap(f, outer, i, inner),
     ("global", "baseline"):
-        lambda f, dist, q: engine.glo_b_shap(f, q.feature, q.length,
-                                             q.reference, dist),
+        lambda f, i, n, inner, outer: engine.glo_b_shap(f, i, n, inner, outer),
     ("global", "interventional"):
-        lambda f, dist, q: engine.glo_i_shap(f, q.feature, q.length, dist),
+        lambda f, i, n, inner, outer: engine.glo_i_shap(f, i, n, outer),
 }
-
-
-def _oracle(q, model, dist):
-    # a word stands for its point distribution on either side
-    x, n = (q.input, len(q.input)) if q.scope == "local" else (dist, q.length)
-    ctx = q.reference if q.variant == "baseline" else dist
-    return oracle.shap_oracle_global(q.variant[0], model, q.feature, n, ctx, x)
 
 
 def _decimal(value):
@@ -181,69 +200,49 @@ def _value_record(cfg, value, route):
         _dump_json({**record, "route": route, "backend": Rat.__name__})
 
 
-def _check_symbols(q, model, dist):
-    # a distribution may use fewer symbols than the model, never others
-    sigma = (model.alphabets[0] if isinstance(model, NAlphabetWA)
-             else model.domain)
-    used = {"--input": q.input if q.scope == "local" else "",
-            "--reference": q.reference if q.variant == "baseline" else "",
-            "the distribution": oracle.dist_alphabet(dist) if dist else ()}
-    for role, symbols in used.items():
-        alien = sorted(set(symbols) - set(sigma))
-        if alien:
-            raise CliError(EXIT_INCOMPATIBLE,
-                           f"{role} uses symbols {alien} outside the model's "
-                           f"domain {list(sigma)}")
-
-
 def cmd_shap(cfg):
+    reads = {OUTER[cfg.scope], INNER[cfg.variant]}
+    if cfg.scope == "global":
+        reads.add("length")
+    _check_flags(cfg, ("input", "length", "reference", "dist"), reads,
+                 f"{cfg.scope} {cfg.variant} SHAP")
     model = load_model(cfg.model)
-    if isinstance(model, SigmoidNet) and cfg.mode == "exact":
-        raise CliError(EXIT_INCOMPATIBLE,
-                       "sigmoid models evaluate in binary-64; "
-                       "use --mode float")
-    local = cfg.scope == "local"
-    if local and cfg.input is None:
-        raise CliError(EXIT_PARSE, "--input is required for local scope")
-    if not local and cfg.length is None:
-        raise CliError(EXIT_PARSE, "--length is required for global scope")
-    if local and cfg.length is not None:
-        raise CliError(EXIT_PARSE, "--length does not apply to local scope: "
-                                   "n is the length of --input")
-    if not local and cfg.input is not None:
-        raise CliError(EXIT_PARSE, "--input does not apply to global scope")
-    n = len(cfg.input) if local else cfg.length
+    n = cfg.length if cfg.input is None else len(cfg.input)
     if not (1 <= cfg.feature <= n):
         raise CliError(EXIT_INCOMPATIBLE,
                        f"feature {cfg.feature} out of range for n={n}")
-    baseline = cfg.variant == "baseline"
-    if baseline and cfg.reference is None:
-        raise CliError(EXIT_PARSE,
-                       "--reference is required for the baseline variant")
-    if baseline and len(cfg.reference) != n:
+    if cfg.reference is not None and len(cfg.reference) != n:
         raise CliError(EXIT_INCOMPATIBLE, f"--reference must have length {n}")
-    needs_dist = not (local and baseline)
-    if needs_dist and cfg.dist is None:
-        raise CliError(EXIT_PARSE, f"--dist is required for {cfg.scope} "
-                                   f"{cfg.variant} SHAP")
     try:
-        dist = load_dist(cfg.dist) if needs_dist else None
+        dist = None if cfg.dist is None else load_dist(cfg.dist)
         for obj, role in ((model, "model"), (dist, "distribution")):
             if getattr(obj, "n", n) != n:
                 raise CliError(EXIT_INCOMPATIBLE,
                                f"the {role} has n={obj.n}, the query n={n}")
-        _check_symbols(cfg, model, dist)
+        given = {"input": cfg.input, "reference": cfg.reference, "dist": dist}
+        # a distribution may use fewer symbols than the model, never others
+        sigma = (model.alphabets[0] if isinstance(model, NAlphabetWA)
+                 else model.domain)
+        for flag in (INNER[cfg.variant], OUTER[cfg.scope]):
+            side = given[flag]
+            alien = sorted(set(side if isinstance(side, str)
+                               else oracle.dist_alphabet(side)) - set(sigma))
+            if alien:
+                raise CliError(EXIT_INCOMPATIBLE,
+                               f"--{flag} uses symbols {alien} outside the "
+                               f"model's domain {list(sigma)}")
+        inner, outer = _sides(cfg.scope, cfg.variant, given)
         pipeline = ENGINE.get((cfg.scope, cfg.variant))
         if (pipeline and isinstance(model, NAlphabetWA)
                 and (dist is None or isinstance(dist, Hmm))):
-            route, value = "engine", pipeline(model, dist, cfg)
+            route, value = "engine", pipeline(model, cfg.feature, n, inner,
+                                              outer)
         else:
-            route, value = "oracle", _oracle(cfg, model, dist)
+            route, value = "oracle", oracle.shap_oracle_global(
+                cfg.variant[0], model, cfg.feature, n, inner, outer)
     except GuardExceeded as e:
         raise CliError(EXIT_GUARD, str(e))
-    except ZeroProbabilityEvent as e:
-        raise CliError(EXIT_INCOMPATIBLE, str(e))
-    except (ValueError, IndexError, KeyError) as e:
+    except (ZeroProbabilityEvent, ValueError, IndexError, KeyError) as e:
         raise CliError(EXIT_INCOMPATIBLE, str(e))
     _value_record(cfg, value, route)
 
@@ -372,44 +371,39 @@ GADGETS = {
 }
 
 
-def _flags(cfg, *names):
-    values = [getattr(cfg, name) for name in names]
-    if None in values:
-        raise CliError(EXIT_PARSE, " and ".join("--" + name for name in names)
-                       + " are required")
-    return values
-
-
 def _game_source(cfg):
-    powers, quota = _flags(cfg, "powers", "quota")
-    game = Wmg(_parse_int_list(powers, "--powers"), quota)
-    if not (1 <= cfg.feature <= game.n):
-        raise CliError(EXIT_INCOMPATIBLE, f"player {cfg.feature} out of range")
-    return game, cfg.feature
+    game = Wmg(_parse_int_list(cfg.powers, "--powers"), cfg.quota)
+    player = 1 if cfg.feature is None else cfg.feature
+    if not (1 <= player <= game.n):
+        raise CliError(EXIT_INCOMPATIBLE, f"player {player} out of range")
+    return game, player
 
 
 def _cnf_source(cfg):
-    clauses, n = _flags(cfg, "clauses", "vars")
-    return CnfFormula(n, [_parse_int_list(c, "--clauses")
-                          for c in clauses.split(";") if c])
+    return CnfFormula(cfg.vars, [_parse_int_list(c, "--clauses")
+                                 for c in cfg.clauses.split(";") if c])
 
 
 def _csp_source(cfg):
-    text, radius = _flags(cfg, "strings", "radius")
-    strings = text.split(",")
+    strings = cfg.strings.split(",")
     domain = tuple(sorted(set("".join(strings)) | {"0", "1"}))
-    return CspInstance(strings, radius, domain)
+    return CspInstance(strings, cfg.radius, domain)
 
 
-# --kind -> the source problem read from its flags
-_SOURCES = {"sigmoid": _game_source, "rnn": _game_source,
-            "sat": _cnf_source, "csp": _csp_source}
+# --kind -> (the source problem read from its flags, the flags it reads)
+_GAME = (_game_source, ("powers", "quota", "feature"))
+_SOURCES = {"sigmoid": _GAME, "rnn": _GAME,
+            "sat": (_cnf_source, ("clauses", "vars")),
+            "csp": (_csp_source, ("strings", "radius"))}
 
 
 def cmd_gadget(cfg):
     reduce, certify = GADGETS[cfg.kind]
+    source, reads = _SOURCES[cfg.kind]
+    _check_flags(cfg, [f for _, fs in _SOURCES.values() for f in fs], reads,
+                 f"--kind {cfg.kind}", optional=("feature",))
     try:
-        problem = _SOURCES[cfg.kind](cfg)
+        problem = source(cfg)
         g = reduce(problem)
     except ValueError as e:
         raise CliError(EXIT_INCOMPATIBLE, str(e))
@@ -452,11 +446,12 @@ def _verify_engine(report, rng, count):
         w = rand_word(rng, alphabet, n)
         w_ref = rand_word(rng, alphabet, n)
         i = rng.randint(1, n)
+        given = {"input": w, "reference": w_ref, "dist": dist}
         bad = []
         for (scope, variant), pipeline in ENGINE.items():
-            q = argparse.Namespace(scope=scope, variant=variant, input=w,
-                                   reference=w_ref, feature=i, length=n)
-            got, want = pipeline(f, dist, q), _oracle(q, f, dist)
+            inner, outer = _sides(scope, variant, given)
+            got = pipeline(f, i, n, inner, outer)
+            want = oracle.shap_oracle_global(variant[0], f, i, n, inner, outer)
             if got != want:
                 bad.append(f"{scope} {variant} engine={format_rat(got)} "
                            f"oracle={format_rat(want)}")
@@ -522,8 +517,10 @@ def build_parser():
         description="Exact SHAP values for weighted automata under HMM "
                     "distributions; compilers and hardness gadgets.")
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    # a flag is read only under its whole name: --mode is not --model
+    add = partial(sub.add_parser, allow_abbrev=False)
 
-    p = sub.add_parser("shap", help="compute one SHAP value")
+    p = add("shap", help="compute one SHAP value")
     p.add_argument("--scope", choices=("local", "global"), required=True)
     p.add_argument("--variant",
                    choices=("baseline", "interventional", "conditional"),
@@ -535,11 +532,10 @@ def build_parser():
     p.add_argument("--dist", help="distribution JSON file")
     p.add_argument("--length", type=int,
                    help="sequence length (global scope only)")
-    p.add_argument("--mode", choices=("exact", "float"), default="exact")
     p.add_argument("--format", choices=("json", "tsv"), default="json")
     p.set_defaults(func=cmd_shap)
 
-    p = sub.add_parser("convert", help="compile a model/distribution")
+    p = add("convert", help="compile a model/distribution")
     p.add_argument("--from", dest="source", required=True,
                    choices=tuple(COMPILERS))
     p.add_argument("--to", dest="target", choices=("wa", "hmm", "hmmvec"),
@@ -549,11 +545,11 @@ def build_parser():
     p.add_argument("--order", help="sequentialization, e.g. 2,1,3")
     p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("gadget", help="emit a hardness-reduction instance")
+    p = add("gadget", help="emit a hardness-reduction instance")
     p.add_argument("--kind", choices=tuple(GADGETS), required=True)
     p.add_argument("--powers", help="comma-separated integer voting powers")
     p.add_argument("--quota", type=int)
-    p.add_argument("--feature", type=int, default=1,
+    p.add_argument("--feature", type=int,
                    help="player index (default 1)")
     p.add_argument("--clauses", help="semicolon-separated clauses, "
                                      "e.g. '1,-2,3;-1,2'")
@@ -563,7 +559,7 @@ def build_parser():
     p.add_argument("--output", help="write the bundle here (default stdout)")
     p.set_defaults(func=cmd_gadget)
 
-    p = sub.add_parser("verify", help="seeded equivalence suites")
+    p = add("verify", help="seeded equivalence suites")
     p.add_argument("--suite", choices=("engine", "gadgets", "all"),
                    default="all")
     p.add_argument("--count", type=int, default=50,

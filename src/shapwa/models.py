@@ -405,9 +405,18 @@ class SigmoidNet:
         return len(self.weights)
 
     def evaluate(self, x):
-        z = sum(float(w) for w, sym in zip(self.weights, x) if sym == "1")
-        z += float(self.bias)
-        return 1.0 / (1.0 + math.exp(-self.gain * z))
+        terms = [w for w, sym in zip(self.weights, x) if sym == "1"]
+        try:
+            z = sum(map(float, terms)) + float(self.bias)
+        except OverflowError:  # a term beyond binary-64: the exact sum
+            z = sum(terms, self.bias)
+            z = (float(z) if abs(z) <= sys.float_info.max
+                 else math.inf if z > 0 else -math.inf)
+        u = self.gain * z if self.gain else 0.0  # zero gain, even at z = inf
+        try:
+            return 1.0 / (1.0 + math.exp(-u))
+        except OverflowError:  # exp(-u) beyond binary-64: the value is exp(u)
+            return math.exp(u)
 
 
 # ---------------------------------------------------------------------------

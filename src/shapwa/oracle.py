@@ -237,33 +237,33 @@ def _value(variant, evaluate, x, coalition, support):
     return total / mass if variant == "c" else total
 
 
-def value_fn(variant, f, x, coalition, ctx):
+def value_fn(variant, f, x, coalition, inner):
     """v_c / v_i / v_b of a coalition (set of 1-based features)."""
     return _value(variant, partial(eval_model, f), x, set(coalition),
-                  _support(ctx, len(x)))
+                  _support(inner, len(x)))
 
 
-def shap_oracle_local(variant, f, x, i, ctx):
+def shap_oracle_local(variant, f, x, i, inner):
     """Exact subset-sum Shapley value of feature i at the input x."""
-    return shap_oracle_global(variant, f, i, len(x), ctx, x)
+    return shap_oracle_global(variant, f, i, len(x), inner, x)
 
 
-def shap_oracle_global(variant, f, i, n, ctx, dist):
-    """Mean over x ~ dist of feature i's subset-sum Shapley value, the
-    features outside a coalition drawn from ctx; a side may be a word."""
+def shap_oracle_global(variant, f, i, n, inner, outer):
+    """Mean over x ~ outer of feature i's subset-sum Shapley value, the
+    features outside a coalition drawn from inner; a side may be a word."""
     if n > SHAP_GUARD_N:
         raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range")
     # 2^(n-1) coalitions x 2 values x |Sigma|^n per distribution side
     bits = n
-    for side in (ctx, dist):
+    for side in (inner, outer):
         if not isinstance(side, str):
             bits += _word_bits(len(dist_alphabet(side)), n)
     _check_bits(bits, "the oracle's job")
-    inputs, support = _support(dist, n), _support(ctx, n)
+    inputs, support = _support(outer, n), _support(inner, n)
     evaluate = partial(eval_model, f)
-    if not (isinstance(dist, str) and isinstance(ctx, str)):
+    if not (isinstance(outer, str) and isinstance(inner, str)):
         # composed words repeat; at most |Sigma|^n of them are distinct
         evaluate = lru_cache(maxsize=None)(evaluate)
     weights = [Rat(factorial(size) * factorial(n - size - 1), factorial(n))

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -123,7 +124,7 @@ def test_shap_guard_exceeded(capsys, and_model, tmp_path):
                     "matrices": {"0": [["1/2"]], "1": [["1/2"]]}}})
     code, _ = run(capsys, [
         "shap", "--scope", "local", "--variant", "conditional",
-        "--model", and_model, "--input", "1" * 30, "--reference", "0" * 30,
+        "--model", and_model, "--input", "1" * 30,
         "--feature", "1", "--dist", dist])
     assert code == 4
 
@@ -151,7 +152,7 @@ def inputs(tmp_path, and_model):
 
 
 @pytest.mark.parametrize("model, dist, scope, variant, route", [
-    ("wa", "hmm", "local", "baseline", "engine"),
+    ("wa", None, "local", "baseline", "engine"),
     ("wa", "hmm", "local", "interventional", "engine"),
     ("wa", "hmm", "global", "baseline", "engine"),
     ("wa", "hmm", "global", "interventional", "engine"),
@@ -183,8 +184,9 @@ def test_shap_route(capsys, inputs, model, dist, scope, variant, route):
 @pytest.mark.parametrize("scope", ["local", "global"])
 def test_shap_reference_errors(capsys, inputs, scope):
     argv = ["shap", "--scope", scope, "--variant", "baseline",
-            "--model", inputs["wa"], "--feature", "1", "--dist", inputs["hmm"]]
-    argv += ["--input", "11"] if scope == "local" else ["--length", "2"]
+            "--model", inputs["wa"], "--feature", "1"]
+    argv += (["--input", "11"] if scope == "local" else
+             ["--length", "2", "--dist", inputs["hmm"]])
     assert run(capsys, argv)[0] == 2                          # missing
     assert run(capsys, argv + ["--reference", "000"])[0] == 3  # wrong length
 
@@ -203,6 +205,74 @@ def test_shap_refuses_the_other_scopes_flag(capsys, inputs, scope, flags):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error:")
+
+
+# (scope, variant) -> the flags the query reads: those of its two sides,
+# the inputs (--input or --dist) and the replaced features (--reference or
+# --dist), and --length at global scope
+READS = {
+    ("local", "baseline"): {"input", "reference"},
+    ("local", "interventional"): {"input", "dist"},
+    ("local", "conditional"): {"input", "dist"},
+    ("global", "baseline"): {"length", "reference", "dist"},
+    ("global", "interventional"): {"length", "dist"},
+    ("global", "conditional"): {"length", "dist"},
+}
+
+
+@pytest.mark.parametrize("flag", ["input", "length", "reference", "dist"])
+@pytest.mark.parametrize("scope, variant", sorted(READS))
+def test_shap_reads_exactly_the_flags_of_its_sides(capsys, inputs, scope,
+                                                   variant, flag):
+    values = {"input": "11", "length": "2", "reference": "00",
+              "dist": inputs["hmm"]}
+    head = ["shap", "--scope", scope, "--variant", variant,
+            "--model", inputs["wa"], "--feature", "1"]
+
+    def argv(flags):
+        return head + [t for f in sorted(flags) for t in ("--" + f, values[f])]
+
+    reads = READS[scope, variant]
+    assert run(capsys, argv(reads))[0] == 0
+    # drop a flag the query reads, or add one it does not
+    code = cli.main(argv(reads ^ {flag}))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error:")
+
+
+def test_shap_has_no_mode_flag(capsys, and_model):
+    # nor is --mode an abbreviation of --model, before it or after it
+    argv = ["shap", "--scope", "local", "--variant", "baseline", "--input",
+            "11", "--reference", "00", "--feature", "1"]
+    for flags in (["--mode", "float", "--model", and_model],
+                  ["--model", and_model, "--mode", "float"]):
+        with pytest.raises(SystemExit) as exit_:
+            cli.main(argv + flags)
+        assert exit_.value.code == 2
+        assert capsys.readouterr().out == ""
+
+
+@pytest.mark.parametrize("weights, decimal", [
+    # math.exp(1000) overflowed in the logistic
+    (["-1000", "1"], -(0.5 + 1 / (1 + math.exp(-1))) / 2),
+    # float(10^400) overflowed in the weighted sum
+    (["1" + "0" * 400, "1"], (1.5 - 1 / (1 + math.exp(-1))) / 2),
+])
+def test_shap_sigmoid_beyond_the_logistics_range(capsys, tmp_path, weights,
+                                                 decimal):
+    # a sigmoid network evaluates in binary-64: its value is null and its
+    # decimal is the float the oracle computed
+    model = write_json(tmp_path / "s.json",
+                       cli.encode(SigmoidNet(weights, ZERO, 1.0)))
+    code, out = run(capsys, [
+        "shap", "--scope", "local", "--variant", "baseline", "--model", model,
+        "--input", "11", "--reference", "00", "--feature", "1"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] is None
+    assert record["decimal"] == pytest.approx(decimal)
 
 
 @pytest.fixture
@@ -242,10 +312,11 @@ def test_shap_checks_n_of_tabular_inputs(capsys, inputs, four_features,
 
     def argv(n, feature=1):
         args = ["shap", "--scope", scope, "--variant", variant, "--model",
-                model, "--dist", dist, "--feature", str(feature),
-                "--mode", "float"]
+                model, "--feature", str(feature)]
         args += ["--input", "1" * n] if scope == "local" else \
             ["--length", str(n)]
+        if not (is_model and scope == "local"):
+            args += ["--dist", dist]
         return args + (["--reference", "0" * n] if is_model else [])
 
     assert run(capsys, argv(4))[0] == 0
@@ -367,6 +438,7 @@ MALFORMED = {
         "feature": 3, "children": {"0": {"leaf": "0"}, "1": {"leaf": "1"}}}}),
     "utf-16": ("ind", json.dumps({"type": "ind", "payload": IND})
                .encode("utf-16")),
+    "nested-too-deeply": ("dt", b"[" * 100_000 + b"]" * 100_000),
     # hmmvec shapes: emission rows shorter than the domain, 2 states over
     # 1x1 transitions, 2 emission rows for 1 state
     "hmmvec-short-emission-rows": ("hmmvec", {
@@ -716,6 +788,49 @@ def test_gadget_refuses_bad_source_problems(capsys, tmp_path, flags):
     code, _ = run(capsys, ["gadget", *flags, "--output", str(out_path)])
     assert code == 3
     assert not out_path.exists()
+
+
+def test_gadget_sigmoid_with_a_steep_logistic(capsys):
+    # gain * z is about -9650 at the empty coalition: exp(-gain * z)
+    # overflows
+    code, out = run(capsys, ["gadget", "--kind", "sigmoid",
+                             "--powers", "3000,2,2,0", "--quota", "1500"])
+    assert code == 0
+    assert json.loads(out)["certificate"]["verdict"] == \
+        "not dummy; phi_b > eps"
+
+
+@pytest.mark.parametrize("flags", [
+    ["--kind", "csp", "--strings", "01,10", "--radius", "1", "--feature", "7",
+     "--powers", "1"],
+    ["--kind", "csp", "--strings", "01,10", "--radius", "1", "--feature", "1"],
+    ["--kind", "sat", "--clauses", "1", "--vars", "1", "--quota", "1"],
+    ["--kind", "sigmoid", "--powers", "1,1", "--quota", "2", "--radius", "1"],
+    ["--kind", "rnn", "--powers", "1,1", "--quota", "2", "--vars", "2"],
+    ["--kind", "rnn", "--powers", "1,1"],
+    ["--kind", "csp", "--strings", "01"],
+])
+def test_gadget_reads_only_its_kinds_flags(capsys, tmp_path, flags):
+    out_path = tmp_path / "bundle.json"
+    code = cli.main(["gadget", *flags, "--output", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith("error:")
+    assert not out_path.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["convert", "--from", "dt", "--input", "DT"],
+    ["gadget", "--kind", "sat", "--clauses", "1", "--vars", "1"],
+])
+def test_unwritable_output_exits_2(capsys, inputs, tmp_path, argv):
+    argv = [inputs["dt"] if a == "DT" else a for a in argv]
+    for path in (tmp_path / "missing" / "out.json", tmp_path):
+        code = cli.main(argv + ["--output", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith(f"error: cannot write {path}")
+        assert "Traceback" not in captured.err
 
 
 def test_verify_passes(capsys):

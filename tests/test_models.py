@@ -1,13 +1,14 @@
+import math
 from itertools import product
 
 import pytest
 
 from shapwa.hmm import Hmm, hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
-                           LinearModel, MarkovDist, NaiveBayes, TreeEnsemble,
-                           dt_from_json, dt_to_json, ensemble_from_json,
-                           ensemble_to_json, from_json, linear_from_json,
-                           linear_to_json, step, to_json)
+                           LinearModel, MarkovDist, NaiveBayes, SigmoidNet,
+                           TreeEnsemble, dt_from_json, dt_to_json,
+                           ensemble_from_json, ensemble_to_json, from_json,
+                           linear_from_json, linear_to_json, step, to_json)
 from shapwa.randgen import (rand_dt, rand_ensemble, rand_hmmvec, rand_ind,
                             rand_linear, rand_markov, rand_nb, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
@@ -175,6 +176,28 @@ def test_tabular_inputs_refuse_other_malformed_fields():
     with pytest.raises(ValueError, match="out of range"):
         DecisionTree(DTNode(feature=Rat(3, 2), children={
             "0": DTNode(leaf=ZERO), "1": DTNode(leaf=ONE)}), 2, B)
+
+
+def test_sigmoid_evaluate_is_total():
+    # below u = -709.78, exp(-u) overflows: the logistic is then exp(u)
+    net = SigmoidNet(["-1000", "1"], ZERO, 1.0)
+    assert net.evaluate("10") == net.evaluate("11") == 0.0
+    steep = SigmoidNet(["-1", "1"], ZERO, 720.0)
+    assert steep.evaluate("10") == math.exp(-720.0) > 0
+    # a weighted sum beyond binary-64's range saturates to +-inf
+    big = "1" + "0" * 400
+    assert SigmoidNet([big, "1"], ZERO, 1.0).evaluate("10") == 1.0
+    assert SigmoidNet(["-" + big, "1"], ZERO, 1.0).evaluate("11") == 0.0
+    assert SigmoidNet([big], ZERO, 0.0).evaluate("1") == 0.5  # zero gain
+    # terms beyond the range whose exact sum is within it
+    cancel = SigmoidNet([big, "-" + big], ONE, 1.0)
+    assert cancel.evaluate("11") == 1.0 / (1.0 + math.exp(-1.0))
+    # otherwise the binary-64 sum of the rounded terms, as it always was:
+    # 0.1 + 0.1 + 0.1 is 0.30000000000000004, not 0.3, and the value differs
+    tenths = SigmoidNet([Rat(1, 10)] * 3, ZERO, 3.0)
+    z = 0.1 + 0.1 + 0.1
+    assert tenths.evaluate("111") == 1.0 / (1.0 + math.exp(-3.0 * z))
+    assert tenths.evaluate("111") != 1.0 / (1.0 + math.exp(-3.0 * 0.3))
 
 
 def test_hmm_stochastic_check():
