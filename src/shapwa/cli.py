@@ -12,7 +12,7 @@ Subcommands:
   verify   run seeded engine-vs-oracle and gadget equivalence suites
 
 Exit codes: 0 ok, 1 verification FAIL, 2 parse/usage error,
-3 incompatible inputs, 4 enumeration guard exceeded.  All output is
+3 incompatible inputs, 4 resource guard exceeded.  All output is
 deterministic for fixed inputs and seed.
 """
 
@@ -299,6 +299,13 @@ def cmd_convert(cfg):
         # notably: vote-classification ensembles, an order that is not a
         # permutation of the source's features
         raise CliError(EXIT_INCOMPATIBLE, str(e))
+    if target != "hmmvec":
+        # the dense codec writes all dim x dim cells of each symbol's matrix
+        symbols = len(obj.alphabet if target == "hmm" else obj.transitions)
+        cells, limit = symbols * obj.dim ** 2, oracle.guard_bits()
+        if cells > 2 ** limit:
+            raise CliError(EXIT_GUARD, f"a dense {target} file of {obj.dim} "
+                           f"states needs {cells} cells > 2**{limit}")
     _dump_json(encode(obj, provenance=provenance), cfg.output)
 
 

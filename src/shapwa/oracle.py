@@ -5,9 +5,17 @@ search, and one Shapley loop over all coalitions.  A query's two sides,
 the inputs x and the words z that replace the features outside a
 coalition, are each a distribution or a word (its point distribution);
 each support is enumerated once per call, and each distinct word is
-evaluated once when a side is a distribution.  Exponential and guarded;
-shares no pipeline code with the engine (it is the trust anchor), only
-the scalar type and the model/distribution containers.
+evaluated once.
+
+One coalition table per call: V(S) = E_{x~outer} v_x(S) is computed once
+for each of the 2^n coalitions, and phi_i = sum over S without i of
+c(|S|) (V(S + i) - V(S)) for every feature i.  v_x(S) depends on the
+replacing side only through its marginal on the features outside S
+(baseline, interventional) or on S (conditional), and V is linear in the
+mean over x, so V(S) sums the outer side's marginal on S against the
+inner side's marginal.  Exponential and guarded; shares no pipeline code
+with the engine (it is the trust anchor), only the scalar type and the
+model/distribution containers.
 """
 
 import math
@@ -213,34 +221,55 @@ def _support(side, n):
             if (p := dist_prob(side, z)) != 0]
 
 
-def _compose(x, coalition, z):
-    return "".join(x[j] if (j + 1) in coalition else z[j]
-                   for j in range(len(x)))
+def _marginal(support, positions):
+    """A side's marginal on the 0-based positions: {its letters there: mass}."""
+    marginal = {}
+    for w, p in support:
+        u = "".join([w[j] for j in positions])
+        marginal[u] = marginal[u] + p if u in marginal else p
+    return marginal
 
 
-def _value(variant, evaluate, x, coalition, support):
-    # the value of a coalition over the replacing side's support list
-    if variant == "c":
-        support = [(z, p) for z, p in support
-                   if all(z[j - 1] == x[j - 1] for j in coalition)]
-        mass = sum((p for _, p in support), ZERO)
-        if mass == 0:
-            raise ZeroProbabilityEvent(
-                coalition, "".join(x[j - 1] for j in sorted(coalition)))
-    elif variant in ("b", "i"):
-        support = [(_compose(x, coalition, z), p) for z, p in support]
-    else:
+def _values(variant, f, n, inner, outer, coalitions):
+    """Yield V(S) = E_{x~outer} v_x(S) for each coalition S, a sorted tuple
+    of 0-based features, from the outer side's marginal on S and the inner
+    side's on the features outside S (baseline, interventional) or on S
+    (conditional)."""
+    if variant not in ("b", "i", "c"):
         raise ValueError(f"unknown variant {variant!r}")
-    total = ZERO
-    for z, p in support:
-        total += p * evaluate(z)
-    return total / mass if variant == "c" else total
+    inputs, support = _support(outer, n), _support(inner, n)
+    # composed words repeat across coalitions: each is evaluated once
+    evaluate = lru_cache(maxsize=None)(partial(eval_model, f))
+    if variant == "c":
+        weighted = [(z, p * evaluate(z)) for z, p in support]
+    for kept in coalitions:
+        total = ZERO
+        if variant == "c":
+            mass = _marginal(support, kept)
+            num = _marginal(weighted, kept)
+            for u, pu in _marginal(inputs, kept).items():
+                if mass.get(u, ZERO) == 0:
+                    raise ZeroProbabilityEvent({j + 1 for j in kept}, u)
+                total += pu * num[u] / mass[u]
+        else:
+            free = [j for j in range(n) if j not in kept]
+            # where each feature's letter sits in u + v
+            order = [*kept, *free]
+            where = [order.index(j) for j in range(n)]
+            replaced = _marginal(support, free)
+            for u, pu in _marginal(inputs, kept).items():
+                value = ZERO
+                for v, pv in replaced.items():
+                    uv = u + v
+                    value += pv * evaluate("".join([uv[k] for k in where]))
+                total += pu * value
+        yield total
 
 
 def value_fn(variant, f, x, coalition, inner):
     """v_c / v_i / v_b of a coalition (set of 1-based features)."""
-    return _value(variant, partial(eval_model, f), x, set(coalition),
-                  _support(inner, len(x)))
+    kept = tuple(j for j in range(len(x)) if j + 1 in coalition)
+    return next(_values(variant, f, len(x), inner, x, [kept]))
 
 
 def shap_oracle_local(variant, f, x, i, inner):
@@ -251,33 +280,39 @@ def shap_oracle_local(variant, f, x, i, inner):
 def shap_oracle_global(variant, f, i, n, inner, outer):
     """Mean over x ~ outer of feature i's subset-sum Shapley value, the
     features outside a coalition drawn from inner; a side may be a word."""
-    if n > SHAP_GUARD_N:
-        raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range")
-    # 2^(n-1) coalitions x 2 values x |Sigma|^n per distribution side
-    bits = n
-    for side in (inner, outer):
-        if not isinstance(side, str):
-            bits += _word_bits(len(dist_alphabet(side)), n)
-    _check_bits(bits, "the oracle's job")
-    inputs, support = _support(outer, n), _support(inner, n)
-    evaluate = partial(eval_model, f)
-    if not (isinstance(outer, str) and isinstance(inner, str)):
-        # composed words repeat; at most |Sigma|^n of them are distinct
-        evaluate = lru_cache(maxsize=None)(evaluate)
+    return shap_oracle_all(variant, f, n, inner, outer)[i - 1]
+
+
+def shap_oracle_all(variant, f, n, inner, outer):
+    """(phi_1, ..., phi_n) of shap_oracle_global, from one table of the
+    2^n coalition values V(S): phi_i = sum over S without i of
+    c(|S|) (V(S + i) - V(S))."""
+    if n > SHAP_GUARD_N:
+        raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
+    # 2^n coalitions x |Sigma|^n pairs of marginal letters when a side is
+    # a distribution (the letters on S from one, outside S from the other)
+    sizes = [len(dist_alphabet(side)) for side in (inner, outer)
+             if not isinstance(side, str)]
+    _check_bits(n + (_word_bits(max(sizes), n) if sizes else 0),
+                "the oracle's job")
+    # smallest first: a zero-probability event names a smallest coalition
+    coalitions = [S for size in range(n + 1)
+                  for S in combinations(range(n), size)]
+    table = dict(zip((sum(1 << j for j in S) for S in coalitions),
+                     _values(variant, f, n, inner, outer, coalitions)))
     weights = [Rat(factorial(size) * factorial(n - size - 1), factorial(n))
                for size in range(n)]
-    others = [j for j in range(1, n + 1) if j != i]
-    total = ZERO
-    for x, px in inputs:
+    phis = []
+    for i in range(n):
+        others = [1 << j for j in range(n) if j != i]
         phi = ZERO
         for size, weight in enumerate(weights):
-            for S in map(set, combinations(others, size)):
-                phi += weight * (_value(variant, evaluate, x, S | {i}, support)
-                                 - _value(variant, evaluate, x, S, support))
-        total += px * phi
-    return total
+            for S in map(sum, combinations(others, size)):
+                phi += weight * (table[S | 1 << i] - table[S])
+        phis.append(phi)
+    return tuple(phis)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,8 @@ from shapwa.gadgets import (csp_construct, csp_to_rnn, sat_to_ensemble,
 from shapwa.hmm import uniform_hmm
 from shapwa.oracle import (CnfFormula, CspInstance, Wmg, csp_brute,
                            dummy_check, empty_brute, eval_model, hamming,
-                           shap_oracle_global, shap_oracle_local, value_fn)
+                           shap_oracle_all, shap_oracle_global,
+                           shap_oracle_local, value_fn)
 from shapwa.randgen import (rand_01_wa, rand_cnf, rand_dataset, rand_dt,
                             rand_ensemble, rand_hmm, rand_hmmvec, rand_ind,
                             rand_wa, rand_wmg, rand_word, rng_for)
@@ -169,8 +170,8 @@ def test_06_wmg_rnn_gadget():
             game = rand_wmg(rng, n_players)
             f = wmg_to_rnnrelu(game)
             ones, zeros = "1" * n_players, "0" * n_players
-            for i in range(1, n_players + 1):
-                phi = shap_oracle_local("b", f, ones, i, zeros)
+            phis = shap_oracle_all("b", f, n_players, zeros, ones)
+            for i, phi in enumerate(phis, 1):
                 assert (phi == 0) == dummy_check(game, i), (game, i)
 
 

@@ -660,6 +660,25 @@ def test_convert_dt_roundtrip(capsys, tmp_path):
         assert eval_wa(A, (x,)) == t.evaluate(x)
 
 
+def test_convert_refuses_a_dense_file_above_the_guard(capsys, tmp_path,
+                                                     monkeypatch):
+    # a chain tree compiles to (n+1)^2 states: 441 at n=20, whose dense
+    # file has 2 x 441^2 cells > 2^16
+    node = DTNode(leaf=ONE)
+    for k in range(20, 0, -1):
+        node = DTNode(feature=k, children={"0": DTNode(leaf=ZERO), "1": node})
+    src = write_json(tmp_path / "chain.dt.json",
+                     cli.encode(DecisionTree(node, 20, B)))
+    out_path = tmp_path / "chain.wa.json"
+    monkeypatch.setenv("SHAPWA_GUARD_BITS", "16")
+    code = cli.main(["convert", "--from", "dt", "--input", src,
+                     "--output", str(out_path)])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert "441 states" in err and "Traceback" not in err
+    assert not out_path.exists()
+
+
 def test_convert_emp_to_hmm(capsys, tmp_path):
     src = write_json(tmp_path / "d.json",
                      {"type": "emp", "payload": {"rows": ["01", "01", "11"]}})

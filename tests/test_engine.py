@@ -15,7 +15,8 @@ from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
 from shapwa.hmm import Hmm, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
-from shapwa.oracle import shap_oracle_global, shap_oracle_local
+from shapwa.oracle import (shap_oracle_all, shap_oracle_global,
+                           shap_oracle_local)
 from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
                             rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
                             rng_for)
@@ -139,8 +140,7 @@ def test_two_distribution_global_query():
         f = rand_wa(rng, rng.randint(1, 3), B)
         D, E = (rand_hmm(rng, rng.randint(1, 3), B) for _ in range(2))
         phis = shap_all.__wrapped__(f, n, D, E)
-        assert phis == tuple(shap_oracle_global("i", f, i, n, D, E)
-                             for i in range(1, n + 1)), idx
+        assert phis == shap_oracle_all("i", f, n, D, E), idx
         assert phis == tuple(pipeline_shap(f, i, n, D, E)
                              for i in range(1, n + 1)), idx
         nonzero += sum(1 for phi in phis if phi)
@@ -306,8 +306,8 @@ def test_cancelled_entries_reach_no_state(monkeypatch):
         return product(self, v, at)
 
     monkeypatch.setattr(SpMat, "matvec", matvec)
-    assert shap_all.__wrapped__(f, 3, Hmm(D.wa), D) == tuple(
-        shap_oracle_global("i", f, i, 3, D, D) for i in (1, 2, 3))
+    assert shap_all.__wrapped__(f, 3, Hmm(D.wa), D) == \
+        shap_oracle_all("i", f, 3, D, D)
     assert rows and not any(rows)
 
 

@@ -7,7 +7,7 @@ from shapwa.gadgets import (csp_construct, csp_to_rnn, sat_to_ensemble,
                             wmg_to_sigmoid)
 from shapwa.oracle import (CnfFormula, CspInstance, Wmg, csp_brute,
                            dummy_check, empty_brute, eval_model, hamming,
-                           shap_oracle_local)
+                           shap_oracle_all, shap_oracle_local)
 from shapwa.randgen import rand_cnf, rand_csp, rand_wmg, rng_for
 from shapwa.rational import Rat
 
@@ -104,8 +104,8 @@ def test_rnn_dummy_iff_zero():
     for _ in range(10):
         g = rand_wmg(rng, rng.randint(1, 4))
         f = wmg_to_rnnrelu(g)
-        for i in range(1, g.n + 1):
-            phi = shap_oracle_local("b", f, "1" * g.n, i, "0" * g.n)
+        phis = shap_oracle_all("b", f, g.n, "0" * g.n, "1" * g.n)
+        for i, phi in enumerate(phis, 1):
             assert (phi == 0) == dummy_check(g, i)
 
 

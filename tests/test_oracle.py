@@ -1,21 +1,27 @@
 import ast
 import time
 from collections import Counter
-from itertools import product
+from fractions import Fraction
+from functools import lru_cache
+from itertools import combinations, product
+from math import factorial
 from pathlib import Path
 
 import pytest
 
 from shapwa import oracle
+from shapwa.engine import shap_all
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, IndDist, RnnRelu, step
 from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
-                           ZeroProbabilityEvent, csp_brute, dummy_check,
-                           empty_brute, eval_model, hamming,
-                           shap_oracle_global, shap_oracle_local, value_fn)
+                           ZeroProbabilityEvent, csp_brute, dist_alphabet,
+                           dist_prob, dummy_check, empty_brute, eval_model,
+                           hamming, shap_oracle_all, shap_oracle_global,
+                           shap_oracle_local, value_fn)
 from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
-from shapwa.randgen import (rand_csp, rand_hmm, rand_ind, rand_wa, rand_wmg,
+from shapwa.randgen import (rand_csp, rand_dataset, rand_dt, rand_hmm,
+                            rand_ind, rand_linear, rand_nb, rand_wa, rand_wmg,
                             rand_word, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA
@@ -129,10 +135,9 @@ def test_global_is_expectation_of_local():
     f = rand_wa(rng, 2, B)
     D = uniform_hmm(B)
     n = 3
-    for i in (1, 2, 3):
-        expect = sum((Rat(1, 8) * shap_oracle_local("i", f, x, i, D)
-                      for x in words(n)), ZERO)
-        assert shap_oracle_global("i", f, i, n, D, D) == expect
+    expect = tuple(sum((Rat(1, 8) * shap_oracle_local("i", f, x, i, D)
+                        for x in words(n)), ZERO) for i in (1, 2, 3))
+    assert shap_oracle_all("i", f, n, D, D) == expect
 
 
 def test_local_is_global_under_a_one_row_dataset():
@@ -145,11 +150,9 @@ def test_local_is_global_under_a_one_row_dataset():
         contexts = {"b": rand_word(rng, B, n),
                     "i": rand_hmm(rng, rng.randint(1, 2), B),
                     "c": rand_ind(rng, n)}
-        for i in range(1, n + 1):
-            for variant, ctx in contexts.items():
-                assert shap_oracle_global(variant, f, i, n, ctx,
-                                          Dataset([x])) == \
-                    shap_oracle_local(variant, f, x, i, ctx), (variant, i)
+        for variant, ctx in contexts.items():
+            assert shap_oracle_all(variant, f, n, ctx, Dataset([x])) == \
+                shap_oracle_all(variant, f, n, ctx, x), variant
 
 
 def test_interventional_under_a_one_row_dataset_is_baseline():
@@ -161,6 +164,95 @@ def test_interventional_under_a_one_row_dataset_is_baseline():
         for i in range(1, n + 1):
             assert shap_oracle_local("i", f, x, i, Dataset([ref])) == \
                 shap_oracle_local("b", f, x, i, ref)
+
+
+def textbook_shap(variant, f, i, n, inner, outer):
+    """phi_i by its definition: per input x, per S without i, per word z."""
+    def support(side):
+        if isinstance(side, str):
+            return [(side, ONE)]
+        return [(z, p) for z in map("".join, product(dist_alphabet(side),
+                                                     repeat=n))
+                if (p := dist_prob(side, z)) != 0]
+
+    inputs, words_z = support(outer), support(inner)
+    evaluate = lru_cache(maxsize=None)(lambda z: eval_model(f, z))
+
+    def v(x, S):
+        if variant != "c":
+            return sum((p * evaluate("".join(x[j] if j + 1 in S else z[j]
+                                             for j in range(n)))
+                        for z, p in words_z), ZERO)
+        match = [(z, p) for z, p in words_z
+                 if all(z[j - 1] == x[j - 1] for j in S)]
+        mass = sum((p for _, p in match), ZERO)
+        if mass == 0:
+            raise ZeroProbabilityEvent(S, "")
+        return sum((p * evaluate(z) for z, p in match), ZERO) / mass
+
+    others = [j for j in range(1, n + 1) if j != i]
+    return sum((px * Rat(factorial(k) * factorial(n - k - 1), factorial(n))
+                * (v(x, {*S, i}) - v(x, set(S)))
+                for x, px in inputs for k in range(n)
+                for S in combinations(others, k)), ZERO)
+
+
+def _outcome(run):
+    try:
+        return run()
+    except ZeroProbabilityEvent:
+        return "zero probability"
+
+
+def test_one_table_equals_the_textbook_loop():
+    # every side shape, variant, model kind and distribution kind; the
+    # oracle raises exactly where the definition conditions on mass 0
+    rng = rng_for(65)
+    models = (lambda n: rand_wa(rng, rng.randint(1, 3), B),
+              lambda n: rand_dt(rng, n), lambda n: rand_linear(rng, n))
+    dists = (lambda n: rand_hmm(rng, rng.randint(1, 2), B),
+             lambda n: rand_dataset(rng, n, rng.randint(1, 4)),
+             lambda n: rand_nb(rng, n), lambda n: rand_ind(rng, n))
+    zero = 0
+    for idx in range(60):
+        n = 1 + idx % 4
+        f = models[idx % 3](n)
+        D, E = dists[idx % 4](n), dists[(idx + 1) % 4](n)
+        w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        inner, outer = ((w_ref, w), (D, w), (w_ref, D), (D, D),
+                        (E, D))[idx // 4 % 5]
+        variant = "bic"[idx // 20]
+        got = _outcome(lambda: shap_oracle_all(variant, f, n, inner, outer))
+        want = tuple(_outcome(lambda: textbook_shap(variant, f, i, n, inner,
+                                                    outer))
+                     for i in range(1, n + 1))
+        if got == "zero probability":
+            zero += 1
+            assert set(want) == {got}, idx
+        else:
+            assert got == want, idx
+    assert 0 < zero < 30, zero
+
+
+@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
+                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
+                    "the calls cannot be counted")
+def test_two_distribution_query_makes_one_product_per_letter_pair(
+        monkeypatch):
+    # V(S) sums the 2^|S| x 2^(n-|S|) pairs of marginal letters once:
+    # about 2^n 2^n products, where a Shapley loop per input word makes 8^n
+    rng = rng_for(67)
+    f = rand_wa(rng, 3, B)
+    D, E = rand_hmm(rng, 2, B), rand_hmm(rng, 2, B)
+    n, made = 6, [0]
+
+    def mul(a, b, product=Fraction.__mul__):
+        made[0] += 1
+        return product(a, b)
+
+    monkeypatch.setattr(Fraction, "__mul__", mul)
+    shap_oracle_global("i", f, 1, n, D, E)
+    assert made[0] <= 3 * 2 ** n * 2 ** n
 
 
 def test_each_distinct_word_is_evaluated_once(monkeypatch):
@@ -217,12 +309,25 @@ def test_guards():
 
 
 def test_guard_bounds_the_whole_job():
-    # each enumeration is 2^10 words, but the job is 2^30 evaluations
+    # each enumeration is 2^13 words, but the job is 2^26 pairs of
+    # marginal letters
     D = uniform_hmm(B)
     start = time.perf_counter()
     with pytest.raises(GuardExceeded):
-        shap_oracle_global("i", and_wa(), 1, 10, D, D)
+        shap_oracle_global("i", and_wa(), 1, 13, D, D)
     assert time.perf_counter() - start < 1
+
+
+def test_guard_counts_one_alphabet_for_two_distributions(monkeypatch):
+    # 2^4 coalitions x 2^4 letter pairs: 8 bits, although both sides are
+    # distributions over 2^4 words
+    monkeypatch.setenv("SHAPWA_GUARD_BITS", "8")
+    rng = rng_for(66)
+    f = rand_wa(rng, 3, B)
+    D, E = rand_hmm(rng, 2, B), rand_hmm(rng, 2, B)
+    assert shap_oracle_all("i", f, 4, D, E) == shap_all.__wrapped__(f, 4, D, E)
+    with pytest.raises(GuardExceeded):
+        shap_oracle_all("i", f, 5, D, E)  # 10 bits
 
 
 def test_dummy_check_honours_the_guard_setting(monkeypatch):
