@@ -36,7 +36,7 @@ def main():
         print(f"  f({x}) = {tree.evaluate(x)}")
 
     data = Dataset(["110", "110", "011", "001", "111"])
-    hmm = hmmvec_to_hmm(emp_to_hmmvec(data, domain=B))
+    hmm = hmmvec_to_hmm(emp_to_hmmvec(data))
     print("\nempirical dataset of %d rows -> HMM (dim %d)" %
           (len(data.rows), hmm.dim))
 

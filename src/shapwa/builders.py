@@ -20,6 +20,7 @@ from itertools import product
 from math import comb
 
 from .hmm import Hmm
+from .models import check_query
 from .patterns import HASH
 from .rational import Rat, ONE
 from .wa import (chain_wa, contract, dfa_to_wa, kron, project, sub,
@@ -170,6 +171,7 @@ def pipeline_shap(f, i, n, inner, outer):
     """
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range for n={n}")
+    check_query(f, n, inner, outer)
     sig = f.alphabets[0]
     inner, outer = (build_point_hmm(side, sig) if isinstance(side, str)
                     else side for side in (inner, outer))

@@ -3,8 +3,8 @@
 One forward-backward pass gives the values of all features.  Inputs x are
 drawn from an outer side and the replaced features z from an inner side;
 each side is an `Hmm` or a word, a word standing for the point distribution
-on it.  `shap_all` checks a query; the four queries only pick its sides
-(inner, outer) and the feature i:
+on it.  `shap_all` checks a query (`models.check_query`, as the oracle
+does); the four queries only pick its sides (inner, outer) and feature i:
 
   glo_i:  (D, D)          loc_i:  (D, w)
   glo_b:  (w_ref, D)      loc_b:  (w_ref, w)
@@ -61,15 +61,15 @@ makes c(|T|) = c(|S|), so the term of S is minus the term of T and the
 sum vanishes.  Identity is an O(1) test that the sides are one
 distribution; equal but distinct objects still run the pass.  glo_i
 passes its distribution as both sides, so global interventional SHAP
-costs only the query checks.  A word passed as both sides is local
-baseline SHAP with the input as reference, also 0 by the same argument.
+costs only the query check, in O(1) memory.  A word passed as both
+sides is local baseline SHAP with the input as reference, also 0.
 
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
 (f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
 share one pass across consecutive features of one input; a hit repeats
-arguments that already passed the checks.  Cached answers rely on
+arguments that already passed the check.  Cached answers rely on
 `NAlphabetWA` and `Hmm` being immutable, as they are documented to be.
-glo_i and glo_b bypass the cache; glo_b runs one pass per call, so a
+Global queries bypass the cache; glo_b runs one pass per call, so a
 global value costs the same whichever features were asked before it;
 callers that want every global baseline value call
 `shap_all(f, n, w_ref, D)` once.  The paper's builder pipeline
@@ -81,6 +81,7 @@ from math import factorial
 
 from .hmm import Hmm
 from .linalg import SpMat
+from .models import check_query
 from .rational import Rat, ZERO, ONE
 
 # enough for loc_i and loc_b queries alternating over a few instances
@@ -89,23 +90,12 @@ CACHE_SIZE = 8
 _UNIT = SpMat.from_dense([[ONE]])
 
 
-def _check_word(w, sig, name):
-    allowed = set(sig)
-    for s in w:
-        if s not in allowed:
-            raise ValueError(f"{name} symbol {s!r} not in the model alphabet")
-
-
-def _side(side, sig, n, name):
+def _side(side, n):
     """(alpha, beta, layer of each position) of an Hmm or a point word;
     equal layers are one object."""
     if isinstance(side, Hmm):
-        _check_word(side.alphabet, sig, "distribution")
         layer = {s: m for (s,), m in side.wa.transitions.items()}
         return side.wa.alpha, side.wa.beta, [layer] * n
-    if len(side) != n:
-        raise ValueError(f"{name} has length {len(side)}, not n={n}")
-    _check_word(side, sig, name)
     units = {s: {s: _UNIT} for s in set(side)}
     return (ONE,), (ONE,), [units[s] for s in side]
 
@@ -221,17 +211,14 @@ def _shift_add(dropped, kept):
 def shap_all(f, n, inner, outer):
     """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
     ~ inner, each an Hmm or a word (the point distribution on it).
-    ValueError unless f reads one tape, each word has length n and every
-    symbol of a side is in f's alphabet.  A side passed twice as one
-    object answers all zeros once checked, as the module docstring
-    proves."""
-    if f.arity != 1:
-        raise ValueError("the model must be a 1-alphabet automaton")
-    sig = f.alphabets[0]
-    o_alpha, o_beta, o_layers = _side(outer, sig, n, "input")
-    i_alpha, i_beta, i_layers = _side(inner, sig, n, "reference")
+    ValueError unless `models.check_query` accepts the query.  A side
+    passed twice as one object answers all zeros once checked, as the
+    module docstring proves."""
+    check_query(f, n, inner, outer)
     if inner is outer:
         return (ZERO,) * n
+    o_alpha, o_beta, o_layers = _side(outer, n)
+    i_alpha, i_beta, i_layers = _side(inner, n)
     dims = (len(o_alpha), len(i_alpha), f.dim)
     f_mats = {s: m for (s,), m in f.transitions.items()}
     built = {}
@@ -278,11 +265,16 @@ def shap_all(f, n, inner, outer):
     return tuple(phis)
 
 
-def _phi(f, i, n, inner, outer, cached=True):
+def _phi(f, i, n, inner, outer):
+    """phi_i; a local query (its input side is a word) reads the cache."""
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range for n={n}")
-    run = shap_all if cached else shap_all.__wrapped__
-    return run(f, n, inner, outer)[i - 1]
+    if isinstance(outer, str):
+        return shap_all(f, n, inner, outer)[i - 1]
+    if inner is outer:
+        check_query(f, n, inner, outer)
+        return ZERO
+    return shap_all.__wrapped__(f, n, inner, outer)[i - 1]
 
 
 def loc_i_shap(f, w, i, dist):
@@ -297,9 +289,9 @@ def loc_b_shap(f, w, i, w_ref):
 
 def glo_i_shap(f, i, n, dist):
     """Global interventional SHAP of feature i at length n under dist."""
-    return _phi(f, i, n, dist, dist, cached=False)
+    return _phi(f, i, n, dist, dist)
 
 
 def glo_b_shap(f, i, n, w_ref, dist):
     """Global baseline SHAP of feature i with reference w_ref, inputs ~ dist."""
-    return _phi(f, i, n, w_ref, dist, cached=False)
+    return _phi(f, i, n, w_ref, dist)

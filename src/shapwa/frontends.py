@@ -87,7 +87,7 @@ def linear_to_wa(model, order=None):
 # distribution compilers
 
 
-def emp_to_hmmvec(dataset, order=None, domain=None):
+def emp_to_hmmvec(dataset, order=None):
     """The empirical distribution of the rows, with one hidden state per
     distinct sequentialized row, in sorted order.
 
@@ -98,9 +98,8 @@ def emp_to_hmmvec(dataset, order=None, domain=None):
     reached, so the states live at position j are the distinct prefixes
     of length j, one each.
     """
-    n = dataset.n
+    n, domain = dataset.n, dataset.domain
     order = feature_order(order, n)
-    domain = tuple(domain) if domain else dataset.domain
     seq = [sequentialize(r, order) for r in dataset.rows]
     rows = sorted(set(seq))
     counts = Counter(r[:j] for r in seq for j in range(n + 1))

@@ -66,8 +66,6 @@ def wmg_to_sigmoid(game, i):
             # (4,5), quota 1, player 1), as does the log(N) gain
             "epsilon_variant_loose": format_rat(Rat(1, 1 + c_n)),
             "gain_variant_main_text": 2.0 * math.log(n) if n > 1 else 0.0,
-            "C_N_variant_with_factorial": n * math.factorial(
-                comb(n - 1, (n - 1) // 2)),
         })
 
 
@@ -141,9 +139,9 @@ def sat_to_ensemble(formula):
                           metadata={"clauses": m, "variables": formula.n})
 
 
-def csp_construct(w, k, domain=None):
-    """One closest-string cell: after reading w' (|w'| = |w|),
-    hidden neuron |w|-1 (0-indexed) equals ReLU(d_H(w, w') - k).
+def csp_construct(w, k, domain):
+    """One closest-string cell over the symbols of domain: after reading w'
+    (|w'| = |w|), hidden neuron |w|-1 (0-indexed) equals ReLU(d_H(w, w') - k).
 
     Shift chain over neurons 0..n-1 accumulating mismatch indicators; the
     last chain neuron additionally receives -k from the constant neuron n.
@@ -151,8 +149,6 @@ def csp_construct(w, k, domain=None):
     n = len(w)
     if not (0 <= k <= n):
         raise ValueError(f"radius {k} out of range")
-    if domain is None:
-        domain = BINARY if set(w) <= set(BINARY) else tuple(sorted(set(w)))
     dim = n + 1
     W = [[ZERO] * dim for _ in range(dim)]
     for l in range(1, n):

@@ -50,6 +50,30 @@ def _check_law(probs, what, domain):
         raise ValueError(f"{what} is not a distribution")
 
 
+def symbols(side):
+    """An Hmm's alphabet, a distribution's domain or a word's letters."""
+    return getattr(side, "alphabet", None) or getattr(side, "domain", side)
+
+
+def check_query(f, n, inner, outer):
+    """ValueError unless f reads one tape; f and each side (inputs from
+    outer, replacing words from inner) that has a length or an n has n;
+    and each side uses only f's symbols (its alphabet or domain)."""
+    tapes = getattr(f, "alphabets", None) or (f.domain,)
+    if len(tapes) != 1:
+        raise ValueError("the model must be a 1-alphabet automaton")
+    if getattr(f, "n", n) != n:
+        raise ValueError(f"the model has n={f.n}, not n={n}")
+    for side, role in ((outer, "input"), (inner, "replacing")):
+        size = len(side) if isinstance(side, str) else getattr(side, "n", n)
+        if size != n:
+            raise ValueError(f"the {role} side has length {size}, not n={n}")
+        alien = sorted(set(symbols(side)) - set(tapes[0]))
+        if alien:
+            raise ValueError(f"the {role} side uses symbols {alien} outside "
+                             f"the model's alphabet {list(tapes[0])}")
+
+
 # ---------------------------------------------------------------------------
 # decision trees and ensembles
 

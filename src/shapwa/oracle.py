@@ -14,8 +14,9 @@ replacing side only through its marginal on the features outside S
 (baseline, interventional) or on S (conditional), and V is linear in the
 mean over x, so V(S) sums the outer side's marginal on S against the
 inner side's marginal.  Exponential and guarded; shares no pipeline code
-with the engine (it is the trust anchor), only the scalar type and the
-model/distribution containers.
+with the engine (it is the trust anchor), only the scalar type, the
+containers and the query check, run before the guards: `models.check_query`
+refuses the same queries here as in the engine and the builder pipeline.
 """
 
 import math
@@ -28,7 +29,7 @@ from math import factorial
 from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
-                     TreeEnsemble)
+                     TreeEnsemble, check_query, symbols)
 from .rational import Rat, ZERO, ONE
 from .wa import NAlphabetWA
 
@@ -195,12 +196,6 @@ def dist_prob(dist, w):
     raise TypeError(f"unsupported distribution {type(dist).__name__}")
 
 
-def dist_alphabet(dist):
-    if isinstance(dist, Hmm):
-        return dist.alphabet
-    return dist.domain
-
-
 def enumerate_words(alphabet, n):
     check_enumerable(len(alphabet), n)
     for tup in product(alphabet, repeat=n):
@@ -214,10 +209,8 @@ def enumerate_words(alphabet, n):
 def _support(side, n):
     """The (word, p) pairs of a side with p > 0, in enumeration order."""
     if isinstance(side, str):
-        if len(side) != n:
-            raise ValueError(f"word {side!r} does not have length {n}")
         return [(side, ONE)]
-    return [(z, p) for z in enumerate_words(dist_alphabet(side), n)
+    return [(z, p) for z in enumerate_words(symbols(side), n)
             if (p := dist_prob(side, z)) != 0]
 
 
@@ -268,6 +261,7 @@ def _values(variant, f, n, inner, outer, coalitions):
 
 def value_fn(variant, f, x, coalition, inner):
     """v_c / v_i / v_b of a coalition (set of 1-based features)."""
+    check_query(f, len(x), inner, x)
     kept = tuple(j for j in range(len(x)) if j + 1 in coalition)
     return next(_values(variant, f, len(x), inner, x, [kept]))
 
@@ -281,7 +275,7 @@ def shap_oracle_global(variant, f, i, n, inner, outer):
     """Mean over x ~ outer of feature i's subset-sum Shapley value, the
     features outside a coalition drawn from inner; a side may be a word."""
     if not (1 <= i <= n):
-        raise IndexError(f"feature {i} out of range")
+        raise IndexError(f"feature {i} out of range for n={n}")
     return shap_oracle_all(variant, f, n, inner, outer)[i - 1]
 
 
@@ -289,11 +283,12 @@ def shap_oracle_all(variant, f, n, inner, outer):
     """(phi_1, ..., phi_n) of shap_oracle_global, from one table of the
     2^n coalition values V(S): phi_i = sum over S without i of
     c(|S|) (V(S + i) - V(S))."""
+    check_query(f, n, inner, outer)
     if n > SHAP_GUARD_N:
         raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
     # 2^n coalitions x |Sigma|^n pairs of marginal letters when a side is
     # a distribution (the letters on S from one, outside S from the other)
-    sizes = [len(dist_alphabet(side)) for side in (inner, outer)
+    sizes = [len(symbols(side)) for side in (inner, outer)
              if not isinstance(side, str)]
     _check_bits(n + (_word_bits(max(sizes), n) if sizes else 0),
                 "the oracle's job")

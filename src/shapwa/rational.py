@@ -6,6 +6,8 @@ sigmoid gadget).  gmpy2's mpq is used when available, falling back to
 the stdlib Fraction (same semantics, slower).
 """
 
+from decimal import Decimal
+
 try:
     from gmpy2 import mpq as Rat
 except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
@@ -54,6 +56,12 @@ def nonzero_rats(values) -> dict:
 
 
 def format_rat(x) -> str:
-    """Serialize a rational as "p/q" (or "p" when the denominator is 1)."""
-    return str(Rat(x))
+    """Serialize a rational as "p/q" (or "p" when the denominator is 1),
+    whole at any size: Decimal writes the ints that str refuses."""
+    x = Rat(x)
+    try:
+        return str(x)
+    except ValueError:
+        p, q = (str(Decimal(int(v))) for v in (x.numerator, x.denominator))
+        return p if q == "1" else f"{p}/{q}"
 

@@ -76,7 +76,7 @@ def test_02_tabular_pipeline_reproduction():
             wa = ensemble_reg_to_wa(model)
         if idx % 4 < 2:
             dist = rand_dataset(rng, n, rng.randint(1, 8))
-            hmm = hmmvec_to_hmm(emp_to_hmmvec(dist, domain=B))
+            hmm = hmmvec_to_hmm(emp_to_hmmvec(dist))
         else:
             dist = rand_hmmvec(rng, n, rng.randint(1, 2), B)
             hmm = hmmvec_to_hmm(dist)
@@ -196,7 +196,7 @@ def test_08_csp_gadget():
             [rand_word(rng, B, n) for _ in range(8)]
         for w in ws:
             for k in range(n + 1):
-                cell = csp_construct(w, k)
+                cell = csp_construct(w, k, B)
                 for wp in words(n):
                     assert cell.hidden(wp)[n - 1] == \
                         max(0, hamming(w, wp) - k), (w, wp, k)

@@ -87,6 +87,22 @@ def test_shap_value_beyond_binary64(capsys, tmp_path):
         assert out.rstrip("\n").split("\t")[3:] == [value, "None"]
 
 
+def test_shap_value_beyond_the_int_string_limit(capsys, tmp_path):
+    # f("1" * n) = 10^(400 n): at n = 11 the local baseline value has 4,401
+    # digits, more than str(int) writes; it is printed whole
+    big = "1" + "0" * 400
+    model = write_json(tmp_path / "big.wa.json", {"type": "wa", "payload": {
+        "alphabets": [["0", "1"]], "alpha": ["1"], "beta": ["1"],
+        "transitions": {"1": [[big]]}}})
+    code, out = run(capsys, [
+        "shap", "--scope", "local", "--variant", "baseline", "--model", model,
+        "--input", "1" * 11, "--reference", "0" * 11, "--feature", "1"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] == "1" + "0" * 4400 + "/11"
+    assert record["decimal"] is None
+
+
 def test_usage_errors_leave_the_parser_as_new(capsys, and_model):
     # the parser is built once per process; a usage error still exits 2,
     # and the next call answers as a fresh process does
@@ -127,6 +143,33 @@ def test_shap_guard_exceeded(capsys, and_model, tmp_path):
         "--model", and_model, "--input", "1" * 30,
         "--feature", "1", "--dist", dist])
     assert code == 4
+
+
+def test_shap_reads_its_files_before_checking_the_query(capsys, and_model,
+                                                       tmp_path):
+    # a malformed --dist exits 2 even when the feature is out of range too
+    bad = tmp_path / "bad.json"
+    bad.write_text("{")
+    code, out = run(capsys, [
+        "shap", "--scope", "local", "--variant", "interventional",
+        "--model", and_model, "--input", "11", "--feature", "5",
+        "--dist", str(bad)])
+    assert (code, out) == (2, "")
+
+
+def test_shap_checks_the_query_before_the_guard(capsys, and_model,
+                                                tmp_path):
+    # at n = 30 the oracle refuses a malformed query (exit 3) before it
+    # weighs the job against the guard (exit 4)
+    ab = write_json(tmp_path / "ab.json", {"type": "hmm", "payload":
+                                           hmm_to_json(uniform_hmm("ab"))})
+    argv = ["shap", "--scope", "local", "--variant", "conditional",
+            "--model", and_model, "--input", "1" * 30, "--feature", "1",
+            "--dist", ab]
+    assert run(capsys, argv)[0] == 3
+    assert run(capsys, argv[:-2] + ["--dist", write_json(
+        tmp_path / "b.json", {"type": "hmm", "payload":
+                              hmm_to_json(uniform_hmm(B))})])[0] == 4
 
 
 @pytest.fixture
@@ -735,6 +778,17 @@ def test_convert_refuses_flags_it_cannot_honour(capsys, inputs, tmp_path,
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("source", ["dt", "markov"])
+def test_convert_refuses_an_empty_order(capsys, inputs, tmp_path, source):
+    # "" is no order at all, neither the identity nor an absent flag
+    out_path = tmp_path / "out.json"
+    code, _ = run(capsys, ["convert", "--from", source, "--input",
+                           inputs[source], "--output", str(out_path),
+                           "--order", ""])
+    assert code == 2
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("order", ["1,2", "1,2,3,4,5", "1,1,3,4"])
 @pytest.mark.parametrize("source", ["dt", "ens-r", "lin", "emp", "ind",
                                     "nb"])
@@ -817,6 +871,19 @@ def test_gadget_sigmoid_with_a_steep_logistic(capsys):
     assert code == 0
     assert json.loads(out)["certificate"]["verdict"] == \
         "not dummy; phi_b > eps"
+
+
+@pytest.mark.parametrize("players, certified", [(14, True), (30, False)])
+def test_gadget_sigmoid_with_many_players(capsys, players, certified):
+    # the metadata holds no factorial of a binomial; 30 players are beyond
+    # the oracle's coalition guard, so the bundle has no certificate
+    code, out = run(capsys, ["gadget", "--kind", "sigmoid", "--powers",
+                             ",".join(["1"] * players), "--quota", "7"])
+    assert code == 0
+    bundle = json.loads(out)
+    assert (bundle["certificate"] is not None) == certified
+    assert bundle["metadata"]["C_N"] == players * math.comb(
+        players - 1, (players - 1) // 2)
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,4 +1,5 @@
 import ast
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -16,7 +17,7 @@ from shapwa.hmm import Hmm, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
 from shapwa.oracle import (shap_oracle_all, shap_oracle_global,
-                           shap_oracle_local)
+                           shap_oracle_local, value_fn)
 from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
                             rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
                             rng_for)
@@ -472,3 +473,106 @@ def test_errors():
         glo_b_shap(f, 1, 3, "11", uniform_hmm(B))  # |w_ref| != n
     with pytest.raises(IndexError):
         glo_i_shap(f, 4, 3, uniform_hmm(B))
+
+
+def _entries(f, n, inner, outer):
+    """(name, call) of each SHAP entry point that takes a query with these
+    sides, feature 1.  The engine and the builder pipeline take a WA and
+    Hmm or word sides; the oracle every model and distribution."""
+    variant = "b" if isinstance(inner, str) else "i"
+    calls = [("shap_oracle_all",
+              lambda: shap_oracle_all(variant, f, n, inner, outer)),
+             ("shap_oracle_global",
+              lambda: shap_oracle_global(variant, f, 1, n, inner, outer))]
+    if isinstance(outer, str):
+        calls += [("shap_oracle_local",
+                   lambda: shap_oracle_local(variant, f, outer, 1, inner)),
+                  ("value_fn", lambda: value_fn(variant, f, outer, {1},
+                                                inner))]
+    if not all(isinstance(x, (NAlphabetWA, Hmm, str))
+               for x in (f, inner, outer)):
+        return calls
+    calls += [("shap_all", lambda: shap_all(f, n, inner, outer)),
+              ("pipeline_shap", lambda: pipeline_shap(f, 1, n, inner, outer))]
+    if isinstance(outer, str) and isinstance(inner, str):
+        calls.append(("loc_b_shap", lambda: loc_b_shap(f, outer, 1, inner)))
+    elif isinstance(outer, str):
+        calls.append(("loc_i_shap", lambda: loc_i_shap(f, outer, 1, inner)))
+    elif inner is outer:
+        calls.append(("glo_i_shap", lambda: glo_i_shap(f, 1, n, outer)))
+    elif isinstance(inner, str):
+        calls.append(("glo_b_shap",
+                      lambda: glo_b_shap(f, 1, n, inner, outer)))
+    return calls
+
+
+def _malformed_query(case):
+    """(f, n, side pairs (inner, outer)): each pair is well formed but for
+    the one fault the case names, on either side where it can sit."""
+    rng = rng_for(45)
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    if case == "alien-word-symbol":
+        return f, 2, [("00", "12"), ("12", "00"), ("12", D), (D, "12")]
+    if case == "alien-distribution-symbol":
+        A = rand_hmm(rng, 2, ("1", "2"))
+        return f, 2, [(A, "01"), ("01", A), (A, A), (D, A), (A, D)]
+    if case == "wrong-word-length":
+        return f, 2, [("00", "001"), ("001", "00"), ("001", D)]
+    if case == "tabular-model-n":
+        dt = rand_dt(rng, 4, max_depth=2)
+        return dt, 5, [("00000", "11011"), (rand_ind(rng, 5), "11011")]
+    if case == "tabular-distribution-n":
+        ind = rand_ind(rng, 3)
+        return f, 2, [(ind, "01"), ("01", ind), (ind, ind)]
+    two_tapes = NAlphabetWA([B, B], [ONE], {}, [ONE])
+    return two_tapes, 2, [("00", "01"), (D, "01"), ("01", D), (D, D)]
+
+
+ORACLE_ENTRIES = {"shap_oracle_all", "shap_oracle_global",
+                  "shap_oracle_local", "value_fn"}
+ENTRIES = ORACLE_ENTRIES | {"shap_all", "pipeline_shap", "loc_b_shap",
+                            "loc_i_shap", "glo_b_shap", "glo_i_shap"}
+
+
+# malformed query -> the entries that take one of its side pairs
+REFUSERS = {
+    "alien-word-symbol": ENTRIES - {"glo_i_shap"},
+    "alien-distribution-symbol": ENTRIES - {"loc_b_shap"},
+    # a local entry reads n from its input word
+    "wrong-word-length": ENTRIES - {"glo_i_shap", "loc_i_shap"},
+    "tabular-model-n": ORACLE_ENTRIES,
+    "tabular-distribution-n": ORACLE_ENTRIES,
+    "two-tape-model": ENTRIES,
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSERS))
+def test_every_entry_refuses_a_malformed_query_alike(case):
+    # one check, models.check_query, decides for the engine, the oracle
+    # and the builder pipeline, so each refuses the same queries
+    f, n, pairs = _malformed_query(case)
+    raised = {}
+    for inner, outer in pairs:
+        for name, call in _entries(f, n, inner, outer):
+            try:
+                call()
+            except Exception as e:
+                raised.setdefault(name, set()).add(type(e))
+            else:
+                raised.setdefault(name, set()).add(None)
+    assert set(raised) == REFUSERS[case]
+    assert all(types == {ValueError} for types in raised.values()), raised
+
+
+def test_global_interventional_shap_holds_nothing_n_long():
+    # the sides are one object, so the answer is 0 once the query is
+    # checked: no layer list and no tuple of n zeros
+    f, D = and_wa(), uniform_hmm(B)
+    n = 10 ** 6
+    tracemalloc.start()
+    try:
+        assert glo_i_shap(f, n, n, D) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 20

@@ -141,9 +141,9 @@ def test_emp_point_mass_and_normalization():
     v = emp_to_hmmvec(Dataset(["010"]))
     assert v.prob("010") == 1
     d = rand_dataset(rng_for(54), 3, 6)
-    v2 = emp_to_hmmvec(d, domain=B)
-    assert sum((v2.prob(x) for x in words(3)), ZERO) == 1
-    for x in words(3):
+    v2 = emp_to_hmmvec(d)
+    assert sum((v2.prob(x) for x in words(3, v2.domain)), ZERO) == 1
+    for x in words(3, v2.domain):
         assert v2.prob(x) == d.prob(x)
 
 
@@ -161,15 +161,13 @@ def test_emp_is_exact_with_one_state_per_distinct_row():
     for d in datasets:
         distinct = len(set(d.rows))
         for order in permutations((1, 2, 3)):
-            for domain in (None, ("0", "1", "2")):
-                v = emp_to_hmmvec(d, order, domain)
-                assert len(v.alpha) == distinct
-                h = hmmvec_to_hmm(v)
-                assert h.dim == (d.n + 1) * distinct + 1
-                for x in words(3, v.domain):
-                    assert v.prob(x) == d.prob(x)
-                    assert h.prefix_prob(sequentialize(x, order)) == \
-                        d.prob(x)
+            v = emp_to_hmmvec(d, order)
+            assert len(v.alpha) == distinct
+            h = hmmvec_to_hmm(v)
+            assert h.dim == (d.n + 1) * distinct + 1
+            for x in words(3, v.domain):
+                assert v.prob(x) == d.prob(x)
+                assert h.prefix_prob(sequentialize(x, order)) == d.prob(x)
 
 
 def test_hmmvec_to_hmm():

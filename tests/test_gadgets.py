@@ -153,7 +153,7 @@ def cell_distance(cell, w_prime):
 
 
 def test_cell_examples():
-    cell = csp_construct("11", 1)
+    cell = csp_construct("11", 1, B)
     assert cell_distance(cell, "11") == 0
     assert cell_distance(cell, "00") == 1  # ReLU(2 - 1)
 
@@ -164,18 +164,18 @@ def test_cell_exhaustive():
         n = rng.randint(1, 4)
         w = "".join(rng.choice(B) for _ in range(n))
         k = rng.randint(0, n)
-        cell = csp_construct(w, k)
+        cell = csp_construct(w, k, B)
         for wp in words(n):
             assert cell_distance(cell, wp) == max(0, hamming(w, wp) - k)
     with pytest.raises(ValueError):
-        csp_construct("11", 3)
+        csp_construct("11", 3, B)
 
 
 def test_cell_prefix_property():
     # after s steps the distance neuron's predecessor chain carries
     # d_H(w[:s], w'[:s]) in neuron s-1
     w = "0110"
-    cell = csp_construct(w, 0)
+    cell = csp_construct(w, 0, B)
     for wp in words(4):
         h = cell.hidden(wp)
         assert h[3] == hamming(w, wp)

@@ -13,9 +13,9 @@ from shapwa import oracle
 from shapwa.engine import shap_all
 from shapwa.hmm import uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import Dataset, IndDist, RnnRelu, step
+from shapwa.models import Dataset, IndDist, RnnRelu, step, symbols
 from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
-                           ZeroProbabilityEvent, csp_brute, dist_alphabet,
+                           ZeroProbabilityEvent, csp_brute,
                            dist_prob, dummy_check, empty_brute, eval_model,
                            hamming, shap_oracle_all, shap_oracle_global,
                            shap_oracle_local, value_fn)
@@ -171,7 +171,7 @@ def textbook_shap(variant, f, i, n, inner, outer):
     def support(side):
         if isinstance(side, str):
             return [(side, ONE)]
-        return [(z, p) for z in map("".join, product(dist_alphabet(side),
+        return [(z, p) for z in map("".join, product(symbols(side),
                                                      repeat=n))
                 if (p := dist_prob(side, z)) != 0]
 
