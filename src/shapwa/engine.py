@@ -65,15 +65,12 @@ costs only the query check, in O(1) memory.  A word passed as both
 sides is local baseline SHAP with the input as reference, also 0.
 
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
-(f, n, inner, outer) that holds its objects strongly, so loc_i and loc_b
-share one pass across consecutive features of one input; a hit repeats
-arguments that already passed the check.  Cached answers rely on
+(f, n, inner, outer) that holds its objects strongly, so loc_i, loc_b and
+glo_b each share one pass across consecutive features of one query; a hit
+repeats arguments that already passed the check.  Cached answers rely on
 `NAlphabetWA` and `Hmm` being immutable, as they are documented to be.
-Global queries bypass the cache; glo_b runs one pass per call, so a
-global value costs the same whichever features were asked before it;
-callers that want every global baseline value call
-`shap_all(f, n, w_ref, D)` once.  The paper's builder pipeline
-is `builders.pipeline_shap`, kept as a cross-check.
+The paper's builder pipeline is `builders.pipeline_shap`, kept as a
+cross-check.
 """
 
 from functools import lru_cache
@@ -83,8 +80,9 @@ from .hmm import Hmm
 from .linalg import SpMat
 from .models import check_query
 from .rational import Rat, ZERO, ONE
+from .wa import NAlphabetWA
 
-# enough for loc_i and loc_b queries alternating over a few instances
+# enough for loc_i, loc_b and glo_b queries alternating over a few instances
 CACHE_SIZE = 8
 
 _UNIT = SpMat.from_dense([[ONE]])
@@ -266,15 +264,17 @@ def shap_all(f, n, inner, outer):
 
 
 def _phi(f, i, n, inner, outer):
-    """phi_i; a local query (its input side is a word) reads the cache."""
+    """phi_i from the cache; 0 without it when one object is both sides."""
+    if not (isinstance(f, NAlphabetWA) and isinstance(inner, (Hmm, str))
+            and isinstance(outer, (Hmm, str))):
+        raise TypeError("the engine takes an NAlphabetWA model and sides "
+                        "that are each an Hmm or a word (str)")
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range for n={n}")
-    if isinstance(outer, str):
-        return shap_all(f, n, inner, outer)[i - 1]
     if inner is outer:
         check_query(f, n, inner, outer)
         return ZERO
-    return shap_all.__wrapped__(f, n, inner, outer)[i - 1]
+    return shap_all(f, n, inner, outer)[i - 1]
 
 
 def loc_i_shap(f, w, i, dist):

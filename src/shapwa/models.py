@@ -383,6 +383,11 @@ class RnnRelu:
         self.h_init = rats(self.h_init)
         self.W = [rats(row) for row in self.W]
         self.emb = {s: rats(v) for s, v in self.emb.items()}
+        missing = sorted(set(self.domain) - set(self.emb))
+        extra = sorted(set(self.emb) - set(self.domain), key=str)
+        if missing or extra:
+            raise ValueError(f"the embeddings' symbols must be the domain: "
+                             f"missing {missing}, extra {extra}")
         self.out = rats(self.out)
         dim = len(self.h_init)
         if any(len(vec) != dim for vec in

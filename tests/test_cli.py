@@ -512,6 +512,10 @@ MALFORMED = {
     "markov-alien-init": ("markov", {"init": ALIEN,
                                      "trans": {"0": HALF, "1": HALF},
                                      "domain": B}),
+    # rnn embeddings keyed by other symbols than the domain's
+    "rnn-emb-missing-symbol": ("rnn", {**RNN, "emb": {"0": ["0"]}}),
+    "rnn-emb-extra-symbol": ("rnn", {**RNN, "emb": {**RNN["emb"],
+                                                    "2": ["1"]}}),
     # domain symbols that are not strings
     "rnn-domain-list": ("rnn", {**RNN, "domain": ["0", ["1"]]}),
     "sigmoid-domain-object": ("sigmoid", {**SIGMOID,
@@ -954,6 +958,23 @@ def test_verify_reports_corrupted_engine(capsys, monkeypatch):
     assert code == 1
     assert "FAIL" in out
     assert "counterexample" in out
+
+
+def test_verify_checks_every_feature(capsys, monkeypatch):
+    # an engine wrong at feature 2 only fails every instance (each has
+    # n >= 2), whichever feature the instance draws
+    from shapwa import engine
+    right = engine.loc_b_shap
+
+    def wrong_at_2(f, w, i, w_ref):
+        return right(f, w, i, w_ref) + (i == 2)
+
+    monkeypatch.setattr(engine, "loc_b_shap", wrong_at_2)
+    code, out = run(capsys, ["verify", "--suite", "engine", "--count", "8"])
+    assert code == 1
+    assert out.count("FAIL engine-vs-oracle instance") == 8
+    assert "PASS" not in out
+    assert out.count("local baseline i=2 engine=") == 8
 
 
 @pytest.mark.parametrize("kind", sorted(cli.GADGETS))

@@ -405,8 +405,8 @@ def test_cached_answers_equal_cold_calls():
     assert warm == cold
 
 
-def test_global_queries_run_their_own_pass():
-    # glo_* neither read nor fill the cache; their values equal shap_all's
+def test_global_queries_share_one_cached_pass():
+    # glo_i answers without the cache; glo_b's n features cost one pass
     rng = rng_for(39)
     n = 4
     f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
@@ -414,9 +414,34 @@ def test_global_queries_run_their_own_pass():
     shap_all.cache_clear()
     got_i = tuple(glo_i_shap(f, i, n, D) for i in range(1, n + 1))
     got_b = tuple(glo_b_shap(f, i, n, w_ref, D) for i in range(1, n + 1))
-    assert shap_all.cache_info().currsize == 0
-    assert got_i == shap_all(f, n, D, D)
-    assert got_b == shap_all(f, n, w_ref, D)
+    info = shap_all.cache_info()
+    assert (info.misses, info.hits, info.currsize) == (1, n - 1, 1)
+    assert got_i == shap_all.__wrapped__(f, n, D, D)
+    assert got_b == shap_all.__wrapped__(f, n, w_ref, D)
+
+
+def test_engine_refuses_what_it_cannot_read():
+    # a tabular side or model is a TypeError from every engine entry,
+    # glo_i's zero rule included, naming the types the engine takes
+    rng = rng_for(46)
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    ind, dt = rand_ind(rng, 2), rand_dt(rng, 2, max_depth=2)
+    calls = [lambda: loc_i_shap(f, "01", 1, ind),
+             lambda: loc_b_shap(f, "01", 1, ind),
+             lambda: glo_i_shap(f, 1, 2, ind),
+             lambda: glo_b_shap(f, 1, 2, "01", ind),
+             lambda: glo_b_shap(f, 1, 2, ind, D),
+             lambda: loc_i_shap(dt, "01", 1, D),
+             lambda: loc_b_shap(dt, "01", 1, "10"),
+             lambda: glo_i_shap(dt, 1, 2, D),
+             lambda: glo_b_shap(dt, 1, 2, "01", D)]
+    for call in calls:
+        with pytest.raises(TypeError, match="NAlphabetWA.*Hmm.*word"):
+            call()
+    for args in ((f, 2, "01", ind), (f, 2, ind, "01"), (f, 2, ind, ind),
+                 (dt, 2, "01", D)):
+        with pytest.raises(TypeError):
+            shap_all(*args)
 
 
 def test_cache_survives_dropped_models():

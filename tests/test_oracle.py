@@ -82,6 +82,17 @@ def test_rnn_refuses_mismatched_shapes():
             RnnRelu(**{**ok, **bad})
 
 
+def test_rnn_refuses_embeddings_off_its_domain():
+    ok = dict(h_init=[ONE], W=[[ONE]], emb={"0": [ZERO], "1": [ONE]},
+              out=[ONE], domain=B)
+    RnnRelu(**ok)
+    for emb, named in (({"0": [ZERO]}, r"missing \['1'\], extra \[\]"),
+                       ({**ok["emb"], "2": [ONE]},
+                        r"missing \[\], extra \['2'\]")):
+        with pytest.raises(ValueError, match=named):
+            RnnRelu(**{**ok, "emb": emb})
+
+
 def test_hamming():
     assert hamming("0101", "0101") == 0
     assert hamming("00", "11") == 2
