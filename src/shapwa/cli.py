@@ -279,13 +279,6 @@ def cmd_convert(cfg):
         # notably: vote-classification ensembles, an order that is not a
         # permutation of the source's features
         raise CliError(EXIT_INCOMPATIBLE, str(e))
-    if target != "hmmvec":
-        # the dense codec writes all dim x dim cells of each symbol's matrix
-        symbols = len(obj.alphabet if target == "hmm" else obj.transitions)
-        cells, limit = symbols * obj.dim ** 2, oracle.guard_bits()
-        if cells > 2 ** limit:
-            raise CliError(EXIT_GUARD, f"a dense {target} file of {obj.dim} "
-                           f"states needs {cells} cells > 2**{limit}")
     _dump_json(encode(obj, provenance=provenance), cfg.output)
 
 

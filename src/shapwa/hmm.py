@@ -9,7 +9,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 
 from .linalg import SpMat
 from .rational import Rat, ZERO, ONE, as_list, format_rat, rats
-from .wa import NAlphabetWA, eval_wa, wa_from_parts
+from .wa import NAlphabetWA, eval_wa, vector_from_json, wa_from_parts
 
 
 class Hmm:
@@ -86,7 +86,7 @@ def hmm_to_json(m):
         "alphabet": list(m.alphabet),
         "alpha": [format_rat(x) for x in m.wa.alpha],
         "matrices": {
-            sym: m.wa.transitions.get((sym,), SpMat(m.dim)).to_text()
+            sym: m.wa.transitions.get((sym,), SpMat(m.dim)).to_entries()
             for sym in m.alphabet
         },
     }
@@ -95,12 +95,12 @@ def hmm_to_json(m):
 def hmm_from_json(obj):
     """Accepts either per-symbol matrices or a <transition, emission> pair."""
     alphabet = tuple(as_list(obj["alphabet"], "symbols"))
-    alpha = obj["alpha"]
     if "matrices" in obj:
         if not set(obj["matrices"]) <= set(alphabet):
             raise ValueError("a matrices key is outside the alphabet")
-        trans = {(sym,): SpMat.from_dense(obj["matrices"][sym])
+        alpha = vector_from_json(obj["alpha"])
+        trans = {(sym,): SpMat.from_entries(len(alpha), obj["matrices"][sym])
                  for sym in alphabet}
         return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * len(alpha)))
-    return Hmm.from_matrices(alpha, obj["transition"], obj["emission"],
+    return Hmm.from_matrices(obj["alpha"], obj["transition"], obj["emission"],
                              alphabet)

@@ -7,7 +7,12 @@ use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 """
 
-from .rational import ZERO, format_rat, nonzero_rats, rat
+from .rational import ZERO, as_list, format_rat, nonzero_rats, rat
+
+# what a file in the dense layout of earlier versions is told
+LAYOUT = ("a matrix is a list of [row, col, value] entries; a file in the "
+          "older dense layout must be written again by running convert on "
+          "its source")
 
 
 class SpMat:
@@ -104,14 +109,48 @@ class SpMat:
                 out[i] = x
         return out
 
-    def to_text(self):
-        """Dense rows of format_rat strings, "0" where no entry is stored:
-        one format_rat per stored entry."""
-        out = [["0"] * self.n for _ in range(self.n)]
-        for i, row in self.rows.items():
-            text = out[i]
-            for j, v in row.items():
-                text[j] = format_rat(v)
+    def to_entries(self):
+        """[row, col, format_rat(value)] of each stored entry, in row-major
+        order: the file layout of a matrix, O(nnz)."""
+        return [[i, j, format_rat(v)] for i in sorted(self.rows)
+                for j, v in sorted(self.rows[i].items())]
+
+    @classmethod
+    def from_entries(cls, n, entries):
+        """The n x n matrix of [row, col, value] entries, 0-based ints and a
+        rational, as to_entries writes them; a value of "0" is skipped
+        uncoerced and exact zeros are dropped.  ValueError naming the entry
+        for anything else: a malformed entry, an index that is not an int in
+        0..n-1, a repeated (row, col), a value that rat refuses."""
+        out = cls(n)
+        rows = out.rows
+        zeros = set()
+        for entry in as_list(entries, "matrix entries"):
+            if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
+                raise ValueError(f"matrix entry {entry!r} is not a [row, col, "
+                                 f"value] list; {LAYOUT}")
+            i, j, x = entry
+            for index in (i, j):
+                if type(index) is not int:
+                    raise ValueError(f"matrix entry {entry!r}: index {index!r}"
+                                     f" is not an int; {LAYOUT}")
+                if not 0 <= index < n:
+                    raise ValueError(f"matrix entry {entry!r}: index {index} "
+                                     f"is outside 0..{n - 1}")
+            row = rows.setdefault(i, {})
+            if j in row:
+                raise ValueError(f"matrix entry {entry!r} repeats ({i}, {j})")
+            if isinstance(x, str) and x == "0":
+                x = ZERO
+            else:
+                try:
+                    x = rat(x)
+                except (TypeError, ValueError) as e:
+                    raise ValueError(f"matrix entry {entry!r}: {e}") from None
+            row[j] = x
+            if x == 0:
+                zeros.add(i)
+        out._prune(zeros)
         return out
 
     @classmethod

@@ -230,7 +230,9 @@ def _values(variant, f, n, inner, outer, coalitions):
     (conditional)."""
     if variant not in ("b", "i", "c"):
         raise ValueError(f"unknown variant {variant!r}")
-    inputs, support = _support(outer, n), _support(inner, n)
+    inputs = _support(outer, n)
+    # one enumeration when both sides are one distribution
+    support = inputs if inner is outer else _support(inner, n)
     # composed words repeat across coalitions: each is evaluated once
     evaluate = lru_cache(maxsize=None)(partial(eval_model, f))
     if variant == "c":

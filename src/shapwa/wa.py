@@ -20,7 +20,8 @@ from its parts by wa_from_parts, the one place that numbers states.
 from itertools import product
 
 from .linalg import SpMat, vec_to_sparse
-from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
+from .rational import (Rat, ZERO, ONE, as_list, format_rat, nonzero_rats, rat,
+                       rats)
 
 
 class NAlphabetWA:
@@ -321,10 +322,17 @@ def wa_to_json(A):
         "alpha": [format_rat(x) for x in A.alpha],
         "beta": [format_rat(x) for x in A.beta],
         "transitions": {
-            ",".join(key): mat.to_text()
+            ",".join(key): mat.to_entries()
             for key, mat in sorted(A.transitions.items())
         },
     }
+
+
+def vector_from_json(values):
+    """A dense vector of rationals read by nonzero_rats: a "0" costs a
+    string compare."""
+    nonzero = nonzero_rats(values)
+    return [nonzero.get(j, ZERO) for j in range(len(values))]
 
 
 def wa_from_json(obj):
@@ -334,6 +342,7 @@ def wa_from_json(obj):
         for s in ab:
             if "," in s:
                 raise ValueError("symbols may not contain ','")
-    trans = {tuple(key.split(",")): SpMat.from_dense(rows)
-             for key, rows in obj.get("transitions", {}).items()}
-    return NAlphabetWA(alphabets, obj["alpha"], trans, obj["beta"])
+    alpha = vector_from_json(obj["alpha"])
+    trans = {tuple(key.split(",")): SpMat.from_entries(len(alpha), entries)
+             for key, entries in obj.get("transitions", {}).items()}
+    return NAlphabetWA(alphabets, alpha, trans, vector_from_json(obj["beta"]))

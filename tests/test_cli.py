@@ -13,7 +13,7 @@ from shapwa import cli
 from shapwa.gadgets import wmg_to_rnnrelu, wmg_to_sigmoid
 from shapwa.hmm import hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.frontends import sequentialize
+from shapwa.frontends import dt_to_wa, sequentialize
 from shapwa.models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                            LinearModel, SigmoidNet, TreeEnsemble, dt_to_json,
                            ensemble_to_json, to_json)
@@ -73,7 +73,7 @@ def test_shap_value_beyond_binary64(capsys, tmp_path):
     big = "1" + "0" * 400
     model = write_json(tmp_path / "big.wa.json", {"type": "wa", "payload": {
         "alphabets": [["0", "1"]], "alpha": ["1"], "beta": ["1"],
-        "transitions": {"1": [[big]]}}})
+        "transitions": {"1": [[0, 0, big]]}}})
     for w, w_ref, value in (("1", "0", big), ("0", "1", "-" + big)):
         argv = ["shap", "--scope", "local", "--variant", "baseline",
                 "--model", model, "--input", w, "--reference", w_ref,
@@ -93,7 +93,7 @@ def test_shap_value_beyond_the_int_string_limit(capsys, tmp_path):
     big = "1" + "0" * 400
     model = write_json(tmp_path / "big.wa.json", {"type": "wa", "payload": {
         "alphabets": [["0", "1"]], "alpha": ["1"], "beta": ["1"],
-        "transitions": {"1": [[big]]}}})
+        "transitions": {"1": [[0, 0, big]]}}})
     code, out = run(capsys, [
         "shap", "--scope", "local", "--variant", "baseline", "--model", model,
         "--input", "1" * 11, "--reference", "0" * 11, "--feature", "1"])
@@ -137,7 +137,8 @@ def test_shap_guard_exceeded(capsys, and_model, tmp_path):
     dist = write_json(tmp_path / "u.hmm.json", {
         "type": "hmm",
         "payload": {"alphabet": ["0", "1"], "alpha": ["1"],
-                    "matrices": {"0": [["1/2"]], "1": [["1/2"]]}}})
+                    "matrices": {"0": [[0, 0, "1/2"]],
+                                 "1": [[0, 0, "1/2"]]}}})
     code, _ = run(capsys, [
         "shap", "--scope", "local", "--variant", "conditional",
         "--model", and_model, "--input", "1" * 30,
@@ -469,7 +470,8 @@ MALFORMED = {
                                     "trans": {"0": HALF, "1": HALF},
                                     "domain": B}),
     "wa-transitions-list": ("wa", {"alphabets": [B], "alpha": ["1"],
-                                   "beta": ["1"], "transitions": [[["1"]]]}),
+                                   "beta": ["1"],
+                                   "transitions": [[[0, 0, "1"]]]}),
     "rnn-emb-list": ("rnn", {"h_init": ["1"], "W": [["1"]],
                              "emb": [["1"], ["0"]], "out": ["1"],
                              "domain": B}),
@@ -538,12 +540,13 @@ MALFORMED = {
                                      "domain": ["0", "11"]}),
     "wa-multichar-symbol": ("wa", {"alphabets": [["ab", "c"]], "alpha": ["1"],
                                    "beta": ["1"],
-                                   "transitions": {"ab": [["1"]]}}),
+                                   "transitions": {"ab": [[0, 0, "1"]]}}),
     "wa-empty-symbol": ("wa", {"alphabets": [["", "1"]], "alpha": ["1"],
-                               "beta": ["1"], "transitions": {"1": [["1"]]}}),
+                               "beta": ["1"],
+                               "transitions": {"1": [[0, 0, "1"]]}}),
     "hmm-multichar-symbol": ("hmm", {"alphabet": ["ab", "c"], "alpha": ["1"],
-                                     "matrices": {"ab": [["1/2"]],
-                                                  "c": [["1/2"]]}}),
+                                     "matrices": {"ab": [[0, 0, "1/2"]],
+                                                  "c": [[0, 0, "1/2"]]}}),
     "hmm-multichar-emission": ("hmm", {"alphabet": ["0", "11"],
                                        "alpha": ["1"], "transition": [["1"]],
                                        "emission": [["1/2", "1/2"]]}),
@@ -567,9 +570,12 @@ MALFORMED = {
                               "emb": {"0": ["0", "0"], "1": ["1", "1"]},
                               "out": ["1", "1"], "domain": B}),
     "wa-alpha-string": ("wa", {"alphabets": [B], "alpha": "1", "beta": ["1"],
-                               "transitions": {"1": [["1"]]}}),
+                               "transitions": {"1": [[0, 0, "1"]]}}),
+    # a string where an entry, or the list of entries, belongs
     "wa-row-string": ("wa", {"alphabets": [B], "alpha": ["1"], "beta": ["1"],
                              "transitions": {"1": ["1"]}}),
+    "wa-entries-string": ("wa", {"alphabets": [B], "alpha": ["1"],
+                                 "beta": ["1"], "transitions": {"1": "001"}}),
     "sigmoid-weights-string": ("sigmoid", {**SIGMOID, "weights": "12"}),
     "ensemble-weights-string": ("ensemble", {"trees": [TREE, TREE],
                                              "weights": "12",
@@ -583,10 +589,10 @@ MALFORMED = {
     # a string where a list of symbols belongs
     "wa-alphabet-string": ("wa", {"alphabets": ["01"], "alpha": ["1"],
                                   "beta": ["1"],
-                                  "transitions": {"1": [["1"]]}}),
+                                  "transitions": {"1": [[0, 0, "1"]]}}),
     "hmm-alphabet-string": ("hmm", {"alphabet": "01", "alpha": ["1"],
-                                    "matrices": {"0": [["1/2"]],
-                                                 "1": [["1/2"]]}}),
+                                    "matrices": {"0": [[0, 0, "1/2"]],
+                                                 "1": [[0, 0, "1/2"]]}}),
     "ind-domain-string": ("ind", {**IND, "domain": "01"}),
     "dt-domain-string": ("dt", {**TREE, "domain": "01"}),
     # keys that name no feature, symbol or label of the file
@@ -595,7 +601,7 @@ MALFORMED = {
     "linear-alien-symbol": ("linear", {
         "n": 2, "domain": B, "weights": {"1,0": "1", "1,z": "5"}}),
     "hmm-alien-matrix": ("hmm", {"alphabet": B, "alpha": ["1"], "matrices": {
-        "0": [["1/2"]], "1": [["1/2"]], "2": [["7"]]}}),
+        "0": [[0, 0, "1/2"]], "1": [[0, 0, "1/2"]], "2": [[0, 0, "7"]]}}),
     "ensemble-vote-leaf": ("ensemble", {
         "trees": [TREE, {**TREE, "root": {"feature": 2, "children": {
             "0": {"leaf": "0"}, "1": {"leaf": "5"}}}}],
@@ -603,14 +609,43 @@ MALFORMED = {
 }
 
 
-def zero_slot(tag, zero):
-    """A 2-state wa or hmm file that is valid when zero is "0"."""
-    half = [["1/2", zero], ["0", "1/2"]]
+def two_state(tag, entries):
+    """A 2-state wa or hmm file whose matrix for "1" is entries; it is
+    valid when they are [[0, 0, "1/2"], [1, 1, "1/2"]]."""
     if tag == "wa":
         return {"alphabets": [B], "alpha": ["1", "0"], "beta": ["1", "1"],
-                "transitions": {"1": half}}
+                "transitions": {"1": entries}}
     return {"alphabet": B, "alpha": ["1", "0"],
-            "matrices": {"0": half, "1": [["1/2", "0"], ["0", "1/2"]]}}
+            "matrices": {"0": [[0, 0, "1/2"], [1, 1, "1/2"]], "1": entries}}
+
+
+def zero_slot(tag, zero):
+    """A two_state file that is valid when zero, the value of its entry
+    (0, 1), is "0"."""
+    return two_state(tag, [[0, 0, "1/2"], [0, 1, zero], [1, 1, "1/2"]])
+
+
+# matrix entries that are not [row, col, value] with 0-based int indices
+# below the dim (2) and each (row, col) once; the last is the dense layout
+# of earlier versions
+BAD_ENTRIES = {
+    "row-string": [["0", 0, "1/2"], [1, 1, "1/2"]],
+    "col-bool": [[0, True, "1/2"], [1, 1, "1/2"]],
+    "col-float": [[0, 0.0, "1/2"], [1, 1, "1/2"]],
+    "row-outside": [[2, 0, "1/2"], [1, 1, "1/2"]],
+    "col-negative": [[0, -1, "1/2"], [1, 1, "1/2"]],
+    "repeated": [[0, 0, "1/4"], [0, 0, "1/4"], [1, 1, "1/2"]],
+    "pair": [[0, 0], [1, 1, "1/2"]],
+    "quadruple": [[0, 0, "1/2", "0"], [1, 1, "1/2"]],
+    "object": [{"row": 0, "col": 0, "value": "1/2"}, [1, 1, "1/2"]],
+    "value-float": [[0, 0, 0.5], [1, 1, "1/2"]],
+    "value-bool": [[0, 0, True], [1, 1, "1/2"]],
+    "value-null": [[0, 0, None], [1, 1, "1/2"]],
+    "dense-rows": [["1/2", "0"], ["0", "1/2"]],
+}
+MALFORMED.update({f"{tag}-entry-{name}": (tag, two_state(tag, entries))
+                  for tag in ("wa", "hmm")
+                  for name, entries in BAD_ENTRIES.items()})
 
 
 # a float, a bool, null or a malformed string where a zero belongs
@@ -651,18 +686,43 @@ def test_malformed_file_exits_2_from_shap_and_convert(capsys, tmp_path,
     assert not out_path.exists()
 
 
-@pytest.mark.parametrize("tag", ["wa", "hmm"])
-def test_zero_slot_files_are_valid_with_a_zero(capsys, tmp_path, and_model,
-                                               tag):
-    path = write_json(tmp_path / "ok.json",
-                      {"type": tag, "payload": zero_slot(tag, "0")})
+def answers_on_the_engine(capsys, tmp_path, and_model, tag, payload):
+    """Whether local interventional SHAP answers on the engine with the wa
+    payload as the model, or the hmm payload as the distribution."""
+    path = write_json(tmp_path / "ok.json", {"type": tag, "payload": payload})
     uniform = write_json(tmp_path / "u.json", hmm_to_json(uniform_hmm(B)))
     model, dist = (path, uniform) if tag == "wa" else (and_model, path)
     code, out = run(capsys, [
         "shap", "--scope", "local", "--variant", "interventional",
         "--model", model, "--dist", dist, "--input", "11", "--feature", "1"])
-    assert code == 0
-    assert json.loads(out)["route"] == "engine"
+    return code == 0 and json.loads(out)["route"] == "engine"
+
+
+@pytest.mark.parametrize("tag", ["wa", "hmm"])
+def test_zero_slot_files_are_valid_with_a_zero(capsys, tmp_path, and_model,
+                                               tag):
+    assert answers_on_the_engine(capsys, tmp_path, and_model, tag,
+                                 zero_slot(tag, "0"))
+
+
+@pytest.mark.parametrize("tag", ["wa", "hmm"])
+def test_two_state_files_are_valid_with_good_entries(capsys, tmp_path,
+                                                     and_model, tag):
+    # a JSON int is a rational too
+    assert answers_on_the_engine(capsys, tmp_path, and_model, tag, two_state(
+        tag, [[0, 0, "1/2"], [1, 1, 1 if tag == "wa" else "1/2"]]))
+
+
+@pytest.mark.parametrize("name", sorted(BAD_ENTRIES))
+def test_a_bad_entry_is_named(name):
+    # each bad entry is the first, or equal to it
+    entries = BAD_ENTRIES[name]
+    with pytest.raises(ValueError) as error:
+        SpMat.from_entries(2, entries)
+    assert repr(entries[0]) in str(error.value)
+    if name == "dense-rows":
+        assert "[row, col, value] entries" in str(error.value)
+        assert "convert" in str(error.value)
 
 
 # type tag -> a sample object of that type
@@ -707,23 +767,32 @@ def test_convert_dt_roundtrip(capsys, tmp_path):
         assert eval_wa(A, (x,)) == t.evaluate(x)
 
 
-def test_convert_refuses_a_dense_file_above_the_guard(capsys, tmp_path,
-                                                     monkeypatch):
-    # a chain tree compiles to (n+1)^2 states: 441 at n=20, whose dense
-    # file has 2 x 441^2 cells > 2^16
+def test_convert_writes_a_large_chain_tree_by_its_entries(capsys, tmp_path):
+    # a chain tree compiles to (n+1)^2 states: 3,721 at n = 60, whose dense
+    # matrices would hold 2 x 3,721^2 cells; its file holds one entry per
+    # nonzero, at the default guard setting
+    n = 60
     node = DTNode(leaf=ONE)
-    for k in range(20, 0, -1):
+    for k in range(n, 0, -1):
         node = DTNode(feature=k, children={"0": DTNode(leaf=ZERO), "1": node})
-    src = write_json(tmp_path / "chain.dt.json",
-                     cli.encode(DecisionTree(node, 20, B)))
+    tree = DecisionTree(node, n, B)
+    src = write_json(tmp_path / "chain.dt.json", cli.encode(tree))
     out_path = tmp_path / "chain.wa.json"
-    monkeypatch.setenv("SHAPWA_GUARD_BITS", "16")
-    code = cli.main(["convert", "--from", "dt", "--input", src,
-                     "--output", str(out_path)])
-    out, err = capsys.readouterr()
-    assert (code, out) == (4, "")
-    assert "441 states" in err and "Traceback" not in err
-    assert not out_path.exists()
+    code, _ = run(capsys, ["convert", "--from", "dt", "--input", src,
+                           "--output", str(out_path)])
+    assert code == 0
+    payload = json.loads(out_path.read_text())["payload"]
+    A = dt_to_wa(tree)
+    assert A.dim == (n + 1) ** 2
+    assert sum(map(len, payload["transitions"].values())) == \
+        sum(m.nnz for m in A.transitions.values())
+    code, out = run(capsys, [
+        "shap", "--scope", "local", "--variant", "baseline",
+        "--model", str(out_path), "--input", "1" * n,
+        "--reference", "0" * n, "--feature", "1"])
+    assert code == 0
+    record = json.loads(out)
+    assert (record["value"], record["route"]) == (f"1/{n}", "engine")
 
 
 def test_convert_emp_to_hmm(capsys, tmp_path):

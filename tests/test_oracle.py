@@ -11,7 +11,7 @@ import pytest
 
 from shapwa import oracle
 from shapwa.engine import shap_all
-from shapwa.hmm import uniform_hmm
+from shapwa.hmm import hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, IndDist, RnnRelu, step, symbols
 from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
@@ -284,6 +284,25 @@ def test_each_distinct_word_is_evaluated_once(monkeypatch):
         run()
         assert set(calls) == set(words(3))  # every composed word
         assert set(calls.values()) == {1}
+
+
+def test_one_distribution_on_both_sides_is_enumerated_once(monkeypatch):
+    f = rand_wa(rng_for(65), 3, B)
+    D = rand_hmm(rng_for(66), 2, B)
+    twin = hmm_from_json(hmm_to_json(D))  # the same distribution
+    n = 4
+    calls = []
+
+    def counting(dist, w):
+        calls.append(w)
+        return dist_prob(dist, w)
+
+    monkeypatch.setattr(oracle, "dist_prob", counting)
+    want = shap_oracle_all("i", f, n, D, twin)
+    assert len(calls) == 2 * 2 ** n
+    calls.clear()
+    assert shap_oracle_all("i", f, n, D, D) == want
+    assert len(calls) == 2 ** n
 
 
 def _imports(path):

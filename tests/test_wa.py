@@ -426,7 +426,8 @@ def _constructor_calls(tree):
 
 def test_only_wa_calls_the_automaton_constructor():
     # states are numbered in one place: outside `wa`, automata come from
-    # wa_from_parts and the algebra; hmm_from_json decodes dense matrices
+    # wa_from_parts and the algebra; hmm_from_json builds the automaton of
+    # a file's per-symbol matrices
     src = Path(__file__).resolve().parents[1] / "src" / "shapwa"
     found = {}
     for path in sorted(src.glob("*.py")):
@@ -458,7 +459,7 @@ def test_json_rejects_comma_symbols():
 
 
 # ---------------------------------------------------------------------------
-# the dense codec costs the stored entries
+# the entry codec costs the stored entries
 
 
 def counting(monkeypatch, fn, modules):
@@ -474,12 +475,14 @@ def counting(monkeypatch, fn, modules):
     return calls
 
 
-def test_reading_a_dense_matrix_coerces_its_nonzeros(monkeypatch):
+def test_reading_entries_coerces_their_nonzeros(monkeypatch):
+    # the identity, and a "0" entry beside each one that is skipped
     n = 40
-    text = [["1" if i == j else "0" for j in range(n)] for i in range(n)]
+    entries = [[i, j, "1" if i == j else "0"]
+               for i in range(n) for j in {i, (i + 1) % n}]
     calls = counting(monkeypatch, rational.rat, (rational, linalg))
-    mat = SpMat.from_dense(text)
-    assert len(calls) <= n
+    mat = SpMat.from_entries(n, entries)
+    assert len(calls) == n
     assert mat.rows == {i: {i: ONE} for i in range(n)}
 
 
@@ -491,12 +494,6 @@ def sample_automata():
         yield "hmm", rand_hmm(rng, 1 + seed, B)
         yield "wa", dt_to_wa(rand_dt(rng, 4))
         yield "hmm", hmmvec_to_hmm(emp_to_hmmvec(rand_dataset(rng, 3, 4)))
-
-
-def old_text(mat):
-    """The dense layout as it was written before, one format_rat per entry."""
-    dense = [[mat.get(i, j) for j in range(mat.n)] for i in range(mat.n)]
-    return [[format_rat(x) for x in row] for row in dense]
 
 
 def test_writing_formats_the_stored_entries_only(monkeypatch):
@@ -512,17 +509,40 @@ def test_writing_formats_the_stored_entries_only(monkeypatch):
         monkeypatch.undo()
 
 
-def test_written_matrices_equal_the_old_dense_layout():
+def test_reading_parses_the_stored_entries_only(monkeypatch):
+    # a string is parsed once per nonzero; a "0" is compared, not parsed
+    for kind, A in sample_automata():
+        obj = wa_to_json(A) if kind == "wa" else hmm_to_json(A)
+        calls = counting(monkeypatch, rational.rat, (rational, linalg, wa))
+        (wa_from_json if kind == "wa" else hmm.hmm_from_json)(obj)
+        A = A if kind == "wa" else A.wa
+        vectors = (A.alpha, A.beta) if kind == "wa" else (A.alpha,)
+        want = (sum(m.nnz for m in A.transitions.values())
+                + sum(x != 0 for v in vectors for x in v))
+        assert sum(isinstance(x, str) for x in calls) == want, kind
+        monkeypatch.undo()
+
+
+def test_json_round_trip_keeps_every_entry():
     for kind, A in sample_automata():
         if kind == "wa":
-            got = wa_to_json(A)["transitions"]
-            want = {",".join(key): old_text(m)
-                    for key, m in A.transitions.items()}
+            obj = wa_to_json(A)
+            A2 = wa_from_json(obj)
+            written = obj["transitions"].values()
         else:
-            got = hmm_to_json(A)["matrices"]
-            want = {s: old_text(A.wa.transitions.get((s,), SpMat(A.dim)))
-                    for s in A.alphabet}
-        assert got == want, kind
+            obj = hmm_to_json(A)
+            A, A2 = A.wa, hmm.hmm_from_json(obj).wa
+            written = obj["matrices"].values()
+        assert (A2.alpha, A2.beta) == (A.alpha, A.beta), kind
+        assert {k: m.rows for k, m in A2.transitions.items()} == \
+            {k: m.rows for k, m in A.transitions.items()}, kind
+        # one [row, col, value] entry per nonzero, in row-major order
+        for entries in written:
+            assert entries == sorted(entries)
+            assert all(type(i) is int and type(j) is int and x != "0"
+                       for i, j, x in entries)
+        assert sum(map(len, written)) == \
+            sum(m.nnz for m in A.transitions.values()), kind
 
 
 # ---------------------------------------------------------------------------
