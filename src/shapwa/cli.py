@@ -160,18 +160,10 @@ def _sides(scope, variant, given):
     return given[INNER[variant]], given[OUTER[scope]]
 
 
-# (scope, variant) -> the polynomial pipeline; it answers a WA model whose
-# sides are words or Hmm distributions
-ENGINE = {
-    ("local", "baseline"):
-        lambda f, i, n, inner, outer: engine.loc_b_shap(f, outer, i, inner),
-    ("local", "interventional"):
-        lambda f, i, n, inner, outer: engine.loc_i_shap(f, outer, i, inner),
-    ("global", "baseline"):
-        lambda f, i, n, inner, outer: engine.glo_b_shap(f, i, n, inner, outer),
-    ("global", "interventional"):
-        lambda f, i, n, inner, outer: engine.glo_i_shap(f, i, n, outer),
-}
+# the (scope, variant) pairs the polynomial engine answers, for a WA model
+# whose sides are words or Hmm distributions
+ENGINE = (("local", "baseline"), ("local", "interventional"),
+          ("global", "baseline"), ("global", "interventional"))
 
 
 def _decimal(value):
@@ -211,12 +203,12 @@ def cmd_shap(cfg):
     n = cfg.length if cfg.input is None else len(cfg.input)
     inner, outer = _sides(cfg.scope, cfg.variant, {
         "input": cfg.input, "reference": cfg.reference, "dist": dist})
-    pipeline = ENGINE.get((cfg.scope, cfg.variant))
     try:
-        if (pipeline and isinstance(model, NAlphabetWA)
+        if ((cfg.scope, cfg.variant) in ENGINE
+                and isinstance(model, NAlphabetWA)
                 and (dist is None or isinstance(dist, Hmm))):
-            route, value = "engine", pipeline(model, cfg.feature, n, inner,
-                                              outer)
+            route, value = "engine", engine.shap_one(model, cfg.feature, n,
+                                                     inner, outer)
         else:
             route, value = "oracle", oracle.shap_oracle_global(
                 cfg.variant[0], model, cfg.feature, n, inner, outer)
@@ -430,15 +422,15 @@ def _verify_engine(report, rng, count):
         rng.randint(1, n)
         given = {"input": w, "reference": w_ref, "dist": dist}
         bad = []
-        for (scope, variant), pipeline in ENGINE.items():
+        for scope, variant in ENGINE:
             inner, outer = _sides(scope, variant, given)
+            got = engine.shap_all(f, n, inner, outer)
             want = oracle.shap_oracle_all(variant[0], f, n, inner, outer)
-            for i, phi in enumerate(want, 1):
-                got = pipeline(f, i, n, inner, outer)
-                if got != phi:
+            for i, (phi, psi) in enumerate(zip(got, want), 1):
+                if phi != psi:
                     bad.append(f"{scope} {variant} i={i} "
-                               f"engine={format_rat(got)} "
-                               f"oracle={format_rat(phi)}")
+                               f"engine={format_rat(phi)} "
+                               f"oracle={format_rat(psi)}")
         report.check(f"engine-vs-oracle instance {idx}", not bad,
                      bad and f"n={n} w={w} w_ref={w_ref}: " + "; ".join(bad))
 

@@ -4,7 +4,9 @@ One forward-backward pass gives the values of all features.  Inputs x are
 drawn from an outer side and the replaced features z from an inner side;
 each side is an `Hmm` or a word, a word standing for the point distribution
 on it.  `shap_all` checks a query (`models.check_query`, as the oracle
-does); the four queries only pick its sides (inner, outer) and feature i:
+does); `shap_one` answers one feature of it with only the part of the
+pass that feature needs; the four queries only pick the sides (inner,
+outer) and feature i:
 
   glo_i:  (D, D)          loc_i:  (D, w)
   glo_b:  (w_ref, D)      loc_b:  (w_ref, w)
@@ -52,6 +54,16 @@ F_{j-1} (P_j - Q_j) lives in reach_j and phi never reads B elsewhere.  The
 restriction is structural: masking by numerical supports could drop a
 state where the F vectors cancel but their difference does not.
 
+A pass asked for some features only runs F to position max(features), B
+from n down to min(features) + 1, and the dots at those features; the
+reach sweep, which builds the rows of P and Q, still covers all n
+positions, since B_{j+1} is computed on reach_j; it makes no vector
+product.  Feature i alone costs i(i+1) vector-matrix and
+(n-i)(n-i+1) matrix-vector products and i(n-i+1) dots; all n features
+cost n(n+1) and n(n-1) products and about n^3/6 dots.  So one feature
+is 2x cheaper than the whole pass at i = 1 or n, 4x at i = n/2 and 3x on
+average.
+
 When one object is both sides, every phi_i is 0 and no pass runs.  Inputs
 x and replaced features z are then drawn independently from the same
 distribution, so swapping them gives v(S) = E f(x_S z_{N-S}) = v(N-S).
@@ -67,8 +79,10 @@ sides is local baseline SHAP with the input as reference, also 0.
 `shap_all` keeps its last few answers in a functools.lru_cache keyed by
 (f, n, inner, outer) that holds its objects strongly, so loc_i, loc_b and
 glo_b each share one pass across consecutive features of one query; a hit
-repeats arguments that already passed the check.  Cached answers rely on
-`NAlphabetWA` and `Hmm` being immutable, as they are documented to be.
+repeats arguments that already passed the check.  `shap_one` is not
+cached: the CLI asks one feature per call, of objects it has just read,
+so no call of it could hit.  Cached answers rely on `NAlphabetWA` and
+`Hmm` being immutable, as they are documented to be.
 The paper's builder pipeline is `builders.pipeline_shap`, kept as a
 cross-check.
 """
@@ -205,16 +219,9 @@ def _shift_add(dropped, kept):
     return [_combine(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def shap_all(f, n, inner, outer):
-    """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
-    ~ inner, each an Hmm or a word (the point distribution on it).
-    ValueError unless `models.check_query` accepts the query.  A side
-    passed twice as one object answers all zeros once checked, as the
-    module docstring proves."""
-    check_query(f, n, inner, outer)
-    if inner is outer:
-        return (ZERO,) * n
+def _pass(f, n, inner, outer, features):
+    """(phi_i for i in features) of a checked query whose sides are two
+    objects: only the part of the pass those features need runs."""
     o_alpha, o_beta, o_layers = _side(outer, n)
     i_alpha, i_beta, i_layers = _side(inner, n)
     dims = (len(o_alpha), len(i_alpha), f.dim)
@@ -226,54 +233,88 @@ def shap_all(f, n, inner, outer):
         if key not in built:
             built[key] = _Step(lo, li, f_mats, dims)
         steps.append(built[key])
+    wanted = set(features)
+    first, last = min(wanted, default=n + 1), max(wanted, default=0)
 
-    # diff[j][a] = F_j[a] (P_{j+1} - Q_{j+1}) for a = 0..j; the rows of
-    # P_{j+1} and Q_{j+1} are built on reach_j, where F_j lives
-    diff = []
+    # diff[i][a] = F_{i-1}[a] (P_i - Q_i) for a = 0..i-1, at requested i;
+    # the rows of P_j and Q_j are built on reach_{j-1}, where F_{j-1} lives.
+    # F runs to position `last`, the reach sweep to n: B reads every reach_j
+    diff = {}
     fwd = [_kron_vec(o_alpha, i_alpha, f.alpha)]
     reach = [set(fwd[0])]
-    for step in steps:
+    for j, step in enumerate(steps, 1):
         reach.append(step.fill(reach[-1]))
-        P, Q = step.P, step.Q
-        vp = [P.vecmat(v) for v in fwd]
-        vq = [Q.vecmat(v) for v in fwd]
-        diff.append([_combine(p, q, -1) for p, q in zip(vp, vq)])
-        fwd = _shift_add(vq, vp)
+        if j > last:
+            continue
+        vp = [step.P.vecmat(v) for v in fwd]
+        vq = [step.Q.vecmat(v) for v in fwd]
+        if j in wanted:
+            diff[j] = [_combine(p, q, -1) for p, q in zip(vp, vq)]
+        if j < last:
+            fwd = _shift_add(vq, vp)
 
-    # bwd[j] = [B_{j+2}[b] for b = 0..n-j-1] on reach_{j+1}, where diff[j]
-    # lives and where B_{j+1} on reach_j reads it; filled from position n down
-    bwd = [[_end_vec((o_beta, i_beta, f.beta), dims, reach[n])]]
-    for j in range(n - 1, 0, -1):
-        P, Q = steps[j].P, steps[j].Q
-        nxt = bwd[-1]
-        bwd.append(_shift_add([Q.matvec(v, reach[j]) for v in nxt],
-                              [P.matvec(v, reach[j]) for v in nxt]))
-    bwd.reverse()
-
+    # bwd = [B_{j+1}[b] for b = 0..n-j] on reach_j, where diff[j] lives and
+    # where B_j on reach_{j-1} reads it; from position n down to `first`
     c = [Rat(factorial(k) * factorial(n - 1 - k), factorial(n))
          for k in range(n)]
-    phis = []
-    for i in range(n):
-        by_size = [ZERO] * n
-        for a, g in enumerate(diff[i]):
-            if g:
-                for b, v in enumerate(bwd[i]):
-                    by_size[a + b] += _dot(g, v)
-        phis.append(sum((ck * d for ck, d in zip(c, by_size) if d), ZERO))
-    return tuple(phis)
+    phis = {}
+    bwd = [_end_vec((o_beta, i_beta, f.beta), dims, reach[n])]
+    for j in range(n, first - 1, -1):
+        if j in wanted:
+            by_size = [ZERO] * n
+            for a, g in enumerate(diff[j]):
+                if g:
+                    for b, v in enumerate(bwd):
+                        by_size[a + b] += _dot(g, v)
+            phis[j] = sum((ck * d for ck, d in zip(c, by_size) if d), ZERO)
+        if j > first:
+            step, rows = steps[j - 1], reach[j - 1]
+            bwd = _shift_add([step.Q.matvec(v, rows) for v in bwd],
+                             [step.P.matvec(v, rows) for v in bwd])
+    return tuple(phis[i] for i in features)
 
 
-def _phi(f, i, n, inner, outer):
-    """phi_i from the cache; 0 without it when one object is both sides."""
+def _checked(f, n, inner, outer, features):
+    """(phi_i for i in features) once `models.check_query` accepts the
+    query; zeros without a pass when one object is both sides."""
+    check_query(f, n, inner, outer)
+    if inner is outer:
+        return (ZERO,) * len(features)
+    return _pass(f, n, inner, outer, features)
+
+
+@lru_cache(maxsize=CACHE_SIZE)
+def shap_all(f, n, inner, outer):
+    """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
+    ~ inner, each an Hmm or a word (the point distribution on it).
+    ValueError unless `models.check_query` accepts the query.  A side
+    passed twice as one object answers all zeros once checked, as the
+    module docstring proves."""
+    return _checked(f, n, inner, outer, range(1, n + 1))
+
+
+def _gate(f, i, n, inner, outer):
     if not (isinstance(f, NAlphabetWA) and isinstance(inner, (Hmm, str))
             and isinstance(outer, (Hmm, str))):
         raise TypeError("the engine takes an NAlphabetWA model and sides "
                         "that are each an Hmm or a word (str)")
     if not (1 <= i <= n):
         raise IndexError(f"feature {i} out of range for n={n}")
+
+
+def shap_one(f, i, n, inner, outer):
+    """phi_i alone, uncached, from the part of the pass feature i needs;
+    the sides are those of `shap_all`.  TypeError, IndexError and
+    ValueError as the four queries raise them."""
+    _gate(f, i, n, inner, outer)
+    return _checked(f, n, inner, outer, (i,))[0]
+
+
+def _phi(f, i, n, inner, outer):
+    """phi_i from the cache; 0 without it when one object is both sides."""
     if inner is outer:
-        check_query(f, n, inner, outer)
-        return ZERO
+        return shap_one(f, i, n, inner, outer)
+    _gate(f, i, n, inner, outer)
     return shap_all(f, n, inner, outer)[i - 1]
 
 

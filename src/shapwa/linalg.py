@@ -118,10 +118,12 @@ class SpMat:
     @classmethod
     def from_entries(cls, n, entries):
         """The n x n matrix of [row, col, value] entries, 0-based ints and a
-        rational, as to_entries writes them; a value of "0" is skipped
-        uncoerced and exact zeros are dropped.  ValueError naming the entry
-        for anything else: a malformed entry, an index that is not an int in
-        0..n-1, a repeated (row, col), a value that rat refuses."""
+        rational string, as to_entries writes them; a value of "0" is
+        skipped uncoerced and exact zeros are dropped.  ValueError naming
+        the entry for anything else: a malformed entry, an index that is not
+        an int in 0..n-1, a repeated (row, col), a value that is not a
+        string (a number too: the int rows of a dense dim-3 matrix would
+        read as entries) or that rat refuses."""
         out = cls(n)
         rows = out.rows
         zeros = set()
@@ -140,7 +142,10 @@ class SpMat:
             row = rows.setdefault(i, {})
             if j in row:
                 raise ValueError(f"matrix entry {entry!r} repeats ({i}, {j})")
-            if isinstance(x, str) and x == "0":
+            if not isinstance(x, str):
+                raise ValueError(f"matrix entry {entry!r}: value {x!r} is "
+                                 f"not a rational string; {LAYOUT}")
+            if x == "0":
                 x = ZERO
             else:
                 try:

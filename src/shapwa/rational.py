@@ -18,8 +18,11 @@ ONE = Rat(1)
 
 
 def rat(x) -> "Rat":
-    """Coerce an int, string ("p/q" or "p") or rational to Rat; a float or
-    a bool is refused with TypeError."""
+    """Coerce an int, string ("p/q" or "p") or rational to Rat; a Rat is
+    returned as it is, not copied; a float or a bool is refused with
+    TypeError."""
+    if isinstance(x, Rat):
+        return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"not an exact rational: {x!r}")
     return Rat(x)

@@ -21,7 +21,7 @@ from shapwa.oracle import Wmg, shap_oracle_global, shap_oracle_local
 from shapwa.randgen import (rand_dataset, rand_dt, rand_ensemble, rand_hmm,
                             rand_hmmvec, rand_ind, rand_linear, rand_markov,
                             rand_nb, rand_wa, rng_for)
-from shapwa.rational import Rat, ZERO, ONE
+from shapwa.rational import Rat, ZERO, ONE, format_rat
 from shapwa.wa import NAlphabetWA, wa_from_json, wa_to_json, eval_wa
 
 B = ("0", "1")
@@ -131,6 +131,59 @@ def test_shap_feature_out_of_range(capsys, and_model):
         "--model", and_model, "--input", "11", "--reference", "00",
         "--feature", "5"])
     assert code == 3
+
+
+# the sides of the engine-route queries on the engine_files model, n = 5
+ENGINE_SIDES = {"input": "01101", "reference": "10011"}
+
+
+@pytest.fixture
+def engine_files(tmp_path):
+    rng = rng_for(64)
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    return (write_json(tmp_path / "f.json", cli.encode(f)),
+            write_json(tmp_path / "d.json", cli.encode(D)))
+
+
+def engine_argv(scope, variant, feature, model, dist):
+    """shap argv of the query on these files, reading only its flags."""
+    given = {**ENGINE_SIDES, "dist": dist}
+    argv = ["shap", "--scope", scope, "--variant", variant, "--model", model,
+            "--feature", str(feature)]
+    for flag in sorted({cli.OUTER[scope], cli.INNER[variant]}):
+        argv += [f"--{flag}", given[flag]]
+    if scope == "global":
+        argv += ["--length", str(len(ENGINE_SIDES["input"]))]
+    return argv
+
+
+@pytest.mark.parametrize("scope, variant", cli.ENGINE)
+def test_shap_prints_the_whole_pass_value_of_its_feature(
+        capsys, engine_files, scope, variant):
+    # the CLI runs the part of the pass its feature needs, not shap_all
+    from shapwa import engine
+    model, dist = engine_files
+    f, D = cli.load_model(model), cli.load_dist(dist)
+    n = len(ENGINE_SIDES["input"])
+    inner, outer = cli._sides(scope, variant, {**ENGINE_SIDES, "dist": D})
+    want = engine.shap_all.__wrapped__(f, n, inner, outer)
+    engine.shap_all.cache_clear()
+    for i in range(1, n + 1):
+        code, out = run(capsys, engine_argv(scope, variant, i, model, dist))
+        record = json.loads(out)
+        assert (code, record["route"]) == (0, "engine")
+        assert record["value"] == format_rat(want[i - 1]), i
+    assert engine.shap_all.cache_info().misses == 0
+
+
+@pytest.mark.parametrize("scope, variant", cli.ENGINE)
+def test_shap_engine_route_refuses_a_feature_out_of_range(
+        capsys, engine_files, scope, variant):
+    for i in (0, len(ENGINE_SIDES["input"]) + 1):
+        code = cli.main(engine_argv(scope, variant, i, *engine_files))
+        captured = capsys.readouterr()
+        assert (code, captured.out) == (3, "")
+        assert f"feature {i} out of range" in captured.err
 
 
 def test_shap_guard_exceeded(capsys, and_model, tmp_path):
@@ -641,11 +694,23 @@ BAD_ENTRIES = {
     "value-float": [[0, 0, 0.5], [1, 1, "1/2"]],
     "value-bool": [[0, 0, True], [1, 1, "1/2"]],
     "value-null": [[0, 0, None], [1, 1, "1/2"]],
+    "value-int": [[0, 0, 1], [1, 1, "1/2"]],
     "dense-rows": [["1/2", "0"], ["0", "1/2"]],
 }
 MALFORMED.update({f"{tag}-entry-{name}": (tag, two_state(tag, entries))
                   for tag in ("wa", "hmm")
                   for name, entries in BAD_ENTRIES.items()})
+
+
+# the dense layout of a dim-3 identity: each of its int rows is a valid
+# [row, col, value] entry but for its value, a number, not a string
+DENSE_INTS = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+MALFORMED["wa-entry-dense-ints"] = ("wa", {
+    "alphabets": [B], "alpha": ["1", "0", "0"], "beta": ["1", "1", "1"],
+    "transitions": {"1": DENSE_INTS}})
+MALFORMED["hmm-entry-dense-ints"] = ("hmm", {
+    "alphabet": B, "alpha": ["1", "0", "0"],
+    "matrices": {"0": [], "1": DENSE_INTS}})
 
 
 # a float, a bool, null or a malformed string where a zero belongs
@@ -708,9 +773,8 @@ def test_zero_slot_files_are_valid_with_a_zero(capsys, tmp_path, and_model,
 @pytest.mark.parametrize("tag", ["wa", "hmm"])
 def test_two_state_files_are_valid_with_good_entries(capsys, tmp_path,
                                                      and_model, tag):
-    # a JSON int is a rational too
     assert answers_on_the_engine(capsys, tmp_path, and_model, tag, two_state(
-        tag, [[0, 0, "1/2"], [1, 1, 1 if tag == "wa" else "1/2"]]))
+        tag, [[0, 0, "1/2"], [1, 1, "1" if tag == "wa" else "1/2"]]))
 
 
 @pytest.mark.parametrize("name", sorted(BAD_ENTRIES))
@@ -723,6 +787,14 @@ def test_a_bad_entry_is_named(name):
     if name == "dense-rows":
         assert "[row, col, value] entries" in str(error.value)
         assert "convert" in str(error.value)
+
+
+def test_a_dense_matrix_of_ints_is_not_read_as_entries():
+    # its first row, [1, 0, 0], would be the entry (1, 0) = 0
+    with pytest.raises(ValueError) as error:
+        SpMat.from_entries(3, DENSE_INTS)
+    assert repr(DENSE_INTS[0]) in str(error.value)
+    assert "[row, col, value] entries" in str(error.value)
 
 
 # type tag -> a sample object of that type
@@ -1015,14 +1087,24 @@ def test_verify_deterministic(capsys):
     assert out1 == out2
 
 
+def corrupt_local_baseline(monkeypatch, wrong):
+    """verify's engine tuples, with local baseline's phi_i (both sides
+    words) replaced by wrong(phi_i, i)."""
+    from shapwa import engine
+    right = engine.shap_all
+
+    def shap_all(f, n, inner, outer):
+        phis = right(f, n, inner, outer)
+        if isinstance(inner, str) and isinstance(outer, str):
+            phis = tuple(wrong(phi, i) for i, phi in enumerate(phis, 1))
+        return phis
+
+    monkeypatch.setattr(engine, "shap_all", shap_all)
+
+
 def test_verify_reports_corrupted_engine(capsys, monkeypatch):
     # harness sanity: a wrong engine must be caught with a counterexample
-    from shapwa import engine
-
-    def corrupted(f, w, i, w_ref):
-        return Rat(1, 7)
-
-    monkeypatch.setattr(engine, "loc_b_shap", corrupted)
+    corrupt_local_baseline(monkeypatch, lambda phi, i: Rat(1, 7))
     code, out = run(capsys, ["verify", "--suite", "engine", "--count", "2"])
     assert code == 1
     assert "FAIL" in out
@@ -1032,13 +1114,7 @@ def test_verify_reports_corrupted_engine(capsys, monkeypatch):
 def test_verify_checks_every_feature(capsys, monkeypatch):
     # an engine wrong at feature 2 only fails every instance (each has
     # n >= 2), whichever feature the instance draws
-    from shapwa import engine
-    right = engine.loc_b_shap
-
-    def wrong_at_2(f, w, i, w_ref):
-        return right(f, w, i, w_ref) + (i == 2)
-
-    monkeypatch.setattr(engine, "loc_b_shap", wrong_at_2)
+    corrupt_local_baseline(monkeypatch, lambda phi, i: phi + (i == 2))
     code, out = run(capsys, ["verify", "--suite", "engine", "--count", "8"])
     assert code == 1
     assert out.count("FAIL engine-vs-oracle instance") == 8

@@ -10,7 +10,7 @@ from shapwa import engine
 from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
                              build_T_wi, pipeline_shap)
 from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
-                           shap_all)
+                           shap_all, shap_one)
 from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
                               hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
 from shapwa.hmm import Hmm, uniform_hmm
@@ -129,6 +129,63 @@ def test_shap_all_matches_builder_pipeline():
             assert isinstance(phis, tuple)
             assert phis == tuple(pipeline_shap(f, i, n, inner, outer)
                                  for i in range(1, n + 1)), (idx, inner)
+
+
+def five_sides(rng, alphabet, n):
+    """(inner, outer) pairs (D, w), (r, w), (r, D), (D, E) and (D, D); only
+    the last is one object twice (r != w, as equal one-letter words are)."""
+    D, E = (rand_hmm(rng, rng.randint(1, 3), alphabet) for _ in range(2))
+    w = r = rand_word(rng, alphabet, n)
+    while r == w:
+        r = rand_word(rng, alphabet, n)
+    return ((D, w), (r, w), (r, D), (D, E), (D, D))
+
+
+def test_one_feature_equals_the_whole_pass_and_the_oracle():
+    rng = rng_for(62)
+    for alphabet, n in product((B, ("a", "b", "c")), range(1, 6)):
+        f = rand_wa(rng, rng.randint(1, 3), alphabet)
+        for inner, outer in five_sides(rng, alphabet, n):
+            whole = shap_all.__wrapped__(f, n, inner, outer)
+            want = shap_oracle_all("b" if isinstance(inner, str) else "i",
+                                   f, n, inner, outer)
+            assert whole == want
+            for i in range(1, n + 1):
+                assert shap_one(f, i, n, inner, outer) == whole[i - 1], \
+                    (alphabet, n, i)
+
+
+def count_products(monkeypatch):
+    """{"vecmat": calls, "matvec": calls} of SpMat from now on."""
+    calls = {"vecmat": 0, "matvec": 0}
+    for name in calls:
+        def counted(self, *args, name=name, real=getattr(SpMat, name)):
+            calls[name] += 1
+            return real(self, *args)
+        monkeypatch.setattr(SpMat, name, counted)
+    return calls
+
+
+def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
+    # F to position i, B from n down to i + 1; one object twice runs none
+    rng = rng_for(63)
+    for n in (1, 2, 7):
+        f = rand_wa(rng, 3, B)
+        *pairs, (D, _) = five_sides(rng, B, n)
+        for inner, outer in pairs:
+            calls = count_products(monkeypatch)
+            shap_all.__wrapped__(f, n, inner, outer)
+            assert calls == {"vecmat": n * (n + 1), "matvec": n * (n - 1)}
+            for i in range(1, n + 1):
+                calls = count_products(monkeypatch)
+                shap_one(f, i, n, inner, outer)
+                assert calls == {"vecmat": i * (i + 1),
+                                 "matvec": (n - i) * (n - i + 1)}, (n, i)
+            monkeypatch.undo()
+        calls = count_products(monkeypatch)
+        assert shap_one(f, n, n, D, D) == 0
+        assert calls == {"vecmat": 0, "matvec": 0}
+        monkeypatch.undo()
 
 
 def test_two_distribution_global_query():
@@ -434,7 +491,9 @@ def test_engine_refuses_what_it_cannot_read():
              lambda: loc_i_shap(dt, "01", 1, D),
              lambda: loc_b_shap(dt, "01", 1, "10"),
              lambda: glo_i_shap(dt, 1, 2, D),
-             lambda: glo_b_shap(dt, 1, 2, "01", D)]
+             lambda: glo_b_shap(dt, 1, 2, "01", D),
+             lambda: shap_one(f, 1, 2, ind, ind),
+             lambda: shap_one(dt, 1, 2, "01", D)]
     for call in calls:
         with pytest.raises(TypeError, match="NAlphabetWA.*Hmm.*word"):
             call()
@@ -498,6 +557,9 @@ def test_errors():
         glo_b_shap(f, 1, 3, "11", uniform_hmm(B))  # |w_ref| != n
     with pytest.raises(IndexError):
         glo_i_shap(f, 4, 3, uniform_hmm(B))
+    for i in (0, 3):
+        with pytest.raises(IndexError):
+            shap_one(f, i, 2, "00", "11")
 
 
 def _entries(f, n, inner, outer):
@@ -518,6 +580,7 @@ def _entries(f, n, inner, outer):
                for x in (f, inner, outer)):
         return calls
     calls += [("shap_all", lambda: shap_all(f, n, inner, outer)),
+              ("shap_one", lambda: shap_one(f, 1, n, inner, outer)),
               ("pipeline_shap", lambda: pipeline_shap(f, 1, n, inner, outer))]
     if isinstance(outer, str) and isinstance(inner, str):
         calls.append(("loc_b_shap", lambda: loc_b_shap(f, outer, 1, inner)))
@@ -555,8 +618,9 @@ def _malformed_query(case):
 
 ORACLE_ENTRIES = {"shap_oracle_all", "shap_oracle_global",
                   "shap_oracle_local", "value_fn"}
-ENTRIES = ORACLE_ENTRIES | {"shap_all", "pipeline_shap", "loc_b_shap",
-                            "loc_i_shap", "glo_b_shap", "glo_i_shap"}
+ENTRIES = ORACLE_ENTRIES | {"shap_all", "shap_one", "pipeline_shap",
+                            "loc_b_shap", "loc_i_shap", "glo_b_shap",
+                            "glo_i_shap"}
 
 
 # malformed query -> the entries that take one of its side pairs

@@ -28,6 +28,14 @@ def test_parse_integer_strings():
     assert rat("3/6") == Rat(1, 2)
 
 
+def test_a_rat_is_returned_as_it_is():
+    # coercing again copies nothing
+    for x in (Rat(0), Rat(-3, 7), ONE):
+        assert rat(x) is x
+    x = Rat(5, 9)
+    assert all(y is x for y in rats([x, x]))
+
+
 def test_floats_rejected():
     with pytest.raises((TypeError, ValueError)):
         rat(0.5)
