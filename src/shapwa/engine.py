@@ -274,10 +274,13 @@ def _pass(f, n, inner, outer, features):
     return tuple(phis[i] for i in features)
 
 
-def _checked(f, n, inner, outer, features):
-    """(phi_i for i in features) once `models.check_query` accepts the
-    query; zeros without a pass when one object is both sides."""
+def _checked(f, n, inner, outer, features=None):
+    """(phi_i for i in features, all n by default) once
+    `models.check_query` accepts the query; zeros without a pass when one
+    object is both sides."""
     check_query(f, n, inner, outer)
+    if features is None:
+        features = range(1, n + 1)
     if inner is outer:
         return (ZERO,) * len(features)
     return _pass(f, n, inner, outer, features)
@@ -290,7 +293,7 @@ def shap_all(f, n, inner, outer):
     ValueError unless `models.check_query` accepts the query.  A side
     passed twice as one object answers all zeros once checked, as the
     module docstring proves."""
-    return _checked(f, n, inner, outer, range(1, n + 1))
+    return _checked(f, n, inner, outer)
 
 
 def _gate(f, i, n, inner, outer):

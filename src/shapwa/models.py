@@ -56,9 +56,11 @@ def symbols(side):
 
 
 def check_query(f, n, inner, outer):
-    """ValueError unless f reads one tape; f and each side (inputs from
-    outer, replacing words from inner) that has a length or an n has n;
-    and each side uses only f's symbols (its alphabet or domain)."""
+    """ValueError unless n is a non-negative int; f reads one tape; f and
+    each side (inputs from outer, replacing words from inner) that has a
+    length or an n has n; and each side uses only f's symbols (its alphabet
+    or domain)."""
+    _check_n(n)
     tapes = getattr(f, "alphabets", None) or (f.domain,)
     if len(tapes) != 1:
         raise ValueError("the model must be a 1-alphabet automaton")

@@ -135,6 +135,13 @@ def test_shap_feature_out_of_range(capsys, and_model):
 
 # the sides of the engine-route queries on the engine_files model, n = 5
 ENGINE_SIDES = {"input": "01101", "reference": "10011"}
+# the (scope, variant) pairs whose query on a WA under an HMM the engine
+# or the zero route answers; verify compares the non-conditional ones with
+# the oracle
+NOT_ORACLE = [pair for pair, (route, _) in cli.ROUTES.items()
+              if route != "oracle"]
+VERIFIED = [(scope, variant) for scope, variant in NOT_ORACLE
+            if variant != "conditional"]
 
 
 @pytest.fixture
@@ -157,10 +164,11 @@ def engine_argv(scope, variant, feature, model, dist):
     return argv
 
 
-@pytest.mark.parametrize("scope, variant", cli.ENGINE)
+@pytest.mark.parametrize("scope, variant", VERIFIED)
 def test_shap_prints_the_whole_pass_value_of_its_feature(
         capsys, engine_files, scope, variant):
-    # the CLI runs the part of the pass its feature needs, not shap_all
+    # the CLI runs the part of the pass its feature needs, not shap_all;
+    # global interventional SHAP is the zero route's 0
     from shapwa import engine
     model, dist = engine_files
     f, D = cli.load_model(model), cli.load_dist(dist)
@@ -171,12 +179,12 @@ def test_shap_prints_the_whole_pass_value_of_its_feature(
     for i in range(1, n + 1):
         code, out = run(capsys, engine_argv(scope, variant, i, model, dist))
         record = json.loads(out)
-        assert (code, record["route"]) == (0, "engine")
+        assert (code, record["route"]) == (0, cli.ROUTES[scope, variant][0])
         assert record["value"] == format_rat(want[i - 1]), i
     assert engine.shap_all.cache_info().misses == 0
 
 
-@pytest.mark.parametrize("scope, variant", cli.ENGINE)
+@pytest.mark.parametrize("scope, variant", NOT_ORACLE)
 def test_shap_engine_route_refuses_a_feature_out_of_range(
         capsys, engine_files, scope, variant):
     for i in (0, len(ENGINE_SIDES["input"]) + 1):
@@ -252,11 +260,11 @@ def inputs(tmp_path, and_model):
     ("wa", None, "local", "baseline", "engine"),
     ("wa", "hmm", "local", "interventional", "engine"),
     ("wa", "hmm", "global", "baseline", "engine"),
-    ("wa", "hmm", "global", "interventional", "engine"),
+    ("wa", "hmm", "global", "interventional", "zero"),
     ("wa", "hmm", "local", "conditional", "oracle"),
-    ("wa", "hmm", "global", "conditional", "oracle"),
+    ("wa", "hmm", "global", "conditional", "zero"),
     ("wa", "ind", "local", "interventional", "oracle"),
-    ("wa", "emp", "global", "interventional", "oracle"),
+    ("wa", "emp", "global", "interventional", "zero"),
     ("wa", "emp", "global", "baseline", "oracle"),
     ("dt", "hmm", "local", "interventional", "oracle"),
     ("dt", None, "local", "baseline", "oracle"),
@@ -276,6 +284,70 @@ def test_shap_route(capsys, inputs, model, dist, scope, variant, route):
     assert record["route"] == route
     assert record["backend"] == Rat.__name__
     assert record["backend"] in ("mpq", "Fraction")
+
+
+@pytest.fixture
+def every_kind(tmp_path):
+    """One file of each model and distribution kind, each with n = 2 if it
+    carries an n."""
+    rng = rng_for(70)
+    objs = {
+        "wa": rand_wa(rng, 3, B),
+        "dt": rand_dt(rng, 2),
+        "ensemble": rand_ensemble(rng, 2),
+        "linear": rand_linear(rng, 2),
+        "rnn": wmg_to_rnnrelu(Wmg([1, 1], 2)),
+        "sigmoid": SigmoidNet([Rat(1, 3), Rat(-2, 5)], Rat(1, 7), 1.0),
+        "hmm": rand_hmm(rng, 2, B),
+        "hmmvec": rand_hmmvec(rng, 2, 2, B),
+        "emp": rand_dataset(rng, 2, 3),
+        "ind": rand_ind(rng, 2),
+        "markov": rand_markov(rng),
+        "nb": rand_nb(rng, 2),
+    }
+    return {k: write_json(tmp_path / f"{k}.json", cli.encode(v))
+            for k, v in objs.items()}
+
+
+MODEL_KINDS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
+DIST_KINDS = ("hmm", "hmmvec", "emp", "ind", "markov", "nb")
+
+
+@pytest.mark.parametrize("variant", ["interventional", "conditional"])
+def test_zero_route_answers_every_model_and_distribution(capsys, every_kind,
+                                                         variant):
+    # global interventional and conditional SHAP are an exact 0 for every
+    # model and distribution kind, a sigmoid network's too, once the query
+    # passes the checks the other routes run
+    for model, dist in product(MODEL_KINDS, DIST_KINDS):
+        def argv(n, feature=1):
+            return ["shap", "--scope", "global", "--variant", variant,
+                    "--model", every_kind[model], "--dist", every_kind[dist],
+                    "--length", str(n), "--feature", str(feature)]
+
+        code, out = run(capsys, argv(2))
+        record = json.loads(out)
+        assert (code, record["route"], record["value"],
+                record["decimal"]) == (0, "zero", "0", 0.0), (model, dist)
+        # a model or distribution that carries n = 2 refuses n = 3
+        carries_n = model not in ("wa", "rnn") or dist not in ("hmm",
+                                                               "markov")
+        assert run(capsys, argv(3))[0] == (3 if carries_n else 0)
+        code = cli.main(argv(2, feature=3))
+        assert (code, capsys.readouterr().err) == (
+            3, "error: feature 3 out of range for n=2\n")
+
+
+@pytest.mark.parametrize("variant", ["interventional", "conditional"])
+def test_zero_route_answers_beyond_the_guard(capsys, inputs, variant):
+    # n = 25 is past the oracle's guard, which refused global conditional
+    # SHAP here (exit 4)
+    code, out = run(capsys, [
+        "shap", "--scope", "global", "--variant", variant, "--model",
+        inputs["wa"], "--dist", inputs["hmm"], "--length", "25",
+        "--feature", "13"])
+    record = json.loads(out)
+    assert (code, record["route"], record["value"]) == (0, "zero", "0")
 
 
 @pytest.mark.parametrize("scope", ["local", "global"])
@@ -450,8 +522,9 @@ def test_shap_checks_symbols_against_the_model(capsys, inputs, tmp_path,
     ("global", "baseline")])
 def test_shap_engine_takes_a_sub_alphabet_hmm(capsys, tmp_path, and_model,
                                               scope, variant):
-    # a WA over {0,1} under an hmm over {1}: the engine answers as the
-    # oracle does, instead of refusing the smaller alphabet
+    # a WA over {0,1} under an hmm over {1}: the engine (the zero route at
+    # global interventional SHAP) answers as the oracle does, instead of
+    # refusing the smaller alphabet
     dist = rand_hmm(rng_for(42), 2, ("1",))
     dist_path = write_json(tmp_path / "ones.json", cli.encode(dist))
     rand_path = write_json(tmp_path / "f.json",
@@ -465,7 +538,7 @@ def test_shap_engine_takes_a_sub_alphabet_hmm(capsys, tmp_path, and_model,
         code, out = run(capsys, argv)
         assert code == 0
         record = json.loads(out)
-        assert record["route"] == "engine"
+        assert record["route"] == cli.ROUTES[scope, variant][0]
         f = cli.load_model(path)
         if scope == "local":
             want = shap_oracle_local("i", f, "11", 1, dist)
@@ -1120,6 +1193,34 @@ def test_verify_checks_every_feature(capsys, monkeypatch):
     assert out.count("FAIL engine-vs-oracle instance") == 8
     assert "PASS" not in out
     assert out.count("local baseline i=2 engine=") == 8
+
+
+def test_verify_names_the_route_that_answered(capsys, monkeypatch):
+    # a zero route that answers 1 fails global interventional SHAP at every
+    # feature, and the FAIL line names the zero route
+    monkeypatch.setitem(cli.ANSWERS, "zero", (
+        cli.ANSWERS["zero"][0], lambda v, f, n, inner, outer: (ONE,) * n))
+    code, out = run(capsys, ["verify", "--suite", "engine", "--count", "4"])
+    assert code == 1
+    assert out.count("FAIL engine-vs-oracle instance") == 4
+    assert out.count("global interventional i=1 zero=1 oracle=0") == 4
+    assert "engine=" not in out
+
+
+def test_verify_makes_one_oracle_call_per_verified_pair(capsys, monkeypatch):
+    # verify's oracle work is one shap_oracle_all call for each of its four
+    # (scope, variant) pairs: none for the conditional ones
+    from shapwa import oracle
+    right, variants = oracle.shap_oracle_all, []
+
+    def counting(variant, *query):
+        variants.append(variant)
+        return right(variant, *query)
+
+    monkeypatch.setattr(oracle, "shap_oracle_all", counting)
+    code, out = run(capsys, ["verify", "--suite", "engine", "--count", "3"])
+    assert code == 0
+    assert variants == ["b", "i", "b", "i"] * 3
 
 
 @pytest.mark.parametrize("kind", sorted(cli.GADGETS))

@@ -612,6 +612,9 @@ def _malformed_query(case):
     if case == "tabular-distribution-n":
         ind = rand_ind(rng, 3)
         return f, 2, [(ind, "01"), ("01", ind), (ind, ind)]
+    if case in ("negative-n", "float-n"):
+        E = rand_hmm(rng, 2, B)
+        return f, -1 if case == "negative-n" else 2.0, [(D, D), (E, D)]
     two_tapes = NAlphabetWA([B, B], [ONE], {}, [ONE])
     return two_tapes, 2, [("00", "01"), (D, "01"), ("01", D), (D, D)]
 
@@ -621,6 +624,9 @@ ORACLE_ENTRIES = {"shap_oracle_all", "shap_oracle_global",
 ENTRIES = ORACLE_ENTRIES | {"shap_all", "shap_one", "pipeline_shap",
                             "loc_b_shap", "loc_i_shap", "glo_b_shap",
                             "glo_i_shap"}
+# the entries that take an n and two distribution sides
+N_ENTRIES = ENTRIES - {"shap_oracle_local", "value_fn", "loc_b_shap",
+                       "loc_i_shap", "glo_b_shap"}
 
 
 # malformed query -> the entries that take one of its side pairs
@@ -632,7 +638,14 @@ REFUSERS = {
     "tabular-model-n": ORACLE_ENTRIES,
     "tabular-distribution-n": ORACLE_ENTRIES,
     "two-tape-model": ENTRIES,
+    # an n that is not a non-negative int (a local entry reads n from its
+    # input word, so the sides are distributions)
+    "negative-n": N_ENTRIES,
+    "float-n": N_ENTRIES,
 }
+# at n = -1 no feature is in range, so an entry that takes feature 1
+# raises IndexError first; the entries of all features raise ValueError
+ALL_FEATURES = {"shap_oracle_all", "shap_all"}
 
 
 @pytest.mark.parametrize("case", list(REFUSERS))
@@ -650,7 +663,9 @@ def test_every_entry_refuses_a_malformed_query_alike(case):
             else:
                 raised.setdefault(name, set()).add(None)
     assert set(raised) == REFUSERS[case]
-    assert all(types == {ValueError} for types in raised.values()), raised
+    for name, types in raised.items():
+        one_feature = case == "negative-n" and name not in ALL_FEATURES
+        assert types == {IndexError if one_feature else ValueError}, raised
 
 
 def test_global_interventional_shap_holds_nothing_n_long():

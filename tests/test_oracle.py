@@ -13,15 +13,17 @@ from shapwa import oracle
 from shapwa.engine import shap_all
 from shapwa.hmm import hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import Dataset, IndDist, RnnRelu, step, symbols
+from shapwa.models import (Dataset, IndDist, RnnRelu, SigmoidNet, step,
+                           symbols)
 from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
                            ZeroProbabilityEvent, csp_brute,
                            dist_prob, dummy_check, empty_brute, eval_model,
                            hamming, shap_oracle_all, shap_oracle_global,
                            shap_oracle_local, value_fn)
 from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
-from shapwa.randgen import (rand_csp, rand_dataset, rand_dt, rand_hmm,
-                            rand_ind, rand_linear, rand_nb, rand_wa, rand_wmg,
+from shapwa.randgen import (rand_csp, rand_dataset, rand_dt, rand_ensemble,
+                            rand_hmm, rand_hmmvec, rand_ind, rand_linear,
+                            rand_markov, rand_nb, rand_rat, rand_wa, rand_wmg,
                             rand_word, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA
@@ -303,6 +305,33 @@ def test_one_distribution_on_both_sides_is_enumerated_once(monkeypatch):
     calls.clear()
     assert shap_oracle_all("i", f, n, D, D) == want
     assert len(calls) == 2 ** n
+
+
+def test_one_distribution_on_both_sides_gives_zeros():
+    # global interventional and global conditional SHAP are 0 for every
+    # model and distribution (README, "What is tractable"), so the CLI's
+    # zero route answers them without this enumeration; a sigmoid network
+    # evaluates in binary-64 and leaves rounding noise only
+    for seed, n in product(range(5), range(1, 5)):
+        rng = rng_for(300 + seed)
+        models = {
+            "wa": rand_wa(rng, rng.randint(1, 3), B),
+            "dt": rand_dt(rng, n),
+            "ensemble": rand_ensemble(rng, n),
+            "linear": rand_linear(rng, n),
+            "rnn": wmg_to_rnnrelu(rand_wmg(rng, n)),
+            "sigmoid": SigmoidNet([rand_rat(rng) for _ in range(n)],
+                                  rand_rat(rng), 1.0),
+        }
+        dists = (rand_hmm(rng, 2, B), rand_hmmvec(rng, n, 2, B),
+                 rand_dataset(rng, n, 3), rand_ind(rng, n),
+                 rand_markov(rng), rand_nb(rng, n))
+        for (kind, f), D, variant in product(models.items(), dists, "ic"):
+            phis = shap_oracle_all(variant, f, n, D, D)
+            if kind == "sigmoid":
+                assert all(abs(phi) <= 1e-12 for phi in phis), phis
+            else:
+                assert phis == (ZERO,) * n, (kind, D, variant)
 
 
 def _imports(path):
