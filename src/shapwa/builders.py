@@ -169,9 +169,7 @@ def pipeline_shap(f, i, n, inner, outer):
     The outer Pi0 . Pi2 and the product with A_{i,n} are one factored
     contraction, so no product automaton is materialized.
     """
-    if not (1 <= i <= n):
-        raise IndexError(f"feature {i} out of range for n={n}")
-    check_query(f, n, inner, outer)
+    check_query(f, n, inner, outer, (i,))
     sig = f.alphabets[0]
     inner, outer = (build_point_hmm(side, sig) if isinstance(side, str)
                     else side for side in (inner, outer))

@@ -193,31 +193,21 @@ def route(scope, variant, model, dist):
     return ROUTES[scope, variant][0 if engine_kinds else 1]
 
 
-def _zero(variant, f, i, n, inner, outer):
-    """phi_i of a query whose two sides are one distribution: 0, once the
-    feature and the query are checked as the engine and the oracle check
-    them."""
-    if not (1 <= i <= n):
-        raise IndexError(f"feature {i} out of range for n={n}")
-    check_query(f, n, inner, outer)
-    return ZERO
+def _zero(variant, f, n, inner, outer, features=None):
+    """The values of a query whose two sides are one distribution: 0 for
+    each feature, once the query is checked as the engine and the oracle
+    check it."""
+    return (ZERO,) * len(check_query(f, n, inner, outer, features))
 
 
-def _zero_all(variant, f, n, inner, outer):
-    check_query(f, n, inner, outer)
-    return (ZERO,) * n
-
-
-# route -> (phi_i of a query (variant letter, f, i, n, inner, outer),
-# (phi_1, ..., phi_n) of a query (variant letter, f, n, inner, outer)).
-# The engine and oracle functions are looked up at each call, so a test or
-# a tracer that rebinds them sees every call.
+# route -> (phi_i for i in features, all n by default) of a query
+# (variant letter, f, n, inner, outer, features=None).  The engine and
+# oracle functions are looked up at each call, so a test or a tracer that
+# rebinds them sees every call.
 ANSWERS = {
-    "engine": (lambda _, *query: engine.shap_one(*query),
-               lambda _, *query: engine.shap_all(*query)),
-    "oracle": (lambda *query: oracle.shap_oracle_global(*query),
-               lambda *query: oracle.shap_oracle_all(*query)),
-    "zero": (_zero, _zero_all),
+    "engine": lambda _, *query: engine.shap(*query),
+    "oracle": lambda *query: oracle.shap_oracle_all(*query),
+    "zero": _zero,
 }
 
 
@@ -260,8 +250,8 @@ def cmd_shap(cfg):
         "input": cfg.input, "reference": cfg.reference, "dist": dist})
     name = route(cfg.scope, cfg.variant, model, dist)
     try:
-        value = ANSWERS[name][0](cfg.variant[0], model, cfg.feature, n,
-                                 inner, outer)
+        value = ANSWERS[name](cfg.variant[0], model, n, inner, outer,
+                              (cfg.feature,))[0]
     except GuardExceeded as e:
         raise CliError(EXIT_GUARD, str(e))
     except (ZeroProbabilityEvent, ValueError, IndexError, KeyError) as e:
@@ -480,7 +470,7 @@ def _verify_engine(report, rng, count):
                 continue
             inner, outer = _sides(scope, variant, given)
             name = route(scope, variant, f, dist)
-            got = ANSWERS[name][1](variant[0], f, n, inner, outer)
+            got = ANSWERS[name](variant[0], f, n, inner, outer)
             want = oracle.shap_oracle_all(variant[0], f, n, inner, outer)
             for i, (phi, psi) in enumerate(zip(got, want), 1):
                 if phi != psi:

@@ -3,10 +3,10 @@
 One forward-backward pass gives the values of all features.  Inputs x are
 drawn from an outer side and the replaced features z from an inner side;
 each side is an `Hmm` or a word, a word standing for the point distribution
-on it.  `shap_all` checks a query (`models.check_query`, as the oracle
-does); `shap_one` answers one feature of it with only the part of the
-pass that feature needs; the four queries only pick the sides (inner,
-outer) and feature i:
+on it.  `shap` checks a query (`models.check_query`, as the oracle
+does) and answers the features it is asked, all n by default, with only
+the part of the pass they need; the four queries only pick the sides
+(inner, outer) and feature i:
 
   glo_i:  (D, D)          loc_i:  (D, w)
   glo_b:  (w_ref, D)      loc_b:  (w_ref, w)
@@ -76,13 +76,14 @@ passes its distribution as both sides, so global interventional SHAP
 costs only the query check, in O(1) memory.  A word passed as both
 sides is local baseline SHAP with the input as reference, also 0.
 
-`shap_all` keeps its last few answers in a functools.lru_cache keyed by
-(f, n, inner, outer) that holds its objects strongly, so loc_i, loc_b and
-glo_b each share one pass across consecutive features of one query; a hit
-repeats arguments that already passed the check.  `shap_one` is not
-cached: the CLI asks one feature per call, of objects it has just read,
-so no call of it could hit.  Cached answers rely on `NAlphabetWA` and
-`Hmm` being immutable, as they are documented to be.
+`shap_all` keeps the last few all-features answers of `shap` in a
+functools.lru_cache keyed by (f, n, inner, outer) and their types, which
+holds its objects strongly, so loc_i, loc_b and glo_b each share one pass
+across consecutive features of one query; a hit repeats arguments that
+already passed the check.  `shap` itself is not cached: the CLI asks one
+feature per call, of objects it has just read, so no call of it could
+hit.  Cached answers rely on `NAlphabetWA` and `Hmm` being immutable, as
+they are documented to be.
 The paper's builder pipeline is `builders.pipeline_shap`, kept as a
 cross-check.
 """
@@ -274,50 +275,39 @@ def _pass(f, n, inner, outer, features):
     return tuple(phis[i] for i in features)
 
 
-def _checked(f, n, inner, outer, features=None):
-    """(phi_i for i in features, all n by default) once
-    `models.check_query` accepts the query; zeros without a pass when one
-    object is both sides."""
-    check_query(f, n, inner, outer)
-    if features is None:
-        features = range(1, n + 1)
+def shap(f, n, inner, outer, features=None):
+    """(phi_i for i in features, all n by default) at length n: inputs
+    ~ outer, replaced features ~ inner, each an Hmm or a word (the point
+    distribution on it).  TypeError unless the engine reads the objects,
+    then IndexError or ValueError unless `models.check_query` accepts the
+    query.  A side passed twice as one object answers zeros once checked,
+    as the module docstring proves; otherwise only the part of the pass
+    the features need runs.  Not cached."""
+    _gate(f, inner, outer)
+    features = check_query(f, n, inner, outer, features)
     if inner is outer:
         return (ZERO,) * len(features)
     return _pass(f, n, inner, outer, features)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
-def shap_all(f, n, inner, outer):
-    """(phi_1, ..., phi_n) at length n: inputs ~ outer, replaced features
-    ~ inner, each an Hmm or a word (the point distribution on it).
-    ValueError unless `models.check_query` accepts the query.  A side
-    passed twice as one object answers all zeros once checked, as the
-    module docstring proves."""
-    return _checked(f, n, inner, outer)
+# shap of all n features, from a cache of its answers; typed, so that
+# n = 2.0 is a new key, which check_query refuses, not n = 2's hit
+shap_all = lru_cache(maxsize=CACHE_SIZE, typed=True)(shap)
 
 
-def _gate(f, i, n, inner, outer):
+def _gate(f, inner, outer):
     if not (isinstance(f, NAlphabetWA) and isinstance(inner, (Hmm, str))
             and isinstance(outer, (Hmm, str))):
         raise TypeError("the engine takes an NAlphabetWA model and sides "
                         "that are each an Hmm or a word (str)")
-    if not (1 <= i <= n):
-        raise IndexError(f"feature {i} out of range for n={n}")
-
-
-def shap_one(f, i, n, inner, outer):
-    """phi_i alone, uncached, from the part of the pass feature i needs;
-    the sides are those of `shap_all`.  TypeError, IndexError and
-    ValueError as the four queries raise them."""
-    _gate(f, i, n, inner, outer)
-    return _checked(f, n, inner, outer, (i,))[0]
 
 
 def _phi(f, i, n, inner, outer):
-    """phi_i from the cache; 0 without it when one object is both sides."""
-    if inner is outer:
-        return shap_one(f, i, n, inner, outer)
-    _gate(f, i, n, inner, outer)
+    """phi_i from the cache; uncached when one object is both sides, which
+    needs no pass, or when i is out of range, which shap refuses."""
+    if inner is outer or not (isinstance(i, int) and 1 <= i <= n):
+        return shap(f, n, inner, outer, (i,))[0]
+    _gate(f, inner, outer)  # before the cache, which cannot hash some types
     return shap_all(f, n, inner, outer)[i - 1]
 
 

@@ -276,16 +276,14 @@ def shap_oracle_local(variant, f, x, i, inner):
 def shap_oracle_global(variant, f, i, n, inner, outer):
     """Mean over x ~ outer of feature i's subset-sum Shapley value, the
     features outside a coalition drawn from inner; a side may be a word."""
-    if not (1 <= i <= n):
-        raise IndexError(f"feature {i} out of range for n={n}")
-    return shap_oracle_all(variant, f, n, inner, outer)[i - 1]
+    return shap_oracle_all(variant, f, n, inner, outer, (i,))[0]
 
 
-def shap_oracle_all(variant, f, n, inner, outer):
-    """(phi_1, ..., phi_n) of shap_oracle_global, from one table of the
-    2^n coalition values V(S): phi_i = sum over S without i of
-    c(|S|) (V(S + i) - V(S))."""
-    check_query(f, n, inner, outer)
+def shap_oracle_all(variant, f, n, inner, outer, features=None):
+    """(phi_i for i in features, all n by default) of shap_oracle_global,
+    from one table of the 2^n coalition values V(S): phi_i = sum over S
+    without i of c(|S|) (V(S + i) - V(S))."""
+    features = check_query(f, n, inner, outer, features)
     if n > SHAP_GUARD_N:
         raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
     # 2^n coalitions x |Sigma|^n pairs of marginal letters when a side is
@@ -302,12 +300,13 @@ def shap_oracle_all(variant, f, n, inner, outer):
     weights = [Rat(factorial(size) * factorial(n - size - 1), factorial(n))
                for size in range(n)]
     phis = []
-    for i in range(n):
-        others = [1 << j for j in range(n) if j != i]
+    for i in features:
+        bit = 1 << (i - 1)
+        others = [1 << j for j in range(n) if j != i - 1]
         phi = ZERO
         for size, weight in enumerate(weights):
             for S in map(sum, combinations(others, size)):
-                phi += weight * (table[S | 1 << i] - table[S])
+                phi += weight * (table[S | bit] - table[S])
         phis.append(phi)
     return tuple(phis)
 

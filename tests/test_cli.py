@@ -256,6 +256,13 @@ def inputs(tmp_path, and_model):
     return {"wa": and_model, **paths}
 
 
+def test_every_route_has_one_answer():
+    # a route without an answer would be a KeyError, which shap reports
+    # as incompatible input (exit 3); an answer without a route is dead
+    routes = {name for pair in cli.ROUTES.values() for name in pair}
+    assert routes == set(cli.ANSWERS)
+
+
 @pytest.mark.parametrize("model, dist, scope, variant, route", [
     ("wa", None, "local", "baseline", "engine"),
     ("wa", "hmm", "local", "interventional", "engine"),
@@ -1164,15 +1171,15 @@ def corrupt_local_baseline(monkeypatch, wrong):
     """verify's engine tuples, with local baseline's phi_i (both sides
     words) replaced by wrong(phi_i, i)."""
     from shapwa import engine
-    right = engine.shap_all
+    right = engine.shap
 
-    def shap_all(f, n, inner, outer):
-        phis = right(f, n, inner, outer)
+    def shap(f, n, inner, outer, features=None):
+        phis = right(f, n, inner, outer, features)
         if isinstance(inner, str) and isinstance(outer, str):
             phis = tuple(wrong(phi, i) for i, phi in enumerate(phis, 1))
         return phis
 
-    monkeypatch.setattr(engine, "shap_all", shap_all)
+    monkeypatch.setattr(engine, "shap", shap)
 
 
 def test_verify_reports_corrupted_engine(capsys, monkeypatch):
@@ -1198,8 +1205,8 @@ def test_verify_checks_every_feature(capsys, monkeypatch):
 def test_verify_names_the_route_that_answered(capsys, monkeypatch):
     # a zero route that answers 1 fails global interventional SHAP at every
     # feature, and the FAIL line names the zero route
-    monkeypatch.setitem(cli.ANSWERS, "zero", (
-        cli.ANSWERS["zero"][0], lambda v, f, n, inner, outer: (ONE,) * n))
+    monkeypatch.setitem(cli.ANSWERS, "zero",
+                        lambda v, f, n, inner, outer: (ONE,) * n)
     code, out = run(capsys, ["verify", "--suite", "engine", "--count", "4"])
     assert code == 1
     assert out.count("FAIL engine-vs-oracle instance") == 4

@@ -6,18 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from shapwa import engine
+from shapwa import cli, engine
 from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
                              build_T_wi, pipeline_shap)
 from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
-                           shap_all, shap_one)
+                           shap, shap_all)
 from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
                               hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
 from shapwa.hmm import Hmm, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
-from shapwa.oracle import (shap_oracle_all, shap_oracle_global,
-                           shap_oracle_local, value_fn)
+from shapwa.oracle import (ZeroProbabilityEvent, shap_oracle_all,
+                           shap_oracle_global, shap_oracle_local, value_fn)
 from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
                             rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
                             rng_for)
@@ -141,18 +141,45 @@ def five_sides(rng, alphabet, n):
     return ((D, w), (r, w), (r, D), (D, E), (D, D))
 
 
-def test_one_feature_equals_the_whole_pass_and_the_oracle():
+def feature_lists(rng, n):
+    """The empty list, one feature, a shuffled subset, all n features in
+    reverse and all n in order."""
+    some = rng.sample(range(1, n + 1), rng.randint(1, n))
+    return [(), (rng.randint(1, n),), some, tuple(range(n, 0, -1)),
+            range(1, n + 1)]
+
+
+def outcome(call):
+    """call()'s value, or ZeroProbabilityEvent if it raised one."""
+    try:
+        return call()
+    except ZeroProbabilityEvent as e:
+        return type(e)
+
+
+def test_subset_answers_equal_the_whole_answer():
+    # engine.shap and oracle.shap_oracle_all answer the features asked,
+    # in their order, as the entries of the all-features tuple; the
+    # oracle's subsets only up to n = 4, where its table is small
     rng = rng_for(62)
     for alphabet, n in product((B, ("a", "b", "c")), range(1, 6)):
         f = rand_wa(rng, rng.randint(1, 3), alphabet)
         for inner, outer in five_sides(rng, alphabet, n):
-            whole = shap_all.__wrapped__(f, n, inner, outer)
-            want = shap_oracle_all("b" if isinstance(inner, str) else "i",
-                                   f, n, inner, outer)
-            assert whole == want
-            for i in range(1, n + 1):
-                assert shap_one(f, i, n, inner, outer) == whole[i - 1], \
-                    (alphabet, n, i)
+            whole = shap(f, n, inner, outer)
+            assert whole == shap_oracle_all("b", f, n, inner, outer)
+            oracle = {v: outcome(lambda: shap_oracle_all(v, f, n, inner,
+                                                         outer))
+                      for v in ("bic" if n < 5 else "")}
+            for features in feature_lists(rng, n):
+                want = tuple(whole[i - 1] for i in features)
+                assert shap(f, n, inner, outer, features) == want, \
+                    (alphabet, n, features)
+                for v, all_n in oracle.items():
+                    got = outcome(lambda: shap_oracle_all(
+                        v, f, n, inner, outer, features))
+                    assert got == (all_n if isinstance(all_n, type) else
+                                   tuple(all_n[i - 1] for i in features)), \
+                        (alphabet, n, v, features)
 
 
 def count_products(monkeypatch):
@@ -178,12 +205,12 @@ def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
             assert calls == {"vecmat": n * (n + 1), "matvec": n * (n - 1)}
             for i in range(1, n + 1):
                 calls = count_products(monkeypatch)
-                shap_one(f, i, n, inner, outer)
+                shap(f, n, inner, outer, (i,))
                 assert calls == {"vecmat": i * (i + 1),
                                  "matvec": (n - i) * (n - i + 1)}, (n, i)
             monkeypatch.undo()
         calls = count_products(monkeypatch)
-        assert shap_one(f, n, n, D, D) == 0
+        assert shap(f, n, D, D, (n,)) == (0,)
         assert calls == {"vecmat": 0, "matvec": 0}
         monkeypatch.undo()
 
@@ -477,6 +504,20 @@ def test_global_queries_share_one_cached_pass():
     assert got_b == shap_all.__wrapped__(f, n, w_ref, D)
 
 
+def test_a_float_n_is_refused_after_its_int_is_cached():
+    # 2.0 == 2 and hash alike, so an untyped cache would answer n = 2.0
+    # from n = 2's entry instead of check_query refusing it
+    rng = rng_for(47)
+    f, D, E = rand_wa(rng, 3, B), rand_hmm(rng, 2, B), rand_hmm(rng, 2, B)
+    shap_all.cache_clear()
+    shap_all(f, 2, D, E)
+    glo_b_shap(f, 1, 2, "01", D)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        shap_all(f, 2.0, D, E)
+    with pytest.raises(ValueError, match="non-negative integer"):
+        glo_b_shap(f, 1, 2.0, "01", D)
+
+
 def test_engine_refuses_what_it_cannot_read():
     # a tabular side or model is a TypeError from every engine entry,
     # glo_i's zero rule included, naming the types the engine takes
@@ -492,8 +533,8 @@ def test_engine_refuses_what_it_cannot_read():
              lambda: loc_b_shap(dt, "01", 1, "10"),
              lambda: glo_i_shap(dt, 1, 2, D),
              lambda: glo_b_shap(dt, 1, 2, "01", D),
-             lambda: shap_one(f, 1, 2, ind, ind),
-             lambda: shap_one(dt, 1, 2, "01", D)]
+             lambda: shap(f, 2, ind, ind, (1,)),
+             lambda: shap(dt, 2, "01", D)]
     for call in calls:
         with pytest.raises(TypeError, match="NAlphabetWA.*Hmm.*word"):
             call()
@@ -559,46 +600,56 @@ def test_errors():
         glo_i_shap(f, 4, 3, uniform_hmm(B))
     for i in (0, 3):
         with pytest.raises(IndexError):
-            shap_one(f, i, 2, "00", "11")
+            shap(f, 2, "00", "11", (i,))
 
 
-def _entries(f, n, inner, outer):
+def _entries(f, n, inner, outer, i=1):
     """(name, call) of each SHAP entry point that takes a query with these
-    sides, feature 1.  The engine and the builder pipeline take a WA and
-    Hmm or word sides; the oracle every model and distribution."""
+    sides, feature i (value_fn takes the coalition {1}).  The engine and
+    the builder pipeline take a WA and Hmm or word sides; the oracle and
+    the CLI's zero route every model and distribution."""
     variant = "b" if isinstance(inner, str) else "i"
     calls = [("shap_oracle_all",
               lambda: shap_oracle_all(variant, f, n, inner, outer)),
              ("shap_oracle_global",
-              lambda: shap_oracle_global(variant, f, 1, n, inner, outer))]
+              lambda: shap_oracle_global(variant, f, i, n, inner, outer)),
+             ("zero", lambda: cli._zero(variant, f, n, inner, outer, (i,)))]
     if isinstance(outer, str):
         calls += [("shap_oracle_local",
-                   lambda: shap_oracle_local(variant, f, outer, 1, inner)),
+                   lambda: shap_oracle_local(variant, f, outer, i, inner)),
                   ("value_fn", lambda: value_fn(variant, f, outer, {1},
                                                 inner))]
     if not all(isinstance(x, (NAlphabetWA, Hmm, str))
                for x in (f, inner, outer)):
         return calls
     calls += [("shap_all", lambda: shap_all(f, n, inner, outer)),
-              ("shap_one", lambda: shap_one(f, 1, n, inner, outer)),
-              ("pipeline_shap", lambda: pipeline_shap(f, 1, n, inner, outer))]
+              ("shap", lambda: shap(f, n, inner, outer, (i,))),
+              ("pipeline_shap", lambda: pipeline_shap(f, i, n, inner, outer))]
     if isinstance(outer, str) and isinstance(inner, str):
-        calls.append(("loc_b_shap", lambda: loc_b_shap(f, outer, 1, inner)))
+        calls.append(("loc_b_shap", lambda: loc_b_shap(f, outer, i, inner)))
     elif isinstance(outer, str):
-        calls.append(("loc_i_shap", lambda: loc_i_shap(f, outer, 1, inner)))
+        calls.append(("loc_i_shap", lambda: loc_i_shap(f, outer, i, inner)))
     elif inner is outer:
-        calls.append(("glo_i_shap", lambda: glo_i_shap(f, 1, n, outer)))
+        calls.append(("glo_i_shap", lambda: glo_i_shap(f, i, n, outer)))
     elif isinstance(inner, str):
         calls.append(("glo_b_shap",
-                      lambda: glo_b_shap(f, 1, n, inner, outer)))
+                      lambda: glo_b_shap(f, i, n, inner, outer)))
     return calls
 
 
+# the feature of a malformed query: 1 but where the fault is the feature
+FEATURE = {"feature-out-of-range": 3, "float-feature": 1.0}
+
+
 def _malformed_query(case):
-    """(f, n, side pairs (inner, outer)): each pair is well formed but for
-    the one fault the case names, on either side where it can sit."""
+    """(f, n, side pairs (inner, outer)): each query, with feature
+    FEATURE.get(case, 1), is well formed but for the one fault the case
+    names, on either side where it can sit."""
     rng = rng_for(45)
     f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    if case in FEATURE:
+        E = rand_hmm(rng, 2, B)
+        return f, 2, [("00", "01"), (D, "01"), (D, D), ("01", D), (E, D)]
     if case == "alien-word-symbol":
         return f, 2, [("00", "12"), ("12", "00"), ("12", D), (D, "12")]
     if case == "alien-distribution-symbol":
@@ -619,11 +670,14 @@ def _malformed_query(case):
     return two_tapes, 2, [("00", "01"), (D, "01"), ("01", D), (D, D)]
 
 
-ORACLE_ENTRIES = {"shap_oracle_all", "shap_oracle_global",
-                  "shap_oracle_local", "value_fn"}
-ENTRIES = ORACLE_ENTRIES | {"shap_all", "shap_one", "pipeline_shap",
+# the entries that take every model and distribution
+ANY_KIND = {"shap_oracle_all", "shap_oracle_global", "shap_oracle_local",
+            "value_fn", "zero"}
+ENTRIES = ANY_KIND | {"shap_all", "shap", "pipeline_shap",
                             "loc_b_shap", "loc_i_shap", "glo_b_shap",
                             "glo_i_shap"}
+# the entries that take a feature
+ONE_FEATURE = ENTRIES - {"shap_oracle_all", "shap_all", "value_fn"}
 # the entries that take an n and two distribution sides
 N_ENTRIES = ENTRIES - {"shap_oracle_local", "value_fn", "loc_b_shap",
                        "loc_i_shap", "glo_b_shap"}
@@ -635,17 +689,21 @@ REFUSERS = {
     "alien-distribution-symbol": ENTRIES - {"loc_b_shap"},
     # a local entry reads n from its input word
     "wrong-word-length": ENTRIES - {"glo_i_shap", "loc_i_shap"},
-    "tabular-model-n": ORACLE_ENTRIES,
-    "tabular-distribution-n": ORACLE_ENTRIES,
+    "tabular-model-n": ANY_KIND,
+    "tabular-distribution-n": ANY_KIND,
     "two-tape-model": ENTRIES,
     # an n that is not a non-negative int (a local entry reads n from its
     # input word, so the sides are distributions)
     "negative-n": N_ENTRIES,
     "float-n": N_ENTRIES,
+    # a feature that is not an int in 1..n; the other entries answer
+    "feature-out-of-range": ONE_FEATURE,
+    "float-feature": ONE_FEATURE,
 }
-# at n = -1 no feature is in range, so an entry that takes feature 1
-# raises IndexError first; the entries of all features raise ValueError
-ALL_FEATURES = {"shap_oracle_all", "shap_all"}
+# the feature is checked first, so an entry that takes one raises
+# IndexError in these cases (at n = -1 no feature is in range); the
+# entries of all features raise ValueError
+FEATURE_FAULTS = {"negative-n", "feature-out-of-range", "float-feature"}
 
 
 @pytest.mark.parametrize("case", list(REFUSERS))
@@ -655,16 +713,18 @@ def test_every_entry_refuses_a_malformed_query_alike(case):
     f, n, pairs = _malformed_query(case)
     raised = {}
     for inner, outer in pairs:
-        for name, call in _entries(f, n, inner, outer):
+        for name, call in _entries(f, n, inner, outer, FEATURE.get(case, 1)):
             try:
                 call()
             except Exception as e:
                 raised.setdefault(name, set()).add(type(e))
             else:
                 raised.setdefault(name, set()).add(None)
-    assert set(raised) == REFUSERS[case]
-    for name, types in raised.items():
-        one_feature = case == "negative-n" and name not in ALL_FEATURES
+    refused = {name: types for name, types in raised.items()
+               if types != {None}}
+    assert set(refused) == REFUSERS[case]
+    for name, types in refused.items():
+        one_feature = case in FEATURE_FAULTS and name in ONE_FEATURE
         assert types == {IndexError if one_feature else ValueError}, raised
 
 
