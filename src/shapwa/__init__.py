@@ -27,6 +27,6 @@ from .frontends import (dt_to_wa, ensemble_reg_to_wa, linear_to_wa,
 from .oracle import (GuardExceeded, ZeroProbabilityEvent, Wmg, CnfFormula,
                      CspInstance, eval_model, value_fn,
                      shap_oracle_local, shap_oracle_global, shap_oracle_all,
-                     dummy_check, csp_brute, empty_brute)
+                     shap_oracle_many, dummy_check, csp_brute, empty_brute)
 from .gadgets import (wmg_to_sigmoid, wmg_to_rnnrelu, sat_to_ensemble,
                       csp_construct, csp_to_rnn)

@@ -3,11 +3,13 @@
 Model evaluation, dummy-player and emptiness checks, closest-string
 search, and one Shapley loop over all coalitions.  A query's two sides,
 the inputs x and the words z that replace the features outside a
-coalition, are each a distribution or a word (its point distribution);
-each support is enumerated once per call, and each distinct word is
-evaluated once.
+coalition, are each a distribution or a word (its point distribution).
+`shap_oracle_many` answers several queries on one model in one pass over
+the coalitions: each distinct side's support is enumerated once per
+`shap_oracle_many` call, and each distinct word is evaluated once;
+`shap_oracle_all` is its one-query call.
 
-One coalition table per call: V(S) = E_{x~outer} v_x(S) is computed once
+One coalition table per query: V(S) = E_{x~outer} v_x(S) is computed once
 for each of the 2^n coalitions, and phi_i = sum over S without i of
 c(|S|) (V(S + i) - V(S)) for every feature i.  v_x(S) depends on the
 replacing side only through its marginal on the features outside S
@@ -223,49 +225,81 @@ def _marginal(support, positions):
     return marginal
 
 
-def _values(variant, f, n, inner, outer, coalitions):
-    """Yield V(S) = E_{x~outer} v_x(S) for each coalition S, a sorted tuple
-    of 0-based features, from the outer side's marginal on S and the inner
-    side's on the features outside S (baseline, interventional) or on S
-    (conditional)."""
-    if variant not in ("b", "i", "c"):
-        raise ValueError(f"unknown variant {variant!r}")
-    inputs = _support(outer, n)
-    # one enumeration when both sides are one distribution
-    support = inputs if inner is outer else _support(inner, n)
-    # composed words repeat across coalitions: each is evaluated once
+def _side_key(side):
+    """A side's identity in one pass: a word by value, a distribution by
+    object."""
+    return side if isinstance(side, str) else id(side)
+
+
+def _values(f, n, queries, coalitions):
+    """For each coalition S, a sorted tuple of 0-based features, yield the
+    list of V(S) = E_{x~outer} v_x(S) of each (variant, inner, outer)
+    query, from the outer side's marginal on S and the inner side's on the
+    features outside S (baseline, interventional) or on S (conditional).
+    Each distinct side's support is enumerated once, each composed word is
+    evaluated once, and each (support, positions) marginal is computed once
+    per coalition and dropped before the next one: kept across coalitions,
+    the marginals would grow as 3^n."""
+    for variant, _, _ in queries:
+        if variant not in ("b", "i", "c"):
+            raise ValueError(f"unknown variant {variant!r}")
+    supports = {}
+    for _, inner, outer in queries:
+        for side in (outer, inner):
+            if _side_key(side) not in supports:
+                supports[_side_key(side)] = _support(side, n)
+    # composed words repeat across coalitions and queries: each is
+    # evaluated once
     evaluate = lru_cache(maxsize=None)(partial(eval_model, f))
-    if variant == "c":
-        weighted = [(z, p * evaluate(z)) for z, p in support]
+    # the conditional queries' replacing supports weighted by f
+    weighted = {}
+    for variant, inner, _ in queries:
+        key = _side_key(inner)
+        if variant == "c" and key not in weighted:
+            weighted[key] = [(z, p * evaluate(z)) for z, p in supports[key]]
     for kept in coalitions:
-        total = ZERO
-        if variant == "c":
-            mass = _marginal(support, kept)
-            num = _marginal(weighted, kept)
-            for u, pu in _marginal(inputs, kept).items():
-                if mass.get(u, ZERO) == 0:
-                    raise ZeroProbabilityEvent({j + 1 for j in kept}, u)
-                total += pu * num[u] / mass[u]
-        else:
-            free = [j for j in range(n) if j not in kept]
-            # where each feature's letter sits in u + v
-            order = [*kept, *free]
-            where = [order.index(j) for j in range(n)]
-            replaced = _marginal(support, free)
-            for u, pu in _marginal(inputs, kept).items():
-                value = ZERO
-                for v, pv in replaced.items():
-                    uv = u + v
-                    value += pv * evaluate("".join([uv[k] for k in where]))
-                total += pu * value
-        yield total
+        free = [j for j in range(n) if j not in kept]
+        # where each feature's letter sits in u + v
+        order = [*kept, *free]
+        where = [order.index(j) for j in range(n)]
+        marginals = {}
+
+        def marginal(support, positions):
+            # positions is kept or free, both alive until the next coalition
+            key = id(support), id(positions)
+            if key not in marginals:
+                marginals[key] = _marginal(support, positions)
+            return marginals[key]
+
+        values = []
+        for variant, inner, outer in queries:
+            inputs = marginal(supports[_side_key(outer)], kept)
+            support = supports[_side_key(inner)]
+            total = ZERO
+            if variant == "c":
+                mass = marginal(support, kept)
+                num = marginal(weighted[_side_key(inner)], kept)
+                for u, pu in inputs.items():
+                    if mass.get(u, ZERO) == 0:
+                        raise ZeroProbabilityEvent({j + 1 for j in kept}, u)
+                    total += pu * num[u] / mass[u]
+            else:
+                replaced = marginal(support, free)
+                for u, pu in inputs.items():
+                    value = ZERO
+                    for v, pv in replaced.items():
+                        uv = u + v
+                        value += pv * evaluate("".join([uv[k] for k in where]))
+                    total += pu * value
+            values.append(total)
+        yield values
 
 
 def value_fn(variant, f, x, coalition, inner):
     """v_c / v_i / v_b of a coalition (set of 1-based features)."""
-    check_query(f, len(x), inner, x)
+    check_query(f, len(x), inner, x, coalition)
     kept = tuple(j for j in range(len(x)) if j + 1 in coalition)
-    return next(_values(variant, f, len(x), inner, x, [kept]))
+    return next(_values(f, len(x), [(variant, inner, x)], [kept]))[0]
 
 
 def shap_oracle_local(variant, f, x, i, inner):
@@ -280,35 +314,58 @@ def shap_oracle_global(variant, f, i, n, inner, outer):
 
 
 def shap_oracle_all(variant, f, n, inner, outer, features=None):
-    """(phi_i for i in features, all n by default) of shap_oracle_global,
-    from one table of the 2^n coalition values V(S): phi_i = sum over S
-    without i of c(|S|) (V(S + i) - V(S))."""
-    features = check_query(f, n, inner, outer, features)
+    """(phi_i for i in features, all n by default) of shap_oracle_global:
+    shap_oracle_many of the one query."""
+    return shap_oracle_many(f, n, [(variant, inner, outer)], features)[0]
+
+
+def shap_oracle_many(f, n, queries, features=None):
+    """[shap_oracle_all(variant, f, n, inner, outer, features) for each
+    (variant, inner, outer) query], from one pass over the 2^n coalitions
+    that fills one table of coalition values V(S) per query: phi_i = sum
+    over S without i of c(|S|) (V(S + i) - V(S)).  Every query is checked,
+    then guarded, before any enumeration.  A conditional query that
+    conditions on a zero-probability event raises the ZeroProbabilityEvent
+    of the first coalition (smallest first) and, within it, the first
+    query where one occurs."""
+    queries = list(queries)
+    if not queries:
+        return []
+    for _, inner, outer in queries:
+        asked = check_query(f, n, inner, outer, features)
     if n > SHAP_GUARD_N:
         raise GuardExceeded(f"n={n} exceeds the coalition guard {SHAP_GUARD_N}")
-    # 2^n coalitions x |Sigma|^n pairs of marginal letters when a side is
-    # a distribution (the letters on S from one, outside S from the other)
-    sizes = [len(symbols(side)) for side in (inner, outer)
-             if not isinstance(side, str)]
-    _check_bits(n + (_word_bits(max(sizes), n) if sizes else 0),
-                "the oracle's job")
+    for _, inner, outer in queries:
+        # 2^n coalitions x |Sigma|^n pairs of marginal letters when a side
+        # is a distribution (the letters on S from one, outside S from the
+        # other)
+        sizes = [len(symbols(side)) for side in (inner, outer)
+                 if not isinstance(side, str)]
+        _check_bits(n + (_word_bits(max(sizes), n) if sizes else 0),
+                    "the oracle's job")
     # smallest first: a zero-probability event names a smallest coalition
     coalitions = [S for size in range(n + 1)
                   for S in combinations(range(n), size)]
-    table = dict(zip((sum(1 << j for j in S) for S in coalitions),
-                     _values(variant, f, n, inner, outer, coalitions)))
+    tables = [{} for _ in queries]
+    for mask, values in zip((sum(1 << j for j in S) for S in coalitions),
+                            _values(f, n, queries, coalitions)):
+        for table, value in zip(tables, values):
+            table[mask] = value
     weights = [Rat(factorial(size) * factorial(n - size - 1), factorial(n))
                for size in range(n)]
-    phis = []
-    for i in features:
-        bit = 1 << (i - 1)
-        others = [1 << j for j in range(n) if j != i - 1]
-        phi = ZERO
-        for size, weight in enumerate(weights):
-            for S in map(sum, combinations(others, size)):
-                phi += weight * (table[S | bit] - table[S])
-        phis.append(phi)
-    return tuple(phis)
+    answers = []
+    for table in tables:
+        phis = []
+        for i in asked:
+            bit = 1 << (i - 1)
+            others = [1 << j for j in range(n) if j != i - 1]
+            phi = ZERO
+            for size, weight in enumerate(weights):
+                for S in map(sum, combinations(others, size)):
+                    phi += weight * (table[S | bit] - table[S])
+            phis.append(phi)
+        answers.append(tuple(phis))
+    return answers
 
 
 # ---------------------------------------------------------------------------

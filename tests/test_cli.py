@@ -1214,20 +1214,21 @@ def test_verify_names_the_route_that_answered(capsys, monkeypatch):
     assert "engine=" not in out
 
 
-def test_verify_makes_one_oracle_call_per_verified_pair(capsys, monkeypatch):
-    # verify's oracle work is one shap_oracle_all call for each of its four
-    # (scope, variant) pairs: none for the conditional ones
+def test_verify_makes_one_oracle_call_per_instance(capsys, monkeypatch):
+    # verify's oracle work is one shap_oracle_many call per instance, over
+    # its four baseline and interventional (scope, variant) pairs in ROUTES
+    # order: none for the conditional ones
     from shapwa import oracle
-    right, variants = oracle.shap_oracle_all, []
+    right, calls = oracle.shap_oracle_many, []
 
-    def counting(variant, *query):
-        variants.append(variant)
-        return right(variant, *query)
+    def counting(f, n, queries):
+        calls.append([variant for variant, _, _ in queries])
+        return right(f, n, queries)
 
-    monkeypatch.setattr(oracle, "shap_oracle_all", counting)
+    monkeypatch.setattr(oracle, "shap_oracle_many", counting)
     code, out = run(capsys, ["verify", "--suite", "engine", "--count", "3"])
     assert code == 0
-    assert variants == ["b", "i", "b", "i"] * 3
+    assert calls == [["b", "i", "b", "i"]] * 3
 
 
 @pytest.mark.parametrize("kind", sorted(cli.GADGETS))

@@ -17,7 +17,8 @@ from shapwa.hmm import Hmm, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
 from shapwa.oracle import (ZeroProbabilityEvent, shap_oracle_all,
-                           shap_oracle_global, shap_oracle_local, value_fn)
+                           shap_oracle_global, shap_oracle_local,
+                           shap_oracle_many, value_fn)
 from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
                             rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
                             rng_for)
@@ -605,19 +606,26 @@ def test_errors():
 
 def _entries(f, n, inner, outer, i=1):
     """(name, call) of each SHAP entry point that takes a query with these
-    sides, feature i (value_fn takes the coalition {1}).  The engine and
-    the builder pipeline take a WA and Hmm or word sides; the oracle and
-    the CLI's zero route every model and distribution."""
+    sides, feature i (value_fn takes the coalition {i}; shap_oracle_many
+    takes the query first, between and last among queries that are well
+    formed for a WA over B at n = 2).  The engine and the builder pipeline
+    take a WA and Hmm or word sides; the oracle and the CLI's zero route
+    every model and distribution."""
     variant = "b" if isinstance(inner, str) else "i"
+    query, other = (variant, inner, outer), ("i", uniform_hmm(B), "01")
     calls = [("shap_oracle_all",
               lambda: shap_oracle_all(variant, f, n, inner, outer)),
+             *(("shap_oracle_many",
+                lambda queries=queries: shap_oracle_many(f, n, queries))
+               for queries in ([query, other], [other, query, other],
+                               [other, query])),
              ("shap_oracle_global",
               lambda: shap_oracle_global(variant, f, i, n, inner, outer)),
              ("zero", lambda: cli._zero(variant, f, n, inner, outer, (i,)))]
     if isinstance(outer, str):
         calls += [("shap_oracle_local",
                    lambda: shap_oracle_local(variant, f, outer, i, inner)),
-                  ("value_fn", lambda: value_fn(variant, f, outer, {1},
+                  ("value_fn", lambda: value_fn(variant, f, outer, {i},
                                                 inner))]
     if not all(isinstance(x, (NAlphabetWA, Hmm, str))
                for x in (f, inner, outer)):
@@ -638,7 +646,8 @@ def _entries(f, n, inner, outer, i=1):
 
 
 # the feature of a malformed query: 1 but where the fault is the feature
-FEATURE = {"feature-out-of-range": 3, "float-feature": 1.0}
+FEATURE = {"feature-out-of-range": 3, "float-feature": 1.0,
+           "zero-feature": 0, "string-feature": "a"}
 
 
 def _malformed_query(case):
@@ -671,13 +680,13 @@ def _malformed_query(case):
 
 
 # the entries that take every model and distribution
-ANY_KIND = {"shap_oracle_all", "shap_oracle_global", "shap_oracle_local",
-            "value_fn", "zero"}
+ANY_KIND = {"shap_oracle_all", "shap_oracle_many", "shap_oracle_global",
+            "shap_oracle_local", "value_fn", "zero"}
 ENTRIES = ANY_KIND | {"shap_all", "shap", "pipeline_shap",
                             "loc_b_shap", "loc_i_shap", "glo_b_shap",
                             "glo_i_shap"}
 # the entries that take a feature
-ONE_FEATURE = ENTRIES - {"shap_oracle_all", "shap_all", "value_fn"}
+ONE_FEATURE = ENTRIES - {"shap_oracle_all", "shap_oracle_many", "shap_all"}
 # the entries that take an n and two distribution sides
 N_ENTRIES = ENTRIES - {"shap_oracle_local", "value_fn", "loc_b_shap",
                        "loc_i_shap", "glo_b_shap"}
@@ -699,11 +708,14 @@ REFUSERS = {
     # a feature that is not an int in 1..n; the other entries answer
     "feature-out-of-range": ONE_FEATURE,
     "float-feature": ONE_FEATURE,
+    "zero-feature": ONE_FEATURE,
+    "string-feature": ONE_FEATURE,
 }
 # the feature is checked first, so an entry that takes one raises
 # IndexError in these cases (at n = -1 no feature is in range); the
 # entries of all features raise ValueError
-FEATURE_FAULTS = {"negative-n", "feature-out-of-range", "float-feature"}
+FEATURE_FAULTS = {"negative-n", "feature-out-of-range", "float-feature",
+                  "zero-feature", "string-feature"}
 
 
 @pytest.mark.parametrize("case", list(REFUSERS))

@@ -19,7 +19,7 @@ from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
                            ZeroProbabilityEvent, csp_brute,
                            dist_prob, dummy_check, empty_brute, eval_model,
                            hamming, shap_oracle_all, shap_oracle_global,
-                           shap_oracle_local, value_fn)
+                           shap_oracle_local, shap_oracle_many, value_fn)
 from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
 from shapwa.randgen import (rand_csp, rand_dataset, rand_dt, rand_ensemble,
                             rand_hmm, rand_hmmvec, rand_ind, rand_linear,
@@ -114,6 +114,14 @@ def test_value_fn_examples():
     f = and_wa()
     assert value_fn("b", f, "11", set(), "01") == 0  # v_b(empty) = f(ref)
     assert value_fn("i", f, "11", {1}, uniform_hmm(B)) == Rat(1, 2)
+
+
+def test_value_fn_refuses_a_coalition_member_off_the_features():
+    # a member that is not an int in 1..n is refused, not ignored
+    f, D = and_wa(), uniform_hmm(B)
+    for coalition in ({1, 7}, {0, "a"}, {2, 1.5}):
+        with pytest.raises(IndexError):
+            value_fn("i", f, "1111", coalition, D)
 
 
 def test_conditional_zero_probability():
@@ -247,6 +255,42 @@ def test_one_table_equals_the_textbook_loop():
     assert 0 < zero < 30, zero
 
 
+def test_many_queries_answer_one_call_each():
+    # every variant, side shape and feature subset, one object on both
+    # sides and two equal objects; a conditional query under an empirical
+    # distribution may condition on mass 0, and then the one pass raises
+    # the event that query's own call raises
+    rng = rng_for(68)
+    raised = 0
+    for idx in range(40):
+        n = 1 + idx % 4
+        f = rand_wa(rng, rng.randint(1, 3), B)
+        D = rand_dataset(rng, n, rng.randint(1, 3))
+        twin = Dataset(list(D.rows))  # equal to D, another object
+        E = rand_hmm(rng, rng.randint(1, 2), B)
+        w, w_ref = rand_word(rng, B, n), rand_word(rng, B, n)
+        sides = [(w_ref, w), (D, w), (w_ref, D), (D, D), (twin, D), (E, D),
+                 (D, E), (E, w)]
+        queries = [(rng.choice("bi"), *rng.choice(sides))
+                   for _ in range(rng.randint(0, 4))]
+        queries.insert(rng.randint(0, len(queries)),
+                       ("c", *rng.choice(sides)))
+        features = (None, tuple(rng.sample(range(1, n + 1),
+                                           rng.randint(1, n))))[idx % 2]
+        try:
+            want = [shap_oracle_all(variant, f, n, inner, outer, features)
+                    for variant, inner, outer in queries]
+        except ZeroProbabilityEvent as event:
+            raised += 1
+            with pytest.raises(ZeroProbabilityEvent) as got:
+                shap_oracle_many(f, n, queries, features)
+            assert (got.value.coalition, got.value.assignment) == \
+                (event.coalition, event.assignment), idx
+        else:
+            assert shap_oracle_many(f, n, queries, features) == want, idx
+    assert 0 < raised < 20, raised
+
+
 @pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
                     "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
                     "the calls cannot be counted")
@@ -268,6 +312,12 @@ def test_two_distribution_query_makes_one_product_per_letter_pair(
     assert made[0] <= 3 * 2 ** n * 2 ** n
 
 
+def verify_queries(D, w, w_ref):
+    """verify's baseline and interventional (variant, inner, outer)
+    queries in ROUTES order: local, then global."""
+    return [("b", w_ref, w), ("i", D, w), ("b", w_ref, D), ("i", D, D)]
+
+
 def test_each_distinct_word_is_evaluated_once(monkeypatch):
     calls = Counter()
 
@@ -281,7 +331,10 @@ def test_each_distinct_word_is_evaluated_once(monkeypatch):
     for run in (lambda: shap_oracle_local("i", f, "101", 2, D),
                 lambda: shap_oracle_local("c", f, "101", 2, D),
                 lambda: shap_oracle_global("i", f, 2, 3, D, D),
-                lambda: shap_oracle_global("b", f, 2, 3, "010", D)):
+                lambda: shap_oracle_global("b", f, 2, 3, "010", D),
+                # verify's four pairs share one evaluation of each word
+                lambda: shap_oracle_many(f, 3, verify_queries(D, "101",
+                                                               "010"))):
         calls.clear()
         run()
         assert set(calls) == set(words(3))  # every composed word
@@ -304,6 +357,11 @@ def test_one_distribution_on_both_sides_is_enumerated_once(monkeypatch):
     assert len(calls) == 2 * 2 ** n
     calls.clear()
     assert shap_oracle_all("i", f, n, D, D) == want
+    assert len(calls) == 2 ** n
+    # verify's four pairs, three of them on D, share one enumeration of D
+    calls.clear()
+    assert shap_oracle_many(f, n, verify_queries(D, "0110", "1011"))[3] \
+        == want
     assert len(calls) == 2 ** n
 
 
@@ -365,6 +423,10 @@ def test_guards():
         value_fn("i", f, "1" * 30, {1}, uniform_hmm(B))
     with pytest.raises(GuardExceeded):
         dummy_check(Wmg([1] * 25, 3), 1)
+    # every query is checked before any is guarded
+    with pytest.raises(ValueError):
+        shap_oracle_many(f, 25, [("b", "0" * 25, "1" * 25),
+                                 ("b", "0" * 25, "1" * 24)])
 
 
 def test_guard_bounds_the_whole_job():
