@@ -23,20 +23,15 @@ so f reads x_j, or replaced, so f reads z_j:
   Q_j = sum_s (sum_t Out_j[t]) (x) In_j[s] (x) f_s
 
 With alpha and beta the Kronecker products of the three initial and final
-vectors, the forward vectors F_j[k] cover positions 1..j with k of them
-kept, and the backward vectors B_j[k] cover positions j..n:
+vectors, the value of a coalition S of kept positions is
 
-  F_0[0] = alpha      F_j[k] = F_{j-1}[k] Q_j + F_{j-1}[k-1] P_j
-  B_{n+1}[0] = beta   B_j[k] = Q_j B_{j+1}[k] + P_j B_{j+1}[k-1]
-
-  phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
-  c(k) = k! (n-1-k)! / n!
+  v(S) = alpha M_1 ... M_n beta,  M_j = P_j if j in S, else Q_j.
 
 P and Q are never formed whole: their rows are built from the factors
 above, only at reachable joint states.  reach_0 is the support of alpha;
-the forward loop builds the rows of P_j and Q_j at reach_{j-1} and takes
-reach_j from their columns.  With InSum_j = sum_t In_j[t], row (o, i, q)
-of P_j is
+a sweep over positions 1..n builds the rows of P_j and Q_j at
+reach_{j-1} and takes reach_j from their columns.  With
+InSum_j = sum_t In_j[t], row (o, i, q) of P_j is
 
   sum_s (Out_j[s] (x) InSum_j).row(o, i) (x) f_s.row(q)
 
@@ -46,23 +41,51 @@ product of an outer and an inner weight is made once per (o, i, s).  A row
 that sums several symbols drops its exact zeros, so the stored entries,
 and every reach_j, are those of the full Kronecker sums.  A reachable row
 costs one Rat product per term of its sum, a state out of reach nothing.
-The pass then makes O(n^2) sparse matrix-vector products and O(n^3) dot
-products for all n features, each over reachable states only: beta enters
-on reach_n, and B_{j+1} is computed on reach_j alone, row by row, from
-rows the forward loop built.  F_{j-1} lives in reach_{j-1}, so
+
+Null players leave the pass.  Every coalition's vector alpha M_1 ...
+M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
+every state of reach_{j-1}, v(S + j) = v(S) for every S: position j is a
+null player and phi_j = 0.  Rows keep no exact zeros, so comparing the
+stored rows compares the rows.  This holds when both sides are words with
+the same letter at j, and when f's symbol matrices agree on every
+reachable state, as at a feature no leaf of a compiled tree tests.  By
+the null-player axiom the other features have the Shapley values of the
+game on the m positions that are players: in
+phi_i = sum_S c_n(|S|) (v(S+i) - v(S)), over S in N-{i}, the terms of S
+and S + j have the same difference for a null j, and
+c_n(s) + c_n(s+1) = c_{n-1}(s), so j leaves the sum.  The forward vectors
+F_j[k] cover positions 1..j with k players kept, and the backward vectors
+B_j[k] positions j..n; at a player j
+
+  F_0[0] = alpha      F_j[k] = F_{j-1}[k] Q_j + F_{j-1}[k-1] P_j
+  B_{n+1}[0] = beta   B_j[k] = Q_j B_{j+1}[k] + P_j B_{j+1}[k-1]
+
+and at a null j, F_j[k] = F_{j-1}[k] P_j and B_j[k] = P_j B_{j+1}[k], with
+no shift in k.  For a player i,
+
+  phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
+  c(k) = k! (m-1-k)! / m!
+
+and m = 0 answers all zeros.  Every product is over reachable states
+only: beta enters on reach_n, and B_{j+1} is computed on reach_j alone,
+row by row, from rows the sweep built.  F_{j-1} lives in reach_{j-1}, so
 F_{j-1} (P_j - Q_j) lives in reach_j and phi never reads B elsewhere.  The
 restriction is structural: masking by numerical supports could drop a
 state where the F vectors cancel but their difference does not.
 
-A pass asked for some features only runs F to position max(features), B
-from n down to min(features) + 1, and the dots at those features; the
-reach sweep, which builds the rows of P and Q, still covers all n
-positions, since B_{j+1} is computed on reach_j; it makes no vector
-product.  Feature i alone costs i(i+1) vector-matrix and
-(n-i)(n-i+1) matrix-vector products and i(n-i+1) dots; all n features
-cost n(n+1) and n(n-1) products and about n^3/6 dots.  So one feature
-is 2x cheaper than the whole pass at i = 1 or n, 4x at i = n/2 and 3x on
-average.
+The pass pays for players, not positions.  At position j each vector
+costs two products at a player and one at a null position, and there is
+one vector per player already passed, plus one.  A pass asked for some
+features runs F to the last player asked, B from n down past the first,
+and the dots at the players asked; a null feature asked costs no vector
+product.  The reach sweep still covers all n positions, since B_{j+1} is
+computed on reach_j, and makes no vector product.  All n features cost at
+most m(n+1) vector-matrix and m(n-1) matrix-vector products and about
+m^3/6 dots, against n(n+1), n(n-1) and n^3/6 over every position.  When
+every position is a player, feature i alone costs i(i+1) vector-matrix
+and (n-i)(n-i+1) matrix-vector products and i(n-i+1) dots, so one
+feature is 2x cheaper than the whole pass at i = 1 or n, 4x at i = n/2
+and 3x on average.
 
 When one object is both sides, every phi_i is 0 and no pass runs.  Inputs
 x and replaced features z are then drawn independently from the same
@@ -222,7 +245,8 @@ def _shift_add(dropped, kept):
 
 def _pass(f, n, inner, outer, features):
     """(phi_i for i in features) of a checked query whose sides are two
-    objects: only the part of the pass those features need runs."""
+    objects: a null feature answers 0, and the others run only the part of
+    the pass they need, over the game of the m players that are not null."""
     o_alpha, o_beta, o_layers = _side(outer, n)
     i_alpha, i_beta, i_layers = _side(inner, n)
     dims = (len(o_alpha), len(i_alpha), f.dim)
@@ -234,35 +258,44 @@ def _pass(f, n, inner, outer, features):
         if key not in built:
             built[key] = _Step(lo, li, f_mats, dims)
         steps.append(built[key])
-    wanted = set(features)
-    first, last = min(wanted, default=n + 1), max(wanted, default=0)
 
-    # diff[i][a] = F_{i-1}[a] (P_i - Q_i) for a = 0..i-1, at requested i;
-    # the rows of P_j and Q_j are built on reach_{j-1}, where F_{j-1} lives.
-    # F runs to position `last`, the reach sweep to n: B reads every reach_j
-    diff = {}
+    # position j is a player unless P_j and Q_j store the same rows at
+    # every state of reach_{j-1}, where all forward vectors live
     fwd = [_kron_vec(o_alpha, i_alpha, f.alpha)]
     reach = [set(fwd[0])]
-    for j, step in enumerate(steps, 1):
+    for step in steps:
         reach.append(step.fill(reach[-1]))
-        if j > last:
-            continue
+    players = [any(step.P.rows.get(x) != step.Q.rows.get(x)
+                   for x in states) for step, states in zip(steps, reach)]
+    m = sum(players)
+    phis = dict.fromkeys(features, ZERO)
+    wanted = {i for i in phis if players[i - 1]}
+    if not wanted:
+        return tuple(phis[i] for i in features)
+    first, last = min(wanted), max(wanted)
+
+    # diff[i][a] = F_{i-1}[a] (P_i - Q_i), a counting the players before i;
+    # at a null position every F vector is multiplied by P_j alone
+    diff = {}
+    for j, step in enumerate(steps[:last], 1):
         vp = [step.P.vecmat(v) for v in fwd]
+        if not players[j - 1]:
+            fwd = vp
+            continue
         vq = [step.Q.vecmat(v) for v in fwd]
         if j in wanted:
             diff[j] = [_combine(p, q, -1) for p, q in zip(vp, vq)]
         if j < last:
             fwd = _shift_add(vq, vp)
 
-    # bwd = [B_{j+1}[b] for b = 0..n-j] on reach_j, where diff[j] lives and
-    # where B_j on reach_{j-1} reads it; from position n down to `first`
-    c = [Rat(factorial(k) * factorial(n - 1 - k), factorial(n))
-         for k in range(n)]
-    phis = {}
+    # bwd = [B_{j+1}[b] for b = 0..players after j] on reach_j, where
+    # diff[j] lives and where B_j on reach_{j-1} reads it
+    c = [Rat(factorial(k) * factorial(m - 1 - k), factorial(m))
+         for k in range(m)]
     bwd = [_end_vec((o_beta, i_beta, f.beta), dims, reach[n])]
     for j in range(n, first - 1, -1):
         if j in wanted:
-            by_size = [ZERO] * n
+            by_size = [ZERO] * m
             for a, g in enumerate(diff[j]):
                 if g:
                     for b, v in enumerate(bwd):
@@ -270,8 +303,9 @@ def _pass(f, n, inner, outer, features):
             phis[j] = sum((ck * d for ck, d in zip(c, by_size) if d), ZERO)
         if j > first:
             step, rows = steps[j - 1], reach[j - 1]
-            bwd = _shift_add([step.Q.matvec(v, rows) for v in bwd],
-                             [step.P.matvec(v, rows) for v in bwd])
+            vp = [step.P.matvec(v, rows) for v in bwd]
+            bwd = (_shift_add([step.Q.matvec(v, rows) for v in bwd], vp)
+                   if players[j - 1] else vp)
     return tuple(phis[i] for i in features)
 
 
@@ -281,8 +315,9 @@ def shap(f, n, inner, outer, features=None):
     distribution on it).  TypeError unless the engine reads the objects,
     then IndexError or ValueError unless `models.check_query` accepts the
     query.  A side passed twice as one object answers zeros once checked,
-    as the module docstring proves; otherwise only the part of the pass
-    the features need runs.  Not cached."""
+    as the module docstring proves; otherwise a null feature answers 0
+    with no vector product, and only the part of the pass the other
+    features need runs.  Not cached."""
     _gate(f, inner, outer)
     features = check_query(f, n, inner, outer, features)
     if inner is outer:
@@ -305,7 +340,7 @@ def _gate(f, inner, outer):
 def _phi(f, i, n, inner, outer):
     """phi_i from the cache; uncached when one object is both sides, which
     needs no pass, or when i is out of range, which shap refuses."""
-    if inner is outer or not (isinstance(i, int) and 1 <= i <= n):
+    if inner is outer or not (type(i) is int and 1 <= i <= n):
         return shap(f, n, inner, outer, (i,))[0]
     _gate(f, inner, outer)  # before the cache, which cannot hash some types
     return shap_all(f, n, inner, outer)[i - 1]

@@ -57,15 +57,15 @@ def symbols(side):
 
 def check_query(f, n, inner, outer, features=None):
     """The features asked (all n by default, as a range) once the query
-    is checked: IndexError unless each feature is an int in 1..n; then
-    ValueError unless n is a non-negative int; f reads one tape; f and
-    each side (inputs from outer, replacing words from inner) that has a
-    length or an n has n; and each side uses only f's symbols (its alphabet
-    or domain)."""
+    is checked: IndexError unless each feature is an int in 1..n, and not
+    a bool; then ValueError unless n is a non-negative int; f reads one
+    tape; f and each side (inputs from outer, replacing words from inner)
+    that has a length or an n has n; and each side uses only f's symbols
+    (its alphabet or domain)."""
     if features is not None:
         features = tuple(features)
         for i in features:
-            if not (isinstance(i, int) and 1 <= i <= n):
+            if not (type(i) is int and 1 <= i <= n):
                 raise IndexError(f"feature {i!r} out of range for n={n}")
     _check_n(n)
     tapes = getattr(f, "alphabets", None) or (f.domain,)

@@ -18,14 +18,31 @@ ONE = Rat(1)
 
 
 def rat(x) -> "Rat":
-    """Coerce an int, string ("p/q" or "p") or rational to Rat; a Rat is
-    returned as it is, not copied; a float or a bool is refused with
-    TypeError."""
+    """Coerce an int, string or rational to Rat; a Rat is returned as it
+    is, not copied; a float or a bool is refused with TypeError.  A string
+    must be what format_rat writes: an optional "-", ASCII digits, and an
+    optional "/" followed by ASCII digits that are not all 0.  Anything
+    else, such as "1.5", "1e9", "+1", " 1", "1_0" or a non-ASCII digit, is
+    refused with ValueError, as is a part longer than int reads (4,300
+    digits by default)."""
     if isinstance(x, Rat):
         return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"not an exact rational: {x!r}")
-    return Rat(x)
+    if not isinstance(x, str):
+        return Rat(x)
+    num, slash, den = x.partition("/")
+    if not (_digits(num[1:] if num[:1] == "-" else num)
+            and (not slash or _digits(den))):
+        raise ValueError(f"not a rational p or p/q: {x!r}")
+    q = int(den) if slash else 1
+    if not q:
+        raise ValueError(f"zero denominator: {x!r}")
+    return Rat(int(num), q)
+
+
+def _digits(s):
+    return s.isascii() and s.isdigit()
 
 
 def as_list(values, what="rationals"):

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from itertools import product
 from pathlib import Path
+from time import perf_counter
 
 import pytest
 
@@ -829,6 +830,56 @@ def test_malformed_file_exits_2_from_shap_and_convert(capsys, tmp_path,
         assert err.startswith("error:")
         assert "Traceback" not in err
     assert not out_path.exists()
+
+
+# strings outside the rational grammar, p or p/q in ASCII digits with an
+# optional "-" and a nonzero q: a zero denominator, an exponent that would
+# build a 10^8-digit int, a decimal point, a space, an underscore, a plus
+# sign, an Arabic-Indic digit and the empty string
+BAD_RATIONALS = ["1/0", "1e99999999", "1.5", " 1", "1_0", "+1", "\u0661", ""]
+# place -> (type tag, payload with the rational x in that place)
+RATIONAL_PLACES = {
+    "wa-alpha": lambda x: ("wa", {"alphabets": [B], "alpha": [x],
+                                  "beta": ["1"],
+                                  "transitions": {"1": [[0, 0, "1"]]}}),
+    "wa-entry": lambda x: ("wa", {"alphabets": [B], "alpha": ["1"],
+                                  "beta": ["1"],
+                                  "transitions": {"1": [[0, 0, x]]}}),
+    "hmm-entry": lambda x: ("hmm", {"alphabet": B, "alpha": ["1"],
+                                    "matrices": {"0": [[0, 0, x]],
+                                                 "1": [[0, 0, "1/2"]]}}),
+    "dt-leaf": lambda x: ("dt", {**TREE, "root": {
+        "feature": 1, "children": {"0": {"leaf": "0"}, "1": {"leaf": x}}}}),
+    "nb-table": lambda x: ("nb", {"prior": {"c": "1"},
+                                  "tables": [{"c": {"0": x, "1": "1/2"}},
+                                             {"c": HALF}],
+                                  "domain": B}),
+}
+
+
+@pytest.mark.parametrize("place", RATIONAL_PLACES)
+@pytest.mark.parametrize("bad", BAD_RATIONALS,
+                         ids=[ascii(x) for x in BAD_RATIONALS])
+def test_a_malformed_rational_exits_2_at_once(capsys, tmp_path, and_model,
+                                             place, bad):
+    tag, payload = RATIONAL_PLACES[place](bad)
+    path = write_json(tmp_path / "bad.json", {"type": tag,
+                                              "payload": payload})
+    if tag in MODEL_TAGS:
+        sides = ["--model", path, "--variant", "baseline",
+                 "--reference", "00"]
+    else:
+        sides = ["--model", and_model, "--variant", "interventional",
+                 "--dist", path]
+    start = perf_counter()
+    code = cli.main(["shap", "--scope", "local", "--input", "11",
+                     "--feature", "1", *sides])
+    elapsed = perf_counter() - start
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    assert elapsed < 1
 
 
 def answers_on_the_engine(capsys, tmp_path, and_model, tag, payload):

@@ -11,7 +11,7 @@ from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
                              build_T_wi, pipeline_shap)
 from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
                            shap, shap_all)
-from shapwa.frontends import (emp_to_hmmvec, ensemble_reg_to_wa,
+from shapwa.frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
                               hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
 from shapwa.hmm import Hmm, uniform_hmm
 from shapwa.linalg import SpMat
@@ -194,21 +194,51 @@ def count_products(monkeypatch):
     return calls
 
 
+def pass_products(players, features):
+    """{"vecmat": calls, "matvec": calls} of the pass for these features,
+    players[j - 1] telling whether position j is a player: F runs to the
+    last player asked and B from n down past the first; at position j each
+    vector, one per player already passed plus one, costs two products at a
+    player and one at a null position."""
+    asked = [i for i in features if players[i - 1]]
+
+    def cost(positions):
+        total = passed = 0
+        for j in positions:
+            total += (passed + 1) * (1 + players[j - 1])
+            passed += players[j - 1]
+        return total
+
+    n = len(players)
+    return {"vecmat": cost(range(1, max(asked, default=0) + 1)),
+            "matvec": cost(range(n, min(asked, default=n), -1))}
+
+
 def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
-    # F to position i, B from n down to i + 1; one object twice runs none
+    # F to the last player asked, B from n down past the first; a position
+    # where two words agree is null, any other position of these sides a
+    # player; one object twice runs none
     rng = rng_for(63)
     for n in (1, 2, 7):
         f = rand_wa(rng, 3, B)
         *pairs, (D, _) = five_sides(rng, B, n)
         for inner, outer in pairs:
+            words = isinstance(inner, str) and isinstance(outer, str)
+            players = [not (words and inner[j] == outer[j])
+                       for j in range(n)]
+            if all(players):
+                assert pass_products(players, range(1, n + 1)) == \
+                    {"vecmat": n * (n + 1), "matvec": n * (n - 1)}
             calls = count_products(monkeypatch)
             shap_all.__wrapped__(f, n, inner, outer)
-            assert calls == {"vecmat": n * (n + 1), "matvec": n * (n - 1)}
+            assert calls == pass_products(players, range(1, n + 1))
             for i in range(1, n + 1):
                 calls = count_products(monkeypatch)
                 shap(f, n, inner, outer, (i,))
-                assert calls == {"vecmat": i * (i + 1),
-                                 "matvec": (n - i) * (n - i + 1)}, (n, i)
+                assert calls == pass_products(players, (i,)), (n, i)
+                if all(players):
+                    assert calls == {"vecmat": i * (i + 1),
+                                     "matvec": (n - i) * (n - i + 1)}, (n, i)
             monkeypatch.undo()
         calls = count_products(monkeypatch)
         assert shap(f, n, D, D, (n,)) == (0,)
@@ -320,7 +350,8 @@ def test_unreachable_states_make_no_products(monkeypatch):
 def test_emp_states_live_at_a_position_are_its_prefixes(monkeypatch):
     # one state per distinct row is reached at position j only as the first
     # row of a prefix of length j, so the pass makes the products it made
-    # when the compiler gave each prefix a state of its own (121 HMM states)
+    # when the compiler gave each prefix a state of its own (121 HMM states);
+    # the two words agree at position 5, a null player the loc_b pass skips
     d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
                  "11101"])
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
@@ -339,7 +370,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(monkeypatch):
             m.setattr(Fraction, "__mul__", mul)
             shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(made[0])
-    assert counts == [1873, 486, 8068, 1912]
+    assert counts == [1873, 336, 8068, 1912]
 
 
 @pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
@@ -380,7 +411,8 @@ def test_one_side_twice_is_free_but_checked(monkeypatch):
 def test_cancelled_entries_reach_no_state(monkeypatch):
     # f reads 0 as 1 and 1 as -1: under the uniform HMM every entry of P
     # and Q sums to 0 across the symbols, so nothing is reachable after
-    # position 1 and the backward pass reads no row.  The inner side is a
+    # position 1, P and Q store no row anywhere, every position is a null
+    # player and no vector product reads a row.  The inner side is a
     # distinct copy of D, so the pass runs
     trans = {("0",): SpMat.from_dense([[ONE]]),
              ("1",): SpMat.from_dense([[-ONE]])}
@@ -394,7 +426,96 @@ def test_cancelled_entries_reach_no_state(monkeypatch):
     monkeypatch.setattr(SpMat, "matvec", matvec)
     assert shap_all.__wrapped__(f, 3, Hmm(D.wa), D) == \
         shap_oracle_all("i", f, 3, D, D)
-    assert rows and not any(rows)
+    assert rows == []
+
+
+def nonzero_rat(rng):
+    return rng.choice((1, -1)) * Rat(rng.randint(1, 3), rng.randint(1, 4))
+
+
+def layered_wa(rng, n, agree):
+    """A WA with states (j, k), k in {0, 1}, at index 2j + k, read from
+    layer j - 1 to layer j at position j, every stored weight nonzero;
+    f_0 and f_1 have the same row at the states (j - 1, k) for k in
+    agree[j - 1], and opposite rows at the others."""
+    dim = 2 * (n + 1)
+    trans = {(s,): SpMat(dim) for s in B}
+    for j in range(1, n + 1):
+        for k in (0, 1):
+            sign = 1 if k in agree[j - 1] else -1
+            for t in (0, 1):
+                v = nonzero_rat(rng)
+                trans[("0",)].set(2 * (j - 1) + k, 2 * j + t, v)
+                trans[("1",)].set(2 * (j - 1) + k, 2 * j + t, sign * v)
+    alpha = [nonzero_rat(rng) for _ in (0, 1)] + [ZERO] * (dim - 2)
+    beta = [ZERO] * (dim - 2) + [nonzero_rat(rng) for _ in (0, 1)]
+    return NAlphabetWA([B], alpha, trans, beta)
+
+
+def null_player_cases():
+    """(name, f, n, inner, outer, players) of seeded queries with null
+    players: players[j - 1] is False where position j must be null, True
+    where it must be a player and None where the data decide."""
+    rng = rng_for(64)
+    cases = []
+    for n in range(2, 7):
+        f = rand_wa(rng, 3, B, density=1.0)
+        D = rand_hmm(rng, 2, B)
+        w = rand_word(rng, B, n)
+        flip = set(rng.sample(range(n), rng.randint(1, n - 1)))
+        r = "".join("10"[int(a)] if j in flip else a for j, a in enumerate(w))
+        same = "".join(list(w))
+        assert same is not w
+        cases += [
+            ("words-agree", f, n, r, w, [j in flip for j in range(n)]),
+            ("words-equal", f, n, same, w, [False] * n),
+            ("every-player", f, n, D, w, [True] * n),
+            ("constant-f", constant_wa(Rat(2, 3)), n, D, w, [False] * n)]
+    # a compiled tree reads only the features it tests, the data decide
+    # whether a feature it tests moves the value
+    for n in (4, 5, 6):
+        tree = rand_dt(rng, n, max_depth=2)
+        tested = {i for constraints, _ in tree.leaves() for i in constraints}
+        assert len(tested) < n
+        f = dt_to_wa(tree)
+        players = [None if j in tested else False for j in range(1, n + 1)]
+        w, r = rand_word(rng, B, n), rand_word(rng, B, n)
+        dists = [hmmvec_to_hmm(emp_to_hmmvec(rand_dataset(rng, n, 4))),
+                 hmmvec_to_hmm(nb_to_hmmvec(rand_nb(rng, n)))]
+        for D, E in (dists, dists[::-1]):
+            cases += [(f"dt-{kind}", f, n, inner, outer, players)
+                      for kind, (inner, outer) in
+                      (("loc_i", (D, w)), ("loc_b", (r, w)),
+                       ("glo_b", (r, D)), ("two-dists", (E, D)))]
+    # rows that agree at some reachable states, or at all of them
+    agree = [(), (0, 1), (0,), (1,), (0, 1)]
+    f = layered_wa(rng, 5, agree)
+    D, E = rand_hmm(rng, 2, B), rand_hmm(rng, 1, B)
+    players = [len(states) < 2 for states in agree]
+    cases += [("rows-agree", f, 5, inner, outer, players)
+              for inner, outer in ((D, "01101"), (D, E), ("00111", D))]
+    return cases
+
+
+def test_engine_equals_oracle_with_null_players(monkeypatch):
+    moved = {}
+    for name, f, n, inner, outer, players in null_player_cases():
+        variant = "b" if isinstance(inner, str) else "i"
+        want = shap_oracle_all(variant, f, n, inner, outer)
+        calls = count_products(monkeypatch)
+        assert shap(f, n, inner, outer) == want, (name, n)
+        if None not in players:
+            assert calls == pass_products(players, range(1, n + 1)), name
+        # a null feature answers exactly 0 with no vector product
+        nulls = tuple(j for j in range(1, n + 1) if players[j - 1] is False)
+        calls = count_products(monkeypatch)
+        assert shap(f, n, inner, outer, nulls) == (ZERO,) * len(nulls)
+        assert calls == {"vecmat": 0, "matvec": 0}, (name, nulls)
+        monkeypatch.undo()
+        moved[name] = moved.get(name, False) or any(want)
+    # every kind of case with a player has a nonzero value somewhere
+    assert moved == {name: name not in ("words-equal", "constant-f")
+                     for name in moved}
 
 
 def test_shap_all_matches_builder_pipeline_on_compiled_tabular_pairs():
@@ -604,6 +725,19 @@ def test_errors():
             shap(f, 2, "00", "11", (i,))
 
 
+def test_a_bool_is_not_a_feature():
+    # bool is an int, but True is not feature 1
+    rng = rng_for(46)
+    f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
+    for call in (lambda i: shap(f, 2, D, "01", (i,)),
+                 lambda i: shap_oracle_all("i", f, 2, D, "01", (i,)),
+                 lambda i: value_fn("i", f, "01", {i}, D)):
+        call(1)
+        for i in (True, False):
+            with pytest.raises(IndexError):
+                call(i)
+
+
 def _entries(f, n, inner, outer, i=1):
     """(name, call) of each SHAP entry point that takes a query with these
     sides, feature i (value_fn takes the coalition {i}; shap_oracle_many
@@ -647,7 +781,7 @@ def _entries(f, n, inner, outer, i=1):
 
 # the feature of a malformed query: 1 but where the fault is the feature
 FEATURE = {"feature-out-of-range": 3, "float-feature": 1.0,
-           "zero-feature": 0, "string-feature": "a"}
+           "zero-feature": 0, "string-feature": "a", "bool-feature": True}
 
 
 def _malformed_query(case):
@@ -710,12 +844,13 @@ REFUSERS = {
     "float-feature": ONE_FEATURE,
     "zero-feature": ONE_FEATURE,
     "string-feature": ONE_FEATURE,
+    "bool-feature": ONE_FEATURE,
 }
 # the feature is checked first, so an entry that takes one raises
 # IndexError in these cases (at n = -1 no feature is in range); the
 # entries of all features raise ValueError
 FEATURE_FAULTS = {"negative-n", "feature-out-of-range", "float-feature",
-                  "zero-feature", "string-feature"}
+                  "zero-feature", "string-feature", "bool-feature"}
 
 
 @pytest.mark.parametrize("case", list(REFUSERS))

@@ -28,6 +28,18 @@ def test_parse_integer_strings():
     assert rat("3/6") == Rat(1, 2)
 
 
+def test_rational_strings_follow_one_grammar():
+    # an optional "-", ASCII digits, an optional "/" and a nonzero q
+    for text, value in (("007/010", Rat(7, 10)), ("-0", ZERO), ("1/01", ONE),
+                        ("-12/8", Rat(-3, 2))):
+        assert rat(text) == value
+    for text in ("1/0", "1/00", "1/-2", "--1", "-", "/2", "1/", "1/2/3",
+                 "1e2", "0x1", "1.0", "\t1", "1 ", "+1", "1_0", "\u00b2",
+                 "\u0661", ""):
+        with pytest.raises(ValueError):
+            rat(text)
+
+
 def test_a_rat_is_returned_as_it_is():
     # coercing again copies nothing
     for x in (Rat(0), Rat(-3, 7), ONE):
