@@ -311,7 +311,29 @@ def cmd_convert(cfg):
         # notably: vote-classification ensembles, an order that is not a
         # permutation of the source's features
         raise CliError(EXIT_INCOMPATIBLE, str(e))
-    _dump_json(encode(obj, provenance=provenance), cfg.output)
+    doc = encode(obj, provenance=provenance)
+    _check_readable(doc)
+    _dump_json(doc, cfg.output)
+
+
+def _check_readable(doc):
+    """Exit 4 if a rational string of doc has a part longer than int, and
+    so rational.rat, reads (sys.get_int_max_str_digits()): format_rat
+    writes such a value whole, and shap would refuse the file."""
+    limit = sys.get_int_max_str_digits()
+    stack = [doc]
+    while stack and limit:
+        x = stack.pop()
+        if isinstance(x, dict):
+            stack.extend(x.values())
+        elif isinstance(x, list):
+            stack.extend(x)
+        elif isinstance(x, str) and len(x) > limit:
+            digits = max(len(part.lstrip("-")) for part in x.split("/"))
+            if digits > limit:
+                raise CliError(EXIT_GUARD, f"the compiled {doc['type']} holds "
+                               f"a rational of {digits} digits, above the "
+                               f"{limit} that shap reads; nothing is written")
 
 
 # ---------------------------------------------------------------------------

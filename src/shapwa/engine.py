@@ -39,8 +39,20 @@ and of Q_j the same with OutSum_j (x) In_j[s].  Rows are kept per distinct
 pair of layers, so positions that share a pair share them, and each
 product of an outer and an inner weight is made once per (o, i, s).  A row
 that sums several symbols drops its exact zeros, so the stored entries,
-and every reach_j, are those of the full Kronecker sums.  A reachable row
-costs one Rat product per term of its sum, a state out of reach nothing.
+and every reach_j, are those of the full Kronecker sums, and stores an
+entry equal to 1 as the shared ONE.  A reachable row costs at most one Rat
+product per term of its sum, a state out of reach nothing.
+
+No Rat operation is made whose result one operand decides.  `rat` reads
+every 0 and 1 of a file as the shared ZERO and ONE, and a compiled
+automaton is mostly 0/1: a word side is the unit layer, and every
+transition entry of a compiled tree is 1.  A product whose factor is ONE,
+tested by identity, is the other factor (in `_Step.fill`, `_kron_vec`,
+`_end_vec`, `_dot` and `SpMat.vecmat`/`matvec`), and every sum starts
+from its first term, never from ZERO.  A 1 that is another object is multiplied
+as any other value, to the same answer.  On a compiled depth-3 tree under
+a compiled 4-row dataset (n = 6), a local interventional pass makes 37
+Fraction products where it would make 330 without these two rules.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -117,7 +129,7 @@ from math import factorial
 from .hmm import Hmm
 from .linalg import SpMat
 from .models import check_query
-from .rational import Rat, ZERO, ONE
+from .rational import Rat, ZERO, ONE, total
 from .wa import NAlphabetWA
 
 # enough for loc_i, loc_b and glo_b queries alternating over a few instances
@@ -158,7 +170,8 @@ class _Step:
         """Build the rows of P and Q at these states; return the states
         their stored entries reach.  Exact zeros are pruned from a row that
         sums more than one symbol, so the stored entries, and the states
-        they reach, are those of the summed Kronecker products."""
+        they reach, are those of the summed Kronecker products; a sum equal
+        to 1 is stored as ONE, which the vector products skip."""
         _, d_in, d_f = self.dims
         for x in states - self.done:
             oi, q = divmod(x, d_f)
@@ -172,18 +185,21 @@ class _Step:
                     ab = pairs.get(oi)
                     if ab is None:
                         ab = pairs[oi] = [
-                            ((j * d_in + k) * d_f, a * b)
+                            ((j * d_in + k) * d_f,
+                             b if a is ONE else a if b is ONE else a * b)
                             for j, a in outer.rows.get(o, {}).items()
                             for k, b in inner.rows.get(i, {}).items()]
                     if not ab:
                         continue
                     summed += 1
-                    for base, weight in ab:
+                    for base, w in ab:
                         for r, c in f_row.items():
-                            y, v = base + r, weight * c
+                            y = base + r
+                            v = c if w is ONE else w if c is ONE else w * c
                             row[y] = row[y] + v if y in row else v
                 if summed > 1:
-                    row = {y: v for y, v in row.items() if v != 0}
+                    row = {y: ONE if v == 1 else v for y, v in row.items()
+                           if v != 0}
                 if row:
                     mat.rows[x] = row
         self.done |= states
@@ -197,8 +213,8 @@ class _Step:
 def _kron_vec(*vecs):
     out = {0: ONE}
     for vec in vecs:
-        out = {i * len(vec) + j: x * y for i, x in out.items()
-               for j, y in enumerate(vec) if y != 0}
+        out = {i * len(vec) + j: y if x is ONE else x if y is ONE else x * y
+               for i, x in out.items() for j, y in enumerate(vec) if y != 0}
     return out
 
 
@@ -214,28 +230,38 @@ def _end_vec(betas, dims, states):
             continue
         if oi not in pairs:
             o, i = divmod(oi, d_in)
-            pairs[oi] = b_out[o] * b_in[i] if b_out[o] and b_in[i] else ZERO
-        if pairs[oi]:
-            out[x] = pairs[oi] * b_f[q]
+            a, b = b_out[o], b_in[i]
+            pairs[oi] = (ZERO if not (a and b) else b if a is ONE
+                         else a if b is ONE else a * b)
+        w, c = pairs[oi], b_f[q]
+        if w:
+            out[x] = c if w is ONE else w if c is ONE else w * c
     return out
 
 
 def _combine(u, v, sign=1):
-    """u + sign * v of sparse vectors."""
+    """u + sign * v of sparse vectors; an entry of v alone is copied (or
+    negated), not added to 0."""
     out = dict(u)
     for j, y in v.items():
-        s = out.get(j, ZERO) + (y if sign > 0 else -y)
+        if j not in out:
+            out[j] = y if sign > 0 else -y
+            continue
+        s = out[j] + y if sign > 0 else out[j] - y
         if s != 0:
             out[j] = s
         else:
-            out.pop(j, None)
+            del out[j]
     return out
 
 
 def _dot(u, v):
+    """u . v of sparse vectors; the shared ZERO when their supports do not
+    meet."""
     if len(u) > len(v):
         u, v = v, u
-    return sum((x * v[j] for j, x in u.items() if j in v), ZERO)
+    return total(y if x is ONE else x if y is ONE else x * y
+                 for j, x in u.items() if (y := v.get(j)) is not None)
 
 
 def _shift_add(dropped, kept):
@@ -295,12 +321,15 @@ def _pass(f, n, inner, outer, features):
     bwd = [_end_vec((o_beta, i_beta, f.beta), dims, reach[n])]
     for j in range(n, first - 1, -1):
         if j in wanted:
-            by_size = [ZERO] * m
+            by_size = {}
             for a, g in enumerate(diff[j]):
                 if g:
                     for b, v in enumerate(bwd):
-                        by_size[a + b] += _dot(g, v)
-            phis[j] = sum((ck * d for ck, d in zip(c, by_size) if d), ZERO)
+                        d = _dot(g, v)
+                        if d is not ZERO:
+                            k = a + b
+                            by_size[k] = by_size[k] + d if k in by_size else d
+            phis[j] = total(c[k] * d for k, d in by_size.items() if d)
         if j > first:
             step, rows = steps[j - 1], reach[j - 1]
             vp = [step.P.matvec(v, rows) for v in bwd]

@@ -8,7 +8,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ZERO, ONE, as_list, format_rat, rats
+from .rational import Rat, ONE, as_list, format_rat, rats, total
 from .wa import NAlphabetWA, eval_wa, vector_from_json, wa_from_parts
 
 
@@ -55,17 +55,19 @@ class Hmm:
 
 
 def _check_stochastic(wa):
-    n = wa.dim
-    if sum(wa.alpha) != 1 or any(x < 0 for x in wa.alpha):
+    """ValueError unless alpha is a distribution and the per-symbol
+    matrices sum to a row-stochastic matrix; each sum starts from its first
+    term."""
+    if total(x for x in wa.alpha if x) != 1 or any(x < 0 for x in wa.alpha):
         raise ValueError("initial vector is not a distribution")
-    row_sums = [ZERO] * n
+    row_sums = {}
     for mat in wa.transitions.values():
         for i, row in mat.rows.items():
             for v in row.values():
                 if v < 0:
                     raise ValueError("negative transition weight")
-                row_sums[i] += v
-    if any(s != 1 for s in row_sums):
+                row_sums[i] = row_sums[i] + v if i in row_sums else v
+    if len(row_sums) < wa.dim or any(s != 1 for s in row_sums.values()):
         raise ValueError("per-symbol matrices do not sum to a stochastic matrix")
 
 

@@ -5,9 +5,14 @@ layered counters, Kronecker products of such), so matrices are kept as
 dict-of-rows and vectors as index->value dicts.  scipy.sparse is of no
 use here: it has no rational dtype and the contracts demand bit-exact
 equality.
+
+Compiled automata are mostly 0/1, and rat returns the shared ZERO and ONE
+for 0 and 1.  So a product below whose factor is ONE, tested by identity,
+is the other factor, and each sum starts from its first term: neither a
+product by 1 nor a sum with 0 costs a rational operation.
 """
 
-from .rational import ZERO, as_list, format_rat, nonzero_rats, rat
+from .rational import ONE, ZERO, as_list, format_rat, nonzero_rats, rat
 
 # what a file in the dense layout of earlier versions is told
 LAYOUT = ("a matrix is a list of [row, col, value] entries; a file in the "
@@ -72,7 +77,8 @@ class SpMat:
                     target = out.rows.setdefault(base_r, {})
                     # (i, k, j, l) is the one source of entry (i*m+k, j*m+l)
                     for l, b in orow.items():
-                        target[j * m + l] = a * b
+                        target[j * m + l] = (b if a is ONE else a if b is ONE
+                                             else a * b)
         out._prune(list(out.rows))
         return out
 
@@ -93,19 +99,26 @@ class SpMat:
             if not row:
                 continue
             for j, a in row.items():
-                out[j] = out.get(j, ZERO) + x * a
+                y = x if a is ONE else a if x is ONE else x * a
+                out[j] = out[j] + y if j in out else y
         return {j: v for j, v in out.items() if v != 0}
 
     def matvec(self, v, rows):
         """Matrix times column vector, at the given rows only: v is a sparse
-        dict, result likewise; one product per stored entry of those rows."""
+        dict, result likewise; at most one product per stored entry of those
+        rows."""
         out = {}
         for i in rows:
             row = self.rows.get(i)
             if not row:
                 continue
-            x = sum((a * v[j] for j, a in row.items() if j in v), ZERO)
-            if x != 0:
+            x = None
+            for j, a in row.items():
+                y = v.get(j)
+                if y is not None:
+                    y = y if a is ONE else a if y is ONE else a * y
+                    x = y if x is None else x + y
+            if x is not None and x != 0:
                 out[i] = x
         return out
 
@@ -118,15 +131,16 @@ class SpMat:
     @classmethod
     def from_entries(cls, n, entries):
         """The n x n matrix of [row, col, value] entries, 0-based ints and a
-        rational string, as to_entries writes them; a value of "0" is
-        skipped uncoerced and exact zeros are dropped.  ValueError naming
-        the entry for anything else: a malformed entry, an index that is not
-        an int in 0..n-1, a repeated (row, col), a value that is not a
-        string (a number too: the int rows of a dense dim-3 matrix would
+        rational string, as to_entries writes them; each distinct value
+        string is parsed once, and exact zeros are dropped.  ValueError
+        naming the entry for anything else: a malformed entry, an index that
+        is not an int in 0..n-1, a repeated (row, col), a value that is not
+        a string (a number too: the int rows of a dense dim-3 matrix would
         read as entries) or that rat refuses."""
         out = cls(n)
         rows = out.rows
         zeros = set()
+        parsed = {}
         for entry in as_list(entries, "matrix entries"):
             if not (isinstance(entry, (list, tuple)) and len(entry) == 3):
                 raise ValueError(f"matrix entry {entry!r} is not a [row, col, "
@@ -145,23 +159,23 @@ class SpMat:
             if not isinstance(x, str):
                 raise ValueError(f"matrix entry {entry!r}: value {x!r} is "
                                  f"not a rational string; {LAYOUT}")
-            if x == "0":
-                x = ZERO
-            else:
+            y = parsed.get(x)
+            if y is None:
                 try:
-                    x = rat(x)
+                    y = parsed[x] = rat(x)
                 except (TypeError, ValueError) as e:
                     raise ValueError(f"matrix entry {entry!r}: {e}") from None
-            row[j] = x
-            if x == 0:
+            row[j] = y
+            # rat reads every zero string as the shared ZERO
+            if y is ZERO:
                 zeros.add(i)
         out._prune(zeros)
         return out
 
     @classmethod
     def from_dense(cls, rows):
-        """The matrix of dense rows read by nonzero_rats, at one rat per
-        entry that is not the literal "0".  TypeError for a row that is not
+        """The matrix of dense rows read by nonzero_rats, which parses each
+        distinct string of a row once.  TypeError for a row that is not
         a list or tuple, ValueError unless the matrix is square."""
         rows = [(nonzero_rats(row), len(row)) for row in rows]
         n = len(rows)

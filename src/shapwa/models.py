@@ -35,7 +35,8 @@ def _domain(domain):
 
 
 def _check_n(n):
-    if not isinstance(n, int) or n < 0:
+    # a bool is an int to isinstance, so True would read as n = 1
+    if type(n) is not int or n < 0:
         raise ValueError(f"n must be a non-negative integer, not {n!r}")
 
 
@@ -115,7 +116,7 @@ class DecisionTree:
                 raise ValueError("leaf without a label")
             node.leaf = rat(node.leaf)
             return
-        if not (isinstance(node.feature, int) and 1 <= node.feature <= self.n):
+        if not (type(node.feature) is int and 1 <= node.feature <= self.n):
             raise ValueError(f"feature {node.feature} out of range")
         if node.feature in seen:
             raise ValueError(f"feature {node.feature} repeats on a path")

@@ -19,26 +19,29 @@ ONE = Rat(1)
 
 def rat(x) -> "Rat":
     """Coerce an int, string or rational to Rat; a Rat is returned as it
-    is, not copied; a float or a bool is refused with TypeError.  A string
-    must be what format_rat writes: an optional "-", ASCII digits, and an
-    optional "/" followed by ASCII digits that are not all 0.  Anything
-    else, such as "1.5", "1e9", "+1", " 1", "1_0" or a non-ASCII digit, is
-    refused with ValueError, as is a part longer than int reads (4,300
-    digits by default)."""
+    is, not copied; a float or a bool is refused with TypeError.  Any other
+    value equal to 0 or 1 comes back as the shared ZERO or ONE, which the
+    kernels test by identity to skip a product by 1 or a sum with 0.  A
+    string must be what format_rat writes: an optional "-", ASCII digits,
+    and an optional "/" followed by ASCII digits that are not all 0.
+    Anything else, such as "1.5", "1e9", "+1", " 1", "1_0" or a non-ASCII
+    digit, is refused with ValueError, as is a part longer than int reads
+    (4,300 digits by default)."""
     if isinstance(x, Rat):
         return x
     if isinstance(x, (float, bool)):
         raise TypeError(f"not an exact rational: {x!r}")
     if not isinstance(x, str):
-        return Rat(x)
+        x = Rat(x)
+        return ZERO if x == 0 else ONE if x == 1 else x
     num, slash, den = x.partition("/")
     if not (_digits(num[1:] if num[:1] == "-" else num)
             and (not slash or _digits(den))):
         raise ValueError(f"not a rational p or p/q: {x!r}")
-    q = int(den) if slash else 1
+    p, q = int(num), int(den) if slash else 1
     if not q:
         raise ValueError(f"zero denominator: {x!r}")
-    return Rat(int(num), q)
+    return ZERO if not p else ONE if p == q else Rat(p, q)
 
 
 def _digits(s):
@@ -61,18 +64,27 @@ def rats(values) -> list:
 
 
 def nonzero_rats(values) -> dict:
-    """{index: rat(x)} of the nonzero elements of what rats accepts.  The
-    literal "0", which format_rat writes for zero, is skipped uncoerced, so
-    a mostly-zero row costs one rat per other element; every other element,
-    a float or bool in a zero's place included, is checked as rats does."""
-    out = {}
+    """{index: rat(x)} of the nonzero elements of what rats accepts, with
+    each distinct string parsed once; every element, a float or bool in a
+    zero's place included, is checked as rats does."""
+    out, parsed = {}, {}
     for j, x in enumerate(as_list(values)):
-        if isinstance(x, str) and x == "0":
-            continue
-        x = rat(x)
-        if x != 0:
-            out[j] = x
+        if isinstance(x, str):
+            y = parsed.get(x)
+            if y is None:
+                y = parsed[x] = rat(x)
+        else:
+            y = rat(x)
+        if y != 0:
+            out[j] = y
     return out
+
+
+def total(terms):
+    """The sum of terms, ZERO when there are none; the sum starts from the
+    first term, so it makes no addition of ZERO."""
+    terms = iter(terms)
+    return sum(terms, next(terms, ZERO))
 
 
 def format_rat(x) -> str:

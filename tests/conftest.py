@@ -1,0 +1,40 @@
+from fractions import Fraction
+
+import pytest
+
+from shapwa.rational import Rat
+
+# the Fraction methods counted as one product or one sum each
+PRODUCTS = ("__mul__", "__rmul__")
+SUMS = ("__add__", "__radd__", "__sub__", "__rsub__")
+
+
+class FractionOps:
+    """Fraction products and sums made since the last take()."""
+
+    def __init__(self):
+        self.products = self.sums = 0
+
+    def take(self):
+        """(products, sums) since the last call, or since counting began."""
+        counts = self.products, self.sums
+        self.products = self.sums = 0
+        return counts
+
+
+@pytest.fixture
+def fraction_ops(monkeypatch):
+    """Count every product and sum of the stdlib Fraction for the rest of
+    the test.  Skips under gmpy2's mpq, which computes in C, where the
+    calls cannot be counted."""
+    if Rat is not Fraction:
+        pytest.skip("counts calls of the stdlib Fraction's methods; gmpy2's "
+                    "mpq computes in C, where the calls cannot be counted")
+    ops = FractionOps()
+    for names, attr in ((PRODUCTS, "products"), (SUMS, "sums")):
+        for name in names:
+            def counted(a, b, real=getattr(Fraction, name), attr=attr):
+                setattr(ops, attr, getattr(ops, attr) + 1)
+                return real(a, b)
+            monkeypatch.setattr(Fraction, name, counted)
+    return ops

@@ -692,6 +692,9 @@ MALFORMED = {
     "sigmoid-gain-nan": ("sigmoid", {**SIGMOID, "gain": "nan"}),
     "sigmoid-gain-bool": ("sigmoid", {**SIGMOID, "gain": True}),
     "sigmoid-gain-huge": ("sigmoid", {**SIGMOID, "gain": 10 ** 400}),
+    # a bool where a feature index belongs
+    "dt-bool-feature": ("dt", {"n": 2, "domain": B, "root": {
+        "feature": True, "children": {"0": {"leaf": "0"}, "1": {"leaf": "1"}}}}),
     # a float or a bool where a rational belongs, in each kind of file
     "dt-bool-leaf": ("dt", {"n": 2, "domain": B, "root": {
         "feature": 1, "children": {"0": {"leaf": "0"}, "1": {"leaf": True}}}}),
@@ -1036,6 +1039,36 @@ def test_convert_vote_ensemble_refused(capsys, tmp_path):
                            "--output", str(tmp_path / "e.wa.json")])
     assert code == 3
     assert not (tmp_path / "e.wa.json").exists()  # no partial output
+
+
+def test_convert_writes_no_rational_that_shap_cannot_read(capsys, tmp_path):
+    # weight 10^3000 times leaf 10^3000 compiles to a 6,001-digit entry,
+    # above the 4,300 digits int reads: shap would refuse the file, so
+    # convert exits 4 and writes nothing; at 10^2000 the 4,001-digit entry
+    # converts and reads back
+    for exponent, code in ((3000, 4), (2000, 0)):
+        big = "1" + "0" * exponent
+        tree = DecisionTree(DTNode(feature=1, children={
+            "0": DTNode(leaf=ZERO), "1": DTNode(leaf=big)}), 1, B)
+        src = write_json(tmp_path / "e.json", {
+            "type": "ensemble",
+            "payload": ensemble_to_json(TreeEnsemble([tree], [big],
+                                                     "regression"))})
+        out = tmp_path / "e.wa.json"
+        got = cli.main(["convert", "--from", "ens-r", "--input", src,
+                        "--output", str(out)])
+        err = capsys.readouterr().err
+        assert got == code, exponent
+        if code:
+            assert "6001 digits" in err
+            assert not out.exists()
+        else:
+            got, printed = run(capsys, [
+                "shap", "--scope", "local", "--variant", "baseline",
+                "--model", str(out), "--input", "1", "--reference", "0",
+                "--feature", "1"])
+            assert got == 0
+            assert json.loads(printed)["value"] == "1" + "0" * 4000
 
 
 @pytest.mark.parametrize("source, flags", [

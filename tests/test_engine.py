@@ -1,7 +1,6 @@
 import ast
 import tracemalloc
-from fractions import Fraction
-from itertools import product
+from itertools import count, product
 from pathlib import Path
 
 import pytest
@@ -13,7 +12,7 @@ from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
                            shap, shap_all)
 from shapwa.frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
                               hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
-from shapwa.hmm import Hmm, uniform_hmm
+from shapwa.hmm import Hmm, hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
 from shapwa.oracle import (ZeroProbabilityEvent, shap_oracle_all,
@@ -23,7 +22,8 @@ from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
                             rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
                             rng_for)
 from shapwa.rational import Rat, ZERO, ONE
-from shapwa.wa import NAlphabetWA, add, eval_wa, pi1, project, sub
+from shapwa.wa import (NAlphabetWA, add, eval_wa, pi1, project, sub,
+                       wa_from_json, wa_to_json)
 
 B = ("0", "1")
 
@@ -320,34 +320,16 @@ def test_unreachable_states_cost_nothing(monkeypatch):
         assert dead_cost == cost
 
 
-@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
-                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
-                    "the calls cannot be counted")
-def test_unreachable_states_make_no_products(monkeypatch):
+def test_unreachable_states_make_no_products(fraction_ops):
     # P and Q are built only at reachable joint states, and so is beta;
     # built as full Kronecker sums, the first side made 1,154 products
     # without the dead block and 6,540 with it
-    made = [0]
-
-    def mul(a, b, product=Fraction.__mul__):
-        made[0] += 1
-        return product(a, b)
-
-    monkeypatch.setattr(Fraction, "__mul__", mul)
-
-    def total():
-        count, made[0] = made[0], 0
-        return count
-
-    costs = cost_with_and_without_dead_block(total)
+    costs = cost_with_and_without_dead_block(lambda: fraction_ops.take()[0])
     assert all(dead_cost == cost for cost, dead_cost in costs), costs
     assert costs[0][0] <= 1154
 
 
-@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
-                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
-                    "the calls cannot be counted")
-def test_emp_states_live_at_a_position_are_its_prefixes(monkeypatch):
+def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
     # one state per distinct row is reached at position j only as the first
     # row of a prefix of length j, so the pass makes the products it made
     # when the compiler gave each prefix a state of its own (121 HMM states);
@@ -357,45 +339,87 @@ def test_emp_states_live_at_a_position_are_its_prefixes(monkeypatch):
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
     assert D.dim == 6 * 6 + 1
     f = rand_wa(rng_for(38), 3, B)
-    made = [0]
-
-    def mul(a, b, product=Fraction.__mul__):
-        made[0] += 1
-        return product(a, b)
-
     counts = []
     for inner, outer in sides(D, "01101", "10011"):
-        made[0] = 0
-        with monkeypatch.context() as m:
-            m.setattr(Fraction, "__mul__", mul)
-            shap_all.__wrapped__(f, 5, inner, outer)
-        counts.append(made[0])
-    assert counts == [1873, 336, 8068, 1912]
+        fraction_ops.take()
+        shap_all.__wrapped__(f, 5, inner, outer)
+        counts.append(fraction_ops.take()[0])
+    assert counts == [1801, 282, 7896, 1840]
 
 
-@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
-                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
-                    "the calls cannot be counted")
-def test_one_side_twice_is_free_but_checked(monkeypatch):
-    # one object on both sides answers zeros without a product or a matrix
-    # read, after the same query checks as any other call
+def compiled_dt_and_emp():
+    """(f, D, x, ref): a depth-3 tree and a 4-row dataset over 6 features,
+    compiled and read back through the file codecs, as `shap` reads them."""
+    rng = rng_for(70)
+    f = wa_from_json(wa_to_json(dt_to_wa(rand_dt(rng, 6, B, 3))))
+    D = hmm_from_json(hmm_to_json(hmmvec_to_hmm(emp_to_hmmvec(
+        rand_dataset(rng, 6, 4)))))
+    return f, D, "011010", "110001"
+
+
+def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
+        fraction_ops):
+    # every entry of the compiled tree reads back as the shared ONE, so the
+    # local interventional and baseline passes make (products, sums)
+    # (330, 261) and (88, 47) when each product by 1 and each sum with 0 is
+    # made, and these when none is
+    f, D, x, ref = compiled_dt_and_emp()
+    counts = []
+    for inner in (D, ref):
+        fraction_ops.take()
+        shap(f, 6, inner, x)
+        counts.append(fraction_ops.take())
+    assert counts == [(37, 61), (3, 5)]
+
+
+def split_ones(A):
+    """A copy of automaton A in which every other value equal to 1 is a
+    fresh Rat(1), equal to the shared ONE but not ONE itself."""
+    flip = count()
+
+    def fresh(x):
+        return Rat(1) if x == 1 and next(flip) % 2 else x
+
+    trans = {key: SpMat(m.n, {i: {j: fresh(v) for j, v in row.items()}
+                              for i, row in m.rows.items()})
+             for key, m in A.transitions.items()}
+    return NAlphabetWA(A.alphabets, [fresh(x) for x in A.alpha], trans,
+                       [fresh(x) for x in A.beta])
+
+
+def test_a_one_that_is_not_the_shared_one_answers_alike():
+    # the kernels skip a product by ONE by identity; a 1 that is another
+    # object is multiplied, and every answer is the same
+    f, D, x, ref = compiled_dt_and_emp()
+    f2, D2 = split_ones(f), Hmm(split_ones(D.wa))
+    values = [v for m in (*f2.transitions.values(), *D2.wa.transitions.values())
+              for row in m.rows.values() for v in row.values()]
+    assert any(v is ONE for v in values)
+    assert any(v == 1 and v is not ONE for v in values)
+    E = hmm_from_json(hmm_to_json(uniform_hmm(B)))
+    for variant, inner, outer in (("i", D2, x), ("b", ref, x), ("b", ref, D2),
+                                  ("i", E, D2)):
+        want = shap_oracle_all(variant, f2, 6, inner, outer)
+        assert shap(f2, 6, inner, outer) == want, (variant, inner, outer)
+        plain = [D if side is D2 else side for side in (inner, outer)]
+        assert shap(f, 6, *plain) == want, (variant, inner, outer)
+
+
+def test_one_side_twice_is_free_but_checked(monkeypatch, fraction_ops):
+    # one object on both sides answers zeros without a product, a sum or a
+    # matrix read, after the same query checks as any other call
     rng = rng_for(44)
     f, D = rand_wa(rng, 3, B), rand_hmm(rng, 2, B)
-    made, read = [0], []
-
-    def mul(a, b, product=Fraction.__mul__):
-        made[0] += 1
-        return product(a, b)
-
+    read = []
     with monkeypatch.context() as m:
-        m.setattr(Fraction, "__mul__", mul)
         for name in ("vecmat", "matvec"):
             def counted(self, v, *rest, product=getattr(SpMat, name)):
                 read.append(len(v))
                 return product(self, v, *rest)
             m.setattr(SpMat, name, counted)
+        fraction_ops.take()
         assert shap_all.__wrapped__(f, 4, D, D) == (ZERO,) * 4
-    assert (made[0], read) == (0, [])
+    assert (fraction_ops.take(), read) == ((0, 0), [])
     alien = uniform_hmm(("1", "a"))
     with pytest.raises(ValueError):
         shap_all.__wrapped__(f, 2, alien, alien)
@@ -806,9 +830,10 @@ def _malformed_query(case):
     if case == "tabular-distribution-n":
         ind = rand_ind(rng, 3)
         return f, 2, [(ind, "01"), ("01", ind), (ind, ind)]
-    if case in ("negative-n", "float-n"):
+    if case in ("negative-n", "float-n", "bool-n"):
         E = rand_hmm(rng, 2, B)
-        return f, -1 if case == "negative-n" else 2.0, [(D, D), (E, D)]
+        n = {"negative-n": -1, "float-n": 2.0, "bool-n": True}[case]
+        return f, n, [(D, D), (E, D)]
     two_tapes = NAlphabetWA([B, B], [ONE], {}, [ONE])
     return two_tapes, 2, [("00", "01"), (D, "01"), ("01", D), (D, D)]
 
@@ -839,6 +864,7 @@ REFUSERS = {
     # input word, so the sides are distributions)
     "negative-n": N_ENTRIES,
     "float-n": N_ENTRIES,
+    "bool-n": N_ENTRIES,
     # a feature that is not an int in 1..n; the other entries answer
     "feature-out-of-range": ONE_FEATURE,
     "float-feature": ONE_FEATURE,
@@ -873,6 +899,13 @@ def test_every_entry_refuses_a_malformed_query_alike(case):
     for name, types in refused.items():
         one_feature = case in FEATURE_FAULTS and name in ONE_FEATURE
         assert types == {IndexError if one_feature else ValueError}, raised
+
+
+def test_a_bool_n_is_refused():
+    # True is an int to isinstance; read as n = 1 it would answer
+    f, D = and_wa(), uniform_hmm(B)
+    with pytest.raises(ValueError):
+        shap(f, True, D, "1")
 
 
 def test_global_interventional_shap_holds_nothing_n_long():

@@ -1,7 +1,6 @@
 import ast
 import time
 from collections import Counter
-from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
@@ -291,25 +290,17 @@ def test_many_queries_answer_one_call_each():
     assert 0 < raised < 20, raised
 
 
-@pytest.mark.skipif(Rat is not Fraction, reason="counts calls of the stdlib "
-                    "Fraction.__mul__; gmpy2's mpq multiplies in C, where "
-                    "the calls cannot be counted")
 def test_two_distribution_query_makes_one_product_per_letter_pair(
-        monkeypatch):
+        fraction_ops):
     # V(S) sums the 2^|S| x 2^(n-|S|) pairs of marginal letters once:
     # about 2^n 2^n products, where a Shapley loop per input word makes 8^n
     rng = rng_for(67)
     f = rand_wa(rng, 3, B)
     D, E = rand_hmm(rng, 2, B), rand_hmm(rng, 2, B)
-    n, made = 6, [0]
-
-    def mul(a, b, product=Fraction.__mul__):
-        made[0] += 1
-        return product(a, b)
-
-    monkeypatch.setattr(Fraction, "__mul__", mul)
+    n = 6
+    fraction_ops.take()
     shap_oracle_global("i", f, 1, n, D, E)
-    assert made[0] <= 3 * 2 ** n * 2 ** n
+    assert fraction_ops.take()[0] <= 3 * 2 ** n * 2 ** n
 
 
 def verify_queries(D, w, w_ref):

@@ -1,12 +1,13 @@
 import pytest
 
+from shapwa import rational
 from shapwa.hmm import Hmm
 from shapwa.linalg import SpMat
 from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
 from shapwa.rational import (ONE, Rat, ZERO, format_rat, nonzero_rats, rat,
-                             rats)
+                             rats, total)
 from shapwa.wa import NAlphabetWA
 
 
@@ -46,6 +47,33 @@ def test_a_rat_is_returned_as_it_is():
         assert rat(x) is x
     x = Rat(5, 9)
     assert all(y is x for y in rats([x, x]))
+
+
+def test_zero_and_one_come_back_shared():
+    # the kernels skip a product by ONE and a sum with ZERO by identity
+    for x in ("0", "-0", "0/7", "00", 0):
+        assert rat(x) is ZERO, x
+    for x in ("1", "01", "3/3", 1):
+        assert rat(x) is ONE, x
+    assert rat("-1") == -1 and rat("2/3") == Rat(2, 3)
+
+
+def test_nonzero_rats_parses_each_distinct_string_once(monkeypatch):
+    calls = []
+    real = rational.rat
+    monkeypatch.setattr(rational, "rat", lambda x: calls.append(x) or real(x))
+    assert nonzero_rats(["1/2", "0", "1/2", "1", "0", "1"]) == \
+        {0: Rat(1, 2), 2: Rat(1, 2), 3: ONE, 5: ONE}
+    assert sorted(calls) == ["0", "1", "1/2"]
+
+
+def test_total_starts_from_its_first_term(fraction_ops):
+    x = Rat(1, 3)
+    assert total([]) is ZERO
+    assert total(iter([x])) is x
+    fraction_ops.take()
+    assert total(x for _ in range(3)) == 1
+    assert fraction_ops.take() == (0, 2)
 
 
 def test_floats_rejected():
