@@ -131,16 +131,12 @@ def hmmvec_to_hmm(m):
     n, domain = m.n, m.domain
     width = range(len(m.alpha))
     u = Rat(1, len(domain))
-    edges = {}
-    for si, sym in enumerate(domain):
+    edges = {((j, s), (sym,), (j + 1, t)): x
+             for j, layer in enumerate(m.layers)
+             for sym, mat in layer.items()
+             for s, row in mat.rows.items() for t, x in row.items()}
+    for sym in domain:
         key = (sym,)
-        for j in range(n):
-            T, O = m.transitions[j], m.emissions[j]
-            for s in width:
-                for t in width:
-                    v = T[s][t] * O[t][si]
-                    if v != 0:
-                        edges[(j, s), key, (j + 1, t)] = v
         for s in width:
             edges[(n, s), key, "end"] = u
         edges["end", key, "end"] = u

@@ -8,8 +8,8 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ONE, as_list, format_rat, rats, total
-from .wa import NAlphabetWA, eval_wa, vector_from_json, wa_from_parts
+from .rational import Rat, ONE, as_list, check_law, format_rat, rats
+from .wa import NAlphabetWA, eval_wa, wa_from_parts
 
 
 class Hmm:
@@ -36,17 +36,11 @@ class Hmm:
         """Build from <alpha, T, O>: A_sigma = T * Diag(O[:, sigma])."""
         alphabet = tuple(alphabet)
         alpha = rats(alpha)
-        transition = [rats(row) for row in transition]
-        emission = [rats(row) for row in emission]
-        dim, k = len(alpha), len(alphabet)
-        if len(transition) != dim or any(len(r) != dim for r in transition):
-            raise ValueError(f"the transition matrix is not {dim} x {dim}")
-        if len(emission) != dim or any(len(r) != k for r in emission):
-            raise ValueError(f"the emission matrix is not {dim} x {k}")
-        states = range(dim)
-        edges = {(i, (sigma,), j): transition[i][j] * emission[j][s]
-                 for s, sigma in enumerate(alphabet)
-                 for i in states for j in states}
+        mats = symbol_matrices(len(alpha), [rats(row) for row in transition],
+                               [rats(row) for row in emission], alphabet)
+        states = range(len(alpha))
+        edges = {(i, (sigma,), j): x for sigma, mat in mats.items()
+                 for i, row in mat.rows.items() for j, x in row.items()}
         return cls(wa_from_parts([alphabet], states, dict(enumerate(alpha)),
                                  edges, dict.fromkeys(states, ONE)))
 
@@ -54,21 +48,41 @@ class Hmm:
         return eval_wa(self.wa, (w,))
 
 
+def symbol_matrices(dim, transition, emission, alphabet):
+    """{sigma: T * Diag(O[:, sigma])} as SpMats, from the dim x dim rows T
+    and the dim x len(alphabet) rows O, each a list of rationals; zeros are
+    dropped, and a factor that is the shared ONE makes no product.
+    ValueError unless the sizes agree and every row of T and O is a law."""
+    k = len(alphabet)
+    if len(transition) != dim or any(len(r) != dim for r in transition):
+        raise ValueError(f"the transition matrix is not {dim} x {dim}")
+    if len(emission) != dim or any(len(r) != k for r in emission):
+        raise ValueError(f"the emission matrix is not {dim} x {k}")
+    for what, rows in (("a transition row", transition),
+                       ("an emission row", emission)):
+        for row in rows:
+            check_law(row, what)
+    emits = [[(sigma, o) for sigma, o in zip(alphabet, row) if o]
+             for row in emission]
+    mats = {sigma: SpMat(dim) for sigma in alphabet}
+    for i, row in enumerate(transition):
+        for j, t in enumerate(row):
+            for sigma, o in emits[j] if t else ():
+                mats[sigma].rows.setdefault(i, {})[j] = (
+                    o if t is ONE else t if o is ONE else t * o)
+    return mats
+
+
 def _check_stochastic(wa):
-    """ValueError unless alpha is a distribution and the per-symbol
-    matrices sum to a row-stochastic matrix; each sum starts from its first
-    term."""
-    if total(x for x in wa.alpha if x) != 1 or any(x < 0 for x in wa.alpha):
-        raise ValueError("initial vector is not a distribution")
-    row_sums = {}
+    """ValueError unless alpha and each row of the per-symbol matrices'
+    sum are laws."""
+    check_law(wa.alpha, "initial vector")
+    rows = {i: [] for i in range(wa.dim)}
     for mat in wa.transitions.values():
         for i, row in mat.rows.items():
-            for v in row.values():
-                if v < 0:
-                    raise ValueError("negative transition weight")
-                row_sums[i] = row_sums[i] + v if i in row_sums else v
-    if len(row_sums) < wa.dim or any(s != 1 for s in row_sums.values()):
-        raise ValueError("per-symbol matrices do not sum to a stochastic matrix")
+            rows[i] += row.values()
+    for values in rows.values():
+        check_law(values, "a row of the per-symbol matrices' sum")
 
 
 def uniform_hmm(alphabet):
@@ -100,7 +114,7 @@ def hmm_from_json(obj):
     if "matrices" in obj:
         if not set(obj["matrices"]) <= set(alphabet):
             raise ValueError("a matrices key is outside the alphabet")
-        alpha = vector_from_json(obj["alpha"])
+        alpha = rats(obj["alpha"])
         trans = {(sym,): SpMat.from_entries(len(alpha), obj["matrices"][sym])
                  for sym in alphabet}
         return Hmm(NAlphabetWA([alphabet], alpha, trans, [ONE] * len(alpha)))

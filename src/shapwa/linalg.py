@@ -12,7 +12,7 @@ is the other factor, and each sum starts from its first term: neither a
 product by 1 nor a sum with 0 costs a rational operation.
 """
 
-from .rational import ONE, ZERO, as_list, format_rat, nonzero_rats, rat
+from .rational import ONE, ZERO, as_list, format_rat, rat, rats
 
 # what a file in the dense layout of earlier versions is told
 LAYOUT = ("a matrix is a list of [row, col, value] entries; a file in the "
@@ -174,18 +174,14 @@ class SpMat:
 
     @classmethod
     def from_dense(cls, rows):
-        """The matrix of dense rows read by nonzero_rats, which parses each
-        distinct string of a row once.  TypeError for a row that is not
-        a list or tuple, ValueError unless the matrix is square."""
-        rows = [(nonzero_rats(row), len(row)) for row in rows]
-        n = len(rows)
-        out = cls(n)
-        for i, (row, length) in enumerate(rows):
-            if length != n:
-                raise ValueError("matrix is not square")
-            if row:
-                out.rows[i] = row
-        return out
+        """The matrix of dense rows read by rats, with exact zeros dropped.
+        TypeError for a row that is not a list or tuple, ValueError unless
+        the matrix is square."""
+        rows = [rats(row) for row in rows]
+        if any(len(row) != len(rows) for row in rows):
+            raise ValueError("matrix is not square")
+        return cls(len(rows), {i: {j: x for j, x in enumerate(row) if x}
+                               for i, row in enumerate(rows) if any(row)})
 
     def __eq__(self, other):
         if not isinstance(other, SpMat):

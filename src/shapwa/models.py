@@ -14,7 +14,9 @@ import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
 
-from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
+from .hmm import symbol_matrices
+from .rational import (Rat, ZERO, ONE, as_list, check_law, format_rat, rat,
+                       rats, total)
 
 
 def step(x):
@@ -47,8 +49,7 @@ def _check_law(probs, what, domain):
     if alien:
         raise ValueError(f"{what} has symbols {sorted(alien, key=str)} "
                          f"outside the domain {list(domain)}")
-    if sum(probs.values(), ZERO) != 1 or any(p < 0 for p in probs.values()):
-        raise ValueError(f"{what} is not a distribution")
+    check_law(probs.values(), what)
 
 
 def symbols(side):
@@ -229,37 +230,31 @@ class HmmVec:
             raise ValueError("one transition/emission matrix per position")
         self.domain = _domain(self.domain)
         self.alpha = rats(self.alpha)
+        check_law(self.alpha, "alpha")
         self.transitions = [[rats(row) for row in m]
                             for m in self.transitions]
         self.emissions = [[rats(row) for row in m] for m in self.emissions]
-        if sum(self.alpha) != 1 or any(x < 0 for x in self.alpha):
-            raise ValueError("alpha is not a distribution")
-        dim, k = len(self.alpha), len(self.domain)
-        for T, O in zip(self.transitions, self.emissions):
-            if len(T) != dim or any(len(row) != dim for row in T):
-                raise ValueError(f"a transition matrix is not {dim} x {dim}")
-            if len(O) != dim or any(len(row) != k for row in O):
-                raise ValueError(f"an emission matrix is not {dim} x {k}")
-        for m in self.transitions + self.emissions:
-            for row in m:
-                if sum(row) != 1 or any(v < 0 for v in row):
-                    raise ValueError("non-stochastic row")
+        # each position's {symbol: T_j Diag(O_j[:, symbol])}, not a field
+        self.layers = [symbol_matrices(len(self.alpha), T, O, self.domain)
+                       for T, O in zip(self.transitions, self.emissions)]
 
     @property
     def n(self):
         return len(self.pi)
 
     def prob(self, x):
-        """P(x) = alpha^T prod_j T_j Diag(O_j[:, x_{pi(j)}]) 1."""
-        v = list(self.alpha)
-        dim = len(v)
-        for j in range(self.n):
-            sym = x[self.pi[j] - 1]
-            s = self.domain.index(sym)
-            T, O = self.transitions[j], self.emissions[j]
-            v = [sum(v[a] * T[a][b] for a in range(dim)) * O[b][s]
-                 for b in range(dim)]
-        return sum(v, ZERO)
+        """P(x) = alpha^T prod_j T_j Diag(O_j[:, x_{pi(j)}]) 1, over the
+        sparse rows of each position's symbol matrix."""
+        v = {a: p for a, p in enumerate(self.alpha) if p}
+        for j, layer in zip(self.pi, self.layers):
+            rows = layer[x[j - 1]].rows
+            out = {}
+            for a, p in v.items():
+                for b, t in rows.get(a, {}).items():
+                    y = p * t
+                    out[b] = out[b] + y if b in out else y
+            v = out
+        return total(v.values())
 
 
 @dataclass
@@ -353,9 +348,7 @@ class NaiveBayes:
         self.prior = {y: rat(p) for y, p in self.prior.items()}
         self.tables = [{y: {d: rat(p) for d, p in row.items()}
                         for y, row in t.items()} for t in self.tables]
-        if (sum(self.prior.values(), ZERO) != 1
-                or any(p < 0 for p in self.prior.values())):
-            raise ValueError("prior is not a distribution")
+        check_law(self.prior.values(), "prior")
         for t in self.tables:
             if set(t) != set(self.prior):
                 raise ValueError("each table needs one row per class")
@@ -405,20 +398,30 @@ class RnnRelu:
                (self.W, self.out, *self.W, *self.emb.values())):
             raise ValueError(f"W, the embeddings and the output must match "
                              f"the hidden dimension {dim}")
-        # the sparse rows of W, built once
-        self._rows = [[(b, x) for b, x in enumerate(row) if x != 0]
-                      for row in self.W]
+        # the sparse rows of W and of the output, built once
+        *self._rows, self._out = [[(b, x) for b, x in enumerate(row) if x]
+                                  for row in (*self.W, self.out)]
 
     def hidden(self, w):
         h = list(self.h_init)
         for sym in w:
-            h = [max(ZERO, sum((x * h[b] for b, x in row), ZERO) + v)
+            h = [max(ZERO, _affine(row, h, v))
                  for row, v in zip(self._rows, self.emb[sym])]
         return h
 
     def evaluate(self, w):
-        h = self.hidden(w)
-        return Rat(step(sum(o * x for o, x in zip(self.out, h))))
+        return Rat(step(_affine(self._out, self.hidden(w))))
+
+
+def _affine(row, h, v=ZERO):
+    """sum over the sparse row's (b, x) of x * h[b], plus v; a unit equal
+    to 0 is skipped, a factor that is the shared ONE makes no product, and
+    the sum starts from its first term."""
+    terms = [y if x is ONE else x if y is ONE else x * y
+             for b, x in row if (y := h[b])]
+    if v:
+        terms.append(v)
+    return total(terms)
 
 
 @dataclass

@@ -58,26 +58,12 @@ def as_list(values, what="rationals"):
 
 
 def rats(values) -> list:
-    """rat of each element of a list or tuple; anything else, a string
-    included, is refused with TypeError."""
-    return [rat(x) for x in as_list(values)]
-
-
-def nonzero_rats(values) -> dict:
-    """{index: rat(x)} of the nonzero elements of what rats accepts, with
-    each distinct string parsed once; every element, a float or bool in a
-    zero's place included, is checked as rats does."""
-    out, parsed = {}, {}
-    for j, x in enumerate(as_list(values)):
-        if isinstance(x, str):
-            y = parsed.get(x)
-            if y is None:
-                y = parsed[x] = rat(x)
-        else:
-            y = rat(x)
-        if y != 0:
-            out[j] = y
-    return out
+    """rat of each element of a list or tuple, with each distinct string
+    parsed once; anything else, a string included, is refused with
+    TypeError."""
+    parsed = {}
+    return [(parsed[x] if x in parsed else parsed.setdefault(x, rat(x)))
+            if isinstance(x, str) else rat(x) for x in as_list(values)]
 
 
 def total(terms):
@@ -85,6 +71,14 @@ def total(terms):
     first term, so it makes no addition of ZERO."""
     terms = iter(terms)
     return sum(terms, next(terms, ZERO))
+
+
+def check_law(values, what):
+    """ValueError unless values is a probability law: no value negative,
+    and the nonzero values sum to 1."""
+    values = [x for x in values if x]
+    if any(x < 0 for x in values) or total(values) != 1:
+        raise ValueError(f"{what} is not a distribution")
 
 
 def format_rat(x) -> str:

@@ -20,8 +20,7 @@ from its parts by wa_from_parts, the one place that numbers states.
 from itertools import product
 
 from .linalg import SpMat, vec_to_sparse
-from .rational import (Rat, ZERO, ONE, as_list, format_rat, nonzero_rats, rat,
-                       rats)
+from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
 
 
 class NAlphabetWA:
@@ -328,13 +327,6 @@ def wa_to_json(A):
     }
 
 
-def vector_from_json(values):
-    """A dense vector of rationals read by nonzero_rats: a "0" costs a
-    string compare."""
-    nonzero = nonzero_rats(values)
-    return [nonzero.get(j, ZERO) for j in range(len(values))]
-
-
 def wa_from_json(obj):
     alphabets = [list(as_list(ab, "symbols"))
                  for ab in as_list(obj["alphabets"], "alphabets")]
@@ -342,7 +334,7 @@ def wa_from_json(obj):
         for s in ab:
             if "," in s:
                 raise ValueError("symbols may not contain ','")
-    alpha = vector_from_json(obj["alpha"])
+    alpha = rats(obj["alpha"])
     trans = {tuple(key.split(",")): SpMat.from_entries(len(alpha), entries)
              for key, entries in obj.get("transitions", {}).items()}
-    return NAlphabetWA(alphabets, alpha, trans, vector_from_json(obj["beta"]))
+    return NAlphabetWA(alphabets, alpha, trans, rats(obj["beta"]))

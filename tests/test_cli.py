@@ -640,6 +640,16 @@ MALFORMED = {
     "hmm-extra-rows": ("hmm", {"alphabet": B, "alpha": ["1"],
                                "transition": [["1"], ["1"]],
                                "emission": [["1/2", "1/2"]] * 2}),
+    # emission rows that are not laws, though each row of T * (O 1) sums
+    # to 1: both forms of the parameters are read by one check
+    "hmm-emission-rows-not-laws": ("hmm", {
+        "alphabet": B, "alpha": ["1", "0"],
+        "transition": [["1/2", "1/2"]] * 2,
+        "emission": [["1", "1"], ["0", "0"]]}),
+    "hmmvec-emission-rows-not-laws": ("hmmvec", {
+        "pi": [1, 2], "alpha": ["1", "0"],
+        "transitions": [[["1/2", "1/2"]] * 2] * 2,
+        "emissions": [[["1", "1"], ["0", "0"]]] * 2, "domain": B}),
     # probability keys outside the domain
     "ind-alien-symbol": ("ind", {**IND, "marginals": [ALIEN, HALF]}),
     "nb-alien-symbol": ("nb", {"prior": {"c": "1"},

@@ -2,6 +2,7 @@ from itertools import permutations, product
 
 import pytest
 
+from shapwa import linalg
 from shapwa.frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
                               feature_order, hmmvec_to_hmm, ind_to_hmmvec,
                               linear_to_wa, markov_to_hmm, nb_to_hmmvec,
@@ -182,6 +183,54 @@ def test_hmmvec_to_hmm():
         h2 = hmmvec_to_hmm(m)
         for x in words(n):
             assert h2.prefix_prob(x) == m.prob(x)
+
+
+def dense_prob(m, x):
+    """P(x) by the definition: the sum over hidden paths s_0 .. s_n of
+    alpha[s_0] * prod_j T_j[s_{j-1}][s_j] * O_j[s_j][x_{pi(j)}]."""
+    out = ZERO
+    for path in product(range(len(m.alpha)), repeat=m.n + 1):
+        p = m.alpha[path[0]]
+        for j in range(m.n):
+            s = m.domain.index(x[m.pi[j] - 1])
+            p *= (m.transitions[j][path[j]][path[j + 1]]
+                  * m.emissions[j][path[j + 1]][s])
+        out += p
+    return out
+
+
+def test_hmmvec_prob_is_the_dense_sum_over_hidden_paths():
+    rng = rng_for(62)
+    for order in ((1, 2, 3), (3, 1, 2)):
+        for m in (rand_hmmvec(rng, 3, 2, B, permute=True),
+                  emp_to_hmmvec(rand_dataset(rng, 3, 4), order),
+                  nb_to_hmmvec(rand_nb(rng, 3), order),
+                  ind_to_hmmvec(rand_ind(rng, 3), order)):
+            for x in words(3):
+                assert m.prob(x) == dense_prob(m, x), (m, x)
+
+
+def test_hmmvec_prob_calls_no_linalg_kernel(monkeypatch):
+    # the oracle evaluates an hmmvec through prob, and shares no kernel
+    m = emp_to_hmmvec(rand_dataset(rng_for(64), 3, 5))
+    expected = {x: m.prob(x) for x in words(3)}
+    for name, value in vars(linalg.SpMat).items():
+        if callable(value) or isinstance(value, classmethod):
+            monkeypatch.setattr(linalg.SpMat, name, None)
+    for x in words(3):
+        assert m.prob(x) == expected[x]
+
+
+def test_hmmvec_to_hmm_makes_no_rational_product(fraction_ops):
+    rng = rng_for(63)
+    for m in (rand_hmmvec(rng, 3, 2, B),
+              emp_to_hmmvec(rand_dataset(rng, 3, 5)),
+              nb_to_hmmvec(rand_nb(rng, 3))):
+        fraction_ops.take()
+        h = hmmvec_to_hmm(m)
+        assert fraction_ops.take()[0] == 0
+        for x in words(3):
+            assert h.prefix_prob(x) == m.prob(x)
 
 
 def test_ind_uniform():

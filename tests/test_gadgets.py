@@ -92,6 +92,17 @@ def test_rnn_simulates_game():
             assert f.evaluate(x) == g.value(S)
 
 
+def test_rnn_makes_no_sum_with_0_and_no_product_by_1(fraction_ops):
+    g = Wmg([2, 1, 1], 2)
+    f = wmg_to_rnnrelu(g)
+    fraction_ops.take()
+    for x in words(g.n):
+        S = {i + 1 for i, s in enumerate(x) if s == "1"}
+        assert f.evaluate(x) == g.value(S)
+    assert fraction_ops.trivial == 0
+    assert fraction_ops.take()[1] > 0
+
+
 def test_rnn_examples():
     g = Wmg([1, 1, 1], 2)
     f = wmg_to_rnnrelu(g)

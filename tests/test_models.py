@@ -208,6 +208,51 @@ def test_hmm_stochastic_check():
                           [[Rat(1, 2), Rat(1, 2)]] * 2, B)
 
 
+HALVES = [Rat(1, 2)] * 2
+# one table of malformed <alpha, T, O> over B, for Hmm.from_matrices and a
+# one-position HmmVec alike; in "emission-rows-not-laws" each row of T times
+# the row sums of O is 1, so only a check of O's own rows refuses it
+MALFORMED_PARAMETERS = {
+    "alpha-too-long": ([ONE, ZERO, ZERO], [HALVES] * 2, [HALVES] * 2),
+    "transition-rows-short": ([ONE, ZERO], [[ONE]] * 2, [HALVES] * 2),
+    "transition-row-missing": ([ONE, ZERO], [HALVES], [HALVES] * 2),
+    "emission-rows-long": ([ONE, ZERO], [HALVES] * 2, [HALVES + [ZERO]] * 2),
+    "emission-row-missing": ([ONE, ZERO], [HALVES] * 2, [HALVES]),
+    "negative-transition": ([ONE, ZERO], [[Rat(2), -ONE], HALVES],
+                            [HALVES] * 2),
+    "negative-emission": ([ONE, ZERO], [HALVES] * 2,
+                          [[Rat(3, 2), Rat(-1, 2)], HALVES]),
+    "transition-row-not-a-law": ([ONE, ZERO], [HALVES, [Rat(1, 2), ONE]],
+                                 [HALVES] * 2),
+    "emission-row-not-a-law": ([ONE, ZERO], [HALVES] * 2,
+                               [HALVES, [Rat(1, 3), ONE]]),
+    "emission-rows-not-laws": ([ONE, ZERO], [HALVES] * 2,
+                               [[ONE, ONE], [ZERO, ZERO]]),
+    "alpha-not-a-law": ([Rat(1, 2), Rat(1, 3)], [HALVES] * 2, [HALVES] * 2),
+    "alpha-negative": ([Rat(2), -ONE], [HALVES] * 2, [HALVES] * 2),
+}
+
+
+@pytest.mark.parametrize("alpha, transition, emission",
+                         MALFORMED_PARAMETERS.values(),
+                         ids=list(MALFORMED_PARAMETERS))
+def test_hmm_and_hmmvec_refuse_the_same_parameters(alpha, transition,
+                                                    emission):
+    with pytest.raises(ValueError):
+        Hmm.from_matrices(alpha, transition, emission, B)
+    with pytest.raises(ValueError):
+        HmmVec((1,), alpha, [transition], [emission], B)
+
+
+def test_hmm_and_hmmvec_read_the_same_parameters_alike():
+    alpha, transition, emission = [ONE, ZERO], [HALVES] * 2, [
+        [Rat(1, 3), Rat(2, 3)], [ONE, ZERO]]
+    h = Hmm.from_matrices(alpha, transition, emission, B)
+    v = HmmVec((1, 2), alpha, [transition] * 2, [emission] * 2, B)
+    for x in words(2):
+        assert h.prefix_prob(x) == v.prob(x)
+
+
 # ---------------------------------------------------------------------------
 # codecs
 

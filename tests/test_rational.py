@@ -6,8 +6,7 @@ from shapwa.linalg import SpMat
 from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
-from shapwa.rational import (ONE, Rat, ZERO, format_rat, nonzero_rats, rat,
-                             rats, total)
+from shapwa.rational import ONE, Rat, ZERO, format_rat, rat, rats, total
 from shapwa.wa import NAlphabetWA
 
 
@@ -58,12 +57,12 @@ def test_zero_and_one_come_back_shared():
     assert rat("-1") == -1 and rat("2/3") == Rat(2, 3)
 
 
-def test_nonzero_rats_parses_each_distinct_string_once(monkeypatch):
+def test_rats_parses_each_distinct_string_once(monkeypatch):
     calls = []
     real = rational.rat
     monkeypatch.setattr(rational, "rat", lambda x: calls.append(x) or real(x))
-    assert nonzero_rats(["1/2", "0", "1/2", "1", "0", "1"]) == \
-        {0: Rat(1, 2), 2: Rat(1, 2), 3: ONE, 5: ONE}
+    assert rats(["1/2", "0", "1/2", "1", "0", "1"]) == \
+        [Rat(1, 2), ZERO, Rat(1, 2), ONE, ZERO, ONE]
     assert sorted(calls) == ["0", "1", "1/2"]
 
 
@@ -87,16 +86,16 @@ def test_from_dense_drops_zero_strings():
     assert SpMat.from_dense([["0", "1/2"], ["0", "0"]]).nnz == 1
 
 
-def test_nonzero_rats_skips_only_the_zero_literal():
-    assert nonzero_rats(["0", "1/2", 0, "0/3", "-0", Rat(2)]) == \
-        {1: Rat(1, 2), 5: Rat(2)}
+def test_rats_checks_every_element_zeros_included():
+    assert rats(["0", "1/2", 0, "0/3", "-0", Rat(2)]) == \
+        [ZERO, Rat(1, 2), ZERO, ZERO, ZERO, Rat(2)]
     for bad in (0.0, False, None, "x"):
         with pytest.raises((TypeError, ValueError)):
-            nonzero_rats(["1", bad])
+            rats(["1", bad])
         with pytest.raises((TypeError, ValueError)):
             SpMat.from_dense([["1", bad], ["0", "1"]])
     with pytest.raises(TypeError):
-        nonzero_rats("10")
+        rats("10")
 
 
 B = ("0", "1")
