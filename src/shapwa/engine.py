@@ -46,13 +46,14 @@ product per term of its sum, a state out of reach nothing.
 No Rat operation is made whose result one operand decides.  `rat` reads
 every 0 and 1 of a file as the shared ZERO and ONE, and a compiled
 automaton is mostly 0/1: a word side is the unit layer, and every
-transition entry of a compiled tree is 1.  A product whose factor is ONE,
-tested by identity, is the other factor (in `_Step.fill`, `_kron_vec`,
-`_end_vec`, `_dot` and `SpMat.vecmat`/`matvec`), and every sum starts
-from its first term, never from ZERO.  A 1 that is another object is multiplied
-as any other value, to the same answer.  On a compiled depth-3 tree under
-a compiled 4-row dataset (n = 6), a local interventional pass makes 37
-Fraction products where it would make 330 without these two rules.
+transition entry of a compiled tree is 1 but those that carry its leaf
+values.  A product whose factor is ONE, tested by identity, is the other
+factor (in `_Step.fill`, `_kron_vec`, `_end_vec`, `_dot` and
+`SpMat.vecmat`/`matvec`), and every sum starts from its first term, never
+from ZERO.  A 1 that is another object is multiplied as any other value,
+to the same answer.  On a compiled depth-3 tree under a compiled 4-row
+dataset (n = 6), a local interventional pass makes 54 Fraction products
+where it would make 279 without these two rules.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at

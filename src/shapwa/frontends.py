@@ -1,11 +1,11 @@
 """Compilers from tabular models/distributions to automata.
 
-Models (decision trees, regression ensembles, linear models) become
-1-alphabet weighted automata; distribution families (empirical,
-independent, Markov, Naive Bayes, HmmVec) become HMMs or HmmVecs.
-A tabular input x is explained through its sequentialization
-x_{order(1)} ... x_{order(n)}; the same order must be applied to the
-model and the distribution (identity by default).
+Trees, regression ensembles and linear models are sums of weighted cubes
+and compile, through one prefix-sharing automaton, to 1-alphabet WAs;
+distribution families (empirical, independent, Markov, Naive Bayes,
+HmmVec) become HMMs or HmmVecs.  A tabular input x is explained through
+its sequentialization x_{order(1)} ... x_{order(n)}; the same order must
+be applied to the model and the distribution (identity by default).
 """
 
 from collections import Counter
@@ -14,14 +14,15 @@ from itertools import product
 from .hmm import Hmm
 from .models import HmmVec, NaiveBayes
 from .rational import Rat, ZERO, ONE
-from .wa import add, chain_wa, scale, wa_from_parts
+from .wa import wa_from_parts
 
 
 def feature_order(order, n):
     """order as a tuple (the identity 1..n when empty); ValueError unless
-    it is a permutation of the n features."""
+    it is a permutation of the n features, each an int and not a bool."""
     order = tuple(order) if order else tuple(range(1, n + 1))
-    if sorted(order) != list(range(1, n + 1)):
+    if (any(type(j) is not int for j in order)
+            or sorted(order) != list(range(1, n + 1))):
         raise ValueError(f"order {list(order)} is not a permutation of 1..{n}")
     return order
 
@@ -31,56 +32,61 @@ def sequentialize(x, order):
     return "".join(x[j - 1] for j in order)
 
 
-def _leaf_chain(constraints, n, order, alphabet):
-    # chain acceptor of exactly the inputs routed to this leaf
-    def step(q, key):
-        required = constraints.get(order[q - 1])
-        return required is None or key == (required,)
-
-    return chain_wa([alphabet], n, step)
+def _cubes_to_wa(cubes, n, domain, order):
+    """The WA of sum of value * [x satisfies constraints] over the cubes
+    (constraints, value), constraints a {feature: symbol} dict.  Read
+    through order, a cube's pattern up to its last fixed position L is a
+    trie path (a node is its prefix, None where the cube is free and every
+    symbol steps); the step reading L carries the value into done_L of
+    one chain that reads any symbol up to done_n.  Values on one step sum,
+    the empty cubes' sum is done_0's initial weight, and a sum of 0 leaves
+    no step, no state that leads only to it and no done state before it.
+    """
+    position = {j: p for p, j in enumerate(feature_order(order, n), 1)}
+    trie, exits = {}, {}
+    for constraints, value in ((c, v) for c, v in cubes if v):
+        fixed = {position[j]: s for j, s in constraints.items()}
+        last, prefix = max(fixed, default=0), ()
+        for p in range(1, last):
+            step = prefix + (fixed.get(p),)
+            for s in (fixed[p],) if p in fixed else domain:
+                trie[prefix, (s,), step] = ONE
+            prefix = step
+        key = (prefix, (fixed[last],), last) if last else 0
+        exits[key] = exits[key] + value if key in exits else value
+    exits = {key: x for key, x in exits.items() if x}
+    alpha = {0: exits.pop(0)} if 0 in exits else {}
+    live = dict.fromkeys(q[:k] for q, _, _ in exits for k in range(len(q) + 1))
+    done = range(min([*alpha, *(j for *_, j in exits)], default=n + 1), n + 1)
+    if live:
+        alpha[()] = ONE
+    edges = {e: x for e, x in trie.items() if e[2] in live}
+    edges.update(exits)
+    edges.update({(j, (s,), j + 1): ONE for j in done[:-1] for s in domain})
+    return wa_from_parts([domain], [*live, *done], alpha, edges,
+                         dict.fromkeys(done[-1:], ONE))
 
 
 def dt_to_wa(tree, order=None):
-    """Sum of value-scaled per-leaf chain acceptors; size O(#leaves * n)."""
-    order = feature_order(order, tree.n)
-    return add(*(scale(value, _leaf_chain(constraints, tree.n, order,
-                                          tree.domain))
-                 for constraints, value in tree.leaves()))
+    return _cubes_to_wa(tree.leaves(), tree.n, tree.domain, order)
 
 
 def ensemble_reg_to_wa(ensemble, order=None):
+    """Every tree's leaves, each value times its tree's weight."""
     if ensemble.mode != "regression":
         raise ValueError(
             "vote-classification ensembles cannot be compiled to a WA; "
             "their SHAP values are intractable in general")
-    return add(*(scale(w, dt_to_wa(tree, order))
-                 for tree, w in zip(ensemble.trees, ensemble.weights)))
+    cubes = [(c, w * v) for tree, w in zip(ensemble.trees, ensemble.weights)
+             for c, v in tree.leaves()]
+    return _cubes_to_wa(cubes, ensemble.n, ensemble.domain, order)
 
 
 def linear_to_wa(model, order=None):
-    """Two-rail accumulator (dim 2(n+1)) plus a constant intercept state.
-
-    The carry rail threads position; each step either stays on the carry
-    rail (weight 1) or drops onto the sum rail picking up w_{feature, symbol};
-    the sum rail then carries weight 1 to the end.  The rails compute
-    sum_i w_{i, x_i}; the intercept state reads every word with weight 1
-    and adds b.
-    """
-    n = model.n
-    order = feature_order(order, n)
-    edges = {}
-    for s in model.domain:
-        key = (s,)
-        for j in range(1, n + 1):
-            edges[("carry", j - 1), key, ("carry", j)] = ONE
-            edges[("carry", j - 1), key, ("sum", j)] = model.weight(
-                order[j - 1], s)
-            edges[("sum", j - 1), key, ("sum", j)] = ONE
-        edges["intercept", key, "intercept"] = ONE
-    states = [*product(("carry", "sum"), range(n + 1)), "intercept"]
-    return wa_from_parts([model.domain], states,
-                         {("carry", 0): ONE, "intercept": model.intercept},
-                         edges, {("sum", n): ONE, "intercept": ONE})
+    """A one-feature cube per weight, the intercept the empty one."""
+    cubes = [({i: d}, w) for (i, d), w in model.weights.items()]
+    return _cubes_to_wa([*cubes, ({}, model.intercept)], model.n,
+                        model.domain, order)
 
 
 # ---------------------------------------------------------------------------
@@ -108,7 +114,6 @@ def emp_to_hmmvec(dataset, order=None):
         for j in range(n + 1):
             first.setdefault(r[:j], k)
     dim = len(rows)
-
     alpha = [ONE] + [ZERO] * (dim - 1)
     transitions, emissions = [], []
     for j in range(n):
@@ -147,8 +152,7 @@ def hmmvec_to_hmm(m):
 
 
 def ind_to_hmmvec(dist, order=None):
-    """Independent product as a one-class Naive Bayes: a single-state
-    HmmVec."""
+    """Independent product as a one-class Naive Bayes: one hidden state."""
     return nb_to_hmmvec(NaiveBayes({0: ONE}, [{0: m} for m in dist.marginals],
                                    dist.domain), order)
 
@@ -169,14 +173,10 @@ def markov_to_hmm(dist):
 
 def nb_to_hmmvec(dist, order=None):
     """Naive Bayes as an HmmVec whose hidden state is the frozen class."""
-    n = dist.n
-    order = feature_order(order, n)
-    classes = sorted(dist.prior)
-    domain = dist.domain
-    dim = len(classes)
-    alpha = [dist.prior[y] for y in classes]
-    eye = [[ONE if a == b else ZERO for b in range(dim)] for a in range(dim)]
-    transitions = [eye for _ in range(n)]
-    emissions = [[[dist.tables[order[j] - 1][y].get(d, ZERO) for d in domain]
-                  for y in classes] for j in range(n)]
-    return HmmVec(order, alpha, transitions, emissions, domain)
+    order = feature_order(order, dist.n)
+    classes, domain = sorted(dist.prior), dist.domain
+    eye = [[ONE if a == b else ZERO for b in classes] for a in classes]
+    emissions = [[[dist.tables[j - 1][y].get(d, ZERO) for d in domain]
+                  for y in classes] for j in order]
+    return HmmVec(order, [dist.prior[y] for y in classes], [eye] * dist.n,
+                  emissions, domain)

@@ -475,6 +475,8 @@ def _node_to_json(node):
 
 def _node_from_json(obj):
     if "leaf" in obj:
+        if "feature" in obj or "children" in obj:
+            raise ValueError("a node holds a leaf and a split")
         return DTNode(leaf=obj["leaf"])
     return DTNode(feature=obj["feature"],
                   children={d: _node_from_json(c)
@@ -508,9 +510,14 @@ def linear_to_json(m):
 
 
 def linear_from_json(obj):
+    """The model of a linear file.  A weight key is "i,d" as
+    linear_to_json writes it, i in ASCII digits with no sign and no
+    leading 0, so two keys never name one (i, d); ValueError on another."""
     weights = {}
     for key, v in obj["weights"].items():
-        i, d = key.split(",")
+        i, _, d = key.partition(",")
+        if not (i.isascii() and i.isdigit() and str(int(i)) == i):
+            raise ValueError(f"weight key {key!r} is not feature,symbol")
         weights[(int(i), d)] = v
     return LinearModel(obj["n"], obj["domain"], weights,
                        obj.get("intercept", 0))

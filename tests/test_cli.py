@@ -747,6 +747,16 @@ MALFORMED = {
         "n": 2, "domain": B, "weights": {"1,0": "1", "7,0": "5"}}),
     "linear-alien-symbol": ("linear", {
         "n": 2, "domain": B, "weights": {"1,0": "1", "1,z": "5"}}),
+    # a linear weight key is "i,d" with i in ASCII digits, no sign and no
+    # leading 0, as linear_to_json writes it, so no two keys name one pair
+    **{f"linear-key-{name}": ("linear", {"n": 2, "domain": B,
+                                         "weights": {"1,0": "1", key: "5"}})
+       for name, key in (("repeated-pair", "01,0"), ("plus", "+1,0"),
+                         ("spaces", " 2 ,1"), ("underscore", "0_2,1"),
+                         ("arabic-indic", "\u0661,0"))},
+    # a node is a leaf or a split, not both
+    "dt-leaf-and-split": ("dt", {**TREE, "root": {**TREE["root"],
+                                                  "leaf": "2"}}),
     "hmm-alien-matrix": ("hmm", {"alphabet": B, "alpha": ["1"], "matrices": {
         "0": [[0, 0, "1/2"]], "1": [[0, 0, "1/2"]], "2": [[0, 0, "7"]]}}),
     "ensemble-vote-leaf": ("ensemble", {
@@ -984,9 +994,9 @@ def test_convert_dt_roundtrip(capsys, tmp_path):
 
 
 def test_convert_writes_a_large_chain_tree_by_its_entries(capsys, tmp_path):
-    # a chain tree compiles to (n+1)^2 states: 3,721 at n = 60, whose dense
-    # matrices would hold 2 x 3,721^2 cells; its file holds one entry per
-    # nonzero, at the default guard setting
+    # a chain tree compiles to n + 1 states, its one nonzero leaf's trie
+    # path and one done state; its file holds one entry per nonzero, at the
+    # default guard setting
     n = 60
     node = DTNode(leaf=ONE)
     for k in range(n, 0, -1):
@@ -999,7 +1009,7 @@ def test_convert_writes_a_large_chain_tree_by_its_entries(capsys, tmp_path):
     assert code == 0
     payload = json.loads(out_path.read_text())["payload"]
     A = dt_to_wa(tree)
-    assert A.dim == (n + 1) ** 2
+    assert A.dim == n + 1
     assert sum(map(len, payload["transitions"].values())) == \
         sum(m.nnz for m in A.transitions.values())
     code, out = run(capsys, [

@@ -1,13 +1,17 @@
-"""A seeded malformed-input corpus for the wa, hmm and hmmvec decoders.
+"""A seeded malformed-input corpus for the wa, hmm, hmmvec, dt, ensemble
+and linear decoders.
 
 The hmm kind comes in both of its forms: per-symbol matrices of
 [row, col, value] entries, and the dense rows of <alpha, T, O>
 ("hmm-ato").  Each case starts from a valid file and changes one thing: a
-key dropped, a value of another JSON type, a matrix index out of range, a
-repeated (row, col), vector and matrix sizes that disagree, a bool,
-float, null, "1/0" or "1e99999999" where a rational belongs, or an
-emission row that is not a law.  `shap` must end with a documented exit
-code, never a traceback, and at once.
+key dropped, a value of another JSON type, a matrix index or a feature
+out of range, a repeated (row, col), a feature repeated on a tree path or
+a linear weight key that spells another key's (feature, symbol), vector
+and matrix sizes that disagree or an n or domain that no longer fits the
+model, a bool, float, null, "1/0" or "1e99999999" where a rational
+belongs, an emission row that is not a law, or a tree node that is a
+leaf and a split.  `shap` (`convert` for the tabular models) must end
+with a documented exit code, never a traceback, and at once.
 """
 
 import copy
@@ -19,8 +23,8 @@ import pytest
 from shapwa import cli
 from shapwa.frontends import dt_to_wa, emp_to_hmmvec, hmmvec_to_hmm
 from shapwa.models import to_json
-from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
-                            rand_wa, rng_for)
+from shapwa.randgen import (rand_dataset, rand_dt, rand_ensemble, rand_hmm,
+                            rand_hmmvec, rand_linear, rand_wa, rng_for)
 from shapwa.rational import Rat, format_rat, rat
 
 B = ("0", "1")
@@ -32,9 +36,13 @@ BOUND_S = 2.0
 BAD_VALUES = (True, False, 1.5, None, "1/0", "1e99999999")
 OTHER_TYPES = (None, True, 1.5, 7, "x", [], {})
 # case kind -> its file's type tag
-TAGS = {"wa": "wa", "hmm": "hmm", "hmm-ato": "hmm", "hmmvec": "hmmvec"}
+TAGS = {"wa": "wa", "hmm": "hmm", "hmm-ato": "hmm", "hmmvec": "hmmvec",
+        "dt": "dt", "ensemble": "ensemble", "linear": "linear"}
 ENTRY_KINDS = ("wa", "hmm")        # matrices of [row, col, value] entries
 ROW_KINDS = ("hmm-ato", "hmmvec")  # dense rows of T and O
+# tabular model kind -> its `convert --from` source
+SOURCES = {"dt": "dt", "ensemble": "ens-r", "linear": "lin"}
+TREE_KINDS = ("dt", "ensemble")
 
 
 def bases():
@@ -45,10 +53,16 @@ def bases():
     hmm = [hmmvec_to_hmm(emp_to_hmmvec(rand_dataset(rng, N, 3))),
            rand_hmm(rng, 2, B)]
     vec = [emp_to_hmmvec(rand_dataset(rng, N, 3)), rand_hmmvec(rng, N, 2, B)]
+    tab = rng_for(81)
+    models = {"dt": [rand_dt(tab, N, B, 3) for _ in range(2)],
+              "ensemble": [rand_ensemble(tab, N, trees) for trees in (2, 3)],
+              "linear": [rand_linear(tab, N) for _ in range(2)]}
     return {"wa": [cli.encode(A)["payload"] for A in wa],
             "hmm": [cli.encode(D)["payload"] for D in hmm],
             "hmm-ato": [ato(v) for v in vec],
-            "hmmvec": [cli.encode(v)["payload"] for v in vec]}
+            "hmmvec": [cli.encode(v)["payload"] for v in vec],
+            **{kind: [cli.encode(m)["payload"] for m in ms]
+               for kind, ms in models.items()}}
 
 
 def ato(v):
@@ -90,16 +104,54 @@ def rows(payload):
     return []
 
 
+def trees(payload):
+    """The tree payloads of a dt or ensemble payload."""
+    return payload.get("trees") or ([payload] if "root" in payload else [])
+
+
+def tabular(payload):
+    """Whether payload is a dt, ensemble or linear payload."""
+    return bool({"root", "trees", "weights"} & payload.keys())
+
+
+def nodes(tree):
+    """(node, features tested above it) of each node of a tree payload;
+    none of a linear one."""
+    stack = [(tree["root"], ())] if "root" in tree else []
+    while stack:
+        node, above = stack.pop()
+        yield node, above
+        for child in node.get("children", {}).values():
+            stack.append((child, above + (node["feature"],)))
+
+
+def tabular_values(payload):
+    """(container, key) of each rational of a tabular model payload: a
+    leaf, a tree weight, a linear weight or the intercept."""
+    out = [(node, "leaf") for t in trees(payload) for node, _ in nodes(t)
+           if "leaf" in node]
+    if isinstance(payload.get("weights"), list):
+        out += [(payload["weights"], k) for k in range(len(payload["weights"]))]
+    elif "weights" in payload:
+        out += [(payload["weights"], k) for k in payload["weights"]]
+        out.append((payload, "intercept"))
+    return out
+
+
 def slots(payload):
-    """(container, key, repeated) of each matrix value: an entry's value or
-    a dense row's cell, repeated when its matrix or row holds its string
-    more than once."""
+    """(container, key, repeated) of each matrix or model value: an
+    entry's value, a dense row's cell or a tabular model's rational,
+    repeated when its matrix, row or model holds its string more than
+    once."""
     out = []
     for m in matrices(payload):
         values = [e[2] for e in m]
         out += [(e, 2, values.count(e[2]) > 1) for e in m]
     for row in rows(payload):
         out += [(row, k, row.count(x) > 1) for k, x in enumerate(row)]
+    model = tabular_values(payload)
+    values = [c[k] for c, k in model]
+    out += [(c, k, values.count(c[k]) > 1) for c, k in model]
     return out
 
 
@@ -124,19 +176,65 @@ def change_type(rng, payload):
                                    if type(x) is not type(old)])
 
 
+def linear_feature(rng, payload, spell):
+    """Add a key "spell(i),d", for a weight key "i,d" that stays, with
+    another value."""
+    weights = payload["weights"]
+    i, _, d = rng.choice(sorted(weights)).partition(",")
+    weights[f"{spell(i)},{d}"] = rng.choice(("1/3", "-2"))
+
+
 def index_out_of_range(rng, payload):
+    if tabular(payload):
+        # a feature outside 1..n
+        bad = rng.choice((0, -1, N + 1, 10 ** 30))
+        splits = [node for t in trees(payload) for node, _ in nodes(t)
+                  if "feature" in node]
+        if splits:
+            rng.choice(splits)["feature"] = bad
+        else:
+            linear_feature(rng, payload, lambda i: bad)
+        return
     dim = len(payload["alpha"])
     entry = rng.choice([e for m in matrices(payload) for e in m])
     entry[rng.randrange(2)] = rng.choice((dim, dim + 7, -1, 10 ** 30))
 
 
 def repeat_entry(rng, payload):
+    if tabular(payload):
+        # a feature repeated on a tree path, or a linear (feature, symbol)
+        # spelled by a second key: a leading 0, a sign, spaces, an
+        # underscore or an Arabic-Indic digit
+        below = [(node, above) for t in trees(payload)
+                 for node, above in nodes(t) if above]
+        if below:
+            node, above = rng.choice(below)
+            node.clear()
+            node.update(feature=rng.choice(above),
+                        children={d: {"leaf": "1"} for d in B})
+        else:
+            linear_feature(rng, payload, lambda i: rng.choice((
+                "0" + i, "+" + i, f" {i} ", "0_" + i,
+                chr(0x660 + int(i)))))
+        return
     mat = rng.choice([m for m in matrices(payload) if m])
     i, j, x = rng.choice(mat)
     mat.insert(rng.randrange(len(mat) + 1), [i, j, rng.choice((x, "1/3"))])
 
 
 def sizes_disagree(rng, payload):
+    if tabular(payload):
+        # the domain loses a symbol the model reads, or n falls below a
+        # feature it reads
+        target = rng.choice(trees(payload) or [payload])
+        if rng.randrange(2):
+            target["domain"].pop(rng.randrange(len(target["domain"])))
+        else:
+            read = [node["feature"] for node, _ in nodes(target)
+                    if "feature" in node] or [
+                        int(key.partition(",")[0]) for key in target["weights"]]
+            target["n"] = max(read) - 1
+        return
     choice = rng.randrange(3)
     if choice == 2 and "matrices" in payload:
         # a symbol whose matrix the file holds leaves the alphabet
@@ -158,10 +256,10 @@ def sizes_disagree(rng, payload):
 
 
 def bad_value(rng, payload):
-    """A bad value in one matrix value, preferring one whose string its
-    matrix or row repeats, or in one vector element."""
+    """A bad value in one matrix or model value, preferring one whose
+    string its matrix, row or model repeats, or in one vector element."""
     value = rng.choice(BAD_VALUES)
-    if rng.randrange(4):
+    if rng.randrange(4) or not vectors(payload):
         cells = slots(payload)
         container, key, _ = rng.choice([c for c in cells if c[2]] or cells)
         container[key] = value
@@ -177,17 +275,34 @@ def emission_not_a_law(rng, payload):
     row[k] = format_rat(rat(row[k]) + Rat(1, rng.randint(2, 9)))
 
 
+def leaf_and_split(rng, payload):
+    """A tree node holds a leaf and a feature or children."""
+    node = rng.choice([node for t in trees(payload) for node, _ in nodes(t)])
+    if "leaf" in node:
+        key = rng.choice(("feature", "children"))
+        node[key] = 1 if key == "feature" else {d: {"leaf": "1"} for d in B}
+    else:
+        node["leaf"] = rng.choice(("0", "2", "-1/3"))
+
+
 MUTATIONS = {f.__name__: f for f in (drop_key, change_type,
                                      index_out_of_range, repeat_entry,
                                      sizes_disagree, bad_value,
-                                     emission_not_a_law)}
+                                     emission_not_a_law, leaf_and_split)}
 # mutation -> the kinds it fits
-FITS = {"index_out_of_range": ENTRY_KINDS, "repeat_entry": ENTRY_KINDS,
-        "emission_not_a_law": ROW_KINDS}
+FITS = {"index_out_of_range": ENTRY_KINDS + tuple(SOURCES),
+        "repeat_entry": ENTRY_KINDS + tuple(SOURCES),
+        "emission_not_a_law": ROW_KINDS, "leaf_and_split": TREE_KINDS}
+# mutation -> the kinds where every case it makes exits 2
+REFUSED = {"emission_not_a_law": ROW_KINDS,
+           "index_out_of_range": tuple(SOURCES),
+           "repeat_entry": tuple(SOURCES), "sizes_disagree": tuple(SOURCES),
+           "leaf_and_split": TREE_KINDS}
 CASES = [(mutation, kind) for mutation in MUTATIONS for kind in TAGS
          if kind in FITS.get(mutation, TAGS)]
 # the first seed of each kind's cases
-SEEDS = {"wa": 100, "hmm": 101, "hmm-ato": 200, "hmmvec": 201}
+SEEDS = {"wa": 100, "hmm": 101, "hmm-ato": 200, "hmmvec": 201, "dt": 300,
+         "ensemble": 301, "linear": 400}
 
 
 @pytest.fixture(scope="module")
@@ -209,6 +324,11 @@ def shap_argv(model, dist, feature):
             "--feature", str(feature)]
 
 
+def convert_argv(kind, path, out):
+    return ["convert", "--from", SOURCES[kind], "--input", str(path),
+            "--output", str(out)]
+
+
 def test_the_corpus_starts_from_valid_files(capsys, tmp_path):
     base = bases()
     for dist_kind in ("hmm", "hmm-ato", "hmmvec"):
@@ -220,6 +340,13 @@ def test_the_corpus_starts_from_valid_files(capsys, tmp_path):
                                             "payload": payload}))
                 paths.append(str(path))
             assert cli.main(shap_argv(*paths, 1)) == 0, (dist_kind, k)
+            assert capsys.readouterr().err == ""
+    for kind in SOURCES:
+        for k, payload in enumerate(base[kind]):
+            path = tmp_path / f"{kind}{k}.json"
+            path.write_text(json.dumps({"type": kind, "payload": payload}))
+            argv = convert_argv(kind, path, tmp_path / "out.json")
+            assert cli.main(argv) == 0, (kind, k)
             assert capsys.readouterr().err == ""
 
 
@@ -236,14 +363,16 @@ def test_a_malformed_file_ends_with_a_documented_exit(capsys, tmp_path,
         payload = copy.deepcopy(payloads[case % len(payloads)])
         MUTATIONS[mutation](rng, payload)
         path.write_text(json.dumps({"type": TAGS[kind], "payload": payload}))
-        if kind == "wa":
-            model = str(path)
+        if kind in SOURCES:
+            argv = convert_argv(kind, path, tmp_path / "out.json")
+        elif kind == "wa":
+            argv = shap_argv(str(path), dist, 1 + case % N)
         else:
-            dist = str(path)
+            argv = shap_argv(model, str(path), 1 + case % N)
         label = (case, json.dumps(payload)[:300])
         start = perf_counter()
         try:
-            code = cli.main(shap_argv(model, dist, 1 + case % N))
+            code = cli.main(argv)
         except Exception as e:  # what a process would print as a traceback
             pytest.fail(f"{label}: {type(e).__name__}: {e}")
         took = perf_counter() - start
@@ -251,7 +380,7 @@ def test_a_malformed_file_ends_with_a_documented_exit(capsys, tmp_path,
         assert code in (0, 2, 3, 4), label
         assert "Traceback" not in err, label
         assert took < BOUND_S, label
-        if mutation == "emission_not_a_law":
+        if kind in REFUSED.get(mutation, ()):
             assert code == 2, label
         codes.add(code)
     # every mutation breaks at least one of its files

@@ -359,17 +359,17 @@ def compiled_dt_and_emp():
 
 def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
         fraction_ops):
-    # every entry of the compiled tree reads back as the shared ONE, so the
-    # local interventional and baseline passes make (products, sums)
-    # (330, 261) and (88, 47) when each product by 1 and each sum with 0 is
-    # made, and these when none is
+    # every entry of the compiled tree but its leaf values reads back as
+    # the shared ONE, so the local interventional and baseline passes make
+    # (products, sums) (279, 235) and (64, 40) when each product by 1 and
+    # each sum with 0 is made, and these when none is
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
         fraction_ops.take()
         shap(f, 6, inner, x)
         counts.append(fraction_ops.take())
-    assert counts == [(37, 61), (3, 5)]
+    assert counts == [(54, 61), (5, 5)]
 
 
 def split_ones(A):

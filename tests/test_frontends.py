@@ -1,8 +1,13 @@
+import json
+import os
+import subprocess
+import sys
 from itertools import permutations, product
+from pathlib import Path
 
 import pytest
 
-from shapwa import linalg
+from shapwa import cli, linalg
 from shapwa.frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
                               feature_order, hmmvec_to_hmm, ind_to_hmmvec,
                               linear_to_wa, markov_to_hmm, nb_to_hmmvec,
@@ -76,6 +81,10 @@ def test_every_ordered_compiler_checks_its_order():
                 compile_(source, order)
     assert feature_order(None, 3) == (1, 2, 3)
     assert feature_order([3, 1, 2], 3) == (3, 1, 2)
+    # True equals 1, but a bool names no feature
+    for order in ((True, 2), (2, True), (1.0, 2)):
+        with pytest.raises(ValueError, match="not a permutation"):
+            feature_order(order, 2)
 
 
 def test_ensemble_regression():
@@ -110,7 +119,9 @@ def test_linear_figure_example():
     assert eval_wa(A, ("00",)) == 0
     assert eval_wa(A, ("10",)) == Rat(-1, 2)
     assert eval_wa(A, ("01",)) == 1
-    assert A.dim == 2 * 3 + 1  # two rails plus the intercept state
+    # trie nodes before positions 1 and 2, then done_1 and done_2; the zero
+    # intercept enters no done_0
+    assert A.dim == 2 * 2
 
 
 def test_linear_constant_and_exhaustive():
@@ -124,6 +135,71 @@ def test_linear_constant_and_exhaustive():
     A = linear_to_wa(m)
     for x in words(3, dom3):
         assert eval_wa(A, (x,)) == m.evaluate(x)
+
+
+def chain_tree(n):
+    """The tree that tests features 1..n in turn: 1 on 1...1, else 0."""
+    node = DTNode(leaf=ONE)
+    for k in range(n, 0, -1):
+        node = DTNode(feature=k, children={"0": DTNode(leaf=ZERO), "1": node})
+    return DecisionTree(node, n, B)
+
+
+def test_compiled_models_equal_their_models_under_any_order():
+    # every input of 40 seeded trees, ensembles and linear models at n <= 5,
+    # each read through a random feature order
+    for seed in range(40):
+        rng = rng_for(300 + seed)
+        domain = ("a", "b", "c") if seed % 4 == 0 else B
+        n = rng.randint(1, 4 if len(domain) > 2 else 5)
+        order = tuple(rng.sample(range(1, n + 1), n))
+        for model, compile_ in (
+                (rand_dt(rng, n, domain), dt_to_wa),
+                (rand_ensemble(rng, n, domain=domain), ensemble_reg_to_wa),
+                (rand_linear(rng, n, domain), linear_to_wa)):
+            A = compile_(model, order)
+            for x in words(n, domain):
+                assert eval_wa(A, (sequentialize(x, order),)) == \
+                    model.evaluate(x), (seed, compile_.__name__, x)
+
+
+def test_compiled_sizes():
+    # a trie node per position before a cube's last, a done state per
+    # position from the first one a cube's last enters
+    for n in (1, 2, 5, 40):
+        order = tuple(range(n, 0, -1))
+        weights = {(i, d): Rat(i + k, 3) for i in range(1, n + 1)
+                   for k, d in enumerate(B)}
+        for o in (None, order):
+            assert dt_to_wa(chain_tree(n), o).dim == n + 1
+            one_leaf = DecisionTree(DTNode(leaf=Rat(-2, 3)), n, B)
+            assert dt_to_wa(one_leaf, o).dim == n + 1
+            for intercept, dim in ((Rat(1, 2), 2 * n + 1), (ZERO, 2 * n)):
+                m = LinearModel(n, B, weights, intercept)
+                assert linear_to_wa(m, o).dim == dim
+    # a zero model has no state left
+    assert dt_to_wa(DecisionTree(DTNode(leaf=ZERO), 3, B)).dim == 0
+
+
+def test_convert_writes_the_same_bytes_on_two_runs(tmp_path):
+    # state numbering follows the source, not the process's hash seed
+    rng = rng_for(65)
+    sources = {"dt": rand_dt(rng, 5), "ens-r": rand_ensemble(rng, 5),
+               "lin": rand_linear(rng, 5)}
+    src = str(Path(cli.__file__).parent.parent)
+    for name, model in sources.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(cli.encode(model)))
+        outputs = []
+        for seed in ("1", "2"):
+            out = tmp_path / f"{name}-{seed}.wa.json"
+            subprocess.run([sys.executable, "-m", "shapwa", "convert",
+                            "--from", name, "--input", str(path),
+                            "--order", "3,1,5,2,4", "--output", str(out)],
+                           check=True, env={**os.environ, "PYTHONPATH": src,
+                                            "PYTHONHASHSEED": seed})
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1], name
 
 
 # ---------------------------------------------------------------------------
