@@ -120,15 +120,28 @@ def encode(obj, **extra):
     return {"type": tag, **extra, "payload": CODECS[tag][1](obj)}
 
 
+def _object(pairs):
+    """The JSON object of these (key, value) pairs; ValueError when a key
+    repeats, which plain json.loads would answer with its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        keys = [k for k, _ in pairs]
+        raise ValueError(f"key {next(k for k in keys if keys.count(k) > 1)!r}"
+                         f" repeats in one object")
+    return obj
+
+
 def _read(path, role, tags):
     """(object, file bytes) of a UTF-8 JSON file of one of the type tags;
-    an untagged file has the first.  Every failure exits 2."""
+    an untagged file has the first.  Every failure exits 2, a key that
+    repeats in one object too."""
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        doc = json.loads(raw.decode("utf-8"))
+        doc = json.loads(raw.decode("utf-8"), object_pairs_hook=_object)
     except (OSError, ValueError, RecursionError) as e:
-        # ValueError: not UTF-8, not JSON; RecursionError: nested too deeply
+        # ValueError: not UTF-8, not JSON, a repeated key; RecursionError:
+        # nested too deeply
         raise CliError(EXIT_PARSE, f"cannot read {path}: {e}")
     kind = doc.get("type", tags[0]) if isinstance(doc, dict) else None
     if kind not in tags:
@@ -230,11 +243,13 @@ def _value_record(cfg, value, route):
         "scope": cfg.scope,
         "value": format_rat(value) if exact else None,
         "decimal": _decimal(value),
+        "route": route,
+        "backend": Rat.__name__,
     }
     if cfg.format == "tsv":
         print("\t".join(str(v) for v in record.values()))
     else:
-        _dump_json({**record, "route": route, "backend": Rat.__name__})
+        _dump_json(record)
 
 
 def cmd_shap(cfg):

@@ -48,12 +48,12 @@ every 0 and 1 of a file as the shared ZERO and ONE, and a compiled
 automaton is mostly 0/1: a word side is the unit layer, and every
 transition entry of a compiled tree is 1 but those that carry its leaf
 values.  A product whose factor is ONE, tested by identity, is the other
-factor (in `_Step.fill`, `_kron_vec`, `_end_vec`, `_dot` and
-`SpMat.vecmat`/`matvec`), and every sum starts from its first term, never
-from ZERO.  A 1 that is another object is multiplied as any other value,
-to the same answer.  On a compiled depth-3 tree under a compiled 4-row
-dataset (n = 6), a local interventional pass makes 54 Fraction products
-where it would make 279 without these two rules.
+factor (in `_Step.fill`, `_kron_vec`, `_dot` and `SpMat.vecmat`/`matvec`),
+and every sum starts from its first term, never from ZERO.  A 1 that is
+another object is multiplied as any other value, to the same answer.  On
+a compiled depth-3 tree under a compiled 4-row dataset (n = 6), a local
+interventional pass makes 54 Fraction products, its efficiency check
+(below) none, where the pass would make 279 without these two rules.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -100,6 +100,14 @@ and (n-i)(n-i+1) matrix-vector products and i(n-i+1) dots, so one
 feature is 2x cheaper than the whole pass at i = 1 or n, 4x at i = n/2
 and 3x on average.
 
+A pass asked for all n features checks the efficiency axiom,
+sum_i phi_i = v(N) - v(0), with v(0) = F_n[0] beta and v(N) = F_n[m] beta.
+F stops at the last player, where F[0] and F[m] are at hand; their
+difference is carried to position n, one vector-matrix product per null
+position after it (within the bound above), and dotted with beta on
+reach_n.  A mismatch raises EngineError: a fault of the engine, never an
+answer.
+
 When one object is both sides, every phi_i is 0 and no pass runs.  Inputs
 x and replaced features z are then drawn independently from the same
 distribution, so swapping them gives v(S) = E f(x_S z_{N-S}) = v(N-S).
@@ -137,6 +145,11 @@ from .wa import NAlphabetWA
 CACHE_SIZE = 8
 
 _UNIT = SpMat.from_dense([[ONE]])
+
+
+class EngineError(RuntimeError):
+    """A pass whose values break an identity they satisfy by the axioms:
+    a fault of the engine, never an answer."""
 
 
 def _side(side, n):
@@ -219,27 +232,6 @@ def _kron_vec(*vecs):
     return out
 
 
-def _end_vec(betas, dims, states):
-    """beta_out (x) beta_in (x) beta_f at these states only, with one
-    product per (outer, inner) pair and one per state."""
-    b_out, b_in, b_f = betas
-    _, d_in, d_f = dims
-    pairs, out = {}, {}
-    for x in states:
-        oi, q = divmod(x, d_f)
-        if not b_f[q]:
-            continue
-        if oi not in pairs:
-            o, i = divmod(oi, d_in)
-            a, b = b_out[o], b_in[i]
-            pairs[oi] = (ZERO if not (a and b) else b if a is ONE
-                         else a if b is ONE else a * b)
-        w, c = pairs[oi], b_f[q]
-        if w:
-            out[x] = c if w is ONE else w if c is ONE else w * c
-    return out
-
-
 def _combine(u, v, sign=1):
     """u + sign * v of sparse vectors; an entry of v alone is copied (or
     negated), not added to 0."""
@@ -314,12 +306,22 @@ def _pass(f, n, inner, outer, features):
             diff[j] = [_combine(p, q, -1) for p, q in zip(vp, vq)]
         if j < last:
             fwd = _shift_add(vq, vp)
+    # all features: F_n[m] - F_n[0], whose dot with beta is v(N) - v(0);
+    # at the last player F[m] is vp[-1] and F[0] is vq[0], and past it
+    # every position is null
+    efficiency = len(set(features)) == n
+    if efficiency:
+        gap = _combine(vp[-1], vq[0], -1)
+        for step in steps[last:]:
+            gap = step.P.vecmat(gap)
 
     # bwd = [B_{j+1}[b] for b = 0..players after j] on reach_j, where
     # diff[j] lives and where B_j on reach_{j-1} reads it
     c = [Rat(factorial(k) * factorial(m - 1 - k), factorial(m))
          for k in range(m)]
-    bwd = [_end_vec((o_beta, i_beta, f.beta), dims, reach[n])]
+    end = _kron_vec(o_beta, i_beta, f.beta)
+    end = {x: end[x] for x in reach[n] if x in end}
+    bwd = [end]
     for j in range(n, first - 1, -1):
         if j in wanted:
             by_size = {}
@@ -336,6 +338,8 @@ def _pass(f, n, inner, outer, features):
             vp = [step.P.matvec(v, rows) for v in bwd]
             bwd = (_shift_add([step.Q.matvec(v, rows) for v in bwd], vp)
                    if players[j - 1] else vp)
+    if efficiency and total(p for p in phis.values() if p) != _dot(gap, end):
+        raise EngineError("the values do not sum to v(N) - v(0)")
     return tuple(phis[i] for i in features)
 
 
@@ -347,7 +351,8 @@ def shap(f, n, inner, outer, features=None):
     query.  A side passed twice as one object answers zeros once checked,
     as the module docstring proves; otherwise a null feature answers 0
     with no vector product, and only the part of the pass the other
-    features need runs.  Not cached."""
+    features need runs.  EngineError if the values of all n features do
+    not sum to v(N) - v(0).  Not cached."""
     _gate(f, inner, outer)
     features = check_query(f, n, inner, outer, features)
     if inner is outer:

@@ -88,9 +88,8 @@ def _check_stochastic(wa):
 def uniform_hmm(alphabet):
     """The memoryless uniform distribution over Sigma^n for every n."""
     alphabet = tuple(alphabet)
-    p = Rat(1, len(alphabet))
-    return Hmm(wa_from_parts([alphabet], [0], {0: ONE},
-                             {(0, (s,), 0): p for s in alphabet}, {0: ONE}))
+    k = len(alphabet)
+    return Hmm.from_matrices([ONE], [[ONE]], [[Rat(1, k)] * k], alphabet)
 
 
 # ---------------------------------------------------------------------------

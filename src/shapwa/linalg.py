@@ -38,9 +38,6 @@ class SpMat:
         else:
             self.rows.setdefault(i, {})[j] = rat(v)
 
-    def get(self, i, j):
-        return self.rows.get(i, {}).get(j, ZERO)
-
     @property
     def nnz(self):
         return sum(len(r) for r in self.rows.values())

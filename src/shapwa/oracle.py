@@ -122,9 +122,7 @@ class CnfFormula:
         return True
 
     def satisfiable(self):
-        check_enumerable(2, self.n)
-        return any(self.satisfied("".join(bits))
-                   for bits in product("01", repeat=self.n))
+        return any(map(self.satisfied, enumerate_words("01", self.n)))
 
 
 @dataclass

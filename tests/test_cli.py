@@ -65,7 +65,9 @@ def test_shap_tsv_format(capsys, and_model):
         "--model", and_model, "--input", "11", "--reference", "00",
         "--feature", "1", "--format", "tsv"])
     assert code == 0
-    assert out.strip().split("\t")[3] == "1/2"
+    # the json record's fields, route and backend after decimal
+    assert out.rstrip("\n").split("\t") == [
+        "1", "baseline", "local", "1/2", "0.5", "engine", Rat.__name__]
 
 
 def test_shap_value_beyond_binary64(capsys, tmp_path):
@@ -85,7 +87,8 @@ def test_shap_value_beyond_binary64(capsys, tmp_path):
         assert (record["value"], record["decimal"]) == (value, None)
         code, out = run(capsys, argv + ["--format", "tsv"])
         assert code == 0
-        assert out.rstrip("\n").split("\t")[3:] == [value, "None"]
+        assert out.rstrip("\n").split("\t")[3:] == [
+            value, "None", "engine", Rat.__name__]
 
 
 def test_shap_value_beyond_the_int_string_limit(capsys, tmp_path):
@@ -218,6 +221,16 @@ def test_shap_reads_its_files_before_checking_the_query(capsys, and_model,
         "--model", and_model, "--input", "11", "--feature", "5",
         "--dist", str(bad)])
     assert (code, out) == (2, "")
+
+
+def test_shap_refuses_a_model_file_as_its_dist(capsys, inputs):
+    code = cli.main([
+        "shap", "--scope", "local", "--variant", "interventional",
+        "--model", inputs["wa"], "--input", "11", "--feature", "1",
+        "--dist", inputs["dt"]])
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "unknown distribution type 'dt'" in err
 
 
 def test_shap_checks_the_query_before_the_guard(capsys, and_model,
@@ -568,6 +581,15 @@ def test_malformed_guard_setting(capsys, monkeypatch, and_model, argv):
     assert run(capsys, argv)[0] == 2
 
 
+def test_verify_beyond_the_guard(capsys, monkeypatch):
+    # the first oracle call of the engine suite weighs more than 2^0
+    monkeypatch.setenv("SHAPWA_GUARD_BITS", "0")
+    code = cli.main(["verify", "--count", "1"])
+    out, err = capsys.readouterr()
+    assert (code, out) == (4, "")
+    assert "> guard 0" in err
+
+
 def test_shap_malformed_model(capsys, tmp_path):
     bad = tmp_path / "bad.json"
     ragged_rnn = {"type": "rnn", "payload": {
@@ -617,6 +639,13 @@ MALFORMED = {
         "feature": 3, "children": {"0": {"leaf": "0"}, "1": {"leaf": "1"}}}}),
     "utf-16": ("ind", json.dumps({"type": "ind", "payload": IND})
                .encode("utf-16")),
+    # a key twice in one object, which plain json.loads reads as its last
+    # value: the weight of (1, "0") would be 2
+    "linear-weight-key-twice": ("linear", b'{"type": "linear", "payload": '
+                                b'{"n": 2, "domain": ["0", "1"], "weights": '
+                                b'{"1,0": "1", "1,0": "2"}, "intercept": "0"}}'),
+    "type-twice": ("ind", json.dumps({"type": "ind", "payload": IND})
+                   .replace('"payload"', '"type": "ind", "payload"').encode()),
     "nested-too-deeply": ("dt", b"[" * 100_000 + b"]" * 100_000),
     # hmmvec shapes: emission rows shorter than the domain, 2 states over
     # 1x1 transitions, 2 emission rows for 1 state
@@ -1169,6 +1198,20 @@ def test_gadget_bundle(capsys, kind):
     if kind == "sigmoid":
         assert bundle["feature"] == 1
         assert bundle["metadata"]["C_N"] == 2
+
+
+def test_gadget_sat_with_a_tautological_clause(capsys):
+    # the clause x1 or not x1 holds everywhere: its tree is the leaf 1
+    # under the extra feature, and the certificate agrees (phi_b > 0)
+    code, out = run(capsys, ["gadget", "--kind", "sat", "--vars", "2",
+                             "--clauses", "1,-1;2"])
+    assert code == 0
+    bundle = json.loads(out)
+    tree = bundle["model"]["payload"]["trees"][0]["root"]
+    assert tree == {"feature": 3, "children": {"0": {"leaf": "0"},
+                                               "1": {"leaf": "1"}}}
+    assert {"satisfiable": True, "phi_b": "1/2"}.items() <= \
+        bundle["certificate"].items()
 
 
 @pytest.mark.parametrize("flags", [

@@ -1,6 +1,7 @@
 import ast
 import tracemalloc
 from itertools import count, product
+from math import factorial
 from pathlib import Path
 
 import pytest
@@ -210,7 +211,11 @@ def pass_products(players, features):
         return total
 
     n = len(players)
-    return {"vecmat": cost(range(1, max(asked, default=0) + 1)),
+    last = max(asked, default=0)
+    # asked all n, the efficiency check carries one vector from the last
+    # player to n
+    check = n - last if asked and len(set(features)) == n else 0
+    return {"vecmat": cost(range(1, last + 1)) + check,
             "matvec": cost(range(n, min(asked, default=n), -1))}
 
 
@@ -244,6 +249,45 @@ def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
         assert shap(f, n, D, D, (n,)) == (0,)
         assert calls == {"vecmat": 0, "matvec": 0}
         monkeypatch.undo()
+
+
+def expectation(f, n, side):
+    """E f(x) over the words x of length n that a side draws."""
+    if isinstance(side, str):
+        return eval_wa(f, (side,))
+    return sum(side.prefix_prob(x) * eval_wa(f, (x,)) for x in words(n))
+
+
+def test_the_values_of_all_features_sum_to_v_n_minus_v_0():
+    # efficiency, which every all-features pass checks: the values sum to
+    # v(N) - v(0) = E_outer f - E_inner f, with and without null positions;
+    # a reference that differs from the input only at position 1 leaves
+    # n - 1 null positions after the last player
+    rng = rng_for(91)
+    for n in range(1, 7):
+        f = rand_wa(rng, 3, B)
+        pairs = list(five_sides(rng, B, n)[:4])
+        w = pairs[0][1]
+        pairs.append(("10"[int(w[0])] + w[1:], w))
+        for inner, outer in pairs:
+            phis = shap(f, n, inner, outer)
+            assert sum(phis) == (expectation(f, n, outer)
+                                 - expectation(f, n, inner)), (n, inner)
+
+
+def test_values_that_break_efficiency_raise(monkeypatch):
+    # wrong Shapley weights c(k) make every value wrong and their sum too:
+    # an all-features pass raises, and only a pass asked fewer features,
+    # which makes no check, answers
+    rng = rng_for(92)
+    f, D = rand_wa(rng, 3, B, density=1.0), rand_hmm(rng, 2, B)
+    want = shap(f, 4, D, "0110")
+    monkeypatch.setattr(engine, "factorial", lambda k: factorial(k) + 1)
+    with pytest.raises(engine.EngineError, match="v\\(N\\) - v\\(0\\)"):
+        shap(f, 4, D, "0110")
+    with pytest.raises(engine.EngineError):
+        shap(f, 4, D, "0110", (4, 3, 2, 1, 1))
+    assert shap(f, 4, D, "0110", (1, 2, 3)) != want[:3]
 
 
 def test_two_distribution_global_query():
@@ -332,8 +376,9 @@ def test_unreachable_states_make_no_products(fraction_ops):
 def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
     # one state per distinct row is reached at position j only as the first
     # row of a prefix of length j, so the pass makes the products it made
-    # when the compiler gave each prefix a state of its own (121 HMM states);
-    # the two words agree at position 5, a null player the loc_b pass skips
+    # when the compiler gave each prefix a state of its own (121 HMM states),
+    # counted with the efficiency check's; the two words agree at position
+    # 5, a null player the loc_b pass skips
     d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
                  "11101"])
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
@@ -344,7 +389,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
         fraction_ops.take()
         shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(fraction_ops.take()[0])
-    assert counts == [1801, 282, 7896, 1840]
+    assert counts == [1819, 292, 7986, 1858]
 
 
 def compiled_dt_and_emp():
@@ -362,14 +407,15 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
     # every entry of the compiled tree but its leaf values reads back as
     # the shared ONE, so the local interventional and baseline passes make
     # (products, sums) (279, 235) and (64, 40) when each product by 1 and
-    # each sum with 0 is made, and these when none is
+    # each sum with 0 is made, and (54, 61) and (5, 5) when none is; their
+    # efficiency checks add (0, 7) and (0, 2)
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
         fraction_ops.take()
         shap(f, 6, inner, x)
         counts.append(fraction_ops.take())
-    assert counts == [(54, 61), (5, 5)]
+    assert counts == [(54, 68), (5, 7)]
 
 
 def split_ones(A):
