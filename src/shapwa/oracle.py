@@ -10,21 +10,31 @@ the coalitions: each distinct side's support is enumerated once per
 `shap_oracle_all` is its one-query call.
 
 One coalition table per query: V(S) = E_{x~outer} v_x(S) is computed once
-for each of the 2^n coalitions, and phi_i = sum over S without i of
-c(|S|) (V(S + i) - V(S)) for every feature i.  v_x(S) depends on the
-replacing side only through its marginal on the features outside S
-(baseline, interventional) or on S (conditional), and V is linear in the
-mean over x, so V(S) sums the outer side's marginal on S against the
-inner side's marginal.  Exponential and guarded; shares no pipeline code
-with the engine (it is the trust anchor), only the scalar type, the
-containers and the query check, run before the guards: `models.check_query`
-refuses the same queries here as in the engine and the builder pipeline.
+for each of the 2^n coalitions, and phi_i = sum over k of c(k) times the
+sum over the S of size k without i of (V(S + i) - V(S)) for every
+feature i.  v_x(S) depends on the replacing side only through its
+marginal on the features outside S (baseline, interventional) or on S
+(conditional), and V is linear in the mean over x, so V(S) sums the outer
+side's marginal on S against the inner side's marginal.  The marginals
+come from one recursion that decides the features in order and sums each
+decided feature out of the marginals that do not keep it (Yates's
+all-marginals recursion): no marginal is taken from the whole support.
+
+No rational operation is made that an exact 0 or 1 decides: a model value
+equal to 0 or 1 is the shared ZERO or ONE (a binary-64 float stays a
+float), a product by ONE is the other factor, a term that is ZERO is left
+out, and every sum starts from its first term.
+
+Exponential and guarded; shares no pipeline code with the engine (it is
+the trust anchor), only the scalar type, the containers and the query
+check, run before the guards: `models.check_query` refuses the same
+queries here as in the engine and the builder pipeline.
 """
 
 import math
 import os
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import combinations, product
 from math import factorial
 
@@ -32,7 +42,7 @@ from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                      TreeEnsemble, check_query, symbols)
-from .rational import Rat, ZERO, ONE
+from .rational import Rat, ZERO, ONE, total
 from .wa import NAlphabetWA
 
 DEFAULT_GUARD_BITS = 24
@@ -154,6 +164,20 @@ def hamming(w, w2):
 # models evaluated from first principles
 
 
+def _times(a, b):
+    """a * b, with no product by the shared ONE."""
+    return b if a is ONE else a if b is ONE else a * b
+
+
+def _exact(value):
+    """An exact value equal to 0 or 1 as the shared ZERO or ONE, which the
+    sums and products below test by identity; a binary-64 float as it is,
+    so a float answer stays a float."""
+    if isinstance(value, float):
+        return value
+    return ZERO if value == 0 else ONE if value == 1 else value
+
+
 def eval_model(model, x):
     """Direct forward evaluation of any supported model."""
     if isinstance(model, NAlphabetWA):
@@ -169,18 +193,18 @@ def _wa_value(A, w):
     if A.arity != 1:
         raise ValueError("sequential models are 1-alphabet automata")
     v = list(A.alpha)
-    n = A.dim
     for sym in w:
         mat = A.transitions.get((sym,))
-        nv = [ZERO] * n
+        terms = [[] for _ in v]
         if mat is not None:
-            for i in range(n):
-                if v[i] == 0:
+            for i, vi in enumerate(v):
+                if vi == 0:
                     continue
                 for j, a in mat.rows.get(i, {}).items():
-                    nv[j] += v[i] * a
-        v = nv
-    return sum(x * b for x, b in zip(v, A.beta))
+                    terms[j].append(_times(vi, a))
+        v = [total(t) for t in terms]
+    return total(_times(x, b) for x, b in zip(v, A.beta)
+                 if x != 0 and b is not ZERO)
 
 
 # ---------------------------------------------------------------------------
@@ -207,20 +231,22 @@ def enumerate_words(alphabet, n):
 
 
 def _support(side, n):
-    """The (word, p) pairs of a side with p > 0, in enumeration order."""
+    """A side's law as {word: p} over the words with p > 0, in enumeration
+    order: the marginal on every position."""
     if isinstance(side, str):
-        return [(side, ONE)]
-    return [(z, p) for z in enumerate_words(symbols(side), n)
-            if (p := dist_prob(side, z)) != 0]
+        return {side: ONE}
+    return {z: p for z in enumerate_words(symbols(side), n)
+            if (p := dist_prob(side, z)) != 0}
 
 
-def _marginal(support, positions):
-    """A side's marginal on the 0-based positions: {its letters there: mass}."""
-    marginal = {}
-    for w, p in support:
-        u = "".join([w[j] for j in positions])
-        marginal[u] = marginal[u] + p if u in marginal else p
-    return marginal
+def _sum_out(marginal, at):
+    """The marginal with the letter at index `at` of its words summed out;
+    its words keep the order in which they first appear."""
+    out = {}
+    for w, p in marginal.items():
+        u = w[:at] + w[at + 1:]
+        out[u] = out[u] + p if u in out else p
+    return out
 
 
 def _side_key(side):
@@ -229,15 +255,25 @@ def _side_key(side):
     return side if isinstance(side, str) else id(side)
 
 
-def _values(f, n, queries, coalitions):
-    """For each coalition S, a sorted tuple of 0-based features, yield the
-    list of V(S) = E_{x~outer} v_x(S) of each (variant, inner, outer)
-    query, from the outer side's marginal on S and the inner side's on the
-    features outside S (baseline, interventional) or on S (conditional).
-    Each distinct side's support is enumerated once, each composed word is
-    evaluated once, and each (support, positions) marginal is computed once
-    per coalition and dropped before the next one: kept across coalitions,
-    the marginals would grow as 3^n."""
+def _values(f, n, queries, coalition=None):
+    """Yield (S, [V(S) = E_{x~outer} v_x(S) of each (variant, inner, outer)
+    query]) for each coalition S, a sorted tuple of 0-based features, or
+    only for `coalition` when one is given.  V(S) sums the outer side's
+    marginal on S against the inner side's marginal on the features outside
+    S (baseline, interventional) or on S (conditional).
+
+    One recursion decides the features 0..n-1 in order and carries each
+    distinct side's marginals down it: a marginal "on S" starts as the
+    side's law and sums out each feature left out of S, one "outside S"
+    sums out each feature kept in S, so the marginals on the undecided
+    features stay whole and only the current path's are alive.  Over all
+    2^n coalitions one marginal costs at most (|Sigma|+1)^(n+1) sums, where
+    taking it for each coalition from the whole support costs
+    2^n |Sigma|^n.  Each distinct side's support is enumerated once and
+    each composed word is evaluated once.  The recursion visits the
+    coalitions in another order than by size, so the ZeroProbabilityEvent
+    of the smallest coalition (by size, then in `combinations` order) and,
+    within it, of the first query is raised after it."""
     for variant, _, _ in queries:
         if variant not in ("b", "i", "c"):
             raise ValueError(f"unknown variant {variant!r}")
@@ -248,56 +284,89 @@ def _values(f, n, queries, coalitions):
                 supports[_side_key(side)] = _support(side, n)
     # composed words repeat across coalitions and queries: each is
     # evaluated once
-    evaluate = lru_cache(maxsize=None)(partial(eval_model, f))
-    # the conditional queries' replacing supports weighted by f
-    weighted = {}
-    for variant, inner, _ in queries:
+    evaluate = lru_cache(maxsize=None)(lambda z: _exact(eval_model(f, z)))
+    # the marginals each query reads: the outer side's on S, the inner
+    # side's outside S or, conditional, its law and its law weighted by f
+    # on S
+    on, off = {}, {}
+    for variant, inner, outer in queries:
         key = _side_key(inner)
-        if variant == "c" and key not in weighted:
-            weighted[key] = [(z, p * evaluate(z)) for z, p in supports[key]]
-    for kept in coalitions:
+        on[_side_key(outer)] = supports[_side_key(outer)]
+        if variant != "c":
+            off[key] = supports[key]
+        elif ("f", key) not in on:
+            on[key] = supports[key]
+            on["f", key] = {z: _times(p, y) for z, p in supports[key].items()
+                          if (y := evaluate(z)) is not ZERO}
+    smallest = None     # (|S|, S, event) of the smallest S that raised
+
+    def leaf(kept, on, off):
         free = [j for j in range(n) if j not in kept]
         # where each feature's letter sits in u + v
         order = [*kept, *free]
         where = [order.index(j) for j in range(n)]
-        marginals = {}
-
-        def marginal(support, positions):
-            # positions is kept or free, both alive until the next coalition
-            key = id(support), id(positions)
-            if key not in marginals:
-                marginals[key] = _marginal(support, positions)
-            return marginals[key]
-
         values = []
         for variant, inner, outer in queries:
-            inputs = marginal(supports[_side_key(outer)], kept)
-            support = supports[_side_key(inner)]
-            total = ZERO
+            key = _side_key(inner)
+            terms = []
             if variant == "c":
-                mass = marginal(support, kept)
-                num = marginal(weighted[_side_key(inner)], kept)
-                for u, pu in inputs.items():
+                mass, num = on[key], on["f", key]
+                for u, pu in on[_side_key(outer)].items():
                     if mass.get(u, ZERO) == 0:
                         raise ZeroProbabilityEvent({j + 1 for j in kept}, u)
-                    total += pu * num[u] / mass[u]
+                    if u in num:
+                        term = _times(pu, num[u])
+                        terms.append(term if mass[u] is ONE
+                                     else term / mass[u])
             else:
-                replaced = marginal(support, free)
-                for u, pu in inputs.items():
-                    value = ZERO
-                    for v, pv in replaced.items():
+                for u, pu in on[_side_key(outer)].items():
+                    row = []
+                    for v, pv in off[key].items():
                         uv = u + v
-                        value += pv * evaluate("".join([uv[k] for k in where]))
-                    total += pu * value
-            values.append(total)
-        yield values
+                        y = evaluate("".join([uv[k] for k in where]))
+                        if y is not ZERO:
+                            row.append(_times(pv, y))
+                    if row:
+                        terms.append(_times(pu, total(row)))
+            values.append(total(terms))
+        return values
+
+    def visit(j, kept, on, off):
+        # on: the marginals on the features kept among 0..j-1 and on j..n-1;
+        # off: those on the features left out among 0..j-1 and on j..n-1
+        nonlocal smallest
+        if j == n:
+            if smallest and smallest[:2] < (len(kept), kept):
+                return          # a smaller coalition has raised
+            try:
+                values = leaf(kept, on, off)
+            except ZeroProbabilityEvent as event:
+                smallest = len(kept), kept, event
+            else:
+                yield kept, values
+            return
+        for keep in ((False, True) if coalition is None
+                     else (j in coalition,)):
+            if keep:
+                yield from visit(j + 1, (*kept, j), on,
+                                 {k: _sum_out(m, j - len(kept))
+                                  for k, m in off.items()})
+            else:
+                yield from visit(j + 1, kept,
+                                 {k: _sum_out(m, len(kept))
+                                  for k, m in on.items()}, off)
+
+    yield from visit(0, (), on, off)
+    if smallest:
+        raise smallest[2]
 
 
 def value_fn(variant, f, x, coalition, inner):
     """v_c / v_i / v_b of a coalition (set of 1-based features)."""
     check_query(f, len(x), inner, x, coalition)
-    kept = tuple(j for j in range(len(x)) if j + 1 in coalition)
-    return next(_values(f, len(x), [(variant, inner, x)], [kept]))[0]
+    kept = {j - 1 for j in coalition}
+    for _, values in _values(f, len(x), [(variant, inner, x)], kept):
+        return values[0]
 
 
 def shap_oracle_local(variant, f, x, i, inner):
@@ -321,11 +390,14 @@ def shap_oracle_many(f, n, queries, features=None):
     """[shap_oracle_all(variant, f, n, inner, outer, features) for each
     (variant, inner, outer) query], from one pass over the 2^n coalitions
     that fills one table of coalition values V(S) per query: phi_i = sum
-    over S without i of c(|S|) (V(S + i) - V(S)).  Every query is checked,
-    then guarded, before any enumeration.  A conditional query that
-    conditions on a zero-probability event raises the ZeroProbabilityEvent
-    of the first coalition (smallest first) and, within it, the first
-    query where one occurs."""
+    over k of c(k) sum over S without i of size k of (V(S + i) - V(S)),
+    one product per size.  Every query is checked, then guarded, before
+    any enumeration.  The pass carries each distinct side's marginals down
+    one recursion over the features, so only the current coalition's path
+    holds marginals.  A conditional query that conditions on a
+    zero-probability event raises the ZeroProbabilityEvent of the smallest
+    coalition (by size, then in `combinations` order) and, within it, of
+    the first query where one occurs."""
     queries = list(queries)
     if not queries:
         return []
@@ -341,15 +413,13 @@ def shap_oracle_many(f, n, queries, features=None):
                  if not isinstance(side, str)]
         _check_bits(n + (_word_bits(max(sizes), n) if sizes else 0),
                     "the oracle's job")
-    # smallest first: a zero-probability event names a smallest coalition
-    coalitions = [S for size in range(n + 1)
-                  for S in combinations(range(n), size)]
     tables = [{} for _ in queries]
-    for mask, values in zip((sum(1 << j for j in S) for S in coalitions),
-                            _values(f, n, queries, coalitions)):
+    for kept, values in _values(f, n, queries):
+        mask = sum(1 << j for j in kept)
         for table, value in zip(tables, values):
             table[mask] = value
-    weights = [Rat(factorial(size) * factorial(n - size - 1), factorial(n))
+    weights = [_exact(Rat(factorial(size) * factorial(n - size - 1),
+                          factorial(n)))
                for size in range(n)]
     answers = []
     for table in tables:
@@ -357,11 +427,11 @@ def shap_oracle_many(f, n, queries, features=None):
         for i in asked:
             bit = 1 << (i - 1)
             others = [1 << j for j in range(n) if j != i - 1]
-            phi = ZERO
-            for size, weight in enumerate(weights):
-                for S in map(sum, combinations(others, size)):
-                    phi += weight * (table[S | bit] - table[S])
-            phis.append(phi)
+            # one product per coalition size
+            sums = [total(table[S | bit] - table[S]
+                          for S in map(sum, combinations(others, size)))
+                    for size in range(n)]
+            phis.append(total(map(_times, weights, sums)))
         answers.append(tuple(phis))
     return answers
 

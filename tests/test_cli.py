@@ -465,6 +465,20 @@ def test_shap_sigmoid_beyond_the_logistics_range(capsys, tmp_path, weights,
     assert record["decimal"] == pytest.approx(decimal)
 
 
+def test_shap_sigmoid_whose_every_output_is_1(capsys, tmp_path):
+    # an output of exactly 1.0 stays a binary-64 float through the oracle:
+    # the value is null and the decimal a float
+    model = write_json(tmp_path / "s.json",
+                       cli.encode(SigmoidNet(["0", "0"], ONE, 1e6)))
+    code, out = run(capsys, [
+        "shap", "--scope", "local", "--variant", "baseline", "--model", model,
+        "--input", "11", "--reference", "00", "--feature", "1"])
+    assert code == 0
+    record = json.loads(out)
+    assert record["value"] is None
+    assert type(record["decimal"]) is float and record["decimal"] == 0
+
+
 @pytest.fixture
 def four_features(tmp_path):
     """One file of each type that fixes n, all with n = 4."""

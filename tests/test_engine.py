@@ -275,6 +275,30 @@ def test_the_values_of_all_features_sum_to_v_n_minus_v_0():
                                  - expectation(f, n, inner)), (n, inner)
 
 
+def test_identities_beyond_the_oracles_guard():
+    # at n = 24, past the oracle's guard, the engine checks itself: it is
+    # linear in each side, a distribution being the mean of its rows'
+    # point distributions, and additive in the model
+    rng = rng_for(93)
+    n = 24
+    f, g = rand_wa(rng, 3, B, density=1.0), rand_wa(rng, 2, B, density=1.0)
+    data = rand_dataset(rng, n, 3)
+    D = hmmvec_to_hmm(emp_to_hmmvec(data))
+    w, r = rand_word(rng, B, n), rand_word(rng, B, n)
+
+    def mean(phis_at):
+        # the sum over the distinct rows x of p(x) phis_at(x), per feature
+        weighted = [[data.prob(x) * phi for phi in phis_at(x)]
+                    for x in set(data.rows)]
+        return tuple(sum(col, ZERO) for col in zip(*weighted))
+
+    assert any(shap(f, n, D, w))
+    assert shap(f, n, D, w) == mean(lambda x: shap(f, n, x, w))
+    assert shap(f, n, r, D) == mean(lambda x: shap(f, n, r, x))
+    assert shap(add(f, g), n, D, w) == tuple(
+        a + b for a, b in zip(shap(f, n, D, w), shap(g, n, D, w)))
+
+
 def test_values_that_break_efficiency_raise(monkeypatch):
     # wrong Shapley weights c(k) make every value wrong and their sum too:
     # an all-features pass raises, and only a pass asked fewer features,

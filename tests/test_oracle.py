@@ -303,6 +303,52 @@ def test_two_distribution_query_makes_one_product_per_letter_pair(
     assert fraction_ops.take()[0] <= 3 * 2 ** n * 2 ** n
 
 
+def test_marginals_are_summed_out_one_position_at_a_time(fraction_ops):
+    # over the 2^n coalitions the marginals of a full-support side cost at
+    # most (|Sigma|+1)^(n+1) sums in all; one marginal per coalition from
+    # the whole support, 2^n |Sigma|^n, makes 286,720 here
+    rng = rng_for(69)
+    n = 9
+    f, D = rand_dt(rng, n, max_depth=4), rand_hmm(rng, 2, B)
+    x = rand_word(rng, B, n)
+    fraction_ops.take()
+    shap_oracle_many(f, n, [("i", D, x)])
+    assert fraction_ops.take()[1] <= 3 ** (n + 1)
+
+
+@pytest.mark.parametrize("bias", [ONE, -ONE])
+def test_a_float_equal_to_1_or_0_stays_a_float(bias):
+    # every output of this sigmoid network is exactly 1.0 (or 0.0) in
+    # binary-64: the oracle's exact 0 and 1 are never floats, so the
+    # values it answers are floats
+    n = 3
+    f = SigmoidNet([ZERO] * n, bias, 1e6)
+    assert {eval_model(f, x) for x in words(n)} == {float(bias > 0)}
+    D = uniform_hmm(B)
+    for variant, inner, outer in (("b", "010", "111"), ("i", D, "101"),
+                                  ("c", D, "101"), ("b", "010", D)):
+        phis = shap_oracle_all(variant, f, n, inner, outer)
+        assert [type(phi) for phi in phis] == [float] * n, variant
+        assert phis == (0.0,) * n
+    assert type(value_fn("b", f, "111", {1}, "000")) is float
+
+
+def test_value_fn_evaluates_its_one_coalition(monkeypatch):
+    # with word sides the coalition composes one word: value_fn evaluates
+    # it alone, not each of the 2^20 coalitions' words
+    calls = []
+
+    def counting(model, w):
+        calls.append(w)
+        return eval_model(model, w)
+
+    monkeypatch.setattr(oracle, "eval_model", counting)
+    n = 20
+    x, ref = "1" * n, "10" * (n // 2)
+    assert value_fn("b", and_wa(), x, set(range(2, n + 1, 2)), ref) == 1
+    assert calls == ["1" * n]
+
+
 def verify_queries(D, w, w_ref):
     """verify's baseline and interventional (variant, inner, outer)
     queries in ROUTES order: local, then global."""
