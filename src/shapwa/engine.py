@@ -40,17 +40,17 @@ pair of layers, so positions that share a pair share them, and each
 product of an outer and an inner weight is made once per (o, i, s).  A row
 that sums several symbols drops its exact zeros, so the stored entries,
 and every reach_j, are those of the full Kronecker sums, and stores an
-entry equal to 1 as the shared ONE.  A reachable row costs at most one Rat
-product per term of its sum, a state out of reach nothing.
+entry equal to 1 as the shared ONE (`rational.exact`).  A reachable row
+costs at most one Rat product per term of its sum, a state out of reach
+nothing.
 
 No Rat operation is made whose result one operand decides.  `rat` reads
 every 0 and 1 of a file as the shared ZERO and ONE, and a compiled
 automaton is mostly 0/1: a word side is the unit layer, and every
 transition entry of a compiled tree is 1 but those that carry its leaf
-values.  A product whose factor is ONE, tested by identity, is the other
-factor (in `_Step.fill`, `_kron_vec`, `_dot` and `SpMat.vecmat`/`matvec`),
-and every sum starts from its first term, never from ZERO.  A 1 that is
-another object is multiplied as any other value, to the same answer.  On
+values.  Every product is `rational.times`, which skips a factor that is
+ONE, and every sum starts from its first term, never from ZERO.  A 1 that
+is another object is multiplied as any other value, to the same answer.  On
 a compiled depth-3 tree under a compiled 4-row dataset (n = 6), a local
 interventional pass makes 54 Fraction products, its efficiency check
 (below) none, where the pass would make 279 without these two rules.
@@ -138,7 +138,7 @@ from math import factorial
 from .hmm import Hmm
 from .linalg import SpMat
 from .models import check_query
-from .rational import Rat, ZERO, ONE, total
+from .rational import Rat, ZERO, ONE, exact, times, total
 from .wa import NAlphabetWA
 
 # enough for loc_i, loc_b and glo_b queries alternating over a few instances
@@ -199,8 +199,7 @@ class _Step:
                     ab = pairs.get(oi)
                     if ab is None:
                         ab = pairs[oi] = [
-                            ((j * d_in + k) * d_f,
-                             b if a is ONE else a if b is ONE else a * b)
+                            ((j * d_in + k) * d_f, times(a, b))
                             for j, a in outer.rows.get(o, {}).items()
                             for k, b in inner.rows.get(i, {}).items()]
                     if not ab:
@@ -209,11 +208,10 @@ class _Step:
                     for base, w in ab:
                         for r, c in f_row.items():
                             y = base + r
-                            v = c if w is ONE else w if c is ONE else w * c
+                            v = times(w, c)
                             row[y] = row[y] + v if y in row else v
                 if summed > 1:
-                    row = {y: ONE if v == 1 else v for y, v in row.items()
-                           if v != 0}
+                    row = {y: exact(v) for y, v in row.items() if v != 0}
                 if row:
                     mat.rows[x] = row
         self.done |= states
@@ -227,7 +225,7 @@ class _Step:
 def _kron_vec(*vecs):
     out = {0: ONE}
     for vec in vecs:
-        out = {i * len(vec) + j: y if x is ONE else x if y is ONE else x * y
+        out = {i * len(vec) + j: times(x, y)
                for i, x in out.items() for j, y in enumerate(vec) if y != 0}
     return out
 
@@ -253,7 +251,7 @@ def _dot(u, v):
     meet."""
     if len(u) > len(v):
         u, v = v, u
-    return total(y if x is ONE else x if y is ONE else x * y
+    return total(times(x, y)
                  for j, x in u.items() if (y := v.get(j)) is not None)
 
 
@@ -317,7 +315,7 @@ def _pass(f, n, inner, outer, features):
 
     # bwd = [B_{j+1}[b] for b = 0..players after j] on reach_j, where
     # diff[j] lives and where B_j on reach_{j-1} reads it
-    c = [Rat(factorial(k) * factorial(m - 1 - k), factorial(m))
+    c = [exact(Rat(factorial(k) * factorial(m - 1 - k), factorial(m)))
          for k in range(m)]
     end = _kron_vec(o_beta, i_beta, f.beta)
     end = {x: end[x] for x in reach[n] if x in end}
@@ -332,7 +330,7 @@ def _pass(f, n, inner, outer, features):
                         if d is not ZERO:
                             k = a + b
                             by_size[k] = by_size[k] + d if k in by_size else d
-            phis[j] = total(c[k] * d for k, d in by_size.items() if d)
+            phis[j] = total(times(c[k], d) for k, d in by_size.items() if d)
         if j > first:
             step, rows = steps[j - 1], reach[j - 1]
             vp = [step.P.matvec(v, rows) for v in bwd]

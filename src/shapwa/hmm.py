@@ -8,7 +8,7 @@ hence prefix probabilities over Sigma^n sum to 1 for every n.
 """
 
 from .linalg import SpMat
-from .rational import Rat, ONE, as_list, check_law, format_rat, rats
+from .rational import Rat, ONE, as_list, check_law, format_rat, rats, times
 from .wa import NAlphabetWA, eval_wa, wa_from_parts
 
 
@@ -51,7 +51,7 @@ class Hmm:
 def symbol_matrices(dim, transition, emission, alphabet):
     """{sigma: T * Diag(O[:, sigma])} as SpMats, from the dim x dim rows T
     and the dim x len(alphabet) rows O, each a list of rationals; zeros are
-    dropped, and a factor that is the shared ONE makes no product.
+    dropped, and every product is `rational.times`.
     ValueError unless the sizes agree and every row of T and O is a law."""
     k = len(alphabet)
     if len(transition) != dim or any(len(r) != dim for r in transition):
@@ -68,8 +68,7 @@ def symbol_matrices(dim, transition, emission, alphabet):
     for i, row in enumerate(transition):
         for j, t in enumerate(row):
             for sigma, o in emits[j] if t else ():
-                mats[sigma].rows.setdefault(i, {})[j] = (
-                    o if t is ONE else t if o is ONE else t * o)
+                mats[sigma].rows.setdefault(i, {})[j] = times(t, o)
     return mats
 
 

@@ -7,12 +7,12 @@ use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 
 Compiled automata are mostly 0/1, and rat returns the shared ZERO and ONE
-for 0 and 1.  So a product below whose factor is ONE, tested by identity,
-is the other factor, and each sum starts from its first term: neither a
+for 0 and 1.  So every product below is `rational.times`, which skips a
+factor that is ONE, and each sum starts from its first term: neither a
 product by 1 nor a sum with 0 costs a rational operation.
 """
 
-from .rational import ONE, ZERO, as_list, format_rat, rat, rats
+from .rational import ZERO, as_list, format_rat, rat, rats, times
 
 # what a file in the dense layout of earlier versions is told
 LAYOUT = ("a matrix is a list of [row, col, value] entries; a file in the "
@@ -74,8 +74,7 @@ class SpMat:
                     target = out.rows.setdefault(base_r, {})
                     # (i, k, j, l) is the one source of entry (i*m+k, j*m+l)
                     for l, b in orow.items():
-                        target[j * m + l] = (b if a is ONE else a if b is ONE
-                                             else a * b)
+                        target[j * m + l] = times(a, b)
         out._prune(list(out.rows))
         return out
 
@@ -96,7 +95,7 @@ class SpMat:
             if not row:
                 continue
             for j, a in row.items():
-                y = x if a is ONE else a if x is ONE else x * a
+                y = times(x, a)
                 out[j] = out[j] + y if j in out else y
         return {j: v for j, v in out.items() if v != 0}
 
@@ -113,7 +112,7 @@ class SpMat:
             for j, a in row.items():
                 y = v.get(j)
                 if y is not None:
-                    y = y if a is ONE else a if y is ONE else a * y
+                    y = times(a, y)
                     x = y if x is None else x + y
             if x is not None and x != 0:
                 out[i] = x

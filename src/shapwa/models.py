@@ -13,10 +13,11 @@ Each constructor coerces its rational fields with `rat` and checks them.
 import math
 import sys
 from dataclasses import dataclass, fields, is_dataclass
+from functools import reduce
 
 from .hmm import symbol_matrices
 from .rational import (Rat, ZERO, ONE, as_list, check_law, format_rat, rat,
-                       rats, total)
+                       rats, times, total)
 
 
 def step(x):
@@ -172,13 +173,13 @@ class TreeEnsemble:
         return self.trees[0].domain
 
     def evaluate(self, x):
-        votes = [t.evaluate(x) for t in self.trees]
+        votes = [(w, t.evaluate(x)) for w, t in zip(self.weights, self.trees)]
         if self.mode == "regression":
-            return sum((w * v for w, v in zip(self.weights, votes)), ZERO)
-        # majority vote between the 0 and 1 labels, ties broken towards 1
-        margin = sum((w * (2 * v - 1) for w, v in zip(self.weights, votes)),
-                     ZERO)
-        return Rat(step(margin))
+            return total(times(w, v) for w, v in votes if v)
+        # majority vote between the 0 and 1 labels, ties broken towards 1:
+        # the weights of the 1 votes against those of the 0 votes
+        ones = total(w for w, v in votes if v)
+        return ONE if ones >= total(w for w, v in votes if not v) else ZERO
 
 
 @dataclass
@@ -202,10 +203,8 @@ class LinearModel:
         return self.weights.get((i, d), ZERO)
 
     def evaluate(self, x):
-        total = self.intercept
-        for i, sym in enumerate(x, start=1):
-            total += self.weight(i, sym)
-        return total
+        weights = (self.weight(i, sym) for i, sym in enumerate(x, start=1))
+        return total(w for w in (self.intercept, *weights) if w)
 
 
 # ---------------------------------------------------------------------------
@@ -251,7 +250,7 @@ class HmmVec:
             out = {}
             for a, p in v.items():
                 for b, t in rows.get(a, {}).items():
-                    y = p * t
+                    y = times(p, t)
                     out[b] = out[b] + y if b in out else y
             v = out
         return total(v.values())
@@ -301,10 +300,8 @@ class IndDist:
         return len(self.marginals)
 
     def prob(self, x):
-        total = ONE
-        for m, sym in zip(self.marginals, x):
-            total *= m.get(sym, ZERO)
-        return total
+        return reduce(times, (m.get(sym, ZERO)
+                              for m, sym in zip(self.marginals, x)), ONE)
 
 
 @dataclass
@@ -330,10 +327,9 @@ class MarkovDist:
     def prob(self, w):
         if not w:
             return ONE
-        p = self.init.get(w[0], ZERO)
-        for a, b in zip(w, w[1:]):
-            p *= self.trans.get(a, {}).get(b, ZERO)
-        return p
+        return reduce(times, (self.trans.get(a, {}).get(b, ZERO)
+                              for a, b in zip(w, w[1:])),
+                      self.init.get(w[0], ZERO))
 
 
 @dataclass
@@ -360,13 +356,10 @@ class NaiveBayes:
         return len(self.tables)
 
     def prob(self, x):
-        total = ZERO
-        for y, py in self.prior.items():
-            term = py
-            for t, sym in zip(self.tables, x):
-                term *= t[y].get(sym, ZERO)
-            total += term
-        return total
+        terms = (reduce(times, (t[y].get(sym, ZERO)
+                                for t, sym in zip(self.tables, x)), py)
+                 for y, py in self.prior.items())
+        return total(p for p in terms if p)
 
 
 # ---------------------------------------------------------------------------
@@ -415,10 +408,9 @@ class RnnRelu:
 
 def _affine(row, h, v=ZERO):
     """sum over the sparse row's (b, x) of x * h[b], plus v; a unit equal
-    to 0 is skipped, a factor that is the shared ONE makes no product, and
-    the sum starts from its first term."""
-    terms = [y if x is ONE else x if y is ONE else x * y
-             for b, x in row if (y := h[b])]
+    to 0 is skipped, each product is `rational.times`, and the sum starts
+    from its first term."""
+    terms = [times(x, y) for b, x in row if (y := h[b])]
     if v:
         terms.append(v)
     return total(terms)

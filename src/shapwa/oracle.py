@@ -21,9 +21,10 @@ decided feature out of the marginals that do not keep it (Yates's
 all-marginals recursion): no marginal is taken from the whole support.
 
 No rational operation is made that an exact 0 or 1 decides: a model value
-equal to 0 or 1 is the shared ZERO or ONE (a binary-64 float stays a
-float), a product by ONE is the other factor, a term that is ZERO is left
-out, and every sum starts from its first term.
+equal to 0 or 1 is the shared ZERO or ONE (`rational.exact`; a binary-64
+float stays a float), every product is `rational.times`, which skips a
+factor that is ONE, a term that is ZERO is left out, and every sum starts
+from its first term.
 
 Exponential and guarded; shares no pipeline code with the engine (it is
 the trust anchor), only the scalar type, the containers and the query
@@ -42,7 +43,7 @@ from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                      TreeEnsemble, check_query, symbols)
-from .rational import Rat, ZERO, ONE, total
+from .rational import Rat, ZERO, ONE, exact, times, total
 from .wa import NAlphabetWA
 
 DEFAULT_GUARD_BITS = 24
@@ -164,20 +165,6 @@ def hamming(w, w2):
 # models evaluated from first principles
 
 
-def _times(a, b):
-    """a * b, with no product by the shared ONE."""
-    return b if a is ONE else a if b is ONE else a * b
-
-
-def _exact(value):
-    """An exact value equal to 0 or 1 as the shared ZERO or ONE, which the
-    sums and products below test by identity; a binary-64 float as it is,
-    so a float answer stays a float."""
-    if isinstance(value, float):
-        return value
-    return ZERO if value == 0 else ONE if value == 1 else value
-
-
 def eval_model(model, x):
     """Direct forward evaluation of any supported model."""
     if isinstance(model, NAlphabetWA):
@@ -201,9 +188,9 @@ def _wa_value(A, w):
                 if vi == 0:
                     continue
                 for j, a in mat.rows.get(i, {}).items():
-                    terms[j].append(_times(vi, a))
+                    terms[j].append(times(vi, a))
         v = [total(t) for t in terms]
-    return total(_times(x, b) for x, b in zip(v, A.beta)
+    return total(times(x, b) for x, b in zip(v, A.beta)
                  if x != 0 and b is not ZERO)
 
 
@@ -284,7 +271,7 @@ def _values(f, n, queries, coalition=None):
                 supports[_side_key(side)] = _support(side, n)
     # composed words repeat across coalitions and queries: each is
     # evaluated once
-    evaluate = lru_cache(maxsize=None)(lambda z: _exact(eval_model(f, z)))
+    evaluate = lru_cache(maxsize=None)(lambda z: exact(eval_model(f, z)))
     # the marginals each query reads: the outer side's on S, the inner
     # side's outside S or, conditional, its law and its law weighted by f
     # on S
@@ -296,8 +283,8 @@ def _values(f, n, queries, coalition=None):
             off[key] = supports[key]
         elif ("f", key) not in on:
             on[key] = supports[key]
-            on["f", key] = {z: _times(p, y) for z, p in supports[key].items()
-                          if (y := evaluate(z)) is not ZERO}
+            on["f", key] = {z: times(p, y) for z, p in supports[key].items()
+                            if (y := evaluate(z)) is not ZERO}
     smallest = None     # (|S|, S, event) of the smallest S that raised
 
     def leaf(kept, on, off):
@@ -315,7 +302,7 @@ def _values(f, n, queries, coalition=None):
                     if mass.get(u, ZERO) == 0:
                         raise ZeroProbabilityEvent({j + 1 for j in kept}, u)
                     if u in num:
-                        term = _times(pu, num[u])
+                        term = times(pu, num[u])
                         terms.append(term if mass[u] is ONE
                                      else term / mass[u])
             else:
@@ -325,9 +312,9 @@ def _values(f, n, queries, coalition=None):
                         uv = u + v
                         y = evaluate("".join([uv[k] for k in where]))
                         if y is not ZERO:
-                            row.append(_times(pv, y))
+                            row.append(times(pv, y))
                     if row:
-                        terms.append(_times(pu, total(row)))
+                        terms.append(times(pu, total(row)))
             values.append(total(terms))
         return values
 
@@ -418,8 +405,8 @@ def shap_oracle_many(f, n, queries, features=None):
         mask = sum(1 << j for j in kept)
         for table, value in zip(tables, values):
             table[mask] = value
-    weights = [_exact(Rat(factorial(size) * factorial(n - size - 1),
-                          factorial(n)))
+    weights = [exact(Rat(factorial(size) * factorial(n - size - 1),
+                         factorial(n)))
                for size in range(n)]
     answers = []
     for table in tables:
@@ -431,7 +418,7 @@ def shap_oracle_many(f, n, queries, features=None):
             sums = [total(table[S | bit] - table[S]
                           for S in map(sum, combinations(others, size)))
                     for size in range(n)]
-            phis.append(total(map(_times, weights, sums)))
+            phis.append(total(map(times, weights, sums)))
         answers.append(tuple(phis))
     return answers
 

@@ -20,8 +20,7 @@ ONE = Rat(1)
 def rat(x) -> "Rat":
     """Coerce an int, string or rational to Rat; a Rat is returned as it
     is, not copied; a float or a bool is refused with TypeError.  Any other
-    value equal to 0 or 1 comes back as the shared ZERO or ONE, which the
-    kernels test by identity to skip a product by 1 or a sum with 0.  A
+    value equal to 0 or 1 comes back as the shared ZERO or ONE (`exact`).  A
     string must be what format_rat writes: an optional "-", ASCII digits,
     and an optional "/" followed by ASCII digits that are not all 0.
     Anything else, such as "1.5", "1e9", "+1", " 1", "1_0" or a non-ASCII
@@ -32,8 +31,7 @@ def rat(x) -> "Rat":
     if isinstance(x, (float, bool)):
         raise TypeError(f"not an exact rational: {x!r}")
     if not isinstance(x, str):
-        x = Rat(x)
-        return ZERO if x == 0 else ONE if x == 1 else x
+        return exact(Rat(x))
     num, slash, den = x.partition("/")
     if not (_digits(num[1:] if num[:1] == "-" else num)
             and (not slash or _digits(den))):
@@ -64,6 +62,21 @@ def rats(values) -> list:
     parsed = {}
     return [(parsed[x] if x in parsed else parsed.setdefault(x, rat(x)))
             if isinstance(x, str) else rat(x) for x in as_list(values)]
+
+
+def exact(x):
+    """x, but the shared ZERO or ONE when x equals 0 or 1, which the
+    kernels test by identity to skip a product by 1 or a sum with 0; a
+    binary-64 float comes back as it is."""
+    if isinstance(x, float):
+        return x
+    return ZERO if x == 0 else ONE if x == 1 else x
+
+
+def times(a, b):
+    """a * b, but the other factor when one is the shared ONE: the one
+    place that decides a product by identity."""
+    return b if a is ONE else a if b is ONE else a * b
 
 
 def total(terms):

@@ -111,6 +111,14 @@ def test_twi_exhaustive():
         build_T_wi("10", 3, B)
 
 
+def test_position_builders_refuse_positions_out_of_range():
+    for i in (0, 3):
+        with pytest.raises(IndexError):
+            build_A_in(i, 2, B)
+    with pytest.raises(IndexError):
+        build_T_i(0, B)
+
+
 # ---------------------------------------------------------------------------
 # T, T_i
 

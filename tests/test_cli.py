@@ -731,6 +731,16 @@ MALFORMED = {
     "wa-empty-symbol": ("wa", {"alphabets": [["", "1"]], "alpha": ["1"],
                                "beta": ["1"],
                                "transitions": {"1": [[0, 0, "1"]]}}),
+    # no alphabet, an empty one, a symbol twice, a key outside its alphabet
+    "wa-no-alphabets": ("wa", {"alphabets": [], "alpha": ["1"],
+                               "beta": ["1"], "transitions": {}}),
+    "wa-empty-alphabet": ("wa", {"alphabets": [[]], "alpha": ["1"],
+                                 "beta": ["1"], "transitions": {}}),
+    "wa-repeated-symbol": ("wa", {"alphabets": [["0", "0"]], "alpha": ["1"],
+                                  "beta": ["1"], "transitions": {}}),
+    "wa-key-outside-alphabet": ("wa", {"alphabets": [B], "alpha": ["1"],
+                                       "beta": ["1"],
+                                       "transitions": {"2": [[0, 0, "1"]]}}),
     "hmm-multichar-symbol": ("hmm", {"alphabet": ["ab", "c"], "alpha": ["1"],
                                      "matrices": {"ab": [[0, 0, "1/2"]],
                                                   "c": [[0, 0, "1/2"]]}}),
@@ -1311,6 +1321,16 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "all PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_runs_as_a_module():
+    src = str(Path(cli.__file__).parent.parent)
+    done = subprocess.run([sys.executable, "-m", "shapwa", "verify", "--suite",
+                           "engine", "--count", "1", "--seed", "0"],
+                          capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": src})
+    assert done.returncode == 0, done.stderr
+    assert "all PASS" in done.stdout
 
 
 @pytest.mark.parametrize("count", ["0", "-3"])

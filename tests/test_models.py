@@ -116,10 +116,60 @@ def test_distribution_normalization():
         assert sum((dist.prob(x) for x in words(3)), ZERO) == 1
     m = rand_markov(rng_for(43))
     assert sum((m.prob(x) for x in words(3)), ZERO) == 1
+    assert m.prob("") == 1
     with pytest.raises(ValueError):
         IndDist([{"0": Rat(1, 2), "1": Rat(1, 3)}], B)
     with pytest.raises(ValueError):
         MarkovDist({"0": ONE, "1": ZERO}, {"0": {"0": Rat(1, 2)}}, B)
+
+
+def test_vote_ensemble_weighs_its_votes_with_no_product(fraction_ops):
+    # the weights of the 1 votes against those of the 0 votes: no product
+    # by +-1 and no sum with 0 per tree; the label is the shared ONE or ZERO
+    n = 5
+    trees = [DecisionTree(DTNode(feature=j, children={
+        "0": DTNode(leaf=ZERO), "1": DTNode(leaf=ONE)}), n, B)
+        for j in range(1, n + 1)]
+    weights = [Rat(1, k) for k in range(2, n + 2)]
+    vote = TreeEnsemble(trees, weights, "vote")
+    expect = {x: ONE if sum(w if s == "1" else -w
+                            for w, s in zip(weights, x)) >= 0 else ZERO
+              for x in words(n)}
+    assert set(expect.values()) == {ZERO, ONE}
+    fraction_ops.take()
+    got = {x: vote.evaluate(x) for x in words(n)}
+    assert (fraction_ops.trivial, fraction_ops.take()[0]) == (0, 0)
+    assert all(got[x] is y for x, y in expect.items())
+
+
+THIRDS = {"0": Rat(1, 3), "1": Rat(2, 3)}
+# parameters with 1s, 0s and 0-padded weights among them
+MARGINALS = [{"0": ONE}, {"0": Rat(1, 2), "1": Rat(1, 2)}, THIRDS]
+PRIOR = {"c": Rat(1, 4), "d": Rat(3, 4)}
+WEIGHTS = {(1, "0"): Rat(2), (2, "1"): Rat(-1, 2), (3, "0"): ONE}
+# name -> (the object, its value at x by definition)
+EVALUATORS = {
+    "ind": (IndDist(MARGINALS, B), lambda x: math.prod(
+        m.get(s, 0) for m, s in zip(MARGINALS, x))),
+    "nb": (NaiveBayes(PRIOR, [{"c": m, "d": THIRDS} for m in MARGINALS], B),
+           lambda x: PRIOR["c"] * math.prod(
+               m.get(s, 0) for m, s in zip(MARGINALS, x))
+           + PRIOR["d"] * math.prod(THIRDS[s] for s in x)),
+    "linear": (LinearModel(3, B, WEIGHTS), lambda x: sum(
+        WEIGHTS.get((i, s), 0) for i, s in enumerate(x, start=1))),
+}
+
+
+@pytest.mark.parametrize("name", EVALUATORS)
+def test_evaluators_make_no_product_by_1_and_no_sum_with_0(fraction_ops,
+                                                            name):
+    f, by_definition = EVALUATORS[name]
+    evaluate = getattr(f, "prob", None) or f.evaluate
+    expect = {x: by_definition(x) for x in words(3)}
+    fraction_ops.take()
+    got = {x: evaluate(x) for x in words(3)}
+    assert fraction_ops.trivial == 0
+    assert got == expect
 
 
 @pytest.mark.parametrize("alpha, transitions, emissions", [

@@ -94,6 +94,17 @@ def test_rnn_refuses_embeddings_off_its_domain():
             RnnRelu(**{**ok, "emb": emb})
 
 
+def test_oracle_refuses_what_it_cannot_read():
+    two_tape = NAlphabetWA([B, B], [ONE],
+                           {("1", "1"): SpMat.from_dense([[ONE]])}, [ONE])
+    with pytest.raises(ValueError, match="1-alphabet"):
+        eval_model(two_tape, "1")
+    with pytest.raises(TypeError, match="unsupported distribution"):
+        dist_prob(and_wa(), "11")
+    with pytest.raises(ValueError, match="unknown variant"):
+        shap_oracle_all("x", and_wa(), 2, "00", "11")
+
+
 def test_hamming():
     assert hamming("0101", "0101") == 0
     assert hamming("00", "11") == 2
@@ -288,6 +299,7 @@ def test_many_queries_answer_one_call_each():
         else:
             assert shap_oracle_many(f, n, queries, features) == want, idx
     assert 0 < raised < 20, raised
+    assert shap_oracle_many(and_wa(), 2, []) == []
 
 
 def test_two_distribution_query_makes_one_product_per_letter_pair(

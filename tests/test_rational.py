@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import pytest
 
 from shapwa import rational
@@ -6,7 +9,8 @@ from shapwa.linalg import SpMat
 from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
-from shapwa.rational import ONE, Rat, ZERO, format_rat, rat, rats, total
+from shapwa.rational import (ONE, Rat, ZERO, exact, format_rat, rat, rats,
+                             times, total)
 from shapwa.wa import NAlphabetWA
 
 
@@ -55,6 +59,49 @@ def test_zero_and_one_come_back_shared():
     for x in ("1", "01", "3/3", 1):
         assert rat(x) is ONE, x
     assert rat("-1") == -1 and rat("2/3") == Rat(2, 3)
+
+
+def test_exact_and_times_skip_by_identity():
+    x = Rat(2, 3)
+    assert exact(Rat(3, 3)) is ONE and exact(Rat(0, 5)) is ZERO
+    assert exact(x) is x
+    for y in (1.0, 0.0):
+        assert type(exact(y)) is float
+    assert times(ONE, x) is x and times(x, ONE) is x
+    assert times(x, x) == Rat(4, 9)
+
+
+def _product_by_one_rules(tree):
+    """Line of each conditional expression in a module's syntax tree that
+    tests `is ONE` and multiplies in a branch."""
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.IfExp):
+            continue
+        tests_one = any(
+            isinstance(cmp, ast.Compare)
+            and any(isinstance(op, ast.Is) for op in cmp.ops)
+            and any(getattr(c, "id", getattr(c, "attr", None)) == "ONE"
+                    for c in cmp.comparators)
+            for cmp in ast.walk(node.test))
+        multiplies = any(
+            isinstance(op, ast.BinOp) and isinstance(op.op, ast.Mult)
+            for branch in (node.body, node.orelse) for op in ast.walk(branch))
+        if tests_one and multiplies:
+            yield node.lineno
+
+
+def test_only_rational_writes_the_product_by_one_rule():
+    # the one rule that skips a product by the shared ONE is
+    # rational.times; a division by ONE is not a product and may stay
+    src = Path(__file__).resolve().parents[1] / "src" / "shapwa"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = sorted(set(_product_by_one_rules(tree)))
+        if lines:
+            found[path.stem] = lines
+    assert set(found) <= {"rational"}, found
+    assert "rational" in found  # the scan sees the rule
 
 
 def test_rats_parses_each_distinct_string_once(monkeypatch):

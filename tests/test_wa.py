@@ -296,6 +296,30 @@ def test_contract_errors():
         contract(T, [(tape_wa(49), (1,))], 2)
 
 
+def test_algebra_refuses_automata_it_cannot_combine():
+    A, alien, two_tape = seeded_wa(53), seeded_wa(54, alphabet=AB), tape_wa(55)
+    for combine in (add, kron):
+        with pytest.raises(ValueError, match="alphabet/arity mismatch"):
+            combine(A, alien)
+    with pytest.raises(ValueError, match="1-alphabet"):
+        pi1(A, two_tape, 2)
+    with pytest.raises(ValueError, match="alphabet mismatch"):
+        pi1(A, alien, 2)
+    with pytest.raises(ValueError, match="1-alphabet"):
+        pi0(two_tape, 2)
+
+
+def test_hmm_and_spmat_refuse_other_shapes():
+    half = {(s,): SpMat.from_dense([[Rat(1, 2)]]) for s in B}
+    with pytest.raises(ValueError, match="1-alphabet"):
+        hmm.Hmm(tape_wa(56))
+    with pytest.raises(ValueError, match="all-ones"):
+        hmm.Hmm(NAlphabetWA([B], [ONE], half, [Rat(1, 2)]))
+    hmm.Hmm(NAlphabetWA([B], [ONE], half, [ONE]))
+    with pytest.raises(ValueError, match="not square"):
+        SpMat.from_dense([["1", "0"]])
+
+
 # ---------------------------------------------------------------------------
 # DFA embedding
 
