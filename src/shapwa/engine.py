@@ -37,23 +37,29 @@ InSum_j = sum_t In_j[t], row (o, i, q) of P_j is
 
 and of Q_j the same with OutSum_j (x) In_j[s].  Rows are kept per distinct
 pair of layers, so positions that share a pair share them, and each
-product of an outer and an inner weight is made once per (o, i, s).  A row
-that sums several symbols drops its exact zeros, so the stored entries,
-and every reach_j, are those of the full Kronecker sums, and stores an
-entry equal to 1 as the shared ONE (`rational.exact`).  A reachable row
-costs at most one Rat product per term of its sum, a state out of reach
-nothing.
+product of an outer and an inner weight is made once per (o, i, s).  Each
+entry of a row is one `rational.dot` of its terms over every symbol, so an
+entry whose terms cancel is dropped, the stored entries, and every reach_j,
+are those of the full Kronecker sums, and an entry equal to 1 is the
+shared ONE.  A reachable row costs one normalized Rat per entry, a state
+out of reach nothing.
 
-No Rat operation is made whose result one operand decides.  `rat` reads
-every 0 and 1 of a file as the shared ZERO and ONE, and a compiled
-automaton is mostly 0/1: a word side is the unit layer, and every
-transition entry of a compiled tree is 1 but those that carry its leaf
-values.  Every product is `rational.times`, which skips a factor that is
-ONE, and every sum starts from its first term, never from ZERO.  A 1 that
-is another object is multiplied as any other value, to the same answer.  On
-a compiled depth-3 tree under a compiled 4-row dataset (n = 6), a local
-interventional pass makes 54 Fraction products, its efficiency check
-(below) none, where the pass would make 279 without these two rules.
+No Rat operation is made whose result one operand decides, and a sum of
+products is normalized once.  `rat` reads every 0 and 1 of a file as the
+shared ZERO and ONE, and a compiled automaton is mostly 0/1: a word side
+is the unit layer, and every transition entry of a compiled tree is 1 but
+those that carry its leaf values.  Every sum of products, an entry of a
+row, of a forward vector (`SpMat.vecmat`), a dot and a phi_i, is one
+`rational.dot`: integer products over a common denominator, then one Rat.
+The other products, of an outer by an inner weight and of the backward
+matrix-vector products, are `rational.times`, which skips a factor that is
+ONE, and every other sum starts from its first term, never from ZERO.  A
+1 that is another object is multiplied as any other value, to the same
+answer.  On a compiled depth-3 tree under a compiled 4-row dataset
+(n = 6), a local interventional pass makes 27 Fraction products and 38
+sums, its efficiency check (below) 6 more sums, where the pass makes 279
+products and 235 sums when each is made term by term, products by 1 and
+sums with 0 included.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -138,7 +144,7 @@ from math import factorial
 from .hmm import Hmm
 from .linalg import SpMat
 from .models import check_query
-from .rational import Rat, ZERO, ONE, exact, times, total
+from .rational import Rat, ZERO, ONE, dot, exact, times, total
 from .wa import NAlphabetWA
 
 # enough for loc_i, loc_b and glo_b queries alternating over a few instances
@@ -182,16 +188,17 @@ class _Step:
 
     def fill(self, states):
         """Build the rows of P and Q at these states; return the states
-        their stored entries reach.  Exact zeros are pruned from a row that
-        sums more than one symbol, so the stored entries, and the states
-        they reach, are those of the summed Kronecker products; a sum equal
-        to 1 is stored as ONE, which the vector products skip."""
+        their stored entries reach.  Each entry is one `rational.dot` of its
+        terms over every symbol, which is the shared ZERO, left out of the
+        row, where they cancel, so the stored entries, and the states they
+        reach, are those of the summed Kronecker products; a sum equal to 1
+        is ONE, which the vector products skip."""
         _, d_in, d_f = self.dims
         for x in states - self.done:
             oi, q = divmod(x, d_f)
             o, i = divmod(oi, d_in)
             for mat, terms in self.terms:
-                row, summed = {}, 0
+                sums = {}
                 for outer, inner, fm, pairs in terms:
                     f_row = fm.rows.get(q)
                     if not f_row:
@@ -202,16 +209,15 @@ class _Step:
                             ((j * d_in + k) * d_f, times(a, b))
                             for j, a in outer.rows.get(o, {}).items()
                             for k, b in inner.rows.get(i, {}).items()]
-                    if not ab:
-                        continue
-                    summed += 1
                     for base, w in ab:
                         for r, c in f_row.items():
                             y = base + r
-                            v = times(w, c)
-                            row[y] = row[y] + v if y in row else v
-                if summed > 1:
-                    row = {y: exact(v) for y, v in row.items() if v != 0}
+                            if y in sums:
+                                sums[y].append((w, c))
+                            else:
+                                sums[y] = [(w, c)]
+                row = {y: v for y, t in sums.items()
+                       if (v := dot(t)) is not ZERO}
                 if row:
                     mat.rows[x] = row
         self.done |= states
@@ -251,8 +257,7 @@ def _dot(u, v):
     meet."""
     if len(u) > len(v):
         u, v = v, u
-    return total(times(x, y)
-                 for j, x in u.items() if (y := v.get(j)) is not None)
+    return dot([(x, y) for j, x in u.items() if (y := v.get(j)) is not None])
 
 
 def _shift_add(dropped, kept):
@@ -322,15 +327,9 @@ def _pass(f, n, inner, outer, features):
     bwd = [end]
     for j in range(n, first - 1, -1):
         if j in wanted:
-            by_size = {}
-            for a, g in enumerate(diff[j]):
-                if g:
-                    for b, v in enumerate(bwd):
-                        d = _dot(g, v)
-                        if d is not ZERO:
-                            k = a + b
-                            by_size[k] = by_size[k] + d if k in by_size else d
-            phis[j] = total(times(c[k], d) for k, d in by_size.items() if d)
+            phis[j] = dot([(c[a + b], d) for a, g in enumerate(diff[j]) if g
+                           for b, v in enumerate(bwd)
+                           if (d := _dot(g, v)) is not ZERO])
         if j > first:
             step, rows = steps[j - 1], reach[j - 1]
             vp = [step.P.matvec(v, rows) for v in bwd]

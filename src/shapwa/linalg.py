@@ -6,13 +6,18 @@ dict-of-rows and vectors as index->value dicts.  scipy.sparse is of no
 use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 
-Compiled automata are mostly 0/1, and rat returns the shared ZERO and ONE
-for 0 and 1.  So every product below is `rational.times`, which skips a
-factor that is ONE, and each sum starts from its first term: neither a
-product by 1 nor a sum with 0 costs a rational operation.
+Each entry of a vector-matrix product is one `rational.dot` of its
+terms: the integer products over a common denominator, normalized once,
+and the shared ZERO or ONE when the entry is 0 or 1.  The other products
+are `rational.times`, which skips a factor that is ONE, and their sums
+start from their first term.  Compiled automata are mostly 0/1, and rat
+returns the shared ZERO and ONE for 0 and 1, so neither a product by 1
+nor a sum with 0 costs a rational operation.  The matrix-vector product
+still multiplies and adds term by term.
 """
 
-from .rational import ZERO, as_list, format_rat, rat, rats, times
+from .rational import (ZERO, as_list, dot, exact, format_rat, rat, rats,
+                       times)
 
 # what a file in the dense layout of earlier versions is told
 LAYOUT = ("a matrix is a list of [row, col, value] entries; a file in the "
@@ -79,25 +84,30 @@ class SpMat:
         return out
 
     def _prune(self, indices):
-        # drop exact cancellations in these rows, and rows left empty
+        # drop exact cancellations in these rows, and rows left empty; an
+        # entry equal to 1 becomes the shared ONE
         for i in indices:
-            row = {j: v for j, v in self.rows[i].items() if v != 0}
+            row = {j: exact(v) for j, v in self.rows[i].items() if v != 0}
             if row:
                 self.rows[i] = row
             else:
                 del self.rows[i]
 
     def vecmat(self, v):
-        """Row-vector times matrix: v is a sparse dict, result likewise."""
-        out = {}
+        """Row-vector times matrix: v is a sparse dict, result likewise.
+        Each output entry is one `rational.dot` of its terms, which is the
+        shared ZERO, and dropped, where they cancel."""
+        terms = {}
         for i, x in v.items():
             row = self.rows.get(i)
             if not row:
                 continue
             for j, a in row.items():
-                y = times(x, a)
-                out[j] = out[j] + y if j in out else y
-        return {j: v for j, v in out.items() if v != 0}
+                if j in terms:
+                    terms[j].append((x, a))
+                else:
+                    terms[j] = [(x, a)]
+        return {j: y for j, t in terms.items() if (y := dot(t)) is not ZERO}
 
     def matvec(self, v, rows):
         """Matrix times column vector, at the given rows only: v is a sparse

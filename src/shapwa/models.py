@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import reduce
 
 from .hmm import symbol_matrices
-from .rational import (Rat, ZERO, ONE, as_list, check_law, format_rat, rat,
-                       rats, times, total)
+from .rational import (Rat, ZERO, ONE, as_list, check_law, dot, format_rat,
+                       rat, rats, times, total)
 
 
 def step(x):
@@ -175,7 +175,7 @@ class TreeEnsemble:
     def evaluate(self, x):
         votes = [(w, t.evaluate(x)) for w, t in zip(self.weights, self.trees)]
         if self.mode == "regression":
-            return total(times(w, v) for w, v in votes if v)
+            return dot([(w, v) for w, v in votes if v])
         # majority vote between the 0 and 1 labels, ties broken towards 1:
         # the weights of the 1 votes against those of the 0 votes
         ones = total(w for w, v in votes if v)
@@ -243,16 +243,16 @@ class HmmVec:
 
     def prob(self, x):
         """P(x) = alpha^T prod_j T_j Diag(O_j[:, x_{pi(j)}]) 1, over the
-        sparse rows of each position's symbol matrix."""
+        sparse rows of each position's symbol matrix; each entry of the
+        next vector is one `rational.dot`."""
         v = {a: p for a, p in enumerate(self.alpha) if p}
         for j, layer in zip(self.pi, self.layers):
             rows = layer[x[j - 1]].rows
-            out = {}
+            terms = {}
             for a, p in v.items():
                 for b, t in rows.get(a, {}).items():
-                    y = times(p, t)
-                    out[b] = out[b] + y if b in out else y
-            v = out
+                    terms.setdefault(b, []).append((p, t))
+            v = {b: y for b, t in terms.items() if (y := dot(t)) is not ZERO}
         return total(v.values())
 
 
@@ -407,13 +407,13 @@ class RnnRelu:
 
 
 def _affine(row, h, v=ZERO):
-    """sum over the sparse row's (b, x) of x * h[b], plus v; a unit equal
-    to 0 is skipped, each product is `rational.times`, and the sum starts
-    from its first term."""
-    terms = [times(x, y) for b, x in row if (y := h[b])]
+    """sum over the sparse row's (b, x) of x * h[b], plus v, as one
+    `rational.dot`; a unit equal to 0 is skipped, and v enters as the
+    product v * ONE when it is not 0."""
+    pairs = [(x, y) for b, x in row if (y := h[b])]
     if v:
-        terms.append(v)
-    return total(terms)
+        pairs.append((v, ONE))
+    return dot(pairs)
 
 
 @dataclass

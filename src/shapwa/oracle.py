@@ -22,9 +22,13 @@ all-marginals recursion): no marginal is taken from the whole support.
 
 No rational operation is made that an exact 0 or 1 decides: a model value
 equal to 0 or 1 is the shared ZERO or ONE (`rational.exact`; a binary-64
-float stays a float), every product is `rational.times`, which skips a
-factor that is ONE, a term that is ZERO is left out, and every sum starts
-from its first term.
+float stays a float), a term that is ZERO is left out, and every sum
+starts from its first term.  Each sum of products, an automaton's value,
+a coalition value and a Shapley sum over the coalition sizes, is one
+`rational.dot`, normalized once; a float factor makes it the in-order
+float sum, bit for bit.  The differences V(S + i) - V(S) subtract no ZERO
+value, and neither a difference nor a size sum equal to 0 is added.  The
+other products are `rational.times`, which skips a factor that is ONE.
 
 Exponential and guarded; shares no pipeline code with the engine (it is
 the trust anchor), only the scalar type, the containers and the query
@@ -43,7 +47,7 @@ from .hmm import Hmm
 from .models import (Dataset, DecisionTree, HmmVec, IndDist, LinearModel,
                      MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                      TreeEnsemble, check_query, symbols)
-from .rational import Rat, ZERO, ONE, exact, times, total
+from .rational import Rat, ZERO, ONE, dot, exact, times, total
 from .wa import NAlphabetWA
 
 DEFAULT_GUARD_BITS = 24
@@ -188,10 +192,10 @@ def _wa_value(A, w):
                 if vi == 0:
                     continue
                 for j, a in mat.rows.get(i, {}).items():
-                    terms[j].append(times(vi, a))
-        v = [total(t) for t in terms]
-    return total(times(x, b) for x, b in zip(v, A.beta)
-                 if x != 0 and b is not ZERO)
+                    terms[j].append((vi, a))
+        v = [dot(t) for t in terms]
+    return dot([(x, b) for x, b in zip(v, A.beta)
+                if x != 0 and b is not ZERO])
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +309,7 @@ def _values(f, n, queries, coalition=None):
                         term = times(pu, num[u])
                         terms.append(term if mass[u] is ONE
                                      else term / mass[u])
+                values.append(exact(total(terms)))
             else:
                 for u, pu in on[_side_key(outer)].items():
                     row = []
@@ -312,10 +317,10 @@ def _values(f, n, queries, coalition=None):
                         uv = u + v
                         y = evaluate("".join([uv[k] for k in where]))
                         if y is not ZERO:
-                            row.append(times(pv, y))
-                    if row:
-                        terms.append(times(pu, total(row)))
-            values.append(total(terms))
+                            row.append((pv, y))
+                    if (y := dot(row)) is not ZERO:
+                        terms.append((pu, y))
+                values.append(dot(terms))
         return values
 
     def visit(j, kept, on, off):
@@ -414,13 +419,25 @@ def shap_oracle_many(f, n, queries, features=None):
         for i in asked:
             bit = 1 << (i - 1)
             others = [1 << j for j in range(n) if j != i - 1]
-            # one product per coalition size
-            sums = [total(table[S | bit] - table[S]
-                          for S in map(sum, combinations(others, size)))
+            # per coalition size, the sum of the differences that are not
+            # 0, as one dot with ONE; then one product per size whose sum
+            # is not 0
+            sums = [dot([(ONE, d) for S in map(sum, combinations(others, size))
+                         if (d := _difference(table[S | bit], table[S]))
+                         is not ZERO])
                     for size in range(n)]
-            phis.append(total(map(times, weights, sums)))
+            phis.append(dot([(w, s) for w, s in zip(weights, sums)
+                             if s is not ZERO]))
         answers.append(tuple(phis))
     return answers
+
+
+def _difference(a, b):
+    """a - b of two coalition values, the shared ZERO when it is 0; no
+    subtraction when either value is ZERO."""
+    if b is ZERO:
+        return a
+    return -b if a is ZERO else exact(a - b)
 
 
 # ---------------------------------------------------------------------------

@@ -4,9 +4,19 @@ Everything in the library computes over arbitrary-precision rationals;
 binary-64 floats appear only where a module explicitly opts in (the
 sigmoid gadget).  gmpy2's mpq is used when available, falling back to
 the stdlib Fraction (same semantics, slower).
+
+The kernels' rules for arithmetic live here, each in one function:
+`exact` shares the values 0 and 1, `times` skips a product by the shared
+ONE, `total` starts a sum from its first term, and `dot` sums products
+with one normalization.  A Fraction product or sum reduces its result by
+a gcd, so a sum of k products made term by term normalizes 2k - 1 times;
+`dot` adds integer products over a common denominator and normalizes
+once.  This is the only module that takes a rational apart into its
+numerator and denominator.
 """
 
 from decimal import Decimal
+from math import gcd
 
 try:
     from gmpy2 import mpq as Rat
@@ -68,7 +78,7 @@ def exact(x):
     """x, but the shared ZERO or ONE when x equals 0 or 1, which the
     kernels test by identity to skip a product by 1 or a sum with 0; a
     binary-64 float comes back as it is."""
-    if isinstance(x, float):
+    if x is ONE or x is ZERO or isinstance(x, float):
         return x
     return ZERO if x == 0 else ONE if x == 1 else x
 
@@ -84,6 +94,32 @@ def total(terms):
     first term, so it makes no addition of ZERO."""
     terms = iter(terms)
     return sum(terms, next(terms, ZERO))
+
+
+def dot(pairs):
+    """The sum of a * b over a sequence of (a, b) pairs, the one rule for a
+    sum of products: ZERO when there are none, times(a, b) for one.  Longer
+    sums add the integer products of numerators over a running common
+    denominator, with a gcd only where a term's denominator differs from
+    it, and build one Rat, so a sum of k products costs one normalization,
+    not 2k - 1.  A result equal to 0 or 1 is the shared ZERO or ONE.  A
+    binary-64 float factor, which has no numerator, makes the sum exactly
+    total(times(a, b) ...) in order, so a float result keeps every bit."""
+    if len(pairs) < 2:
+        return exact(times(*pairs[0])) if pairs else ZERO
+    num, den = 0, 1
+    try:
+        for a, b in pairs:
+            q = a.denominator * b.denominator
+            if q == den:
+                num += a.numerator * b.numerator
+            else:
+                g = gcd(den, q)
+                num = num * (q // g) + a.numerator * b.numerator * (den // g)
+                den = den // g * q
+    except AttributeError:
+        return total(times(a, b) for a, b in pairs)
+    return ZERO if not num else ONE if num == den else Rat(num, den)
 
 
 def check_law(values, what):

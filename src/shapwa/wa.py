@@ -20,7 +20,8 @@ from its parts by wa_from_parts, the one place that numbers states.
 from itertools import product
 
 from .linalg import SpMat, vec_to_sparse
-from .rational import Rat, ZERO, ONE, as_list, format_rat, rat, rats
+from .rational import (Rat, ZERO, ONE, as_list, dot, exact, format_rat, rat,
+                       rats)
 
 
 class NAlphabetWA:
@@ -101,10 +102,7 @@ def eval_wa(A, words):
         v = mat.vecmat(v)
         if not v:
             return ZERO
-    total = ZERO
-    for i, x in v.items():
-        total += x * A.beta[i]
-    return total
+    return dot([(x, b) for i, x in v.items() if (b := A.beta[i]) != 0])
 
 
 def _check_same_shape(A, B):
@@ -267,8 +265,10 @@ def wa_from_parts(alphabets, states, alpha, edges, beta):
     states are arbitrary hashables, numbered in the order given; alpha and
     beta map a state to its initial and final weight, and edges maps
     (state, symbol tuple, state) to a weight.  Absent means 0, and a zero
-    weight leaves no matrix entry.  ValueError on an unknown or a repeated
-    state.
+    weight leaves no matrix entry.  Every weight is read by rat and stored
+    through `rational.exact`, so a weight equal to 1, such as Rat(3, 3),
+    is the shared ONE that the kernels skip.  ValueError on an unknown or a
+    repeated state.
     """
     states = list(states)
     index = {q: k for k, q in enumerate(states)}
@@ -284,10 +284,11 @@ def wa_from_parts(alphabets, states, alpha, edges, beta):
         if i is None or j is None:
             raise ValueError("transition over unknown state")
         if x != 0:
-            rows.setdefault(key, {}).setdefault(i, {})[j] = rat(x)
-    return NAlphabetWA(alphabets, [alpha.get(q, ZERO) for q in states],
+            rows.setdefault(key, {}).setdefault(i, {})[j] = exact(rat(x))
+    return NAlphabetWA(alphabets,
+                       [exact(rat(alpha.get(q, ZERO))) for q in states],
                        {key: SpMat(n, r) for key, r in rows.items()},
-                       [beta.get(q, ZERO) for q in states])
+                       [exact(rat(beta.get(q, ZERO))) for q in states])
 
 
 def dfa_to_wa(alphabets, states, initial, delta, finals):

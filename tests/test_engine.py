@@ -399,10 +399,12 @@ def test_unreachable_states_make_no_products(fraction_ops):
 
 def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
     # one state per distinct row is reached at position j only as the first
-    # row of a prefix of length j, so the pass makes the products it made
-    # when the compiler gave each prefix a state of its own (121 HMM states),
-    # counted with the efficiency check's; the two words agree at position
-    # 5, a null player the loc_b pass skips
+    # row of a prefix of length j (6 * 6 + 1 states, where one state per
+    # prefix took 121), and the counts pin the products of each pass, the
+    # efficiency check's included; the two words agree at position 5, a
+    # null player the loc_b pass skips.  Sums of products are
+    # `rational.dot`s, in integers, so what is counted is the outer-by-inner
+    # products of the rows and the backward matrix-vector products
     d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
                  "11101"])
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
@@ -413,7 +415,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
         fraction_ops.take()
         shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(fraction_ops.take()[0])
-    assert counts == [1819, 292, 7986, 1858]
+    assert counts == [683, 90, 3032, 647]
 
 
 def compiled_dt_and_emp():
@@ -431,15 +433,19 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
     # every entry of the compiled tree but its leaf values reads back as
     # the shared ONE, so the local interventional and baseline passes make
     # (products, sums) (279, 235) and (64, 40) when each product by 1 and
-    # each sum with 0 is made, and (54, 61) and (5, 5) when none is; their
-    # efficiency checks add (0, 7) and (0, 2)
+    # each sum with 0 is made.  Every sum of products is one
+    # `rational.dot`, in integers, so what is left are the outer-by-inner
+    # products of the rows, the backward matrix-vector products and the
+    # sums of vectors: (27, 38) and (1, 2), none by 1 or with 0; their
+    # efficiency checks add (0, 6) and (0, 2)
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
         fraction_ops.take()
         shap(f, 6, inner, x)
+        assert fraction_ops.trivial == 0
         counts.append(fraction_ops.take())
-    assert counts == [(54, 68), (5, 7)]
+    assert counts == [(27, 44), (1, 4)]
 
 
 def split_ones(A):

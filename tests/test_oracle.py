@@ -20,10 +20,10 @@ from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
                            hamming, shap_oracle_all, shap_oracle_global,
                            shap_oracle_local, shap_oracle_many, value_fn)
 from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
-from shapwa.randgen import (rand_csp, rand_dataset, rand_dt, rand_ensemble,
-                            rand_hmm, rand_hmmvec, rand_ind, rand_linear,
-                            rand_markov, rand_nb, rand_rat, rand_wa, rand_wmg,
-                            rand_word, rng_for)
+from shapwa.randgen import (rand_01_dt, rand_csp, rand_dataset, rand_dt,
+                            rand_ensemble, rand_hmm, rand_hmmvec, rand_ind,
+                            rand_linear, rand_markov, rand_nb, rand_rat,
+                            rand_wa, rand_wmg, rand_word, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import NAlphabetWA
 
@@ -326,6 +326,26 @@ def test_marginals_are_summed_out_one_position_at_a_time(fraction_ops):
     fraction_ops.take()
     shap_oracle_many(f, n, [("i", D, x)])
     assert fraction_ops.take()[1] <= 3 ** (n + 1)
+
+
+def test_shapley_sums_skip_zero_values_differences_and_sums(fraction_ops):
+    # a 0/1 tree's tables hold ZERO values: no difference subtracts one,
+    # and no difference or size sum equal to 0 is added
+    rng = rng_for(75)
+    n = 5
+    f, D = rand_01_dt(rng, n, max_depth=3), rand_hmm(rng, 2, B)
+    x, ref = rand_word(rng, B, n), rand_word(rng, B, n)
+    queries = [("b", ref, x), ("i", D, x), ("b", ref, D)]
+    tables = [[values[k] for _, values in oracle._values(f, n, queries)]
+              for k in range(len(queries))]
+    assert all(ZERO in table for table in tables[:2])
+    fraction_ops.take()
+    got = shap_oracle_many(f, n, queries)
+    assert fraction_ops.trivial == 0
+    fraction_ops.take()
+    assert got == [tuple(textbook_shap(variant, f, i, n, inner, outer)
+                         for i in range(1, n + 1))
+                   for variant, inner, outer in queries]
 
 
 @pytest.mark.parametrize("bias", [ONE, -ONE])

@@ -1,4 +1,6 @@
 import ast
+import random
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -9,8 +11,8 @@ from shapwa.linalg import SpMat
 from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
-from shapwa.rational import (ONE, Rat, ZERO, exact, format_rat, rat, rats,
-                             times, total)
+from shapwa.rational import (ONE, Rat, ZERO, dot, exact, format_rat, rat,
+                             rats, times, total)
 from shapwa.wa import NAlphabetWA
 
 
@@ -102,6 +104,91 @@ def test_only_rational_writes_the_product_by_one_rule():
             found[path.stem] = lines
     assert set(found) <= {"rational"}, found
     assert "rational" in found  # the scan sees the rule
+
+
+def _rand_factor(rng):
+    """A rational or an int of either sign, its numerator and denominator
+    up to 2^200 or small."""
+    bits = rng.choice((3, 64, 200))
+    p = rng.randint(-2 ** bits, 2 ** bits)
+    if rng.random() < 0.2:
+        return p
+    return Rat(p, rng.randint(1, 2 ** rng.choice((3, 64, 200))))
+
+
+def test_dot_equals_the_fraction_sum_term_by_term():
+    rng = random.Random(71)
+    for _ in range(300):
+        pairs = [(_rand_factor(rng), _rand_factor(rng))
+                 for _ in range(rng.randint(2, 9))]
+        want = Fraction(0)
+        for a, b in pairs:
+            want += Fraction(a) * Fraction(b)
+        assert dot(pairs) == want, pairs
+        # the same terms and one that cancels their sum to 0, or to 1
+        for target, shared in ((0, ZERO), (1, ONE)):
+            got = dot(pairs + [(Rat(target) - want, ONE)])
+            assert got is shared, (pairs, target)
+
+
+def test_dot_identities():
+    x, y = Rat(2, 3), Rat(-5, 7)
+    assert dot([]) is ZERO and dot(()) is ZERO
+    assert dot([(x, ONE)]) is x and dot([(ONE, y)]) is y
+    assert dot([(x, y)]) == x * y
+    assert dot([(ONE, x), (y, ONE)]) == x + y
+    assert dot([(x, 3), (2, y)]) == 2 + Rat(-10, 7)
+    assert dot([(x, ZERO), (ZERO, y)]) is ZERO
+    assert dot([(Rat(1, 2), 2), (x, ZERO)]) is ONE
+
+
+def test_dot_of_floats_is_the_in_order_float_sum():
+    # a binary-64 factor makes the sum total(times(a, b) ...) in order,
+    # bit for bit, wherever it stands among the pairs
+    rng = random.Random(72)
+    for _ in range(200):
+        pairs = [(Rat(rng.randint(-99, 99), rng.randint(1, 99)),
+                  rng.uniform(-1, 1) if rng.random() < 0.5
+                  else _rand_factor(rng))
+                 for _ in range(rng.randint(2, 7))]
+        at = rng.randrange(len(pairs))
+        a, b = pairs[at]
+        pairs[at] = (a, float(b) if not isinstance(b, float) else b)
+        want = times(*pairs[0])
+        for a, b in pairs[1:]:
+            want = want + times(a, b)
+        got = dot(pairs)
+        assert type(got) is float and got.hex() == want.hex(), pairs
+    assert dot([(ONE, 0.1), (ONE, 0.2), (ONE, 0.3)]) == 0.1 + 0.2 + 0.3
+
+
+def test_vecmat_makes_no_fraction_operation(fraction_ops):
+    # each output entry sums two or more products: one dot, in integers
+    third, half = Rat(1, 3), Rat(-1, 2)
+    m = SpMat(3, {0: {0: third, 1: half, 2: ONE},
+                  1: {0: Rat(5, 7), 1: third, 2: half},
+                  2: {0: ONE, 1: Rat(2, 9), 2: third}})
+    v = {0: Rat(3, 4), 1: Rat(-6, 5), 2: ONE}
+    fraction_ops.take()
+    got = m.vecmat(v)
+    assert fraction_ops.take() == (0, 0)
+    assert got == {j: sum((v[i] * m.rows[i][j] for i in v), ZERO)
+                   for j in range(3)}
+
+
+def test_only_rational_reads_numerators_and_denominators():
+    # the integer sum of `dot` is the one place that takes a rational
+    # apart; cli's hasattr(value, "denominator") reads no attribute
+    src = Path(__file__).resolve().parents[1] / "src" / "shapwa"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = sorted(node.lineno for node in ast.walk(tree)
+                       if isinstance(node, ast.Attribute)
+                       and node.attr in ("numerator", "denominator"))
+        if lines:
+            found[path.stem] = lines
+    assert set(found) == {"rational"}, found
 
 
 def test_rats_parses_each_distinct_string_once(monkeypatch):

@@ -399,6 +399,20 @@ def test_from_parts_zero_weight_leaves_no_entry():
     assert A.transitions[("1",)].rows == {0: {1: ONE}}
 
 
+def test_from_parts_stores_a_built_one_as_the_shared_one():
+    # a weight equal to 1 that is another object, such as randgen's
+    # Rat(3, 3), is stored as ONE, which the kernels skip
+    one, zero = Rat(3, 3), Rat(0, 4)
+    assert one is not ONE and zero is not ZERO
+    A = wa_from_parts([B], [0, 1], {0: one, 1: zero},
+                      {(0, ("0",), 1): one, (1, ("1",), 1): Rat(2, 3)},
+                      {0: zero, 1: one})
+    assert A.transitions[("0",)].rows[0][1] is ONE
+    assert A.transitions[("1",)].rows[1][1] == Rat(2, 3)
+    assert A.alpha[0] is ONE and A.beta[1] is ONE
+    assert A.alpha[1] is ZERO and A.beta[0] is ZERO
+
+
 @pytest.mark.parametrize("states, alpha, edges, beta", [
     ([0, 1], {2: ONE}, {}, {1: ONE}),                    # initial weight
     ([0, 1], {0: ONE}, {}, {"x": ONE}),                  # final weight
