@@ -49,17 +49,18 @@ products is normalized once.  `rat` reads every 0 and 1 of a file as the
 shared ZERO and ONE, and a compiled automaton is mostly 0/1: a word side
 is the unit layer, and every transition entry of a compiled tree is 1 but
 those that carry its leaf values.  Every sum of products, an entry of a
-row, of a forward vector (`SpMat.vecmat`), a dot and a phi_i, is one
+row, of a forward vector (`SpMat.vecmat`) or of a backward vector
+(`SpMat.matvec`), a dot (`linalg.sparse_dot`) and a phi_i, is one
 `rational.dot`: integer products over a common denominator, then one Rat.
-The other products, of an outer by an inner weight and of the backward
-matrix-vector products, are `rational.times`, which skips a factor that is
-ONE, and every other sum starts from its first term, never from ZERO.  A
-1 that is another object is multiplied as any other value, to the same
-answer.  On a compiled depth-3 tree under a compiled 4-row dataset
-(n = 6), a local interventional pass makes 27 Fraction products and 38
-sums, its efficiency check (below) 6 more sums, where the pass makes 279
-products and 235 sums when each is made term by term, products by 1 and
-sums with 0 included.
+The other products, of an outer by an inner weight and of initial or
+final weights, are `rational.times`, which skips a factor that is ONE, and
+every other sum starts from its first term, never from ZERO.  A 1 that is
+another object is multiplied as any other value, to the same answer.  On
+a compiled depth-3 tree under a compiled 4-row dataset (n = 6), a local
+interventional pass makes 26 Fraction products and 35 sums, its
+efficiency check (below) 6 more sums, where the pass makes 279 products
+and 235 sums when each is made term by term, products by 1 and sums with
+0 included.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -142,7 +143,7 @@ from functools import lru_cache
 from math import factorial
 
 from .hmm import Hmm
-from .linalg import SpMat
+from .linalg import SpMat, sparse_dot
 from .models import check_query
 from .rational import Rat, ZERO, ONE, dot, exact, times, total
 from .wa import NAlphabetWA
@@ -252,14 +253,6 @@ def _combine(u, v, sign=1):
     return out
 
 
-def _dot(u, v):
-    """u . v of sparse vectors; the shared ZERO when their supports do not
-    meet."""
-    if len(u) > len(v):
-        u, v = v, u
-    return dot([(x, y) for j, x in u.items() if (y := v.get(j)) is not None])
-
-
 def _shift_add(dropped, kept):
     """[dropped[k] + kept[k-1] for k = 0..len]: the next F (or B) vectors."""
     return [_combine(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
@@ -329,13 +322,14 @@ def _pass(f, n, inner, outer, features):
         if j in wanted:
             phis[j] = dot([(c[a + b], d) for a, g in enumerate(diff[j]) if g
                            for b, v in enumerate(bwd)
-                           if (d := _dot(g, v)) is not ZERO])
+                           if (d := sparse_dot(g, v)) is not ZERO])
         if j > first:
             step, rows = steps[j - 1], reach[j - 1]
             vp = [step.P.matvec(v, rows) for v in bwd]
             bwd = (_shift_add([step.Q.matvec(v, rows) for v in bwd], vp)
                    if players[j - 1] else vp)
-    if efficiency and total(p for p in phis.values() if p) != _dot(gap, end):
+    if (efficiency
+            and total(p for p in phis.values() if p) != sparse_dot(gap, end)):
         raise EngineError("the values do not sum to v(N) - v(0)")
     return tuple(phis[i] for i in features)
 

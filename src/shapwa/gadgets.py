@@ -19,7 +19,7 @@ from math import comb
 
 from .models import (DecisionTree, DTNode, RnnRelu, SigmoidNet,
                      TreeEnsemble)
-from .rational import Rat, ZERO, ONE, format_rat
+from .rational import Rat, ZERO, ONE, format_rat, rat
 
 BINARY = ("0", "1")
 
@@ -153,7 +153,7 @@ def csp_construct(w, k, domain):
     W = [[ZERO] * dim for _ in range(dim)]
     for l in range(1, n):
         W[l][l - 1] = ONE
-    W[n - 1][n] = W[n - 1][n] - Rat(k)
+    W[n - 1][n] = rat(-k)
     W[n][n] = ONE
     emb = {}
     for s in domain:

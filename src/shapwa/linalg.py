@@ -6,14 +6,13 @@ dict-of-rows and vectors as index->value dicts.  scipy.sparse is of no
 use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 
-Each entry of a vector-matrix product is one `rational.dot` of its
-terms: the integer products over a common denominator, normalized once,
-and the shared ZERO or ONE when the entry is 0 or 1.  The other products
-are `rational.times`, which skips a factor that is ONE, and their sums
-start from their first term.  Compiled automata are mostly 0/1, and rat
-returns the shared ZERO and ONE for 0 and 1, so neither a product by 1
-nor a sum with 0 costs a rational operation.  The matrix-vector product
-still multiplies and adds term by term.
+Each entry of a vector-matrix or matrix-vector product, and each dot
+product of two vectors, is one `rational.dot` of its terms: the integer
+products over a common denominator, normalized once, and the shared ZERO
+or ONE when the entry is 0 or 1.  The other products are
+`rational.times`, which skips a factor that is ONE.  Compiled automata
+are mostly 0/1, and rat returns the shared ZERO and ONE for 0 and 1, so
+neither a product by 1 nor a sum with 0 costs a rational operation.
 """
 
 from .rational import (ZERO, as_list, dot, exact, format_rat, rat, rats,
@@ -111,22 +110,9 @@ class SpMat:
 
     def matvec(self, v, rows):
         """Matrix times column vector, at the given rows only: v is a sparse
-        dict, result likewise; at most one product per stored entry of those
-        rows."""
-        out = {}
-        for i in rows:
-            row = self.rows.get(i)
-            if not row:
-                continue
-            x = None
-            for j, a in row.items():
-                y = v.get(j)
-                if y is not None:
-                    y = times(a, y)
-                    x = y if x is None else x + y
-            if x is not None and x != 0:
-                out[i] = x
-        return out
+        dict, result likewise; each entry is one `sparse_dot`."""
+        return {i: y for i in rows
+                if (y := sparse_dot(self.rows.get(i, {}), v)) is not ZERO}
 
     def to_entries(self):
         """[row, col, format_rat(value)] of each stored entry, in row-major
@@ -200,3 +186,11 @@ class SpMat:
 
 def vec_to_sparse(v):
     return {i: x for i, x in enumerate(v) if x != 0}
+
+
+def sparse_dot(u, v):
+    """u . v of sparse vectors, one `rational.dot` over the smaller
+    support; the shared ZERO when the supports do not meet."""
+    if len(u) > len(v):
+        u, v = v, u
+    return dot([(x, y) for j, x in u.items() if (y := v.get(j)) is not None])

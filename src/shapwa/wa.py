@@ -21,7 +21,7 @@ from itertools import product
 
 from .linalg import SpMat, vec_to_sparse
 from .rational import (Rat, ZERO, ONE, as_list, dot, exact, format_rat, rat,
-                       rats)
+                       rats, times)
 
 
 class NAlphabetWA:
@@ -131,7 +131,7 @@ def add(A, *rest):
 def scale(c, A):
     """Scalar multiple: only alpha is scaled, f_{cA} = c f_A."""
     c = rat(c)
-    return NAlphabetWA(A.alphabets, tuple(c * x for x in A.alpha),
+    return NAlphabetWA(A.alphabets, tuple(times(c, x) for x in A.alpha),
                        dict(A.transitions), A.beta)
 
 
@@ -140,7 +140,7 @@ def sub(A, B):
 
 
 def _kron_vec(a, b):
-    return tuple(x * y for x in a for y in b)
+    return tuple(times(x, y) for x in a for y in b)
 
 
 def kron(A, B):
@@ -195,7 +195,10 @@ def contract(T, factors, length):
     Each tape of W reads any subset of its tape's symbols, in any order;
     a symbol W lacks has no matrix, as in project.
     The product automaton is applied in factored form: the state is
-    (factor states, T state), never a dense Kronecker matrix.
+    (factor states, T state), never a dense Kronecker matrix.  Each entry
+    of the next vector, and the result, is one `rational.dot` of its
+    terms; the factor weights of a term are multiplied by
+    `rational.times`.
     """
     for W, tapes in factors:
         if not all(1 <= t <= T.arity for t in tapes):
@@ -213,34 +216,34 @@ def contract(T, factors, length):
         if all(m is not None for m in mats):
             steps.append((*mats, mt))
     vectors = [W.alpha for W, _ in factors] + [T.alpha]
-    finals = [W.beta for W, _ in factors] + [T.beta]
+    finals = [W.beta for W, _ in factors]
 
     v = {(): ONE}
     for vec in vectors:
-        v = {state + (j,): x * y for state, x in v.items()
+        v = {state + (j,): times(x, y) for state, x in v.items()
              for j, y in enumerate(vec) if y != 0}
     for _ in range(length):
-        nv = {}
+        terms = {}
         for state, x in v.items():
             for mats in steps:
+                rows = [m.rows.get(s) for m, s in zip(mats, state)]
+                if not all(rows):
+                    continue
                 combos = [((), x)]
-                for m, s in zip(mats, state):
-                    row = m.rows.get(s)
-                    if not row:
-                        break
-                    combos = [(pref + (j,), y * b)
+                for row in rows[:-1]:
+                    combos = [(pref + (j,), times(y, b))
                               for pref, y in combos for j, b in row.items()]
-                else:
-                    for k2, y in combos:
-                        nv[k2] = nv.get(k2, ZERO) + y
-        v = {k: x for k, x in nv.items() if x != 0}
+                for pref, y in combos:
+                    for j, b in rows[-1].items():
+                        terms.setdefault(pref + (j,), []).append((y, b))
+        v = {k: x for k, t in terms.items() if (x := dot(t)) is not ZERO}
 
-    total = ZERO
+    ends = []
     for state, x in v.items():
         for vec, s in zip(finals, state):
-            x *= vec[s]
-        total += x
-    return total
+            x = times(x, vec[s])
+        ends.append((x, T.beta[state[-1]]))
+    return dot(ends)
 
 
 def pi1(A, B, length):

@@ -404,7 +404,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
     # efficiency check's included; the two words agree at position 5, a
     # null player the loc_b pass skips.  Sums of products are
     # `rational.dot`s, in integers, so what is counted is the outer-by-inner
-    # products of the rows and the backward matrix-vector products
+    # products of the rows
     d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
                  "11101"])
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
@@ -415,7 +415,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
         fraction_ops.take()
         shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(fraction_ops.take()[0])
-    assert counts == [683, 90, 3032, 647]
+    assert counts == [185, 11, 1052, 167]
 
 
 def compiled_dt_and_emp():
@@ -435,9 +435,8 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
     # (products, sums) (279, 235) and (64, 40) when each product by 1 and
     # each sum with 0 is made.  Every sum of products is one
     # `rational.dot`, in integers, so what is left are the outer-by-inner
-    # products of the rows, the backward matrix-vector products and the
-    # sums of vectors: (27, 38) and (1, 2), none by 1 or with 0; their
-    # efficiency checks add (0, 6) and (0, 2)
+    # products of the rows and the sums of vectors: (26, 35) and (1, 2),
+    # none by 1 or with 0; their efficiency checks add (0, 6) and (0, 2)
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
@@ -445,7 +444,7 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
         shap(f, 6, inner, x)
         assert fraction_ops.trivial == 0
         counts.append(fraction_ops.take())
-    assert counts == [(27, 44), (1, 4)]
+    assert counts == [(26, 41), (1, 4)]
 
 
 def split_ones(A):

@@ -210,6 +210,19 @@ def test_csp_to_rnn_examples():
         assert f_all.evaluate(wp) == 1
 
 
+def test_csp_construction_makes_no_fraction_sum(fraction_ops):
+    # the cell's -k is written, not subtracted from its 0 entry
+    rng = rng_for(75)
+    insts = [rand_csp(rng, rng.randint(1, 3), rng.randint(1, 4))
+             for _ in range(5)] + [CspInstance(["0110"], 0, B)]
+    fraction_ops.take()
+    for inst in insts:
+        csp_to_rnn(inst)
+        for k in range(inst.n + 1):
+            csp_construct(inst.strings[0], k, inst.domain)
+    assert fraction_ops.take()[1] == 0
+
+
 def test_csp_to_rnn_matches_brute():
     rng = rng_for(74)
     for _ in range(15):

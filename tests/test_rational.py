@@ -106,6 +106,54 @@ def test_only_rational_writes_the_product_by_one_rule():
     assert "rational" in found  # the scan sees the rule
 
 
+def _is_zero(node):
+    """node is the name ZERO or a `.get(key, ZERO)` call."""
+    if isinstance(node, ast.Call):
+        return (getattr(node.func, "attr", None) == "get"
+                and len(node.args) == 2 and _is_zero(node.args[1]))
+    return isinstance(node, ast.Name) and node.id == "ZERO"
+
+
+def _sums_from_zero(tree):
+    """Line of each + or - in a module's syntax tree with an operand that
+    is ZERO or a `.get(key, ZERO)`, and of each += or -= into a name that
+    its function bound to ZERO."""
+    additive = (ast.Add, ast.Sub)
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, additive)
+                and (_is_zero(node.left) or _is_zero(node.right))):
+            yield node.lineno
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            body = list(ast.walk(node))
+            bound = {t.id for n in body if isinstance(n, ast.Assign)
+                     and isinstance(n.value, ast.Name) and n.value.id == "ZERO"
+                     for t in n.targets if isinstance(t, ast.Name)}
+            yield from (n.lineno for n in body
+                        if isinstance(n, ast.AugAssign)
+                        and isinstance(n.op, additive)
+                        and getattr(n.target, "id", None) in bound)
+
+
+def test_no_sum_starts_from_zero_outside_rational():
+    # a sum starts from its first term (`rational.total`) or is one
+    # `rational.dot`; the scan sees each pattern it looks for
+    sample = ast.parse("def f(d, k, y):\n"
+                       "    s = ZERO\n"
+                       "    s += y\n"
+                       "    s -= d.get(k, 0) + y\n"
+                       "    y = d.get(k, ZERO) + y\n"
+                       "    return y - ZERO\n")
+    assert sorted(set(_sums_from_zero(sample))) == [3, 4, 5, 6]
+    src = Path(__file__).resolve().parents[1] / "src" / "shapwa"
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        lines = sorted(set(_sums_from_zero(tree)))
+        if lines and path.stem != "rational":
+            found[path.stem] = lines
+    assert not found, found
+
+
 def _rand_factor(rng):
     """A rational or an int of either sign, its numerator and denominator
     up to 2^200 or small."""
@@ -162,18 +210,33 @@ def test_dot_of_floats_is_the_in_order_float_sum():
     assert dot([(ONE, 0.1), (ONE, 0.2), (ONE, 0.3)]) == 0.1 + 0.2 + 0.3
 
 
-def test_vecmat_makes_no_fraction_operation(fraction_ops):
-    # each output entry sums two or more products: one dot, in integers
+def _dense_3x3():
+    """(m, v): a 3 x 3 matrix with no zero entry and a dense vector."""
     third, half = Rat(1, 3), Rat(-1, 2)
     m = SpMat(3, {0: {0: third, 1: half, 2: ONE},
                   1: {0: Rat(5, 7), 1: third, 2: half},
                   2: {0: ONE, 1: Rat(2, 9), 2: third}})
-    v = {0: Rat(3, 4), 1: Rat(-6, 5), 2: ONE}
+    return m, {0: Rat(3, 4), 1: Rat(-6, 5), 2: ONE}
+
+
+def test_vecmat_makes_no_fraction_operation(fraction_ops):
+    # each output entry sums two or more products: one dot, in integers
+    m, v = _dense_3x3()
     fraction_ops.take()
     got = m.vecmat(v)
     assert fraction_ops.take() == (0, 0)
     assert got == {j: sum((v[i] * m.rows[i][j] for i in v), ZERO)
                    for j in range(3)}
+
+
+def test_matvec_makes_no_fraction_operation(fraction_ops):
+    # the backward pass's products: one dot per row asked, in integers
+    m, v = _dense_3x3()
+    fraction_ops.take()
+    got = m.matvec(v, [2, 0])
+    assert fraction_ops.take() == (0, 0)
+    assert got == {i: sum((m.rows[i][j] * v[j] for j in v), ZERO)
+                   for i in (2, 0)}
 
 
 def test_only_rational_reads_numerators_and_denominators():

@@ -9,8 +9,8 @@ from shapwa import hmm, linalg, rational, wa
 from shapwa.frontends import dt_to_wa, emp_to_hmmvec, hmmvec_to_hmm
 from shapwa.hmm import hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_wa,
-                            rng_for)
+from shapwa.randgen import (rand_01_wa, rand_dataset, rand_dt, rand_hmm,
+                            rand_wa, rng_for)
 from shapwa.rational import Rat, ZERO, ONE, format_rat
 from shapwa.wa import (NAlphabetWA, add, chain_wa, contract, dfa_to_wa,
                        eval_wa, kron, pi0, pi1, project, scale, sub,
@@ -228,6 +228,30 @@ def test_pi0_examples():
         assert pi0(constant(Rat(5, 3)), n) == Rat(5, 3) * 2 ** n
     A = seeded_wa(19)
     assert pi0(A, 3) == sum((eval_wa(A, (w,)) for w in words(B, 3)), ZERO)
+
+
+def test_pi1_of_dense_automata_makes_no_fraction_sum(fraction_ops):
+    # each entry of the next vector, and the result, is one dot
+    rng = rng_for(20)
+    A, Bwa = rand_wa(rng, 3, B, density=1), rand_wa(rng, 4, B, density=1)
+    want = sum((eval_wa(A, (w,)) * eval_wa(Bwa, (w,)) for w in words(B, 3)),
+               ZERO)
+    fraction_ops.take()
+    got = pi1(A, Bwa, 3)
+    assert fraction_ops.take()[1] == 0
+    assert got == want
+
+
+def test_algebra_of_acceptors_makes_no_product_by_1_or_sum_with_0(
+        fraction_ops):
+    rng = rng_for(21)
+    A, C = rand_01_wa(rng, 4, B), rand_01_wa(rng, 3, B)
+    T = chain_wa([B, B], 3, lambda q, key: q % 2 or key[0] != key[1])
+    fraction_ops.take()
+    kron(A, C)
+    project(1, A, T)
+    pi1(A, C, 3)
+    assert fraction_ops.trivial == 0
 
 
 # ---------------------------------------------------------------------------
