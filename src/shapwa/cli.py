@@ -181,8 +181,8 @@ def _sides(scope, variant, given):
     return given[INNER[variant]], given[OUTER[scope]]
 
 
-# (scope, variant) -> (the route of a query whose (model kind, distribution
-# kind) is in ENGINE_KINDS, the route of every other query).  Global
+# (scope, variant) -> (the route of a query whose model and sides the
+# engine reads, `engine.reads`, the route of every other query).  Global
 # interventional and global conditional SHAP draw the inputs and the
 # replaced features from one distribution, so they are 0 for every model
 # and distribution (README, "What is tractable"): their zero route checks
@@ -195,15 +195,12 @@ ROUTES = {
     ("global", "interventional"): ("zero", "zero"),
     ("global", "conditional"): ("zero", "zero"),
 }
-# the kinds the polynomial engine reads: a wa whose sides are words or an
-# hmm; a kind is a CODECS tag, None for a query without --dist
-ENGINE_KINDS = {("wa", None), ("wa", "hmm")}
 
 
-def route(scope, variant, model, dist):
+def route(scope, variant, model, inner, outer):
     """The name of the route that answers a query (ROUTES)."""
-    engine_kinds = (kind(model), kind(dist)) in ENGINE_KINDS
-    return ROUTES[scope, variant][0 if engine_kinds else 1]
+    engine_reads = engine.reads(model, inner, outer)
+    return ROUTES[scope, variant][0 if engine_reads else 1]
 
 
 def _zero(variant, f, n, inner, outer, features=None):
@@ -263,7 +260,7 @@ def cmd_shap(cfg):
     n = cfg.length if cfg.input is None else len(cfg.input)
     inner, outer = _sides(cfg.scope, cfg.variant, {
         "input": cfg.input, "reference": cfg.reference, "dist": dist})
-    name = route(cfg.scope, cfg.variant, model, dist)
+    name = route(cfg.scope, cfg.variant, model, inner, outer)
     try:
         value = ANSWERS[name](cfg.variant[0], model, n, inner, outer,
                               (cfg.feature,))[0]
@@ -511,7 +508,7 @@ def _verify_engine(report, rng, count):
         bad = []
         for (scope, variant), (letter, inner, outer), want in zip(
                 pairs, queries, wants):
-            name = route(scope, variant, f, dist)
+            name = route(scope, variant, f, inner, outer)
             got = ANSWERS[name](letter, f, n, inner, outer)
             for i, (phi, psi) in enumerate(zip(got, want), 1):
                 if phi != psi:

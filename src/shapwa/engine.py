@@ -356,9 +356,15 @@ def shap(f, n, inner, outer, features=None):
 shap_all = lru_cache(maxsize=CACHE_SIZE, typed=True)(shap)
 
 
+def reads(f, inner, outer):
+    """True when the engine takes these objects: an NAlphabetWA model and
+    sides that are each an Hmm or a word (str)."""
+    return (isinstance(f, NAlphabetWA) and isinstance(inner, (Hmm, str))
+            and isinstance(outer, (Hmm, str)))
+
+
 def _gate(f, inner, outer):
-    if not (isinstance(f, NAlphabetWA) and isinstance(inner, (Hmm, str))
-            and isinstance(outer, (Hmm, str))):
+    if not reads(f, inner, outer):
         raise TypeError("the engine takes an NAlphabetWA model and sides "
                         "that are each an Hmm or a word (str)")
 

@@ -5,17 +5,18 @@ search, and one Shapley loop over all coalitions.  A query's two sides,
 the inputs x and the words z that replace the features outside a
 coalition, are each a distribution or a word (its point distribution).
 `shap_oracle_many` answers several queries on one model in one pass over
-the coalitions: each distinct side's support is enumerated once per
+the coalitions: each side object's support is enumerated once per
 `shap_oracle_many` call, and each distinct word is evaluated once;
 `shap_oracle_all` is its one-query call.
 
 One coalition table per query: V(S) = E_{x~outer} v_x(S) is computed once
-for each of the 2^n coalitions, and phi_i = sum over k of c(k) times the
-sum over the S of size k without i of (V(S + i) - V(S)) for every
-feature i.  v_x(S) depends on the replacing side only through its
-marginal on the features outside S (baseline, interventional) or on S
-(conditional), and V is linear in the mean over x, so V(S) sums the outer
-side's marginal on S against the inner side's marginal.  The marginals
+for each of the 2^n coalitions, and phi_i is the Shapley value by its
+definition, the sum over the S without i of c(|S|) (V(S + i) - V(S)) with
+c(k) = k! (n - k - 1)! / n!, for every feature i.  v_x(S) depends on the
+replacing side only through its marginal on the features outside S
+(baseline, interventional) or on S (conditional), and V is linear in the
+mean over x, so V(S) sums the outer side's marginal on S against the
+inner side's marginal.  The marginals
 come from one recursion that decides the features in order and sums each
 decided feature out of the marginals that do not keep it (Yates's
 all-marginals recursion): no marginal is taken from the whole support.
@@ -24,11 +25,12 @@ No rational operation is made that an exact 0 or 1 decides: a model value
 equal to 0 or 1 is the shared ZERO or ONE (`rational.exact`; a binary-64
 float stays a float), a term that is ZERO is left out, and every sum
 starts from its first term.  Each sum of products, an automaton's value,
-a coalition value and a Shapley sum over the coalition sizes, is one
-`rational.dot`, normalized once; a float factor makes it the in-order
-float sum, bit for bit.  The differences V(S + i) - V(S) subtract no ZERO
-value, and neither a difference nor a size sum equal to 0 is added.  The
-other products are `rational.times`, which skips a factor that is ONE.
+a coalition value and a Shapley value, is one `rational.dot`, normalized
+once; a float factor makes it the in-order float sum, bit for bit.  The
+differences V(S + i) - V(S) subtract no ZERO value, and a difference equal
+to 0 is not added.  A marginal summed to 0 or 1 is the shared ZERO or ONE.
+The other products are `rational.times`, which skips a factor that is
+ONE.
 
 Exponential and guarded; shares no pipeline code with the engine (it is
 the trust anchor), only the scalar type, the containers and the query
@@ -88,10 +90,6 @@ def _check_bits(bits, what):
     limit = guard_bits()
     if bits > limit:
         raise GuardExceeded(f"{what} needs {bits:.0f} bits > guard {limit}")
-
-
-def check_enumerable(alphabet_size, n):
-    _check_bits(_word_bits(alphabet_size, n), "|Sigma|^n")
 
 
 # ---------------------------------------------------------------------------
@@ -212,7 +210,7 @@ def dist_prob(dist, w):
 
 
 def enumerate_words(alphabet, n):
-    check_enumerable(len(alphabet), n)
+    _check_bits(_word_bits(len(alphabet), n), "|Sigma|^n")
     for tup in product(alphabet, repeat=n):
         yield "".join(tup)
 
@@ -232,18 +230,13 @@ def _support(side, n):
 
 def _sum_out(marginal, at):
     """The marginal with the letter at index `at` of its words summed out;
-    its words keep the order in which they first appear."""
+    its words keep the order in which they first appear, and a sum equal
+    to 0 or 1 is the shared ZERO or ONE."""
     out = {}
     for w, p in marginal.items():
         u = w[:at] + w[at + 1:]
-        out[u] = out[u] + p if u in out else p
+        out[u] = exact(out[u] + p) if u in out else p
     return out
-
-
-def _side_key(side):
-    """A side's identity in one pass: a word by value, a distribution by
-    object."""
-    return side if isinstance(side, str) else id(side)
 
 
 def _values(f, n, queries, coalition=None):
@@ -254,13 +247,14 @@ def _values(f, n, queries, coalition=None):
     S (baseline, interventional) or on S (conditional).
 
     One recursion decides the features 0..n-1 in order and carries each
-    distinct side's marginals down it: a marginal "on S" starts as the
-    side's law and sums out each feature left out of S, one "outside S"
-    sums out each feature kept in S, so the marginals on the undecided
-    features stay whole and only the current path's are alive.  Over all
+    side's marginals down it, a side keyed by its object: a marginal "on
+    S" starts as the side's law and sums out each feature left out of S,
+    one "outside S" sums out each feature kept in S, so the marginals on
+    the undecided features stay whole and only the current path's are
+    alive.  Over all
     2^n coalitions one marginal costs at most (|Sigma|+1)^(n+1) sums, where
     taking it for each coalition from the whole support costs
-    2^n |Sigma|^n.  Each distinct side's support is enumerated once and
+    2^n |Sigma|^n.  Each side object's support is enumerated once and
     each composed word is evaluated once.  The recursion visits the
     coalitions in another order than by size, so the ZeroProbabilityEvent
     of the smallest coalition (by size, then in `combinations` order) and,
@@ -271,8 +265,8 @@ def _values(f, n, queries, coalition=None):
     supports = {}
     for _, inner, outer in queries:
         for side in (outer, inner):
-            if _side_key(side) not in supports:
-                supports[_side_key(side)] = _support(side, n)
+            if id(side) not in supports:
+                supports[id(side)] = _support(side, n)
     # composed words repeat across coalitions and queries: each is
     # evaluated once
     evaluate = lru_cache(maxsize=None)(lambda z: exact(eval_model(f, z)))
@@ -281,8 +275,8 @@ def _values(f, n, queries, coalition=None):
     # on S
     on, off = {}, {}
     for variant, inner, outer in queries:
-        key = _side_key(inner)
-        on[_side_key(outer)] = supports[_side_key(outer)]
+        key = id(inner)
+        on[id(outer)] = supports[id(outer)]
         if variant != "c":
             off[key] = supports[key]
         elif ("f", key) not in on:
@@ -298,20 +292,20 @@ def _values(f, n, queries, coalition=None):
         where = [order.index(j) for j in range(n)]
         values = []
         for variant, inner, outer in queries:
-            key = _side_key(inner)
+            key = id(inner)
             terms = []
             if variant == "c":
                 mass, num = on[key], on["f", key]
-                for u, pu in on[_side_key(outer)].items():
+                for u, pu in on[id(outer)].items():
                     if mass.get(u, ZERO) == 0:
                         raise ZeroProbabilityEvent({j + 1 for j in kept}, u)
-                    if u in num:
+                    if num.get(u, ZERO) is not ZERO:
                         term = times(pu, num[u])
                         terms.append(term if mass[u] is ONE
                                      else term / mass[u])
                 values.append(exact(total(terms)))
             else:
-                for u, pu in on[_side_key(outer)].items():
+                for u, pu in on[id(outer)].items():
                     row = []
                     for v, pv in off[key].items():
                         uv = u + v
@@ -381,12 +375,12 @@ def shap_oracle_all(variant, f, n, inner, outer, features=None):
 def shap_oracle_many(f, n, queries, features=None):
     """[shap_oracle_all(variant, f, n, inner, outer, features) for each
     (variant, inner, outer) query], from one pass over the 2^n coalitions
-    that fills one table of coalition values V(S) per query: phi_i = sum
-    over k of c(k) sum over S without i of size k of (V(S + i) - V(S)),
-    one product per size.  Every query is checked, then guarded, before
-    any enumeration.  The pass carries each distinct side's marginals down
-    one recursion over the features, so only the current coalition's path
-    holds marginals.  A conditional query that conditions on a
+    that fills one table of coalition values V(S) per query: phi_i is one
+    `rational.dot` of the pairs (c(|S|), V(S + i) - V(S)) over the masks S
+    of the table without i, in the table's order.  Every query is checked,
+    then guarded, before any enumeration.  The pass carries each side's
+    marginals down one recursion over the features, so only the current
+    coalition's path holds marginals.  A conditional query that conditions on a
     zero-probability event raises the ZeroProbabilityEvent of the smallest
     coalition (by size, then in `combinations` order) and, within it, of
     the first query where one occurs."""
@@ -413,23 +407,17 @@ def shap_oracle_many(f, n, queries, features=None):
     weights = [exact(Rat(factorial(size) * factorial(n - size - 1),
                          factorial(n)))
                for size in range(n)]
-    answers = []
-    for table in tables:
-        phis = []
-        for i in asked:
-            bit = 1 << (i - 1)
-            others = [1 << j for j in range(n) if j != i - 1]
-            # per coalition size, the sum of the differences that are not
-            # 0, as one dot with ONE; then one product per size whose sum
-            # is not 0
-            sums = [dot([(ONE, d) for S in map(sum, combinations(others, size))
-                         if (d := _difference(table[S | bit], table[S]))
-                         is not ZERO])
-                    for size in range(n)]
-            phis.append(dot([(w, s) for w, s in zip(weights, sums)
-                             if s is not ZERO]))
-        answers.append(tuple(phis))
-    return answers
+
+    def phi(table, i):
+        # the sum over the masks S without i of c(|S|) (V(S + i) - V(S)),
+        # a difference equal to 0 left out
+        bit = 1 << (i - 1)
+        diffs = ((S, _difference(table[S | bit], table[S]))
+                 for S in table if not S & bit)
+        return dot([(weights[S.bit_count()], d) for S, d in diffs
+                    if d is not ZERO])
+
+    return [tuple(phi(table, i) for i in asked) for table in tables]
 
 
 def _difference(a, b):

@@ -333,6 +333,32 @@ def every_kind(tmp_path):
 MODEL_KINDS = ("wa", "dt", "ensemble", "linear", "rnn", "sigmoid")
 DIST_KINDS = ("hmm", "hmmvec", "emp", "ind", "markov", "nb")
 
+# the (model kind, distribution kind) pairs the engine column of ROUTES
+# answered before the route asked the engine's own type test; None is a
+# query with no --dist
+ENGINE_PAIRS = {("wa", None), ("wa", "hmm")}
+
+
+def test_route_is_the_engine_column_for_the_kinds_the_engine_reads(
+        every_kind):
+    # every model kind, every distribution kind the flags allow (none at
+    # local baseline, which reads no --dist) and every (scope, variant)
+    # pair
+    objs = {k: (cli.load_model if k in MODEL_KINDS else cli.load_dist)(path)
+            for k, path in every_kind.items()}
+    asked = 0
+    for (scope, variant), model in product(cli.ROUTES, MODEL_KINDS):
+        flags = {cli.OUTER[scope], cli.INNER[variant]}
+        for dist in DIST_KINDS if "dist" in flags else (None,):
+            inner, outer = cli._sides(scope, variant, {
+                "input": "11", "reference": "00", "dist": objs.get(dist)})
+            want = cli.ROUTES[scope, variant][(model, dist)
+                                              not in ENGINE_PAIRS]
+            got = cli.route(scope, variant, objs[model], inner, outer)
+            assert got == want, (scope, variant, model, dist)
+            asked += 1
+    assert asked == 186
+
 
 @pytest.mark.parametrize("variant", ["interventional", "conditional"])
 def test_zero_route_answers_every_model_and_distribution(capsys, every_kind,

@@ -330,7 +330,7 @@ def test_marginals_are_summed_out_one_position_at_a_time(fraction_ops):
 
 def test_shapley_sums_skip_zero_values_differences_and_sums(fraction_ops):
     # a 0/1 tree's tables hold ZERO values: no difference subtracts one,
-    # and no difference or size sum equal to 0 is added
+    # and no difference equal to 0 is added
     rng = rng_for(75)
     n = 5
     f, D = rand_01_dt(rng, n, max_depth=3), rand_hmm(rng, 2, B)
@@ -346,6 +346,17 @@ def test_shapley_sums_skip_zero_values_differences_and_sums(fraction_ops):
     assert got == [tuple(textbook_shap(variant, f, i, n, inner, outer)
                          for i in range(1, n + 1))
                    for variant, inner, outer in queries]
+
+
+def test_a_marginal_summed_to_1_is_the_shared_ONE(fraction_ops):
+    # the outer side's marginal on the empty coalition sums to 1: as the
+    # shared ONE it is a factor no product is made by
+    f = rand_wa(rng_for(2), 3, B)
+    D = rand_hmm(rng_for(3), 2, B)
+    fraction_ops.take()
+    shap_oracle_all("i", f, 3, D, "011")
+    shap_oracle_all("b", f, 3, "110", D)
+    assert fraction_ops.trivial == 0
 
 
 @pytest.mark.parametrize("bias", [ONE, -ONE])

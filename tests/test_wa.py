@@ -254,6 +254,27 @@ def test_algebra_of_acceptors_makes_no_product_by_1_or_sum_with_0(
     assert fraction_ops.trivial == 0
 
 
+def test_algebra_of_acceptors_multiplies_no_zero(fraction_ops):
+    # a 0/1 automaton's weights are ZERO or ONE: kron, project and scale
+    # skip every pair with a zero factor and store the shared ZERO
+    rng = rng_for(4)
+    A, C = rand_01_wa(rng, 3, B), rand_01_wa(rng, 4, B)
+    T = chain_wa([B, B], 3, lambda q, key: q % 2 or key[0] != key[1])
+    fraction_ops.take()
+    outs = [kron(A, C), project(1, A, T), scale(Rat(2, 3), A),
+            scale(0, C)]
+    assert fraction_ops.take()[0] == 0
+    for out in outs:
+        weights = [*out.alpha, *out.beta]
+        assert ZERO in weights
+        assert all(x is ZERO for x in weights if x == 0)
+
+
+def test_transition_matrix_of_another_dimension_is_refused():
+    with pytest.raises(ValueError, match="transition matrix dimension"):
+        NAlphabetWA([B], [ONE], {("0",): SpMat(2)}, [ONE])
+
+
 # ---------------------------------------------------------------------------
 # contract
 
