@@ -232,13 +232,11 @@ def _decimal(value):
 
 
 def _value_record(cfg, value, route):
-    # rationals expose numerator/denominator; sigmoid outputs are floats
-    exact = hasattr(value, "denominator")
     record = {
         "feature": cfg.feature,
         "variant": cfg.variant,
         "scope": cfg.scope,
-        "value": format_rat(value) if exact else None,
+        "value": format_rat(value),
         "decimal": _decimal(value),
         "route": route,
         "backend": Rat.__name__,

@@ -53,14 +53,14 @@ row, of a forward vector (`SpMat.vecmat`) or of a backward vector
 (`SpMat.matvec`), a dot (`linalg.sparse_dot`) and a phi_i, is one
 `rational.dot`: integer products over a common denominator, then one Rat.
 The other products, of an outer by an inner weight and of initial or
-final weights, are `rational.times`, which skips a factor that is ONE, and
-every other sum starts from its first term, never from ZERO.  A 1 that is
-another object is multiplied as any other value, to the same answer.  On
-a compiled depth-3 tree under a compiled 4-row dataset (n = 6), a local
-interventional pass makes 26 Fraction products and 35 sums, its
-efficiency check (below) 6 more sums, where the pass makes 279 products
-and 235 sums when each is made term by term, products by 1 and sums with
-0 included.
+final weights, are `rational.times`, which skips a factor that is ZERO or
+ONE, and every other sum starts from its first term, never from ZERO.  A
+1 that is another object is multiplied as any other value, to the same
+answer.  On a compiled depth-3 tree under a compiled 4-row dataset
+(n = 6), a local interventional pass makes 26 Fraction products and 35
+sums, its efficiency check (below) 6 more sums, where the pass makes 279
+products and 235 sums when each is made term by term, products by 1 and
+sums with 0 included.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -239,14 +239,15 @@ def _kron_vec(*vecs):
 
 def _combine(u, v, sign=1):
     """u + sign * v of sparse vectors; an entry of v alone is copied (or
-    negated), not added to 0."""
+    negated), not added to 0, and a sum equal to 0 is dropped and one equal
+    to 1 is the shared ONE."""
     out = dict(u)
     for j, y in v.items():
         if j not in out:
             out[j] = y if sign > 0 else -y
             continue
-        s = out[j] + y if sign > 0 else out[j] - y
-        if s != 0:
+        s = exact(out[j] + y if sign > 0 else out[j] - y)
+        if s is not ZERO:
             out[j] = s
         else:
             del out[j]

@@ -10,9 +10,10 @@ Each entry of a vector-matrix or matrix-vector product, and each dot
 product of two vectors, is one `rational.dot` of its terms: the integer
 products over a common denominator, normalized once, and the shared ZERO
 or ONE when the entry is 0 or 1.  The other products are
-`rational.times`, which skips a factor that is ONE.  Compiled automata
-are mostly 0/1, and rat returns the shared ZERO and ONE for 0 and 1, so
-neither a product by 1 nor a sum with 0 costs a rational operation.
+`rational.times`, which skips a factor that is ZERO or ONE.  Compiled
+automata are mostly 0/1, and rat returns the shared ZERO and ONE for 0
+and 1, so neither a product by 0 or 1 nor a sum with 0 costs a rational
+operation.
 """
 
 from .rational import (ZERO, as_list, dot, exact, format_rat, rat, rats,

@@ -16,8 +16,8 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import reduce
 
 from .hmm import symbol_matrices
-from .rational import (Rat, ZERO, ONE, as_list, check_law, dot, format_rat,
-                       rat, rats, times, total)
+from .rational import (Rat, ZERO, ONE, as_list, check_law, dot, exact,
+                       format_rat, rat, rats, times, total)
 
 
 def step(x):
@@ -279,7 +279,7 @@ class Dataset:
         return tuple(sorted({s for r in self.rows for s in r}))
 
     def prob(self, x):
-        return Rat(sum(1 for r in self.rows if r == x), len(self.rows))
+        return exact(Rat(sum(1 for r in self.rows if r == x), len(self.rows)))
 
 
 @dataclass
@@ -418,7 +418,9 @@ def _affine(row, h, v=ZERO):
 
 @dataclass
 class SigmoidNet:
-    """f(x) = sigmoid(gain * (sum_j w_j x_j + bias)); binary-64 output."""
+    """f(x) = sigmoid(gain * (sum_j w_j x_j + bias)), computed in binary-64;
+    the output is the exact rational equal to that float, always finite and
+    in [0, 1], and the shared ZERO or ONE for 0.0 or 1.0."""
     weights: list
     bias: object
     gain: float
@@ -449,9 +451,10 @@ class SigmoidNet:
                  else math.inf if z > 0 else -math.inf)
         u = self.gain * z if self.gain else 0.0  # zero gain, even at z = inf
         try:
-            return 1.0 / (1.0 + math.exp(-u))
+            y = 1.0 / (1.0 + math.exp(-u))
         except OverflowError:  # exp(-u) beyond binary-64: the value is exp(u)
-            return math.exp(u)
+            y = math.exp(u)
+        return exact(Rat(y))
 
 
 # ---------------------------------------------------------------------------

@@ -21,16 +21,16 @@ come from one recursion that decides the features in order and sums each
 decided feature out of the marginals that do not keep it (Yates's
 all-marginals recursion): no marginal is taken from the whole support.
 
-No rational operation is made that an exact 0 or 1 decides: a model value
-equal to 0 or 1 is the shared ZERO or ONE (`rational.exact`; a binary-64
-float stays a float), a term that is ZERO is left out, and every sum
-starts from its first term.  Each sum of products, an automaton's value,
-a coalition value and a Shapley value, is one `rational.dot`, normalized
-once; a float factor makes it the in-order float sum, bit for bit.  The
-differences V(S + i) - V(S) subtract no ZERO value, and a difference equal
-to 0 is not added.  A marginal summed to 0 or 1 is the shared ZERO or ONE.
-The other products are `rational.times`, which skips a factor that is
-ONE.
+Every value is an exact rational, a sigmoid network's output included
+(`models.SigmoidNet`).  No rational operation is made that an exact 0 or
+1 decides: a model value equal to 0 or 1 is the shared ZERO or ONE
+(`rational.exact`), a term that is ZERO is left out, and every sum starts
+from its first term.  Each sum of products, an automaton's value, a
+coalition value and a Shapley value, is one `rational.dot`, normalized
+once.  The differences V(S + i) - V(S) subtract no ZERO value, and a
+difference equal to 0 is not added.  A marginal summed to 0 or 1 is the
+shared ZERO or ONE.  The other products are `rational.times`, which makes
+none that a factor of ZERO or ONE decides.
 
 Exponential and guarded; shares no pipeline code with the engine (it is
 the trust anchor), only the scalar type, the containers and the query
@@ -255,10 +255,11 @@ def _values(f, n, queries, coalition=None):
     2^n coalitions one marginal costs at most (|Sigma|+1)^(n+1) sums, where
     taking it for each coalition from the whole support costs
     2^n |Sigma|^n.  Each side object's support is enumerated once and
-    each composed word is evaluated once.  The recursion visits the
-    coalitions in another order than by size, so the ZeroProbabilityEvent
-    of the smallest coalition (by size, then in `combinations` order) and,
-    within it, of the first query is raised after it."""
+    each composed word is evaluated once.  A conditional query on a
+    zero-probability event raises the ZeroProbabilityEvent of the first
+    coalition met and, within it, of the first query.  The recursion visits
+    every subset of a coalition before it, so that coalition is
+    inclusion-minimal: no proper subset of it has mass 0."""
     for variant, _, _ in queries:
         if variant not in ("b", "i", "c"):
             raise ValueError(f"unknown variant {variant!r}")
@@ -283,7 +284,6 @@ def _values(f, n, queries, coalition=None):
             on[key] = supports[key]
             on["f", key] = {z: times(p, y) for z, p in supports[key].items()
                             if (y := evaluate(z)) is not ZERO}
-    smallest = None     # (|S|, S, event) of the smallest S that raised
 
     def leaf(kept, on, off):
         free = [j for j in range(n) if j not in kept]
@@ -320,16 +320,8 @@ def _values(f, n, queries, coalition=None):
     def visit(j, kept, on, off):
         # on: the marginals on the features kept among 0..j-1 and on j..n-1;
         # off: those on the features left out among 0..j-1 and on j..n-1
-        nonlocal smallest
         if j == n:
-            if smallest and smallest[:2] < (len(kept), kept):
-                return          # a smaller coalition has raised
-            try:
-                values = leaf(kept, on, off)
-            except ZeroProbabilityEvent as event:
-                smallest = len(kept), kept, event
-            else:
-                yield kept, values
+            yield kept, leaf(kept, on, off)
             return
         for keep in ((False, True) if coalition is None
                      else (j in coalition,)):
@@ -343,8 +335,6 @@ def _values(f, n, queries, coalition=None):
                                   for k, m in on.items()}, off)
 
     yield from visit(0, (), on, off)
-    if smallest:
-        raise smallest[2]
 
 
 def value_fn(variant, f, x, coalition, inner):
@@ -380,10 +370,10 @@ def shap_oracle_many(f, n, queries, features=None):
     of the table without i, in the table's order.  Every query is checked,
     then guarded, before any enumeration.  The pass carries each side's
     marginals down one recursion over the features, so only the current
-    coalition's path holds marginals.  A conditional query that conditions on a
-    zero-probability event raises the ZeroProbabilityEvent of the smallest
-    coalition (by size, then in `combinations` order) and, within it, of
-    the first query where one occurs."""
+    coalition's path holds marginals.  A conditional query that conditions
+    on a zero-probability event raises the ZeroProbabilityEvent of `_values`:
+    that of an inclusion-minimal coalition and, within it, of the first
+    query where one occurs."""
     queries = list(queries)
     if not queries:
         return []

@@ -11,7 +11,7 @@ from .hmm import Hmm
 from .models import (Dataset, DecisionTree, DTNode, HmmVec, IndDist,
                      LinearModel, MarkovDist, NaiveBayes, TreeEnsemble)
 from .oracle import CnfFormula, CspInstance, Wmg
-from .rational import Rat
+from .rational import Rat, exact
 from .wa import dfa_to_wa, wa_from_parts
 
 BINARY = ("0", "1")
@@ -34,7 +34,7 @@ def rand_stochastic(rng, k):
     """A length-k rational distribution from positive integer draws."""
     weights = [rng.randint(1, 6) for _ in range(k)]
     total = sum(weights)
-    return [Rat(w, total) for w in weights]
+    return [exact(Rat(w, total)) for w in weights]
 
 
 def rand_wa(rng, dim, alphabet, density=0.5):

@@ -1,18 +1,18 @@
 """Exact rational scalars.
 
-Everything in the library computes over arbitrary-precision rationals;
-binary-64 floats appear only where a module explicitly opts in (the
-sigmoid gadget).  gmpy2's mpq is used when available, falling back to
-the stdlib Fraction (same semantics, slower).
+Everything in the library computes over arbitrary-precision rationals,
+one number type: the sigmoid network computes in binary-64 and hands the
+oracle the exact rational equal to its float.  gmpy2's mpq is used when
+available, falling back to the stdlib Fraction (same semantics, slower).
 
 The kernels' rules for arithmetic live here, each in one function:
-`exact` shares the values 0 and 1, `times` skips a product by the shared
-ONE, `total` starts a sum from its first term, and `dot` sums products
-with one normalization.  A Fraction product or sum reduces its result by
-a gcd, so a sum of k products made term by term normalizes 2k - 1 times;
-`dot` adds integer products over a common denominator and normalizes
-once.  This is the only module that takes a rational apart into its
-numerator and denominator.
+`exact` shares the values 0 and 1, `times` makes no product that a
+shared ZERO or ONE decides, `total` starts a sum from its first term, and
+`dot` sums products with one normalization.  A Fraction product or sum
+reduces its result by a gcd, so a sum of k products made term by term
+normalizes 2k - 1 times; `dot` adds integer products over a common
+denominator and normalizes once.  This is the only module that takes a
+rational apart into its numerator and denominator.
 """
 
 from decimal import Decimal
@@ -76,16 +76,18 @@ def rats(values) -> list:
 
 def exact(x):
     """x, but the shared ZERO or ONE when x equals 0 or 1, which the
-    kernels test by identity to skip a product by 1 or a sum with 0; a
-    binary-64 float comes back as it is."""
-    if x is ONE or x is ZERO or isinstance(x, float):
+    kernels test by identity to skip a product by 0 or 1 or a sum with 0."""
+    if x is ONE or x is ZERO:
         return x
     return ZERO if x == 0 else ONE if x == 1 else x
 
 
 def times(a, b):
-    """a * b, but the other factor when one is the shared ONE: the one
-    place that decides a product by identity."""
+    """a * b, but ZERO when a factor is the shared ZERO and the other
+    factor when one is the shared ONE: the one place that decides a
+    product by identity."""
+    if a is ZERO or b is ZERO:
+        return ZERO
     return b if a is ONE else a if b is ONE else a * b
 
 
@@ -102,23 +104,18 @@ def dot(pairs):
     sums add the integer products of numerators over a running common
     denominator, with a gcd only where a term's denominator differs from
     it, and build one Rat, so a sum of k products costs one normalization,
-    not 2k - 1.  A result equal to 0 or 1 is the shared ZERO or ONE.  A
-    binary-64 float factor, which has no numerator, makes the sum exactly
-    total(times(a, b) ...) in order, so a float result keeps every bit."""
+    not 2k - 1.  A result equal to 0 or 1 is the shared ZERO or ONE."""
     if len(pairs) < 2:
         return exact(times(*pairs[0])) if pairs else ZERO
     num, den = 0, 1
-    try:
-        for a, b in pairs:
-            q = a.denominator * b.denominator
-            if q == den:
-                num += a.numerator * b.numerator
-            else:
-                g = gcd(den, q)
-                num = num * (q // g) + a.numerator * b.numerator * (den // g)
-                den = den // g * q
-    except AttributeError:
-        return total(times(a, b) for a, b in pairs)
+    for a, b in pairs:
+        q = a.denominator * b.denominator
+        if q == den:
+            num += a.numerator * b.numerator
+        else:
+            g = gcd(den, q)
+            num = num * (q // g) + a.numerator * b.numerator * (den // g)
+            den = den // g * q
     return ZERO if not num else ONE if num == den else Rat(num, den)
 
 

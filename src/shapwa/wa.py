@@ -131,7 +131,7 @@ def add(A, *rest):
 def scale(c, A):
     """Scalar multiple: only alpha is scaled, f_{cA} = c f_A."""
     c = rat(c)
-    return NAlphabetWA(A.alphabets, tuple(_times(c, x) for x in A.alpha),
+    return NAlphabetWA(A.alphabets, tuple(times(c, x) for x in A.alpha),
                        dict(A.transitions), A.beta)
 
 
@@ -139,14 +139,8 @@ def sub(A, B):
     return add(A, scale(Rat(-1), B))
 
 
-def _times(x, y):
-    """x * y of two weights, the shared ZERO with no product when a factor
-    is 0."""
-    return ZERO if not x or not y else times(x, y)
-
-
 def _kron_vec(a, b):
-    return tuple(_times(x, y) for x in a for y in b)
+    return tuple(times(x, y) for x in a for y in b)
 
 
 def kron(A, B):

@@ -10,17 +10,18 @@ SUMS = ("__add__", "__radd__", "__sub__", "__rsub__")
 
 
 class FractionOps:
-    """Fraction products and sums made since the last take(); `trivial`
-    counts the products with a factor equal to 1 and the sums with a term
-    equal to 0 among them."""
+    """Fraction products and sums made since the last take(); among them,
+    `trivial` counts the products with a factor equal to 0 or 1 and the
+    sums with a term equal to 0, and `floats` the products and sums with a
+    float operand."""
 
     def __init__(self):
-        self.products = self.sums = self.trivial = 0
+        self.products = self.sums = self.trivial = self.floats = 0
 
     def take(self):
         """(products, sums) since the last call, or since counting began."""
         counts = self.products, self.sums
-        self.products = self.sums = self.trivial = 0
+        self.products = self.sums = self.trivial = self.floats = 0
         return counts
 
 
@@ -37,8 +38,9 @@ def fraction_ops(monkeypatch):
         for name in names:
             def counted(a, b, real=getattr(Fraction, name), attr=attr):
                 setattr(ops, attr, getattr(ops, attr) + 1)
-                unit = 1 if attr == "products" else 0
-                ops.trivial += a == unit or b == unit
+                units = (0, 1) if attr == "products" else (0,)
+                ops.trivial += a in units or b in units
+                ops.floats += isinstance(a, float) or isinstance(b, float)
                 return real(a, b)
             monkeypatch.setattr(Fraction, name, counted)
     return ops

@@ -22,7 +22,7 @@ from shapwa.oracle import Wmg, shap_oracle_global, shap_oracle_local
 from shapwa.randgen import (rand_dataset, rand_dt, rand_ensemble, rand_hmm,
                             rand_hmmvec, rand_ind, rand_linear, rand_markov,
                             rand_nb, rand_wa, rng_for)
-from shapwa.rational import Rat, ZERO, ONE, format_rat
+from shapwa.rational import Rat, ZERO, ONE, format_rat, rat
 from shapwa.wa import NAlphabetWA, wa_from_json, wa_to_json, eval_wa
 
 B = ("0", "1")
@@ -478,8 +478,8 @@ def test_shap_has_no_mode_flag(capsys, and_model):
 ])
 def test_shap_sigmoid_beyond_the_logistics_range(capsys, tmp_path, weights,
                                                  decimal):
-    # a sigmoid network evaluates in binary-64: its value is null and its
-    # decimal is the float the oracle computed
+    # a sigmoid network evaluates in binary-64 and the oracle sums the
+    # rationals of its floats: the value is exact and the decimal its float
     model = write_json(tmp_path / "s.json",
                        cli.encode(SigmoidNet(weights, ZERO, 1.0)))
     code, out = run(capsys, [
@@ -487,13 +487,12 @@ def test_shap_sigmoid_beyond_the_logistics_range(capsys, tmp_path, weights,
         "--input", "11", "--reference", "00", "--feature", "1"])
     assert code == 0
     record = json.loads(out)
-    assert record["value"] is None
+    assert float(rat(record["value"])) == record["decimal"]
     assert record["decimal"] == pytest.approx(decimal)
 
 
 def test_shap_sigmoid_whose_every_output_is_1(capsys, tmp_path):
-    # an output of exactly 1.0 stays a binary-64 float through the oracle:
-    # the value is null and the decimal a float
+    # an output of exactly 1.0 is the shared ONE: the value is exactly 0
     model = write_json(tmp_path / "s.json",
                        cli.encode(SigmoidNet(["0", "0"], ONE, 1e6)))
     code, out = run(capsys, [
@@ -501,7 +500,7 @@ def test_shap_sigmoid_whose_every_output_is_1(capsys, tmp_path):
         "--input", "11", "--reference", "00", "--feature", "1"])
     assert code == 0
     record = json.loads(out)
-    assert record["value"] is None
+    assert record["value"] == "0"
     assert type(record["decimal"]) is float and record["decimal"] == 0
 
 
@@ -1347,6 +1346,18 @@ def test_verify_passes(capsys):
     assert code == 0
     assert "all PASS" in out
     assert "FAIL" not in out
+
+
+def test_verify_makes_no_product_by_0_or_1_and_none_with_a_float(
+        capsys, fraction_ops):
+    # every suite, the sigmoid gadget's oracle included, computes over
+    # exact rationals and makes no product that a factor of 0 or 1 decides
+    for seed in range(8):
+        code, out = run(capsys, ["verify", "--suite", "all", "--count", "1",
+                                 "--seed", str(seed)])
+        assert code == 0 and "all PASS" in out, seed
+    assert fraction_ops.products > 0
+    assert (fraction_ops.trivial, fraction_ops.floats) == (0, 0)
 
 
 def test_verify_runs_as_a_module():

@@ -1,4 +1,5 @@
 import ast
+import math
 import time
 from collections import Counter
 from functools import lru_cache
@@ -12,19 +13,19 @@ from shapwa import oracle
 from shapwa.engine import shap_all
 from shapwa.hmm import hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
-from shapwa.models import (Dataset, IndDist, RnnRelu, SigmoidNet, step,
+from shapwa.models import (Dataset, MarkovDist, RnnRelu, SigmoidNet, step,
                            symbols)
 from shapwa.oracle import (CspInstance, GuardExceeded, Wmg,
                            ZeroProbabilityEvent, csp_brute,
                            dist_prob, dummy_check, empty_brute, eval_model,
                            hamming, shap_oracle_all, shap_oracle_global,
                            shap_oracle_local, shap_oracle_many, value_fn)
-from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu
+from shapwa.gadgets import csp_to_rnn, wmg_to_rnnrelu, wmg_to_sigmoid
 from shapwa.randgen import (rand_01_dt, rand_csp, rand_dataset, rand_dt,
                             rand_ensemble, rand_hmm, rand_hmmvec, rand_ind,
                             rand_linear, rand_markov, rand_nb, rand_rat,
                             rand_wa, rand_wmg, rand_word, rng_for)
-from shapwa.rational import Rat, ZERO, ONE
+from shapwa.rational import Rat, ZERO, ONE, exact
 from shapwa.wa import NAlphabetWA
 
 B = ("0", "1")
@@ -360,20 +361,103 @@ def test_a_marginal_summed_to_1_is_the_shared_ONE(fraction_ops):
 
 
 @pytest.mark.parametrize("bias", [ONE, -ONE])
-def test_a_float_equal_to_1_or_0_stays_a_float(bias):
+def test_a_sigmoid_output_of_1_or_0_is_ONE_or_ZERO(bias):
     # every output of this sigmoid network is exactly 1.0 (or 0.0) in
-    # binary-64: the oracle's exact 0 and 1 are never floats, so the
-    # values it answers are floats
+    # binary-64, which the oracle reads as the shared ONE (or ZERO): every
+    # Shapley value it answers is ZERO by identity
     n = 3
     f = SigmoidNet([ZERO] * n, bias, 1e6)
-    assert {eval_model(f, x) for x in words(n)} == {float(bias > 0)}
+    out = ONE if bias > 0 else ZERO
+    assert all(eval_model(f, x) is out for x in words(n))
     D = uniform_hmm(B)
     for variant, inner, outer in (("b", "010", "111"), ("i", D, "101"),
                                   ("c", D, "101"), ("b", "010", D)):
         phis = shap_oracle_all(variant, f, n, inner, outer)
-        assert [type(phi) for phi in phis] == [float] * n, variant
-        assert phis == (0.0,) * n
-    assert type(value_fn("b", f, "111", {1}, "000")) is float
+        assert all(phi is ZERO for phi in phis), variant
+    assert value_fn("b", f, "111", {1}, "000") is out
+
+
+def _logistic(net, x):
+    """A numerically stable float logistic of the network at x, from the
+    exact weighted sum: an independent check of its binary-64 output."""
+    z = sum((w for w, sym in zip(net.weights, x) if sym == "1"), net.bias)
+    try:
+        u = float(z)
+    except OverflowError:
+        u = math.inf if z > 0 else -math.inf
+    u = net.gain * u if net.gain else 0.0
+    if u >= 0:
+        return 1 / (1 + math.exp(-u))
+    e = math.exp(u)
+    return e / (1 + e)
+
+
+def test_sigmoid_outputs_are_the_rationals_of_their_floats():
+    # gadget networks (a steep gain), seeded rational weights under a
+    # shallow, a negative and a steep gain, and weighted sums beyond the
+    # logistic's and binary-64's range: every output is a Rat that a
+    # binary-64 float equals, in [0, 1] and at the logistic's value
+    rng = rng_for(73)
+    nets = [wmg_to_sigmoid(rand_wmg(rng, 4), i).model for i in (1, 2, 3)]
+    nets += [SigmoidNet([rand_rat(rng) for _ in range(4)], rand_rat(rng), gain)
+             for gain in (1.0, -3.5, 1e6, 0)]
+    nets += [SigmoidNet(["-1000", "1", "0", "2"], ZERO, 1.0),
+             SigmoidNet(["1" + "0" * 400, "1", "-1", "1/3"], ONE, 1.0),
+             SigmoidNet(["-1" + "0" * 400, "1", "-1", "1/3"], ONE, 0.5)]
+    for net in nets:
+        for x in words(4):
+            y = eval_model(net, x)
+            assert type(y) is Rat and Rat(float(y)) == y, (net, x)
+            assert 0 <= y <= 1 and y is exact(y), (net, x)
+            assert math.isclose(float(y), _logistic(net, x), rel_tol=1e-9,
+                                abs_tol=1e-300), (net, x)
+
+
+def test_a_zero_mass_coalition_named_is_inclusion_minimal():
+    # the conditional oracle raises the event of the first coalition it
+    # meets with mass 0; every proper subset of it has mass > 0, so its
+    # coalition value answers
+    rng = rng_for(5)
+    raised = 0
+    for _ in range(80):
+        n = rng.randint(2, 5)
+        f = rand_wa(rng, rng.randint(1, 3), B)
+        D = rand_dataset(rng, n, rng.randint(1, 3))
+        x = rand_word(rng, B, n)
+        try:
+            shap_oracle_all("c", f, n, D, x)
+        except ZeroProbabilityEvent as event:
+            raised += 1
+            S = sorted(event.coalition)
+            for k in range(len(S)):
+                for T in combinations(S, k):
+                    value_fn("c", f, x, set(T), D)
+    assert 20 < raised < 80, raised
+
+
+def test_a_dataset_probability_of_1_is_ONE(fraction_ops):
+    # both rows of D are "01": P("01") is the shared ONE, so a query under
+    # D makes no product by 1
+    f = rand_wa(rng_for(4), 3, B)
+    D = Dataset(["01", "01"])
+    assert D.prob("01") is ONE
+    fraction_ops.take()
+    shap_oracle_local("i", f, "11", 1, D)
+    shap_oracle_local("c", f, "01", 1, D)
+    assert fraction_ops.trivial == 0
+
+
+def test_a_zero_factor_ends_a_markov_product(fraction_ops):
+    # a transition of probability 0 makes the word's probability ZERO and
+    # no later factor is multiplied by it
+    M = MarkovDist({"0": "1/2", "1": "1/2"},
+                   {"0": {"0": "1/4", "1": "3/4"}, "1": {"1": "1"}}, B)
+    fraction_ops.take()
+    got = [M.prob(w) for w in ("0000", "0101", "1100", "1111")]
+    assert got == [Rat(1, 128), ZERO, ZERO, Rat(1, 2)]
+    assert (fraction_ops.trivial, fraction_ops.take()[0]) == (0, 4)
+    shap_oracle_local("i", rand_wa(rng_for(6), 3, B), "0110", 2, M)
+    assert fraction_ops.trivial == 0
 
 
 def test_value_fn_evaluates_its_one_coalition(monkeypatch):
