@@ -49,18 +49,18 @@ products is normalized once.  `rat` reads every 0 and 1 of a file as the
 shared ZERO and ONE, and a compiled automaton is mostly 0/1: a word side
 is the unit layer, and every transition entry of a compiled tree is 1 but
 those that carry its leaf values.  Every sum of products, an entry of a
-row, of a forward vector (`SpMat.vecmat`) or of a backward vector
-(`SpMat.matvec`), a dot (`linalg.sparse_dot`) and a phi_i, is one
-`rational.dot`: integer products over a common denominator, then one Rat.
-The other products, of an outer by an inner weight and of initial or
-final weights, are `rational.times`, which skips a factor that is ZERO or
-ONE, and every other sum starts from its first term, never from ZERO.  A
-1 that is another object is multiplied as any other value, to the same
-answer.  On a compiled depth-3 tree under a compiled 4-row dataset
-(n = 6), a local interventional pass makes 26 Fraction products and 35
+row, of a forward vector (`SpMat.vecmat`), of a backward vector
+(`SpMat.matvec`) or of its fold (below), a dot (`linalg.sparse_dot`) and a
+phi_i, is one `rational.dot`: integer products over a common denominator,
+then one Rat.  The other products, of an outer by an inner weight and of
+initial or final weights, are `rational.times`, which skips a factor that
+is ZERO or ONE, and every other sum starts from its first term, never from
+ZERO.  A 1 that is another object is multiplied as any other value, to the
+same answer.  On a compiled depth-3 tree under a compiled 4-row dataset
+(n = 6), a local interventional pass makes 35 Fraction products and 47
 sums, its efficiency check (below) 6 more sums, where the pass makes 279
 products and 235 sums when each is made term by term, products by 1 and
-sums with 0 included.
+sums with 0 included, and with unfolded weights.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -86,26 +86,46 @@ no shift in k.  For a player i,
   phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
   c(k) = k! (m-1-k)! / m!
 
-and m = 0 answers all zeros.  Every product is over reachable states
-only: beta enters on reach_n, and B_{j+1} is computed on reach_j alone,
-row by row, from rows the sweep built.  F_{j-1} lives in reach_{j-1}, so
-F_{j-1} (P_j - Q_j) lives in reach_j and phi never reads B elsewhere.  The
-restriction is structural: masking by numerical supports could drop a
-state where the F vectors cancel but their difference does not.
+and m = 0 answers all zeros.  The weights fold into the backward vectors.
+With the integer w(k) = k! (m-1-k)! = m! c(k), and a counting the players
+kept before j, let W_j[a] = sum_b w(a+b) B_j[b]; then
+
+  W_j[a] = Q_j W_{j+1}[a] + P_j W_{j+1}[a+1] at a player j,
+  W_j[a] = P_j W_{j+1}[a] at a null j,
+  phi_i = (sum_a F_{i-1}[a] (P_i - Q_i) W_{i+1}[a]) / m!
+
+with a up to the players before i: one pair of vectors per player before
+i, plus one, all dotted in one `rational.dot`, then one division by m!.
+The weights are integer Rats, so W keeps B's denominators.  B runs
+unfolded from n down to the last player asked, l, where W_{l+1}[a] for a
+up to the players before l is folded from it once; W runs on down from
+there, and each player it passes drops its last vector, which no player
+below reads.
+
+Every product is over reachable states only: beta enters on reach_n, and
+B_{j+1}, or W_{j+1}, is computed on reach_j alone, row by row, from rows
+the sweep built.  F_{j-1} lives in reach_{j-1}, so F_{j-1} (P_j - Q_j)
+lives in reach_j and phi never reads B elsewhere.  The restriction is
+structural: masking by numerical supports could drop a state where the F
+vectors cancel but their difference does not.
 
 The pass pays for players, not positions.  At position j each vector
-costs two products at a player and one at a null position, and there is
-one vector per player already passed, plus one.  A pass asked for some
-features runs F to the last player asked, B from n down past the first,
-and the dots at the players asked; a null feature asked costs no vector
-product.  The reach sweep still covers all n positions, since B_{j+1} is
-computed on reach_j, and makes no vector product.  All n features cost at
-most m(n+1) vector-matrix and m(n-1) matrix-vector products and about
-m^3/6 dots, against n(n+1), n(n-1) and n^3/6 over every position.  When
-every position is a player, feature i alone costs i(i+1) vector-matrix
-and (n-i)(n-i+1) matrix-vector products and i(n-i+1) dots, so one
-feature is 2x cheaper than the whole pass at i = 1 or n, 4x at i = n/2
-and 3x on average.
+costs two products at a player and one at a null position, but the
+vector a player's step drops.  F holds one vector per player it has
+passed, plus one, and so does B; W holds one per player it has still to
+pass, the one at hand included.  A pass asked for some features runs F
+to the last player asked, B from n down to it and W from there past the
+first, and the dots at the players asked; a null feature asked costs no
+vector product.  The reach sweep still covers all n positions, since
+B_{j+1} is computed on reach_j, and makes no vector product.  All n
+features fold at the last player, so W runs the whole way down: they cost
+at most m(n+1) vector-matrix and m(n-1) matrix-vector products and
+m(m+1)/2 dot pairs, against n(n+1), n(n-1) and n(n+1)/2 over every
+position, where the unfolded sum dots about m^3/6 pairs.  When every
+position is a player, feature i alone costs i(i+1) vector-matrix and
+(n-i)(n-i+1) matrix-vector products, as unfolded, folds its n-i+1 B
+vectors into i W vectors and dots i pairs, so one feature is 2x cheaper
+than the whole pass at i = 1 or n, 4x at i = n/2 and 3x on average.
 
 A pass asked for all n features checks the efficiency axiom,
 sum_i phi_i = v(N) - v(0), with v(0) = F_n[0] beta and v(N) = F_n[m] beta.
@@ -140,10 +160,10 @@ cross-check.
 """
 
 from functools import lru_cache
-from math import factorial
+from math import factorial, prod
 
 from .hmm import Hmm
-from .linalg import SpMat, sparse_dot
+from .linalg import SpMat, sparse_dot, sparse_pairs
 from .models import check_query
 from .rational import Rat, ZERO, ONE, dot, exact, times, total
 from .wa import NAlphabetWA
@@ -229,11 +249,18 @@ class _Step:
         return nxt
 
 
-def _kron_vec(*vecs):
+def _kron_vec(vecs, states=None):
+    """The Kronecker product of dense vectors as a sparse dict, only at
+    these states when they are given.  Each factor's support is taken
+    once, and each product of leading factors is made once, where some
+    state needs it."""
     out = {0: ONE}
-    for vec in vecs:
-        out = {i * len(vec) + j: times(x, y)
-               for i, x in out.items() for j, y in enumerate(vec) if y != 0}
+    for k, vec in enumerate(vecs):
+        d, tail = len(vec), prod(map(len, vecs[k + 1:]))
+        keep = None if states is None else {x // tail for x in states}
+        support = [(j, y) for j, y in enumerate(vec) if y]
+        out = {i * d + j: times(x, y) for i, x in out.items()
+               for j, y in support if keep is None or i * d + j in keep}
     return out
 
 
@@ -259,6 +286,16 @@ def _shift_add(dropped, kept):
     return [_combine(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
 
 
+def _fold(vecs, weights):
+    """sum_b weights[b] vecs[b] of sparse vectors, each entry one
+    `rational.dot`, which is dropped where it is ZERO."""
+    terms = {}
+    for w, vec in zip(weights, vecs):
+        for x, y in vec.items():
+            terms.setdefault(x, []).append((w, y))
+    return {x: y for x, t in terms.items() if (y := dot(t)) is not ZERO}
+
+
 def _pass(f, n, inner, outer, features):
     """(phi_i for i in features) of a checked query whose sides are two
     objects: a null feature answers 0, and the others run only the part of
@@ -277,7 +314,7 @@ def _pass(f, n, inner, outer, features):
 
     # position j is a player unless P_j and Q_j store the same rows at
     # every state of reach_{j-1}, where all forward vectors live
-    fwd = [_kron_vec(o_alpha, i_alpha, f.alpha)]
+    fwd = [_kron_vec((o_alpha, i_alpha, f.alpha))]
     reach = [set(fwd[0])]
     for step in steps:
         reach.append(step.fill(reach[-1]))
@@ -313,22 +350,30 @@ def _pass(f, n, inner, outer, features):
             gap = step.P.vecmat(gap)
 
     # bwd = [B_{j+1}[b] for b = 0..players after j] on reach_j, where
-    # diff[j] lives and where B_j on reach_{j-1} reads it
-    c = [exact(Rat(factorial(k) * factorial(m - 1 - k), factorial(m)))
-         for k in range(m)]
-    end = _kron_vec(o_beta, i_beta, f.beta)
-    end = {x: end[x] for x in reach[n] if x in end}
+    # diff[j] lives and where B_j on reach_{j-1} reads it, down to the last
+    # player asked; there it folds into [W_{j+1}[a] for a = 0..players
+    # before j], and each player below drops the last W vector
+    w = [exact(Rat(factorial(k) * factorial(m - 1 - k))) for k in range(m)]
+    scale = factorial(m)
+    end = _kron_vec((o_beta, i_beta, f.beta), reach[n])
     bwd = [end]
     for j in range(n, first - 1, -1):
+        if j == last:
+            bwd = [_fold(bwd, w[a:]) for a in range(len(diff[j]))]
         if j in wanted:
-            phis[j] = dot([(c[a + b], d) for a, g in enumerate(diff[j]) if g
-                           for b, v in enumerate(bwd)
-                           if (d := sparse_dot(g, v)) is not ZERO])
+            phis[j] = exact(dot([t for g, v in zip(diff[j], bwd)
+                                 for t in sparse_pairs(g, v)]) / scale)
         if j > first:
             step, rows = steps[j - 1], reach[j - 1]
-            vp = [step.P.matvec(v, rows) for v in bwd]
-            bwd = (_shift_add([step.Q.matvec(v, rows) for v in bwd], vp)
-                   if players[j - 1] else vp)
+            if not players[j - 1]:
+                bwd = [step.P.matvec(v, rows) for v in bwd]
+            elif j > last:
+                bwd = _shift_add([step.Q.matvec(v, rows) for v in bwd],
+                                 [step.P.matvec(v, rows) for v in bwd])
+            else:
+                bwd = [_combine(step.Q.matvec(u, rows),
+                                step.P.matvec(v, rows))
+                       for u, v in zip(bwd, bwd[1:])]
     if (efficiency
             and total(p for p in phis.values() if p) != sparse_dot(gap, end)):
         raise EngineError("the values do not sum to v(N) - v(0)")

@@ -189,9 +189,15 @@ def vec_to_sparse(v):
     return {i: x for i, x in enumerate(v) if x != 0}
 
 
-def sparse_dot(u, v):
-    """u . v of sparse vectors, one `rational.dot` over the smaller
-    support; the shared ZERO when the supports do not meet."""
+def sparse_pairs(u, v):
+    """[(u_j, v_j)] at the indices where both sparse vectors store an entry,
+    found over the smaller support: the terms of u . v."""
     if len(u) > len(v):
-        u, v = v, u
-    return dot([(x, y) for j, x in u.items() if (y := v.get(j)) is not None])
+        return [(x, y) for j, y in v.items() if (x := u.get(j)) is not None]
+    return [(x, y) for j, x in u.items() if (y := v.get(j)) is not None]
+
+
+def sparse_dot(u, v):
+    """u . v of sparse vectors, one `rational.dot` of `sparse_pairs`; the
+    shared ZERO when the supports do not meet."""
+    return dot(sparse_pairs(u, v))

@@ -12,16 +12,17 @@ from shapwa.builders import (build_A_wi, build_point_hmm, build_T_w,
 from shapwa.engine import (glo_b_shap, glo_i_shap, loc_b_shap, loc_i_shap,
                            shap, shap_all)
 from shapwa.frontends import (dt_to_wa, emp_to_hmmvec, ensemble_reg_to_wa,
-                              hmmvec_to_hmm, ind_to_hmmvec, nb_to_hmmvec)
+                              hmmvec_to_hmm, ind_to_hmmvec, linear_to_wa,
+                              nb_to_hmmvec)
 from shapwa.hmm import Hmm, hmm_from_json, hmm_to_json, uniform_hmm
 from shapwa.linalg import SpMat
 from shapwa.models import Dataset, TreeEnsemble
 from shapwa.oracle import (ZeroProbabilityEvent, shap_oracle_all,
                            shap_oracle_global, shap_oracle_local,
                            shap_oracle_many, value_fn)
-from shapwa.randgen import (rand_dataset, rand_dt, rand_hmm, rand_hmmvec,
-                            rand_ind, rand_nb, rand_rat, rand_wa, rand_word,
-                            rng_for)
+from shapwa.randgen import (rand_01_dt, rand_dataset, rand_dt, rand_ensemble,
+                            rand_hmm, rand_hmmvec, rand_ind, rand_linear,
+                            rand_nb, rand_rat, rand_wa, rand_word, rng_for)
 from shapwa.rational import Rat, ZERO, ONE
 from shapwa.wa import (NAlphabetWA, add, eval_wa, pi1, project, sub,
                        wa_from_json, wa_to_json)
@@ -185,22 +186,37 @@ def test_subset_answers_equal_the_whole_answer():
 
 
 def count_products(monkeypatch):
-    """{"vecmat": calls, "matvec": calls} of SpMat from now on."""
-    calls = {"vecmat": 0, "matvec": 0}
-    for name in calls:
+    """{"vecmat": calls, "matvec": calls, "pairs": calls} from now on: the
+    vector products of SpMat, and the pairs of vectors the engine dots into
+    its phi values."""
+    calls = {"vecmat": 0, "matvec": 0, "pairs": 0}
+    for name in ("vecmat", "matvec"):
         def counted(self, *args, name=name, real=getattr(SpMat, name)):
             calls[name] += 1
             return real(self, *args)
         monkeypatch.setattr(SpMat, name, counted)
+
+    def pairs(u, v, real=engine.sparse_pairs):
+        calls["pairs"] += 1
+        return real(u, v)
+    monkeypatch.setattr(engine, "sparse_pairs", pairs)
     return calls
 
 
+NONE = {"vecmat": 0, "matvec": 0, "pairs": 0}
+
+
 def pass_products(players, features):
-    """{"vecmat": calls, "matvec": calls} of the pass for these features,
-    players[j - 1] telling whether position j is a player: F runs to the
-    last player asked and B from n down past the first; at position j each
-    vector, one per player already passed plus one, costs two products at a
-    player and one at a null position."""
+    """{"vecmat": calls, "matvec": calls, "pairs": calls} of the pass for
+    these features, players[j - 1] telling whether position j is a player:
+    F runs to the last player asked and B from n down past the first.  At
+    position j each vector costs two products at a player and one at a null
+    position, but the one a player's step drops.  F holds one vector per
+    player before j, plus one, and so does B above the last player asked,
+    per player after j; there B is folded into W, which holds one vector
+    per player it has still to pass, the one at hand included.  The phi of
+    a player i asked dots one pair of vectors per player before i, plus
+    one."""
     asked = [i for i in features if players[i - 1]]
 
     def cost(positions):
@@ -211,18 +227,22 @@ def pass_products(players, features):
         return total
 
     n = len(players)
-    last = max(asked, default=0)
+    first, last = min(asked, default=n), max(asked, default=0)
+    folded = sum(sum(players[:j - 1]) * (1 + players[j - 1])
+                 for j in range(first + 1, last + 1))
     # asked all n, the efficiency check carries one vector from the last
     # player to n
     check = n - last if asked and len(set(features)) == n else 0
     return {"vecmat": cost(range(1, last + 1)) + check,
-            "matvec": cost(range(n, min(asked, default=n), -1))}
+            "matvec": cost(range(n, max(first, last), -1)) + folded,
+            "pairs": sum(sum(players[:i - 1]) + 1 for i in set(asked))}
 
 
 def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
-    # F to the last player asked, B from n down past the first; a position
-    # where two words agree is null, any other position of these sides a
-    # player; one object twice runs none
+    # F to the last player asked, B from n down past the first, folded from
+    # the last player asked, so one feature makes the products of the
+    # unfolded pass; a position where two words agree is null, any other
+    # position of these sides a player; one object twice runs none
     rng = rng_for(63)
     for n in (1, 2, 7):
         f = rand_wa(rng, 3, B)
@@ -233,7 +253,8 @@ def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
                        for j in range(n)]
             if all(players):
                 assert pass_products(players, range(1, n + 1)) == \
-                    {"vecmat": n * (n + 1), "matvec": n * (n - 1)}
+                    {"vecmat": n * (n + 1), "matvec": n * (n - 1),
+                     "pairs": n * (n + 1) // 2}
             calls = count_products(monkeypatch)
             shap_all.__wrapped__(f, n, inner, outer)
             assert calls == pass_products(players, range(1, n + 1))
@@ -243,11 +264,12 @@ def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
                 assert calls == pass_products(players, (i,)), (n, i)
                 if all(players):
                     assert calls == {"vecmat": i * (i + 1),
-                                     "matvec": (n - i) * (n - i + 1)}, (n, i)
+                                     "matvec": (n - i) * (n - i + 1),
+                                     "pairs": i}, (n, i)
             monkeypatch.undo()
         calls = count_products(monkeypatch)
         assert shap(f, n, D, D, (n,)) == (0,)
-        assert calls == {"vecmat": 0, "matvec": 0}
+        assert calls == NONE
         monkeypatch.undo()
 
 
@@ -297,6 +319,64 @@ def test_identities_beyond_the_oracles_guard():
     assert shap(f, n, r, D) == mean(lambda x: shap(f, n, r, x))
     assert shap(add(f, g), n, D, w) == tuple(
         a + b for a, b in zip(shap(f, n, D, w), shap(g, n, D, w)))
+
+
+def test_engine_equals_builder_pipeline_at_n_48():
+    # the paper's pipeline shares no pass code with the engine; at n = 48
+    # the folded backward vectors make m(m+1)/2 = 1,176 dot pairs where the
+    # unfolded sum made about m^3/6, 8x as many
+    rng = rng_for(48)
+    n = 48
+    f, D = rand_wa(rng, 4, B, density=1.0), rand_hmm(rng, 2, B)
+    w, r = rand_word(rng, B, n), rand_word(rng, B, n)
+    for inner, outer in ((D, w), (r, D)):
+        phis = shap(f, n, inner, outer)
+        for i in (1, 24, 48):
+            assert phis[i - 1] == pipeline_shap(f, i, n, inner, outer), \
+                (inner, i)
+
+
+def compiled_pairs(rng, n):
+    """The compiled (model, distribution) pairs dt/nb, with a 0/1 tree and
+    with a tree of rational leaves, ens-r/ind and lin/emp over n features,
+    read back through the file codecs, as `shap` reads them, so every 0 and
+    1 in them is the shared ZERO or ONE."""
+    def wa(model):
+        return wa_from_json(wa_to_json(model))
+
+    def hmm(vec):
+        return hmm_from_json(hmm_to_json(hmmvec_to_hmm(vec)))
+
+    return [(wa(dt_to_wa(tree(rng, n, B, 3))), hmm(nb_to_hmmvec(
+                rand_nb(rng, n)))) for tree in (rand_01_dt, rand_dt)] + [
+            (wa(ensemble_reg_to_wa(rand_ensemble(rng, n))), hmm(ind_to_hmmvec(
+                rand_ind(rng, n)))),
+            (wa(linear_to_wa(rand_linear(rng, n))), hmm(emp_to_hmmvec(
+                rand_dataset(rng, n, 4))))]
+
+
+def test_every_engine_value_is_a_rat():
+    # an int weight times the shared ONE is the int, and an int divided by
+    # the int m! a float: every value, of every feature set, must be a Rat.
+    # Each value of AND at "111" against "000" is one product, ONE by the
+    # weight w(2) = 2! 0!, over 3! = 6
+    rng = rng_for(94)
+    n = 6
+    pairs = compiled_pairs(rng, n) + [
+        (rand_wa(rng, 3, B), rand_hmm(rng, 2, B)) for _ in range(3)]
+    queries = [(and_wa(), 3, "000", "111")]
+    for f, D in pairs:
+        for _ in range(3):
+            x, r = rand_word(rng, B, n), rand_word(rng, B, n)
+            queries += [(f, n, inner, outer)
+                        for inner, outer in ((D, x), (r, x), (r, D))]
+    for f, k, inner, outer in queries:
+        for features in (range(1, k + 1), range(k, 0, -2),
+                         *((i,) for i in range(1, k + 1))):
+            phis = shap(f, k, inner, outer, features)
+            assert [type(phi) for phi in phis] == [Rat] * len(phis), \
+                (inner, outer, features)
+    assert shap(and_wa(), 3, "000", "111") == (Rat(1, 3),) * 3
 
 
 def test_values_that_break_efficiency_raise(monkeypatch):
@@ -404,7 +484,8 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
     # efficiency check's included; the two words agree at position 5, a
     # null player the loc_b pass skips.  Sums of products are
     # `rational.dot`s, in integers, so what is counted is the outer-by-inner
-    # products of the rows
+    # products of the rows, the one-term entries of vector products and the
+    # fold's products of the end vector by each Shapley weight
     d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
                  "11101"])
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
@@ -415,7 +496,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
         fraction_ops.take()
         shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(fraction_ops.take()[0])
-    assert counts == [185, 11, 1052, 167]
+    assert counts == [275, 23, 1592, 257]
 
 
 def compiled_dt_and_emp():
@@ -435,8 +516,9 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
     # (products, sums) (279, 235) and (64, 40) when each product by 1 and
     # each sum with 0 is made.  Every sum of products is one
     # `rational.dot`, in integers, so what is left are the outer-by-inner
-    # products of the rows and the sums of vectors: (26, 35) and (1, 2),
-    # none by 1 or with 0; their efficiency checks add (0, 6) and (0, 2)
+    # products of the rows, the one-term entries of vector products and the
+    # sums of vectors: (35, 47) and (0, 3), none by 1 or with 0; their
+    # efficiency checks add (0, 6) and (0, 2)
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
@@ -444,7 +526,7 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
         shap(f, 6, inner, x)
         assert fraction_ops.trivial == 0
         counts.append(fraction_ops.take())
-    assert counts == [(26, 41), (1, 4)]
+    assert counts == [(35, 53), (0, 5)]
 
 
 def split_ones(A):
@@ -609,7 +691,7 @@ def test_engine_equals_oracle_with_null_players(monkeypatch):
         nulls = tuple(j for j in range(1, n + 1) if players[j - 1] is False)
         calls = count_products(monkeypatch)
         assert shap(f, n, inner, outer, nulls) == (ZERO,) * len(nulls)
-        assert calls == {"vecmat": 0, "matvec": 0}, (name, nulls)
+        assert calls == NONE, (name, nulls)
         monkeypatch.undo()
         moved[name] = moved.get(name, False) or any(want)
     # every kind of case with a player has a nonzero value somewhere
