@@ -48,19 +48,20 @@ No Rat operation is made whose result one operand decides, and a sum of
 products is normalized once.  `rat` reads every 0 and 1 of a file as the
 shared ZERO and ONE, and a compiled automaton is mostly 0/1: a word side
 is the unit layer, and every transition entry of a compiled tree is 1 but
-those that carry its leaf values.  Every sum of products, an entry of a
-row, of a forward vector (`SpMat.vecmat`), of a backward vector
-(`SpMat.matvec`) or of its fold (below), a dot (`linalg.sparse_dot`) and a
-phi_i, is one `rational.dot`: integer products over a common denominator,
-then one Rat.  The other products, of an outer by an inner weight and of
-initial or final weights, are `rational.times`, which skips a factor that
-is ZERO or ONE, and every other sum starts from its first term, never from
-ZERO.  A 1 that is another object is multiplied as any other value, to the
-same answer.  On a compiled depth-3 tree under a compiled 4-row dataset
-(n = 6), a local interventional pass makes 35 Fraction products and 47
-sums, its efficiency check (below) 6 more sums, where the pass makes 279
-products and 235 sums when each is made term by term, products by 1 and
-sums with 0 included, and with unfolded weights.
+those that carry its leaf values.  Every sum of products on the Rat side,
+an entry of a row or of a forward vector (`SpMat.vecmat`), a dot
+(`linalg.sparse_dot`) and a phi_i, is one `rational.dot`: integer products
+over a common denominator, then one Rat.  The backward side makes no Rat
+operation at all (below).  The other products, of an outer by an inner
+weight and of initial or final weights, are `rational.times`, which skips
+a factor that is ZERO or ONE, and every other sum starts from its first
+term, never from ZERO.  A 1 that is another object is multiplied as any
+other value, to the same answer.  On a compiled depth-3 tree under a
+compiled 4-row dataset (n = 6), a local interventional pass makes 25
+Fraction products and 33 sums, its efficiency check (below) 6 more sums,
+where the pass makes 279 products and 235 sums when each is made term by
+term, products by 1 and sums with 0 included, with unfolded weights and
+Rat backward vectors.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -95,12 +96,24 @@ kept before j, let W_j[a] = sum_b w(a+b) B_j[b]; then
   phi_i = (sum_a F_{i-1}[a] (P_i - Q_i) W_{i+1}[a]) / m!
 
 with a up to the players before i: one pair of vectors per player before
-i, plus one, all dotted in one `rational.dot`, then one division by m!.
-The weights are integer Rats, so W keeps B's denominators.  B runs
+i, plus one, all dotted in one `rational.dot`, then one division.  B runs
 unfolded from n down to the last player asked, l, where W_{l+1}[a] for a
 up to the players before l is folded from it once; W runs on down from
 there, and each player it passes drops its last vector, which no player
 below reads.
+
+The backward side runs on Python ints.  `rational.to_ints` scales beta's
+vector, and the stored rows of each step's P and Q, to ints over the
+least common denominator of their entries, once per pass and step.  B
+and W are one list of int vectors over one int denominator, which each
+position multiplies by its step's; their products (`SpMat.matvec`), the
+shifted sums and the fold by the int weights w(k) are int sums.  Rats
+and ints meet twice.  phi_i is one `rational.dot` of the Rat entries of
+F_{i-1} (P_i - Q_i) against the int entries of W_{i+1}, divided once by
+the denominator times m!, and the efficiency check compares sum_i phi_i
+with the dot of its Rat vector against beta's ints over their
+denominator.  `rational.dot` is a Rat even when every factor is an int,
+so no phi is an int or a float.
 
 Every product is over reachable states only: beta enters on reach_n, and
 B_{j+1}, or W_{j+1}, is computed on reach_j alone, row by row, from rows
@@ -165,7 +178,7 @@ from math import factorial, prod
 from .hmm import Hmm
 from .linalg import SpMat, sparse_dot, sparse_pairs
 from .models import check_query
-from .rational import Rat, ZERO, ONE, dot, exact, times, total
+from .rational import ZERO, ONE, dot, exact, times, to_ints, total
 from .wa import NAlphabetWA
 
 # enough for loc_i, loc_b and glo_b queries alternating over a few instances
@@ -206,6 +219,7 @@ class _Step:
             (self.Q, [(out_sum, in_layer[s], fm, {})
                       for s, fm in f_mats.items() if s in in_layer]))
         self.done = set()
+        self.scaled = None
 
     def fill(self, states):
         """Build the rows of P and Q at these states; return the states
@@ -248,6 +262,19 @@ class _Step:
             nxt.update(self.Q.rows.get(x, ()))
         return nxt
 
+    def ints(self):
+        """(d, d P, d Q), d the least common denominator of the entries of
+        P and Q, so the scaled matrices are over the ints; made the first
+        time the backward pass asks, after the sweep built every row."""
+        if self.scaled is None:
+            mats = self.P, self.Q
+            d, rows = to_ints([row for mat in mats
+                               for row in mat.rows.values()])
+            rows = iter(rows)
+            self.scaled = d, *(SpMat(mat.n, {x: next(rows) for x in mat.rows})
+                               for mat in mats)
+        return self.scaled
+
 
 def _kron_vec(vecs, states=None):
     """The Kronecker product of dense vectors as a sparse dict, only at
@@ -281,19 +308,33 @@ def _combine(u, v, sign=1):
     return out
 
 
-def _shift_add(dropped, kept):
-    """[dropped[k] + kept[k-1] for k = 0..len]: the next F (or B) vectors."""
-    return [_combine(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
+def _add(u, v):
+    """u + v of sparse vectors over the ints, a sum equal to 0 dropped."""
+    out = dict(u)
+    for j, y in v.items():
+        if j not in out:
+            out[j] = y
+        elif s := out[j] + y:
+            out[j] = s
+        else:
+            del out[j]
+    return out
+
+
+def _shift_add(dropped, kept, add=_combine):
+    """[dropped[k] + kept[k-1] for k = 0..len]: the next F vectors, or with
+    `_add` the next B vectors."""
+    return [add(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
 
 
 def _fold(vecs, weights):
-    """sum_b weights[b] vecs[b] of sparse vectors, each entry one
-    `rational.dot`, which is dropped where it is ZERO."""
-    terms = {}
+    """sum_b weights[b] vecs[b] of sparse vectors over the ints, an entry
+    equal to 0 dropped."""
+    out = {}
     for w, vec in zip(weights, vecs):
         for x, y in vec.items():
-            terms.setdefault(x, []).append((w, y))
-    return {x: y for x, t in terms.items() if (y := dot(t)) is not ZERO}
+            out[x] = out[x] + w * y if x in out else w * y
+    return {x: y for x, y in out.items() if y}
 
 
 def _pass(f, n, inner, outer, features):
@@ -352,30 +393,35 @@ def _pass(f, n, inner, outer, features):
     # bwd = [B_{j+1}[b] for b = 0..players after j] on reach_j, where
     # diff[j] lives and where B_j on reach_{j-1} reads it, down to the last
     # player asked; there it folds into [W_{j+1}[a] for a = 0..players
-    # before j], and each player below drops the last W vector
-    w = [exact(Rat(factorial(k) * factorial(m - 1 - k))) for k in range(m)]
+    # before j], and each player below drops the last W vector.  The
+    # vectors are ints over the one denominator den: each step multiplies
+    # it by the d of its scaled P and Q
+    w = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
     scale = factorial(m)
-    end = _kron_vec((o_beta, i_beta, f.beta), reach[n])
-    bwd = [end]
+    end_den, (end,) = to_ints([_kron_vec((o_beta, i_beta, f.beta),
+                                         reach[n])])
+    bwd, den = [end], end_den
     for j in range(n, first - 1, -1):
         if j == last:
             bwd = [_fold(bwd, w[a:]) for a in range(len(diff[j]))]
         if j in wanted:
             phis[j] = exact(dot([t for g, v in zip(diff[j], bwd)
-                                 for t in sparse_pairs(g, v)]) / scale)
+                                 for t in sparse_pairs(g, v)])
+                            / (den * scale))
         if j > first:
-            step, rows = steps[j - 1], reach[j - 1]
+            d, P, Q = steps[j - 1].ints()
+            rows = reach[j - 1]
+            den *= d
             if not players[j - 1]:
-                bwd = [step.P.matvec(v, rows) for v in bwd]
+                bwd = [P.matvec(v, rows) for v in bwd]
             elif j > last:
-                bwd = _shift_add([step.Q.matvec(v, rows) for v in bwd],
-                                 [step.P.matvec(v, rows) for v in bwd])
+                bwd = _shift_add([Q.matvec(v, rows) for v in bwd],
+                                 [P.matvec(v, rows) for v in bwd], _add)
             else:
-                bwd = [_combine(step.Q.matvec(u, rows),
-                                step.P.matvec(v, rows))
+                bwd = [_add(Q.matvec(u, rows), P.matvec(v, rows))
                        for u, v in zip(bwd, bwd[1:])]
-    if (efficiency
-            and total(p for p in phis.values() if p) != sparse_dot(gap, end)):
+    if (efficiency and total(p for p in phis.values() if p)
+            != sparse_dot(gap, end) / end_den):
         raise EngineError("the values do not sum to v(N) - v(0)")
     return tuple(phis[i] for i in features)
 

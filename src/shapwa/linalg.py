@@ -6,14 +6,15 @@ dict-of-rows and vectors as index->value dicts.  scipy.sparse is of no
 use here: it has no rational dtype and the contracts demand bit-exact
 equality.
 
-Each entry of a vector-matrix or matrix-vector product, and each dot
-product of two vectors, is one `rational.dot` of its terms: the integer
-products over a common denominator, normalized once, and the shared ZERO
-or ONE when the entry is 0 or 1.  The other products are
-`rational.times`, which skips a factor that is ZERO or ONE.  Compiled
-automata are mostly 0/1, and rat returns the shared ZERO and ONE for 0
-and 1, so neither a product by 0 or 1 nor a sum with 0 costs a rational
-operation.
+Each entry of a vector-matrix product, and each dot product of two
+vectors, is one `rational.dot` of its terms: the integer products over a
+common denominator, normalized once, and the shared ZERO or ONE when the
+entry is 0 or 1.  The other products are `rational.times`, which skips a
+factor that is ZERO or ONE.  Compiled automata are mostly 0/1, and rat
+returns the shared ZERO and ONE for 0 and 1, so neither a product by 0 or
+1 nor a sum with 0 costs a rational operation.  The matrix-vector product
+is the engine's backward step, over ints alone: a matrix and a vector
+scaled by `rational.to_ints`, whose product is an int sum per row.
 """
 
 from .rational import (ZERO, as_list, dot, exact, format_rat, rat, rats,
@@ -26,7 +27,8 @@ LAYOUT = ("a matrix is a list of [row, col, value] entries; a file in the "
 
 
 class SpMat:
-    """A sparse square matrix over the rationals.
+    """A sparse square matrix over the rationals, or over the ints once
+    `rational.to_ints` has scaled its rows.
 
     rows maps a row index to a {col: value} dict; absent entries are 0.
     """
@@ -110,10 +112,16 @@ class SpMat:
         return {j: y for j, t in terms.items() if (y := dot(t)) is not ZERO}
 
     def matvec(self, v, rows):
-        """Matrix times column vector, at the given rows only: v is a sparse
-        dict, result likewise; each entry is one `sparse_dot`."""
-        return {i: y for i in rows
-                if (y := sparse_dot(self.rows.get(i, {}), v)) is not ZERO}
+        """Matrix times column vector, at the given rows only, of a matrix
+        and a sparse vector over the ints (`rational.to_ints`): each entry
+        is a plain int sum of products, dropped where it is 0."""
+        out = {}
+        for i in rows:
+            row = self.rows.get(i)
+            if row and (y := sum([a * v[j] for j, a in row.items()
+                                  if j in v])):
+                out[i] = y
+        return out
 
     def to_entries(self):
         """[row, col, format_rat(value)] of each stored entry, in row-major

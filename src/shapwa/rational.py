@@ -11,12 +11,14 @@ shared ZERO or ONE decides, `total` starts a sum from its first term, and
 `dot` sums products with one normalization.  A Fraction product or sum
 reduces its result by a gcd, so a sum of k products made term by term
 normalizes 2k - 1 times; `dot` adds integer products over a common
-denominator and normalizes once.  This is the only module that takes a
-rational apart into its numerator and denominator.
+denominator and normalizes once.  `to_ints` writes sparse vectors as ints
+over one denominator, for kernels that run on ints alone.  This is the
+only module that takes a rational apart into its numerator and
+denominator.
 """
 
 from decimal import Decimal
-from math import gcd
+from math import gcd, lcm
 
 try:
     from gmpy2 import mpq as Rat
@@ -99,14 +101,20 @@ def total(terms):
 
 
 def dot(pairs):
-    """The sum of a * b over a sequence of (a, b) pairs, the one rule for a
-    sum of products: ZERO when there are none, times(a, b) for one.  Longer
-    sums add the integer products of numerators over a running common
-    denominator, with a gcd only where a term's denominator differs from
-    it, and build one Rat, so a sum of k products costs one normalization,
-    not 2k - 1.  A result equal to 0 or 1 is the shared ZERO or ONE."""
+    """The sum of a * b over a sequence of (a, b) pairs of Rats or ints,
+    the one rule for a sum of products, always a Rat: ZERO when there are
+    none, times(a, b) for one pair of Rats.  Other sums add the integer
+    products of numerators over a running common denominator, with a gcd
+    only where a term's denominator differs from it, and build one Rat, so
+    a sum of k products costs one normalization, not 2k - 1, and a product
+    by an int makes no Rat operation.  A result equal to 0 or 1 is the
+    shared ZERO or ONE."""
     if len(pairs) < 2:
-        return exact(times(*pairs[0])) if pairs else ZERO
+        if not pairs:
+            return ZERO
+        a, b = pairs[0]
+        if isinstance(a, Rat) and isinstance(b, Rat):
+            return exact(times(a, b))
     num, den = 0, 1
     for a, b in pairs:
         q = a.denominator * b.denominator
@@ -117,6 +125,18 @@ def dot(pairs):
             num = num * (q // g) + a.numerator * b.numerator * (den // g)
             den = den // g * q
     return ZERO if not num else ONE if num == den else Rat(num, den)
+
+
+def to_ints(vecs):
+    """(d, [{j: x * d} for each sparse vector]): d is the least common
+    denominator of every value of these dicts of Rats, 1 when there are
+    none, and each value times d is an int, so products and sums of the
+    scaled vectors are exact in ints, over a known denominator."""
+    dens = {x.denominator for vec in vecs for x in vec.values()}
+    d = lcm(*dens)
+    scale = {q: d // q for q in dens}
+    return d, [{j: x.numerator * scale[x.denominator]
+                for j, x in vec.items()} for vec in vecs]
 
 
 def check_law(values, what):

@@ -321,19 +321,38 @@ def test_identities_beyond_the_oracles_guard():
         a + b for a, b in zip(shap(f, n, D, w), shap(g, n, D, w)))
 
 
-def test_engine_equals_builder_pipeline_at_n_48():
-    # the paper's pipeline shares no pass code with the engine; at n = 48
-    # the folded backward vectors make m(m+1)/2 = 1,176 dot pairs where the
-    # unfolded sum made about m^3/6, 8x as many
+def n_48_case():
+    """(f, n, [(inner, outer) of loc_i and glo_b]): a dense 4-state WA
+    under a 2-state HMM at n = 48."""
     rng = rng_for(48)
     n = 48
     f, D = rand_wa(rng, 4, B, density=1.0), rand_hmm(rng, 2, B)
     w, r = rand_word(rng, B, n), rand_word(rng, B, n)
-    for inner, outer in ((D, w), (r, D)):
+    return f, n, [(D, w), (r, D)]
+
+
+def test_engine_equals_builder_pipeline_at_n_48():
+    # the paper's pipeline shares no pass code with the engine; at n = 48
+    # the folded backward vectors make m(m+1)/2 = 1,176 dot pairs where the
+    # unfolded sum made about m^3/6, 8x as many
+    f, n, cases = n_48_case()
+    for inner, outer in cases:
         phis = shap(f, n, inner, outer)
         for i in (1, 24, 48):
             assert phis[i - 1] == pipeline_shap(f, i, n, inner, outer), \
                 (inner, i)
+
+
+def test_fewer_features_at_n_48_equal_the_whole_pass():
+    # an all-features pass folds B at position n, so only calls asked
+    # fewer features run the integer B unfolded below n: down to position
+    # 1 for feature 1, to 24 for feature 24, to 31 for the set below
+    f, n, cases = n_48_case()
+    for inner, outer in cases:
+        phis = shap(f, n, inner, outer)
+        for features in ((1,), (24,), (48,), (31, 2, 17)):
+            assert shap(f, n, inner, outer, features) == tuple(
+                phis[i - 1] for i in features), (inner, features)
 
 
 def compiled_pairs(rng, n):
@@ -483,9 +502,10 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
     # prefix took 121), and the counts pin the products of each pass, the
     # efficiency check's included; the two words agree at position 5, a
     # null player the loc_b pass skips.  Sums of products are
-    # `rational.dot`s, in integers, so what is counted is the outer-by-inner
-    # products of the rows, the one-term entries of vector products and the
-    # fold's products of the end vector by each Shapley weight
+    # `rational.dot`s, in integers, and the backward vectors, their fold and
+    # their products are ints, so what is counted is the outer-by-inner
+    # products of the rows and the one-term entries of forward vector
+    # products
     d = Dataset(["00010", "00010", "00011", "00110", "01110", "11100",
                  "11101"])
     D = hmmvec_to_hmm(emp_to_hmmvec(d))
@@ -496,7 +516,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
         fraction_ops.take()
         shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(fraction_ops.take()[0])
-    assert counts == [275, 23, 1592, 257]
+    assert counts == [185, 11, 1052, 167]
 
 
 def compiled_dt_and_emp():
@@ -515,10 +535,11 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
     # the shared ONE, so the local interventional and baseline passes make
     # (products, sums) (279, 235) and (64, 40) when each product by 1 and
     # each sum with 0 is made.  Every sum of products is one
-    # `rational.dot`, in integers, so what is left are the outer-by-inner
-    # products of the rows, the one-term entries of vector products and the
-    # sums of vectors: (35, 47) and (0, 3), none by 1 or with 0; their
-    # efficiency checks add (0, 6) and (0, 2)
+    # `rational.dot`, in integers, and the backward side runs on ints, so
+    # what is left are the outer-by-inner products of the rows, the one-term
+    # entries of forward vector products and the sums of forward vectors:
+    # (25, 33) and (0, 2), none by 1 or with 0; their efficiency checks add
+    # (0, 6) and (0, 2)
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
@@ -526,7 +547,7 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
         shap(f, 6, inner, x)
         assert fraction_ops.trivial == 0
         counts.append(fraction_ops.take())
-    assert counts == [(35, 53), (0, 5)]
+    assert counts == [(25, 39), (0, 4)]
 
 
 def split_ones(A):

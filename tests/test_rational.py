@@ -12,7 +12,7 @@ from shapwa.models import (DecisionTree, DTNode, HmmVec, IndDist, LinearModel,
                            MarkovDist, NaiveBayes, RnnRelu, SigmoidNet,
                            TreeEnsemble)
 from shapwa.rational import (ONE, Rat, ZERO, dot, exact, format_rat, rat,
-                             rats, times, total)
+                             rats, times, to_ints, total)
 from shapwa.wa import NAlphabetWA
 
 
@@ -209,13 +209,41 @@ def test_vecmat_makes_no_fraction_operation(fraction_ops):
 
 
 def test_matvec_makes_no_fraction_operation(fraction_ops):
-    # the backward pass's products: one dot per row asked, in integers
+    # the backward pass's products, of a matrix and a vector scaled to ints
+    # by `to_ints`: an int sum per row asked, over the product of their
+    # denominators
     m, v = _dense_3x3()
+    d, rows = to_ints(list(m.rows.values()))
+    e, (w,) = to_ints([v])
+    assert (d, e) == (126, 20)
+    scaled = SpMat(3, dict(zip(m.rows, rows)))
     fraction_ops.take()
-    got = m.matvec(v, [2, 0])
+    got = scaled.matvec(w, [2, 0])
     assert fraction_ops.take() == (0, 0)
-    assert got == {i: sum((m.rows[i][j] * v[j] for j in v), ZERO)
-                   for i in (2, 0)}
+    assert all(type(y) is int for y in got.values())
+    assert {i: Rat(y, d * e) for i, y in got.items()} == {
+        i: sum((m.rows[i][j] * v[j] for j in v), ZERO) for i in (2, 0)}
+
+
+def test_to_ints_scales_by_the_least_common_denominator():
+    x, y = Rat(-3, 4), Rat(5, 6)
+    assert to_ints([]) == (1, [])
+    assert to_ints([{}, {3: ONE}]) == (1, [{}, {3: 1}])
+    d, vecs = to_ints([{0: x, 2: y}, {1: ONE}])
+    assert (d, vecs) == (12, [{0: -9, 2: 10}, {1: 12}])
+    assert all(type(z) is int for vec in vecs for z in vec.values())
+
+
+def test_dot_of_ints_is_a_rat():
+    # a product by an int makes no Rat operation, and the result is a Rat
+    # even when no factor is one: an int divided by an int is a float
+    for pairs, want in (([(ONE, 5)], 5), ([(2, 3)], 6), ([(Rat(1, 2), 4)], 2),
+                        ([(Rat(1, 2), 1)], Rat(1, 2))):
+        got = dot(pairs)
+        assert type(got) is Rat and got == want, pairs
+        assert type(got / 6) is Rat
+    assert dot([]) is ZERO and dot([(ONE, 1)]) is ONE
+    assert dot([(Rat(1, 3), 0)]) is ZERO
 
 
 def test_only_rational_reads_numerators_and_denominators():
