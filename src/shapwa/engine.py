@@ -49,19 +49,19 @@ products is normalized once.  `rat` reads every 0 and 1 of a file as the
 shared ZERO and ONE, and a compiled automaton is mostly 0/1: a word side
 is the unit layer, and every transition entry of a compiled tree is 1 but
 those that carry its leaf values.  Every sum of products on the Rat side,
-an entry of a row or of a forward vector (`SpMat.vecmat`), a dot
-(`linalg.sparse_dot`) and a phi_i, is one `rational.dot`: integer products
-over a common denominator, then one Rat.  The backward side makes no Rat
-operation at all (below).  The other products, of an outer by an inner
-weight and of initial or final weights, are `rational.times`, which skips
-a factor that is ZERO or ONE, and every other sum starts from its first
-term, never from ZERO.  A 1 that is another object is multiplied as any
-other value, to the same answer.  On a compiled depth-3 tree under a
-compiled 4-row dataset (n = 6), a local interventional pass makes 25
-Fraction products and 33 sums, its efficiency check (below) 6 more sums,
-where the pass makes 279 products and 235 sums when each is made term by
-term, products by 1 and sums with 0 included, with unfolded weights and
-Rat backward vectors.
+an entry of a row or of a forward vector (`SpMat.vecmat`), an entry of
+G_s, a phi_i and the efficiency check's difference, is one `rational.dot`:
+integer products over a common denominator, then one Rat.  The backward
+side makes no Rat operation at all (below).  The other products, of an
+outer by an inner weight and of initial or final weights, are
+`rational.times`, which skips a factor that is ZERO or ONE, and every
+other sum starts from its first term, never from ZERO.  A 1 that is
+another object is multiplied as any other value, to the same answer.  On
+a compiled depth-3 tree under a compiled 4-row dataset (n = 6), a local
+interventional pass makes 21 Fraction products and 23 sums, its
+efficiency check (below) 2 more sums, where the pass makes 279 products
+and 235 sums when each is made term by term, products by 1 and sums with
+0 included, with unfolded weights and Rat backward vectors.
 
 Null players leave the pass.  Every coalition's vector alpha M_1 ...
 M_{j-1} lives on reach_{j-1}.  Where P_j and Q_j store identical rows at
@@ -87,66 +87,84 @@ no shift in k.  For a player i,
   phi_i = sum_{a,b} c(a+b) F_{i-1}[a] (P_i - Q_i) B_{i+1}[b],
   c(k) = k! (m-1-k)! / m!
 
-and m = 0 answers all zeros.  The weights fold into the backward vectors.
-With the integer w(k) = k! (m-1-k)! = m! c(k), and a counting the players
-kept before j, let W_j[a] = sum_b w(a+b) B_j[b]; then
+and m = 0 answers all zeros.  The weights fold into the vectors on both
+sides of one split player s among the players asked.  With the integer
+w(k) = k! (m-1-k)! = m! c(k), A_j the number of players before j, a
+counting the players kept before j and b those kept after it, let
+W_j[a] = sum_b w(a+b) B_j[b] and G_j[b] = sum_a w(a+b) F_j[a]; then
 
   W_j[a] = Q_j W_{j+1}[a] + P_j W_{j+1}[a+1] at a player j,
-  W_j[a] = P_j W_{j+1}[a] at a null j,
-  phi_i = (sum_a F_{i-1}[a] (P_i - Q_i) W_{i+1}[a]) / m!
+  G_j[b] = G_{j-1}[b] Q_j + G_{j-1}[b+1] P_j at a player j,
+  W_j[a] = P_j W_{j+1}[a] and G_j[b] = G_{j-1}[b] P_j at a null j,
 
-with a up to the players before i: one pair of vectors per player before
-i, plus one, all dotted in one `rational.dot`, then one division.  B runs
-unfolded from n down to the last player asked, l, where W_{l+1}[a] for a
-up to the players before l is folded from it once; W runs on down from
-there, and each player it passes drops its last vector, which no player
-below reads.
+  phi_i = (sum_a F_{i-1}[a] (P_i - Q_i) W_{i+1}[a]) / m!   for i <= s,
+  phi_i = (sum_b G_{i-1}[b] (P_i - Q_i) B_{i+1}[b]) / m!   for i > s,
+
+with a up to A_i, or b up to m-1-A_i: one pair of vectors per player
+before i, plus one, or per player from i on, all dotted in one
+`rational.dot`, then one division.  F runs unfolded from 1 up to s, and B
+from n down to s + 1.  At s, B folds once into W_{s+1}[a] for a up to
+A_s, and F into G_s[b] for b up to m-1-A_{s+1}, so a + b <= m - 1 and no
+w(m) is needed; F_s itself is not formed, as F_s[a] is
+F_{s-1}[a] Q_s + F_{s-1}[a-1] P_s and the fold reads those products
+apart.  W runs on down from s, G on up from s + 1 to the last player
+asked, and each player either passes drops its last vector, which no
+player beyond reads.  s is the player asked whose pass makes the fewest
+vector products, a closed form in the A_j, the later one on a tie: about
+the middle player when all n features are asked, and the feature itself
+when one is, so one feature runs the unfolded pass on both sides.
 
 The backward side runs on Python ints.  `rational.to_ints` scales beta's
 vector, and the stored rows of each step's P and Q, to ints over the
 least common denominator of their entries, once per pass and step.  B
 and W are one list of int vectors over one int denominator, which each
 position multiplies by its step's; their products (`SpMat.matvec`), the
-shifted sums and the fold by the int weights w(k) are int sums.  Rats
-and ints meet twice.  phi_i is one `rational.dot` of the Rat entries of
-F_{i-1} (P_i - Q_i) against the int entries of W_{i+1}, divided once by
-the denominator times m!, and the efficiency check compares sum_i phi_i
-with the dot of its Rat vector against beta's ints over their
-denominator.  `rational.dot` is a Rat even when every factor is an int,
-so no phi is an int or a float.
+shifted sums and the fold by the int weights w(k) are int sums.  F and G
+stay Rats, and each entry of G_s is one `rational.dot` of its pairs of an
+int weight and a Rat.  Rats and ints meet in the dots: phi_i is one
+`rational.dot` of the Rat entries of F_{i-1} (P_i - Q_i) against the int
+entries of W_{i+1}, or of G_{i-1} (P_i - Q_i) against those of B_{i+1},
+divided once by the denominator times m!, and the efficiency check is
+one `rational.dot` of two Rat vectors against two int vectors, divided
+once by their denominator.  `rational.dot` is a Rat even when every
+factor is an int, so no phi is an int or a float.
 
 Every product is over reachable states only: beta enters on reach_n, and
 B_{j+1}, or W_{j+1}, is computed on reach_j alone, row by row, from rows
 the sweep built.  F_{j-1} lives in reach_{j-1}, so F_{j-1} (P_j - Q_j)
-lives in reach_j and phi never reads B elsewhere.  The restriction is
+lives in reach_j, as G_{j-1} (P_j - Q_j) does, and phi never reads B or W
+elsewhere.  The restriction is
 structural: masking by numerical supports could drop a state where the F
 vectors cancel but their difference does not.
 
 The pass pays for players, not positions.  At position j each vector
 costs two products at a player and one at a null position, but the
-vector a player's step drops.  F holds one vector per player it has
-passed, plus one, and so does B; W holds one per player it has still to
-pass, the one at hand included.  A pass asked for some features runs F
-to the last player asked, B from n down to it and W from there past the
-first, and the dots at the players asked; a null feature asked costs no
-vector product.  The reach sweep still covers all n positions, since
-B_{j+1} is computed on reach_j, and makes no vector product.  All n
-features fold at the last player, so W runs the whole way down: they cost
-at most m(n+1) vector-matrix and m(n-1) matrix-vector products and
-m(m+1)/2 dot pairs, against n(n+1), n(n-1) and n(n+1)/2 over every
-position, where the unfolded sum dots about m^3/6 pairs.  When every
-position is a player, feature i alone costs i(i+1) vector-matrix and
-(n-i)(n-i+1) matrix-vector products, as unfolded, folds its n-i+1 B
-vectors into i W vectors and dots i pairs, so one feature is 2x cheaper
-than the whole pass at i = 1 or n, 4x at i = n/2 and 3x on average.
+vector a player's step of W or G drops, and G's step at a player asked,
+whose difference reads every vector.  F holds one vector per player it
+has passed, plus one, and so does B; W and G hold one per player they
+have still to pass, the one at hand included.  A pass asked for some
+features runs F to s and G from there to the last player asked, B from n
+down to s + 1 and W from s past the first, and the dots at the players
+asked; a null feature asked costs no vector product.  The reach sweep
+still covers all n positions, since B_{j+1} is computed on reach_j, and
+makes no vector product.  All n features cost at most m(n+1)
+vector-matrix and m(n-1) matrix-vector products and m(m+1)/2 dot pairs,
+and the check's two (below), against n(n+1), n(n-1) and n(n+1)/2 over
+every position, where the unfolded sum dots about m^3/6 pairs.  When
+every position is a player, s = ceil(n/2), and with t = n - s they cost
+s(s+1) + t(t+1) vector-matrix and t(t+1) + s(s-1) matrix-vector products
+and s(s+1)/2 + t(t+1)/2 + 2 dot pairs, about half of each bound: 84, 72
+and 44 at n = 12.  Feature i alone costs i(i+1) vector-matrix and (n-i)(n-i+1)
+matrix-vector products, as unfolded, folds its n-i+1 B vectors into i W
+vectors and dots i pairs, so one feature costs as much as the whole pass
+at i = 1 or n, half as much at i = n/2 and two thirds on average.
 
 A pass asked for all n features checks the efficiency axiom,
-sum_i phi_i = v(N) - v(0), with v(0) = F_n[0] beta and v(N) = F_n[m] beta.
-F stops at the last player, where F[0] and F[m] are at hand; their
-difference is carried to position n, one vector-matrix product per null
-position after it (within the bound above), and dotted with beta on
-reach_n.  A mismatch raises EngineError: a fault of the engine, never an
-answer.
+sum_i phi_i = v(N) - v(0), with two dots at the split:
+v(0) = F_s[0] B_{s+1}[0] and v(N) = F_s[A_s+1] B_{s+1}[m-1-A_s], every
+player left out or every player kept, where F_s[0] = F_{s-1}[0] Q_s and
+F_s[A_s+1] = F_{s-1}[A_s] P_s are products the pass makes anyway.  A
+mismatch raises EngineError: a fault of the engine, never an answer.
 
 When one object is both sides, every phi_i is 0 and no pass runs.  Inputs
 x and replaced features z are then drawn independently from the same
@@ -176,7 +194,7 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .hmm import Hmm
-from .linalg import SpMat, sparse_dot, sparse_pairs
+from .linalg import SpMat, sparse_pairs
 from .models import check_query
 from .rational import ZERO, ONE, dot, exact, times, to_ints, total
 from .wa import NAlphabetWA
@@ -327,14 +345,45 @@ def _shift_add(dropped, kept, add=_combine):
     return [add(q, p) for q, p in zip(dropped + [{}], [{}] + kept)]
 
 
-def _fold(vecs, weights):
-    """sum_b weights[b] vecs[b] of sparse vectors over the ints, an entry
-    equal to 0 dropped."""
-    out = {}
-    for w, vec in zip(weights, vecs):
+def _fold(weighted, total=lambda t: sum([w * y for w, y in t])):
+    """sum_k w_k v_k over pairs (w_k, v_k) of an int weight and a sparse
+    vector, an entry equal to 0 dropped: each entry the int sum of its
+    products, or with total = `rational.dot` one Rat of them."""
+    terms = {}
+    for w, vec in weighted:
         for x, y in vec.items():
-            out[x] = out[x] + w * y if x in out else w * y
-    return {x: y for x, y in out.items() if y}
+            if x in terms:
+                terms[x].append((w, y))
+            else:
+                terms[x] = [(w, y)]
+    return {x: v for x, t in terms.items() if (v := total(t))}
+
+
+def _split(players, wanted):
+    """The player asked at which both sides fold, s in the module
+    docstring: the one whose pass makes the fewest vector products, the
+    later one on a tie.  Position j costs left_j products when j <= s and
+    right_j when j > s, so the count at s is a constant plus the sum of
+    left_j - right_j over j <= s."""
+    m, first, last = sum(players), min(wanted), max(wanted)
+    costs = {}
+    cost = before = 0
+    for j, p in enumerate(players, 1):
+        k = 1 + p  # products per vector: P and Q at a player, P at a null
+        # F holds a vector per player before j, plus one, and W, below
+        # the first player asked, one per player before j
+        left = (before + 1 + (before if j > first else 0)) * k
+        # B holds a vector per player after j, plus one, and G, up to the
+        # last player asked, one per player from j on, but a player not
+        # asked makes one product of each kind fewer
+        right = (m - before - p + 1) * k
+        if j <= last:
+            right += (m - before) * k - 2 * (p and j not in wanted)
+        cost += left - right
+        if j in wanted:
+            costs[j] = cost
+        before += p
+    return min(costs, key=lambda j: (costs[j], -j))
 
 
 def _pass(f, n, inner, outer, features):
@@ -366,44 +415,56 @@ def _pass(f, n, inner, outer, features):
     wanted = {i for i in phis if players[i - 1]}
     if not wanted:
         return tuple(phis[i] for i in features)
-    first, last = min(wanted), max(wanted)
+    first, last, s = min(wanted), max(wanted), _split(players, wanted)
+    w = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
 
-    # diff[i][a] = F_{i-1}[a] (P_i - Q_i), a counting the players before i;
-    # at a null position every F vector is multiplied by P_j alone
+    # diff[i] = [F_{i-1}[a] (P_i - Q_i) for a = 0..players before i] for
+    # i <= s, and [G_{i-1}[b] (P_i - Q_i) for b = 0..players from i on]
+    # for i > s.  fwd is F up to s, where F_{s-1} P_s and F_{s-1} Q_s fold
+    # into G_s, and G after it, up to the last player asked; each player G
+    # passes drops its last vector, and at a null position every vector is
+    # multiplied by P_j alone
     diff = {}
     for j, step in enumerate(steps[:last], 1):
-        vp = [step.P.vecmat(v) for v in fwd]
+        P, Q = step.P, step.Q
         if not players[j - 1]:
-            fwd = vp
-            continue
-        vq = [step.Q.vecmat(v) for v in fwd]
-        if j in wanted:
-            diff[j] = [_combine(p, q, -1) for p, q in zip(vp, vq)]
-        if j < last:
-            fwd = _shift_add(vq, vp)
-    # all features: F_n[m] - F_n[0], whose dot with beta is v(N) - v(0);
-    # at the last player F[m] is vp[-1] and F[0] is vq[0], and past it
-    # every position is null
-    efficiency = len(set(features)) == n
-    if efficiency:
-        gap = _combine(vp[-1], vq[0], -1)
-        for step in steps[last:]:
-            gap = step.P.vecmat(gap)
+            fwd = [P.vecmat(v) for v in fwd]
+        elif j <= s or j in wanted:
+            vp, vq = [P.vecmat(v) for v in fwd], [Q.vecmat(v) for v in fwd]
+            if j in wanted:
+                diff[j] = [_combine(p, q, -1) for p, q in zip(vp, vq)]
+            if j == s:
+                # F_s[a] = vq[a] + vp[a-1]: F_s[0] = vq[0] and the last,
+                # every player kept, vp[-1]
+                top, bottom = vp[-1], vq[0]
+            if j < s:
+                fwd = _shift_add(vq, vp)
+            elif j == s < last:
+                fwd = [_fold([*zip(w[b:], vq), *zip(w[b + 1:], vp)], dot)
+                       for b in range(m - len(vp))]
+            elif j < last:
+                fwd = [_combine(q, p) for q, p in zip(vq, vp[1:])]
+        else:
+            fwd = [_combine(Q.vecmat(u), P.vecmat(v))
+                   for u, v in zip(fwd, fwd[1:])]
 
     # bwd = [B_{j+1}[b] for b = 0..players after j] on reach_j, where
-    # diff[j] lives and where B_j on reach_{j-1} reads it, down to the last
-    # player asked; there it folds into [W_{j+1}[a] for a = 0..players
-    # before j], and each player below drops the last W vector.  The
-    # vectors are ints over the one denominator den: each step multiplies
-    # it by the d of its scaled P and Q
-    w = [factorial(k) * factorial(m - 1 - k) for k in range(m)]
+    # diff[j] lives and where B_j on reach_{j-1} reads it, down to s; there
+    # it folds into [W_{s+1}[a] for a = 0..players before s], and each
+    # player below drops the last W vector.  The vectors are ints over the
+    # one denominator den: each step multiplies it by the d of its scaled
+    # P and Q.  All n features check efficiency at s, where v(N) - v(0)
+    # is F_s[last] B_{s+1}[last] - F_s[0] B_{s+1}[0]
+    efficiency = len(set(features)) == n
     scale = factorial(m)
-    end_den, (end,) = to_ints([_kron_vec((o_beta, i_beta, f.beta),
-                                         reach[n])])
-    bwd, den = [end], end_den
+    den, (end,) = to_ints([_kron_vec((o_beta, i_beta, f.beta), reach[n])])
+    bwd = [end]
     for j in range(n, first - 1, -1):
-        if j == last:
-            bwd = [_fold(bwd, w[a:]) for a in range(len(diff[j]))]
+        if j == s:
+            if efficiency:
+                gap = dot(sparse_pairs(top, bwd[-1]) + [
+                    (x, -y) for x, y in sparse_pairs(bottom, bwd[0])]) / den
+            bwd = [_fold(zip(w[a:], bwd)) for a in range(len(diff[j]))]
         if j in wanted:
             phis[j] = exact(dot([t for g, v in zip(diff[j], bwd)
                                  for t in sparse_pairs(g, v)])
@@ -414,14 +475,13 @@ def _pass(f, n, inner, outer, features):
             den *= d
             if not players[j - 1]:
                 bwd = [P.matvec(v, rows) for v in bwd]
-            elif j > last:
+            elif j > s:
                 bwd = _shift_add([Q.matvec(v, rows) for v in bwd],
                                  [P.matvec(v, rows) for v in bwd], _add)
             else:
                 bwd = [_add(Q.matvec(u, rows), P.matvec(v, rows))
                        for u, v in zip(bwd, bwd[1:])]
-    if (efficiency and total(p for p in phis.values() if p)
-            != sparse_dot(gap, end) / end_den):
+    if efficiency and total(p for p in phis.values() if p) != gap:
         raise EngineError("the values do not sum to v(N) - v(0)")
     return tuple(phis[i] for i in features)
 

@@ -208,43 +208,58 @@ NONE = {"vecmat": 0, "matvec": 0, "pairs": 0}
 
 def pass_products(players, features):
     """{"vecmat": calls, "matvec": calls, "pairs": calls} of the pass for
-    these features, players[j - 1] telling whether position j is a player:
-    F runs to the last player asked and B from n down past the first.  At
-    position j each vector costs two products at a player and one at a null
-    position, but the one a player's step drops.  F holds one vector per
-    player before j, plus one, and so does B above the last player asked,
-    per player after j; there B is folded into W, which holds one vector
-    per player it has still to pass, the one at hand included.  The phi of
-    a player i asked dots one pair of vectors per player before i, plus
-    one."""
-    asked = [i for i in features if players[i - 1]]
+    these features, players[j - 1] telling whether position j is a player.
+    The pass splits at the player asked whose products are fewest, the
+    later one on a tie.  At position j each vector costs two products at
+    a player and one at a null position.  Up to the split s, F holds one
+    vector per player before j, plus one, and makes every product; past
+    it G holds one per player from j on, up to the last player asked.
+    From n down to s + 1, B holds one vector per player after j, plus one,
+    and makes every product; below s, W holds one per player before j,
+    down to the first player asked.  A step of G at a player not asked,
+    or of W at any player, drops a vector: it makes one product of each
+    kind fewer.  The phi of a player i asked dots one pair of vectors per
+    player before i, plus one, when i <= s, and one per player from i on
+    when i > s; all n features add the two dots of the efficiency check."""
+    asked = {i for i in features if players[i - 1]}
+    if not asked:
+        return dict(NONE)
+    n, m = len(players), sum(players)
+    first, last = min(asked), max(asked)
+    before = [sum(players[:j - 1]) for j in range(1, n + 2)]
 
-    def cost(positions):
-        total = passed = 0
-        for j in positions:
-            total += (passed + 1) * (1 + players[j - 1])
-            passed += players[j - 1]
-        return total
+    def products(j, vectors, drop):
+        p = players[j - 1]
+        return (1 + p) * vectors - 2 * (p and drop)
 
-    n = len(players)
-    first, last = min(asked, default=n), max(asked, default=0)
-    folded = sum(sum(players[:j - 1]) * (1 + players[j - 1])
-                 for j in range(first + 1, last + 1))
-    # asked all n, the efficiency check carries one vector from the last
-    # player to n
-    check = n - last if asked and len(set(features)) == n else 0
-    return {"vecmat": cost(range(1, last + 1)) + check,
-            "matvec": cost(range(n, max(first, last), -1)) + folded,
-            "pairs": sum(sum(players[:i - 1]) + 1 for i in set(asked))}
+    def split_at(s):
+        vecmat = sum(products(j, before[j - 1] + 1, False)
+                     for j in range(1, s + 1))
+        vecmat += sum(products(j, m - before[j - 1], j not in asked)
+                      for j in range(s + 1, last + 1))
+        matvec = sum(products(j, m - before[j] + 1, False)
+                     for j in range(s + 1, n + 1))
+        matvec += sum(products(j, before[j], True)
+                      for j in range(first + 1, s + 1))
+        pairs = sum(before[i - 1] + 1 if i <= s else m - before[i - 1]
+                    for i in asked)
+        check = 2 if len(set(features)) == n else 0
+        return {"vecmat": vecmat, "matvec": matvec, "pairs": pairs + check}
+
+    splits = [split_at(s) for s in sorted(asked, reverse=True)]
+    return min(splits, key=lambda c: c["vecmat"] + c["matvec"])
 
 
 def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
-    # F to the last player asked, B from n down past the first, folded from
-    # the last player asked, so one feature makes the products of the
-    # unfolded pass; a position where two words agree is null, any other
-    # position of these sides a player; one object twice runs none
+    # one feature splits the pass at itself: F to it, B from n down past
+    # it, folded there, so it makes the products of the unfolded pass; all
+    # n features split at the middle player, (n + 1) // 2 when every
+    # position is a player.  A position where two words agree is null, any
+    # other position of these sides a player; one object twice runs none
+    assert pass_products([True] * 12, range(1, 13)) == \
+        {"vecmat": 84, "matvec": 72, "pairs": 44}
     rng = rng_for(63)
-    for n in (1, 2, 7):
+    for n in (1, 2, 7, 12):
         f = rand_wa(rng, 3, B)
         *pairs, (D, _) = five_sides(rng, B, n)
         for inner, outer in pairs:
@@ -252,9 +267,11 @@ def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
             players = [not (words and inner[j] == outer[j])
                        for j in range(n)]
             if all(players):
+                s, t = (n + 1) // 2, n // 2
                 assert pass_products(players, range(1, n + 1)) == \
-                    {"vecmat": n * (n + 1), "matvec": n * (n - 1),
-                     "pairs": n * (n + 1) // 2}
+                    {"vecmat": s * (s + 1) + t * (t + 1),
+                     "matvec": t * (t + 1) + s * (s - 1),
+                     "pairs": s * (s + 1) // 2 + t * (t + 1) // 2 + 2}
             calls = count_products(monkeypatch)
             shap_all.__wrapped__(f, n, inner, outer)
             assert calls == pass_products(players, range(1, n + 1))
@@ -262,10 +279,12 @@ def test_one_feature_runs_only_the_products_it_needs(monkeypatch):
                 calls = count_products(monkeypatch)
                 shap(f, n, inner, outer, (i,))
                 assert calls == pass_products(players, (i,)), (n, i)
+                # at n = 1 the one feature is all of them, whose check
+                # adds two dots
                 if all(players):
                     assert calls == {"vecmat": i * (i + 1),
                                      "matvec": (n - i) * (n - i + 1),
-                                     "pairs": i}, (n, i)
+                                     "pairs": i + 2 * (n == 1)}, (n, i)
             monkeypatch.undo()
         calls = count_products(monkeypatch)
         assert shap(f, n, D, D, (n,)) == (0,)
@@ -333,8 +352,8 @@ def n_48_case():
 
 def test_engine_equals_builder_pipeline_at_n_48():
     # the paper's pipeline shares no pass code with the engine; at n = 48
-    # the folded backward vectors make m(m+1)/2 = 1,176 dot pairs where the
-    # unfolded sum made about m^3/6, 8x as many
+    # the vectors folded on both sides of the split make 602 dot pairs,
+    # where the unfolded sum made about m^3/6, 30x as many
     f, n, cases = n_48_case()
     for inner, outer in cases:
         phis = shap(f, n, inner, outer)
@@ -344,13 +363,14 @@ def test_engine_equals_builder_pipeline_at_n_48():
 
 
 def test_fewer_features_at_n_48_equal_the_whole_pass():
-    # an all-features pass folds B at position n, so only calls asked
-    # fewer features run the integer B unfolded below n: down to position
-    # 1 for feature 1, to 24 for feature 24, to 31 for the set below
+    # an all-features pass splits at 24: features 1..24 dot F against W
+    # and 25..48 G against B.  One feature runs both sides unfolded, F up
+    # to it and B down to it, so features 25, 47 and 48 check G at long n
     f, n, cases = n_48_case()
+    assert engine._split([True] * n, set(range(1, n + 1))) == 24
     for inner, outer in cases:
         phis = shap(f, n, inner, outer)
-        for features in ((1,), (24,), (48,), (31, 2, 17)):
+        for features in ((1,), (24,), (25,), (47,), (48,), (31, 2, 17)):
             assert shap(f, n, inner, outer, features) == tuple(
                 phis[i - 1] for i in features), (inner, features)
 
@@ -405,12 +425,28 @@ def test_values_that_break_efficiency_raise(monkeypatch):
     rng = rng_for(92)
     f, D = rand_wa(rng, 3, B, density=1.0), rand_hmm(rng, 2, B)
     want = shap(f, 4, D, "0110")
-    monkeypatch.setattr(engine, "factorial", lambda k: factorial(k) + 1)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "factorial", lambda k: factorial(k) + 1)
+        with pytest.raises(engine.EngineError, match="v\\(N\\) - v\\(0\\)"):
+            shap(f, 4, D, "0110")
+        with pytest.raises(engine.EngineError):
+            shap(f, 4, D, "0110", (4, 3, 2, 1, 1))
+        assert shap(f, 4, D, "0110", (1, 2, 3)) != want[:3]
+    # wrong weights in the fold of F into G, at the split s = 2 of all four
+    # features, leave phi_1 and phi_2 right and make phi_3 wrong: the sum
+    # breaks, from a value after the split alone
+    assert engine._split([True] * 4, {1, 2, 3, 4}) == 2
+
+    def fold(weighted, *total, real=engine._fold):
+        if total == (engine.dot,):
+            weighted = [(w + 1, v) for w, v in weighted]
+        return real(weighted, *total)
+
+    monkeypatch.setattr(engine, "_fold", fold)
     with pytest.raises(engine.EngineError, match="v\\(N\\) - v\\(0\\)"):
         shap(f, 4, D, "0110")
-    with pytest.raises(engine.EngineError):
-        shap(f, 4, D, "0110", (4, 3, 2, 1, 1))
-    assert shap(f, 4, D, "0110", (1, 2, 3)) != want[:3]
+    got = shap(f, 4, D, "0110", (1, 2, 3))
+    assert got[:2] == want[:2] and got[2] != want[2]
 
 
 def test_two_distribution_global_query():
@@ -516,7 +552,7 @@ def test_emp_states_live_at_a_position_are_its_prefixes(fraction_ops):
         fraction_ops.take()
         shap_all.__wrapped__(f, 5, inner, outer)
         counts.append(fraction_ops.take()[0])
-    assert counts == [185, 11, 1052, 167]
+    assert counts == [159, 6, 844, 149]
 
 
 def compiled_dt_and_emp():
@@ -538,8 +574,8 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
     # `rational.dot`, in integers, and the backward side runs on ints, so
     # what is left are the outer-by-inner products of the rows, the one-term
     # entries of forward vector products and the sums of forward vectors:
-    # (25, 33) and (0, 2), none by 1 or with 0; their efficiency checks add
-    # (0, 6) and (0, 2)
+    # (21, 23) and (0, 1), none by 1 or with 0; their efficiency checks add
+    # the sums of their nonzero values, (0, 2) and (0, 1)
     f, D, x, ref = compiled_dt_and_emp()
     counts = []
     for inner in (D, ref):
@@ -547,7 +583,7 @@ def test_compiled_pair_makes_no_product_by_one_or_sum_with_zero(
         shap(f, 6, inner, x)
         assert fraction_ops.trivial == 0
         counts.append(fraction_ops.take())
-    assert counts == [(25, 39), (0, 4)]
+    assert counts == [(21, 25), (0, 2)]
 
 
 def split_ones(A):
@@ -718,6 +754,43 @@ def test_engine_equals_oracle_with_null_players(monkeypatch):
     # every kind of case with a player has a nonzero value somewhere
     assert moved == {name: name not in ("words-equal", "constant-f")
                      for name in moved}
+
+
+def test_engine_equals_oracle_with_null_players_on_both_sides_of_the_split(
+        monkeypatch):
+    # the split of all n features has a null below it and one above it,
+    # and G steps over a null.  The rows of f agree at the nulls, which are
+    # null under any sides, and are opposite at the players, so f(x) only
+    # changes sign with x at a player; the two words differ everywhere, and
+    # the values of their game are 0 unless the players are odd in number.
+    # Feature sets whose split is not their last feature read G too
+    rng = rng_for(66)
+    for n, nulls in ((6, {1, 3, 5}), (7, {1, 3, 5, 6}), (8, {1, 3, 7})):
+        players = [j not in nulls for j in range(1, n + 1)]
+        f = layered_wa(rng, n, [(0, 1) if j in nulls else ()
+                                for j in range(1, n + 1)])
+        D, E = rand_hmm(rng, 2, B), rand_hmm(rng, 1, B)
+        w = rand_word(rng, B, n)
+        r = "".join("10"[int(a)] for a in w)
+        s = engine._split(players, {j for j in range(1, n + 1)
+                                    if players[j - 1]})
+        assert min(nulls) < s < max(nulls), n
+        some = [j for j in range(1, n + 1) if j != s]
+        feature_sets = [range(1, n + 1), tuple(range(n, 0, -1)), some,
+                        (2, n), (n, 4, 3, 2)]
+        for inner, outer in ((D, w), (r, w), (r, D), (D, E)):
+            variant = "b" if isinstance(inner, str) else "i"
+            want = shap_oracle_all(variant, f, n, inner, outer)
+            assert any(want) and not any(want[j - 1] for j in nulls), \
+                (n, inner, outer)
+            for features in feature_sets:
+                asked = {i for i in features if players[i - 1]}
+                assert engine._split(players, asked) < max(asked), features
+                calls = count_products(monkeypatch)
+                assert shap(f, n, inner, outer, features) == tuple(
+                    want[i - 1] for i in features), (n, inner, features)
+                assert calls == pass_products(players, features), features
+                monkeypatch.undo()
 
 
 def test_shap_all_matches_builder_pipeline_on_compiled_tabular_pairs():
